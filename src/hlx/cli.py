@@ -16,7 +16,7 @@ from . import lattice as latmod
 from . import looppbw, meataxe, modrep
 from .cartan import CartanData
 from .drinfeld import block_partition
-from .exactnum import FiniteField, PrimeField, is_prime
+from .exactnum import FiniteField, PrimeField, is_prime, ring_pow
 
 
 def _emit(report, out=None, force_json=False):
@@ -164,12 +164,15 @@ def cmd_module(args):
         _emit(module_report(modrep.dual(m), r_window=args.rwindow), args.out, args.json)
         return 0
     if args.action == "chop":
-        factors = meataxe.chop(m, seed=args.seed)
-        rep = {
-            "recipe": recipe,
-            "dim": m.dim,
-            "factors": [f.to_json() for f in factors],
-        }
+        rep = {"recipe": recipe, "dim": m.dim}
+        try:
+            factors = meataxe.chop(m, seed=args.seed)
+        except meataxe.UndecidedFactor as exc:
+            rep["undecided_factor"] = exc.to_json()
+            rep["pass"] = False
+            _emit(rep, args.out, args.json)
+            return 1
+        rep["factors"] = [f.to_json() for f in factors]
         _emit(rep, args.out, args.json)
         return 0
     if args.action == "twist":
@@ -248,12 +251,7 @@ def run_tpd_grid(p, seed=0, max_pairs=None, ext_degree=1):
     def build(factors):
         mods = []
         for lam, l, a in factors:
-            ak = a
-            for _ in range(l):
-                apow = F.one
-                for _ in range(p):
-                    apow = apow * ak
-                ak = apow
+            ak = ring_pow(F, a, p ** l)
             mods.append(modrep.frobenius_twist(modrep.eval_weyl_module(F, lam, ak), l))
         return modrep.tensor(*mods) if len(mods) > 1 else mods[0]
 

@@ -3,8 +3,9 @@
 A DrinfeldPoly holds one constant-term-1 polynomial per Dynkin node; an
 EllWeight is a canonical multiset of (parameter, weight) pairs with the
 parameter nonzero and the weights allowed to be non-dominant.  Factorization
-is by exhaustive root enumeration over finite fields and rational root search
-over Q; nothing is ever extended silently.
+is by gcd with x^p - x and Cantor-Zassenhaus splitting over prime fields, root
+enumeration over their extensions and rational root search over Q; nothing
+is ever extended silently.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import Weight
-from .exactnum import Poly, TruncatedSeries, series_inv
+from .exactnum import (
+    Poly,
+    PrimeField,
+    TruncatedSeries,
+    fppoly_roots,
+    fppoly_splits_over,
+    series_inv,
+)
 
 
 class FieldExtensionNeeded(ValueError):
@@ -100,6 +108,15 @@ def _roots_in_field(f):
     ring = f.ring
     roots = []
     g = f
+    if isinstance(ring, PrimeField):
+        # deflating in ascending root order lists the roots exactly as a
+        # scan of the field in element order would
+        for x in fppoly_roots([c.v for c in f.coeffs], ring.p):
+            x = ring(x)
+            while g.degree() >= 1 and ring.is_zero(g.eval(x)):
+                g = _deflate(g, x)
+                roots.append(x)
+        return roots, g
     if ring.card is not None:
         candidates = ring.elements()
     else:
@@ -196,12 +213,13 @@ def factor_poly_unit_roots(f):
 
 
 def _extension_hint(f):
-    from .exactnum import FiniteField, PrimeField
+    from .exactnum import FiniteField
 
     ring = f.ring
     if isinstance(ring, PrimeField):
-        base_p, base_d = ring.p, 1
-    elif isinstance(ring, FiniteField):
+        rev = [c.v for c in reversed(f.coeffs)]
+        return next((d for d in range(2, 5) if fppoly_splits_over(rev, ring.p, d)), None)
+    if isinstance(ring, FiniteField):
         base_p, base_d = ring.p, ring.d
     else:
         return None
@@ -218,8 +236,6 @@ def _extension_hint(f):
 
 
 def _embed_coeff(c, ring):
-    from .exactnum import PrimeField
-
     if isinstance(ring, PrimeField):
         return [c.v]
     return list(c.coeffs)

@@ -17,6 +17,7 @@ the same ring.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 INFINITY = math.inf
@@ -308,6 +309,111 @@ def _fppoly_divmod(a, b, p):
     return q, _poly_trim(a[: len(b) - 1])
 
 
+def _fppoly_sub(a, b, p):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _fppoly_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fppoly_gcd(a, b, p):
+    # monic gcd; gcd(a, 0) is a made monic
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        a, b = b, _fppoly_divmod(a, b, p)[1]
+    return _fppoly_monic(a, p) if a else []
+
+
+def _fppoly_eval(f, x, p):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _fppoly_powmod(base, e, f, p):
+    out = [1]
+    base = _fppoly_mulmod(base, [1], f, p)
+    while e:
+        if e & 1:
+            out = _fppoly_mulmod(out, base, f, p)
+        e >>= 1
+        if e:
+            base = _fppoly_mulmod(base, base, f, p)
+    return out
+
+
+def fppoly_roots(f, p):
+    """Distinct roots in F_p of an integer polynomial (ascending coefficients),
+    sorted ascending.
+
+    gcd(f, x^p - x) is the product of the distinct linear factors of f; it is
+    split by Cantor-Zassenhaus: for random d, gcd(h, (x + d)^((p-1)/2) - 1)
+    collects the roots r with r + d a nonzero square.  The cost is polynomial
+    in deg f and log p, never in p.  Fields no larger than the degree are
+    simply scanned, which is cheaper there and leaves only odd p to split.
+    """
+    f = _poly_trim([c % p for c in f])
+    if len(f) < 2:
+        return []
+    if p <= len(f):
+        return [x for x in range(p) if _fppoly_eval(f, x, p) == 0]
+    f = _fppoly_monic(f, p)
+    h = _fppoly_gcd(f, _fppoly_sub(_fppoly_powmod([0, 1], p, f, p), [0, 1], p), p)
+    rng = random.Random(0)
+    roots = []
+    stack = [h]
+    while stack:
+        h = stack.pop()
+        d = len(h) - 1
+        if d == 1:
+            roots.append(-h[0] % p)
+        elif d >= 2:
+            while True:
+                t = _fppoly_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p)
+                g = _fppoly_gcd(h, _fppoly_sub(t, [1], p), p)
+                if 1 <= len(g) - 1 < d:
+                    break
+            stack.append(g)
+            stack.append(_fppoly_divmod(h, g, p)[0])
+    return sorted(roots)
+
+
+def fppoly_splits_over(f, p, d):
+    """Whether an integer polynomial splits over F_{p^d}, that is, whether
+    each irreducible factor mod p has degree dividing d: gcd with
+    x^{p^d} - x strips one copy of every such factor at a time."""
+    g = _fppoly_monic(_poly_trim([c % p for c in f]), p)
+    while len(g) > 1:
+        xq = [0, 1]
+        for _ in range(d):
+            xq = _fppoly_powmod(xq, p, g, p)
+        h = _fppoly_gcd(g, _fppoly_sub(xq, [0, 1], p), p)
+        if len(h) == 1:
+            return False
+        g = _fppoly_divmod(g, h, p)[0]
+    return True
+
+
+def ring_pow(ring, x, e):
+    """x^e by square-and-multiply; a negative e inverts x first."""
+    if e < 0:
+        x, e = ring.inv(x), -e
+    out = ring.one
+    while e:
+        if e & 1:
+            out = out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return out
+
+
 def irreducible_mod_p(f, p):
     """Irreducibility of a monic integer-coefficient polynomial mod p, deg <= 4.
 
@@ -320,12 +426,8 @@ def irreducible_mod_p(f, p):
         raise ValueError("only degrees 1..4 supported")
     if d == 1:
         return True
-    for x in range(p):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
+    if any(_fppoly_eval(f, x, p) == 0 for x in range(p)):
+        return False
     if d == 4:
         for c0 in range(p):
             for c1 in range(p):

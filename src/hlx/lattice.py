@@ -562,38 +562,3 @@ def paper_example_report(p, a_str="1", b_str="2", window=4):
         "lattices_equal": div.is_equality(),
     }
     return report
-
-
-def basicext_probe(lam, a, p):
-    """Chop-based probe for the extension pattern: does the reduction of
-    W0((1-au)^lam) have an irreducible constituent with Drinfeld polynomial
-    (1 - a u)^{lam - 2}?"""
-    from . import meataxe
-    from .exactnum import PrimeField, residue
-
-    a = Fraction(a)
-    ambient = modrep.weyl0_from_roots(QQ, [a] * lam, margin=8)
-    lat = lattice_closure(ambient, ambient.hw_vector(), p)
-    reduced = reduce_mod_p(lat)
-    factors = meataxe.chop(reduced)
-    F = PrimeField(p)
-    target = None
-    if lam >= 2:
-        from .exactnum import Poly
-
-        f = Poly.const(F, F.one)
-        for _ in range(lam - 2):
-            f = f * Poly(F, [F.one, -residue(a, p)])
-        target = tuple(f.coeffs)
-    found = False
-    for rec in factors:
-        if rec.drinfeld is not None and target is not None:
-            if rec.drinfeld.polys[0].coeffs == target:
-                found = True
-    return {
-        "lambda": lam,
-        "a": str(a),
-        "p": p,
-        "factor_dims": sorted(r.dim for r in factors),
-        "contains_v_lambda_minus_2": found,
-    }

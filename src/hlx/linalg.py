@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exactnum import PrimeField
+from .exactnum import PrimeField, fppoly_roots
 
 
 class Mat:
@@ -262,6 +262,15 @@ def is_np_ring(ring):
     return isinstance(ring, PrimeField)
 
 
+def check_int64_bound(p, n):
+    """Refuse a prime for which int64 arithmetic mod p could overflow: the
+    numpy path sums up to n products of residues in [0, p)."""
+    if n * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(
+            "int64 arithmetic mod %d needs n*(p-1)^2 < 2^63; here n = %d" % (p, n)
+        )
+
+
 def to_np(mat):
     return np.array([[a.v for a in r] for r in mat.rows], dtype=np.int64)
 
@@ -296,6 +305,58 @@ def np_rref(a, p):
         pivots.append(col)
         r += 1
     return a[:r], pivots
+
+
+def charpoly_mod_p(a, p):
+    """Characteristic polynomial det(x I - A) mod p, ascending coefficients.
+
+    A is brought to upper Hessenberg form by similarity; the characteristic
+    polynomials of its leading principal blocks then follow a recurrence
+    along the subdiagonal (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 2.2.9).  Entries are Python ints, so no size of p
+    overflows.
+    """
+    h = [[int(x) % p for x in row] for row in a]
+    n = len(h)
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(h[j + 1][j], -1, p)
+        for i in range(j + 2, n):
+            u = h[i][j] * inv % p
+            if u:
+                # row_i -= u row_{j+1}, then col_{j+1} += u col_i
+                hi, hj = h[i], h[j + 1]
+                for c in range(j, n):
+                    hi[c] = (hi[c] - u * hj[c]) % p
+                for row in h:
+                    row[j + 1] = (row[j + 1] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        cur = [0] + prev
+        for i, c in enumerate(prev):
+            cur[i] = (cur[i] - h[m - 1][m - 1] * c) % p
+        t = 1
+        for i in range(1, m):
+            t = t * h[m - i][m - i - 1] % p
+            c = h[m - i - 1][m - 1] * t % p
+            if c:
+                for k, v in enumerate(polys[m - i - 1]):
+                    cur[k] = (cur[k] - c * v) % p
+        polys.append(cur)
+    return polys[n]
+
+
+def np_eigenvalues(a, p):
+    """Eigenvalues of a square matrix that lie in F_p, ascending: the F_p-roots
+    of its characteristic polynomial."""
+    return fppoly_roots(charpoly_mod_p(a, p), p)
 
 
 def np_nullspace(a, p):

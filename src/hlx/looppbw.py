@@ -329,14 +329,6 @@ class HyperElement:
     __repr__ = canonical_str
 
 
-def normal_order(e):
-    """Identity on HyperElement (elements are kept normal ordered), exposed
-    for symmetry with raw-word input."""
-    if isinstance(e, HyperElement):
-        return e
-    return HyperElement.from_word(e)
-
-
 # ---------------------------------------------------------------------------
 # Garland Lambda elements
 # ---------------------------------------------------------------------------

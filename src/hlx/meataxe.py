@@ -33,6 +33,8 @@ from .modrep import (
     ell_hw_vectors,
     ell_weight_decomposition,
     explicit_module,
+    generator_exponents,
+    ratio_window,
 )
 
 DEFAULT_BRUTE_BOUND = 300000
@@ -46,19 +48,9 @@ def generator_labels(m, r_window=None):
     """Labels for the image-algebra generators: divided powers of the raising
     and lowering generators at p-power exponents across the certified window,
     plus the binom(h, p^j) diagonals."""
-    ring = m.ring
-    p = ring.char
     if r_window is None:
         r_window = m.r_window()
-    kmax = m.max_exponent()
-    ks = []
-    if p:
-        pk = 1
-        while pk <= max(1, kmax):
-            ks.append(pk)
-            pk *= p
-    else:
-        ks = [1]
+    ks = generator_exponents(m.ring.char, m.max_exponent())
     labels = []
     for kind in (LOWER, RAISE):
         for r in range(-r_window, r_window + 1):
@@ -173,11 +165,12 @@ def _random_element_np(np_gens, p, n, rng, max_len=4):
 def _choose_singular_np(np_gens, p, n, rng, tries=24):
     """A singular element of the image algebra with small positive nullity;
     shifting a random element by an eigenvalue in F_p keeps it in the algebra
-    (the identity is op(·, ·, 0))."""
+    (the identity is op(·, ·, 0)).  Eigenvalues come ascending from the
+    characteristic polynomial, so no field element is tried in vain."""
     best = None
     for _ in range(tries):
         z = _random_element_np(np_gens, p, n, rng)
-        for nu in range(p):
+        for nu in linalg.np_eigenvalues(z, p):
             shifted = (z - nu * np.eye(n, dtype=np.int64)) % p
             ns = linalg.np_nullspace(shifted, p)
             d = ns.shape[0]
@@ -426,7 +419,8 @@ def _submodule_and_quotient(m, rows):
         big_inv = linalg.np_inverse(big_np, p)
 
         def in_new_coords(mat):
-            return linalg.from_np(big_inv @ linalg.to_np(mat) @ big_np % p, ring)
+            # reduce between the products: a chain of two sums n^2 (p-1)^3
+            return linalg.from_np(big_inv @ (linalg.to_np(mat) @ big_np % p) % p, ring)
 
     else:
         from .linalg import solve_right
@@ -466,15 +460,16 @@ def _submodule_and_quotient(m, rows):
     def quot_lam_fn(r):
         return split(m.lam(r))[1]
 
+    # subquotient tables are linear images of m's: the ratios carry over
     sub_mod = explicit_module(
         ring, sub_weights, {}, {},
         {"submodule_of": m.recipe}, r_period=period,
-        lam_fn=sub_lam_fn, op_fn=sub_op_fn,
+        lam_fn=sub_lam_fn, op_fn=sub_op_fn, ratio_fn=m.op_ratios,
     )
     quot_mod = explicit_module(
         ring, quot_weights, {}, {},
         {"quotient_of": m.recipe}, r_period=period,
-        lam_fn=quot_lam_fn, op_fn=quot_op_fn,
+        lam_fn=quot_lam_fn, op_fn=quot_op_fn, ratio_fn=m.op_ratios,
     )
     return sub_mod, quot_mod
 
@@ -483,6 +478,19 @@ def _unit_row(ring, n, i):
     row = [ring.zero] * n
     row[i] = ring.one
     return row
+
+
+class UndecidedFactor(RuntimeError):
+    """A composition factor whose irreducibility stayed undecided."""
+
+    def __init__(self, module, reason):
+        super().__init__("undecidable factor of dimension %d: %s" % (module.dim, reason))
+        self.module = module
+        self.reason = reason
+
+    def to_json(self):
+        weights = sorted(self.module.weights, reverse=True)
+        return {"dim": self.module.dim, "weights": weights, "reason": self.reason}
 
 
 class FactorRecord:
@@ -511,7 +519,8 @@ class FactorRecord:
 
 def chop(m, seed=0, analyze=True):
     """Composition series by recursive splitting; factors come with ell-weight
-    data when requested."""
+    data when requested.  Raises UndecidedFactor on a factor whose
+    irreducibility cannot be decided."""
     factors = []
     stack = [m]
     while stack:
@@ -520,7 +529,7 @@ def chop(m, seed=0, analyze=True):
             continue
         res = is_irreducible(cur, seed=seed)
         if res.verdict is None:
-            raise RuntimeError("undecidable factor of dimension %d" % cur.dim)
+            raise UndecidedFactor(cur, res.certificate["reason"])
         if res.verdict:
             factors.append(_analyze_factor(cur) if analyze else FactorRecord(cur))
             continue
@@ -593,8 +602,7 @@ def _hom_space_nonzero(m1, m2):
     ring = m1.ring
     n = m1.dim
     pairs = []
-    window = max(m1.r_window(), m2.r_window())
-    for label in generator_labels(m1, window):
+    for label in generator_labels(m1, ratio_window(m1, m2)):
         kind, r, k = label
         if kind == "h":
             pairs.append((m1.cartan_binom(k), m2.cartan_binom(k)))

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from . import looppbw
 from .drinfeld import DrinfeldPoly, EllWeight, FieldExtensionNeeded, factor_poly_unit_roots
-from .exactnum import QQ, Poly, PrimeField, integer_binomial
-from .linalg import Mat, kernel, rref
+from .exactnum import QQ, Poly, PrimeField, integer_binomial, ring_pow
+from .linalg import Mat, check_int64_bound, kernel, rref
 from .looppbw import CARTAN, LOWER, RAISE, HyperElement
 
 KINDS = (LOWER, RAISE)
@@ -35,6 +35,34 @@ KIND_NAMES = {LOWER: "lower", RAISE: "raise"}
 
 def _binom_in_ring(ring, m, k):
     return ring.from_int(integer_binomial(m, k))
+
+
+def generator_exponents(p, kmax):
+    """Exponents k of the divided-power generators: the p-powers up to
+    max(1, kmax) in characteristic p, and k = 1 alone in characteristic 0."""
+    if not p:
+        return [1]
+    ks = []
+    pk = 1
+    while pk <= max(1, kmax):
+        ks.append(pk)
+        pk *= p
+    return ks
+
+
+def ratio_window(*mods):
+    """r-window for the tables of modules over one ring taken together (two
+    of them in the intertwiner equations T op1(r) = op2(r) T): the largest
+    number of their joint ratios over the generator exponents, capped by the
+    periodic windows, which alone apply when a module has no ratio data."""
+    bound = max(m.periodic_window() for m in mods)
+    count = 0
+    for k in generator_exponents(mods[0].ring.char, max(m.max_exponent() for m in mods)):
+        sets = [m.op_ratios(k) for m in mods]
+        if None in sets:
+            return bound
+        count = max(count, len(frozenset().union(*sets)))
+    return min(bound, count)
 
 
 class LoopModule:
@@ -54,6 +82,8 @@ class LoopModule:
         self._op_cache = {}
         self._lam_cache = {}
         self._np_cache = {}
+        self._ratio_cache = {}
+        self._np_checked = False
 
     # -- operator access ------------------------------------------------------
 
@@ -79,27 +109,34 @@ class LoopModule:
 
     # -- numpy mirrors (prime fields): same tables as int64 arrays mod p ------
 
+    def _check_np(self):
+        if not isinstance(self.ring, PrimeField):
+            raise TypeError("numpy tables are only kept for prime fields")
+        if not self._np_checked:
+            # the longest int64 sums: matrix products (dim terms) and the
+            # ell-weight denominator solves (below the Lambda precision)
+            check_int64_bound(self.ring.p, max(self.dim, self.lam_precision()))
+            self._np_checked = True
+
     def op_np(self, kind, r, k):
         import numpy as np
 
-        if not isinstance(self.ring, PrimeField):
-            raise TypeError("numpy tables are only kept for prime fields")
-        if k == 0:
-            return np.eye(self.dim, dtype=np.int64)
         key = ("op", kind, r, k)
         if key not in self._np_cache:
+            self._check_np()
+            if k == 0:
+                return np.eye(self.dim, dtype=np.int64)
             self._np_cache[key] = self._op_np(kind, r, k)
         return self._np_cache[key]
 
     def lam_np(self, r):
         import numpy as np
 
-        if not isinstance(self.ring, PrimeField):
-            raise TypeError("numpy tables are only kept for prime fields")
-        if r == 0:
-            return np.eye(self.dim, dtype=np.int64)
         key = ("lam", r)
         if key not in self._np_cache:
+            self._check_np()
+            if r == 0:
+                return np.eye(self.dim, dtype=np.int64)
             self._np_cache[key] = self._lam_np(r)
         return self._np_cache[key]
 
@@ -107,6 +144,7 @@ class LoopModule:
         import numpy as np
         from .exactnum import lucas_binom
 
+        self._check_np()
         p = self.ring.char
         return np.diag(
             np.array([lucas_binom(w, k, p) for w in self.weights], dtype=np.int64)
@@ -124,17 +162,40 @@ class LoopModule:
 
     # -- policies --------------------------------------------------------------
 
-    def r_window(self):
-        """Window of loop degrees whose tables determine every operator.
+    def op_ratios(self, k):
+        """The ratios of (x±_r)^(k) in r: a finite set of c with
+        (x±_r)^(k) = sum_c c^r M_c for every r (the same for both kinds), or
+        None when the module carries no such data."""
+        if k == 0:
+            return frozenset([self.ring.one])
+        if k not in self._ratio_cache:
+            self._ratio_cache[k] = self._op_ratios(k)
+        return self._ratio_cache[k]
 
-        Over F_q, periodic tables need only [0, q-1); otherwise the ratio
-        count (with multiplicity) is bounded by dim^2, and the tables for
-        consecutive r in the window determine all r through the linear
-        recurrence with characteristic polynomial prod (X - c_i).
-        """
+    def _op_ratios(self, k):
+        return None
+
+    def periodic_window(self):
+        """The window that needs no ratio data: over F_q, periodic tables need
+        only [0, q-1); otherwise the ratio count (with multiplicity) is
+        bounded by dim^2."""
         if self.ring.card is not None and self.r_periodic:
             return min(self.dim ** 2, self.ring.card - 1)
         return self.dim ** 2
+
+    def r_window(self):
+        """Window of loop degrees whose tables determine every operator.
+
+        If (x±_r)^(k) = sum_c c^r M_c over N distinct ratios c, the tables
+        at any N consecutive r determine every M_c: the system is a
+        Vandermonde matrix in the c scaled by the unit c^{r_0}, hence
+        invertible.  So the span of the tables over the window equals their
+        span over all r in Z, and spin-up, Norton's test and ell_hw_vectors,
+        which depend on that span alone, need no more.  N is the largest
+        ratio count over the generator exponents when the module's structure
+        gives it (op_ratios); periodic_window() bounds it in every case.
+        """
+        return ratio_window(self)
 
     def lam_precision(self):
         top = max((abs(w) for w in self.weights), default=0)
@@ -191,24 +252,16 @@ class _EvalWeyl(LoopModule):
         recipe = {"eval_weyl": {"lambda": lam, "a": ring.fmt(a)}}
         super().__init__(ring, [lam - 2 * j for j in range(lam + 1)], recipe, hw_index=0)
 
-    def _param_power(self, e):
-        ring = self.ring
-        if e >= 0:
-            out = ring.one
-            for _ in range(e):
-                out = out * self.a
-            return out
-        inv = ring.inv(self.a)
-        out = ring.one
-        for _ in range(-e):
-            out = out * inv
-        return out
+    def _op_ratios(self, k):
+        if k > self.lam_weight:
+            return frozenset()
+        return frozenset([ring_pow(self.ring, self.a, k)])
 
     def _op(self, kind, r, k):
         ring = self.ring
         n = self.dim
         rows = [[ring.zero] * n for _ in range(n)]
-        scal = self._param_power(r * k)
+        scal = ring_pow(ring, self.a, r * k)
         lam = self.lam_weight
         for j in range(n):
             if kind == LOWER:
@@ -224,7 +277,7 @@ class _EvalWeyl(LoopModule):
     def _lam(self, r):
         # hev_a(Lambda_r) = (-a)^r binom(h, |r|)
         ring = self.ring
-        scal = self._param_power(r)
+        scal = ring_pow(ring, self.a, r)
         if abs(r) % 2 == 1:
             scal = -scal
         return Mat.diag(
@@ -254,6 +307,16 @@ class _Tensor(LoopModule):
             hw = left.hw_index * right.dim + right.hw_index
         recipe = {"tensor": [left.recipe, right.recipe]}
         super().__init__(left.ring, weights, recipe, hw_index=hw)
+
+    def _op_ratios(self, k):
+        # the coproduct sums left(l) (x) right(k - l): ratios multiply
+        out = set()
+        for l in range(k + 1):
+            left, right = self.left.op_ratios(l), self.right.op_ratios(k - l)
+            if left is None or right is None:
+                return None
+            out.update(a * b for a in left for b in right)
+        return frozenset(out)
 
     def _op(self, kind, r, k):
         if isinstance(self.ring, PrimeField):
@@ -320,6 +383,9 @@ class _Dual(LoopModule):
             {"dual": inner.recipe},
             hw_index=None,
         )
+
+    def _op_ratios(self, k):
+        return self.inner.op_ratios(k)
 
     def _op(self, kind, r, k):
         # S((x±_r)^(k)) = (-1)^k (x±_r)^(k)
@@ -399,6 +465,11 @@ class _Frobenius(LoopModule):
             hw_index=inner.hw_index,
         )
 
+    def _op_ratios(self, k):
+        if k % self.pm != 0:
+            return frozenset()
+        return self.inner.op_ratios(k // self.pm)
+
     def _op(self, kind, r, k):
         if k % self.pm != 0:
             return Mat.zeros(self.ring, self.dim, self.dim)
@@ -446,12 +517,14 @@ class _Psi(LoopModule):
         )
 
     def _scal(self, e):
-        ring = self.ring
-        base = self.a if e >= 0 else ring.inv(self.a)
-        out = ring.one
-        for _ in range(abs(e)):
-            out = out * base
-        return out
+        return ring_pow(self.ring, self.a, e)
+
+    def _op_ratios(self, k):
+        inner = self.inner.op_ratios(k)
+        if inner is None:
+            return None
+        ak = self._scal(k)
+        return frozenset(ak * c for c in inner)
 
     def _op(self, kind, r, k):
         return self.inner.op(kind, r, k).scale(self._scal(r * k))
@@ -498,12 +571,7 @@ def irreducible_module(ring, lam, a):
     for k, dk in enumerate(digits):
         if dk == 0:
             continue
-        ak = a
-        for _ in range(k):
-            apow = ring.one
-            for _ in range(p):
-                apow = apow * ak
-            ak = apow
+        ak = ring_pow(ring, a, p ** k)
         factors.append(frobenius_twist(eval_weyl_module(ring, dk, ak), k))
     out = tensor(*factors)
     out.recipe = {"irreducible": {"lambda": lam, "a": ring.fmt(a), "p": p}}
@@ -654,12 +722,13 @@ class _Explicit(LoopModule):
     ops: {(kind, r, k): Mat}; when r_period is set (structural finite-field
     modules) loop degrees reduce modulo it, otherwise tables must cover the
     certified dim^2 window.  op_fn / lam_fn compute missing tables (lattice
-    reductions and chop factors keep a handle on their parents this way).
+    reductions and chop factors keep a handle on their parents this way);
+    ratio_fn gives op_ratios when the tables are linear images of a parent's.
     """
 
     def __init__(
         self, ring, weights, ops, lams, recipe,
-        hw_index=None, r_period=None, lam_fn=None, op_fn=None,
+        hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None,
     ):
         super().__init__(ring, weights, recipe, hw_index=hw_index)
         self._ops = ops
@@ -667,7 +736,11 @@ class _Explicit(LoopModule):
         self._period = r_period
         self._lam_fn = lam_fn
         self._op_fn = op_fn
+        self._ratio_fn = ratio_fn
         self.r_periodic = r_period is not None
+
+    def _op_ratios(self, k):
+        return None if self._ratio_fn is None else self._ratio_fn(k)
 
     def _op(self, kind, r, k):
         if self._period:
@@ -713,11 +786,11 @@ class _Explicit(LoopModule):
 
 def explicit_module(
     ring, weights, ops, lams, recipe,
-    hw_index=None, r_period=None, lam_fn=None, op_fn=None,
+    hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None,
 ):
     return _Explicit(
         ring, weights, ops, lams, recipe,
-        hw_index=hw_index, r_period=r_period, lam_fn=lam_fn, op_fn=op_fn,
+        hw_index=hw_index, r_period=r_period, lam_fn=lam_fn, op_fn=op_fn, ratio_fn=ratio_fn,
     )
 
 
@@ -733,16 +806,8 @@ def ell_hw_vectors(m, r_window=None, kmax=None):
     if r_window is None:
         r_window = m.r_window()
     if kmax is None:
-        kmax = max(1, m.max_exponent())
-    p = ring.char
-    if p:
-        ks = []
-        pk = 1
-        while pk <= kmax:
-            ks.append(pk)
-            pk *= p
-    else:
-        ks = [1]
+        kmax = m.max_exponent()
+    ks = generator_exponents(ring.char, kmax)
     if isinstance(ring, PrimeField):
         import numpy as np
         from .linalg import np_nullspace
@@ -984,7 +1049,7 @@ def _generic_block_refinement(m, rs):
 
 def _np_block_refinement(m, rs):
     import numpy as np
-    from .linalg import np_nullspace, np_rref
+    from .linalg import np_eigenvalues, np_nullspace, np_rref
 
     ring = m.ring
     p = ring.p
@@ -1013,20 +1078,21 @@ def _np_block_refinement(m, rs):
                 continue
             found_total = 0
             prod = np.eye(s, dtype=np.int64)
-            for nu in range(p):
+            # only eigenvalues have a nonzero generalized kernel; ascending
+            # order keeps the blocks in field-element order
+            for nu in np_eigenvalues(rmat, p):
                 shifted = (rmat - nu * np.eye(s, dtype=np.int64)) % p
                 power = shifted
                 for _ in range(max(1, s.bit_length())):
                     power = power @ power % p
                 ker = np_nullspace(power, p)
-                if ker.shape[0]:
-                    lifted = ker @ rows % p
-                    red, piv = np_rref(lifted, p)
-                    e = dict(eigs)
-                    e[r] = ring(nu)
-                    nxt.append((w, red, piv, e))
-                    found_total += ker.shape[0]
-                    prod = prod @ power % p
+                lifted = ker @ rows % p
+                red, piv = np_rref(lifted, p)
+                e = dict(eigs)
+                e[r] = ring(nu)
+                nxt.append((w, red, piv, e))
+                found_total += ker.shape[0]
+                prod = prod @ power % p
                 if found_total == s:
                     break
             if found_total < s:

@@ -66,6 +66,25 @@ def test_module_build_and_chop(tmp_path, capsys):
     assert rep["drinfeld"] == [["1", "0", "2"]]
 
 
+def test_module_chop_undecided_factor(tmp_path, capsys):
+    # 9-dimensional over F_9: no Norton path over extensions and 9^9 is past
+    # the brute-force bound, so the factor stays undecided
+    w = {"eval_weyl": {"lambda": 2, "a": "[0,1]"}}
+    recipe = {"ring": {"kind": "Fq", "p": 3, "d": 2}, "build": {"tensor": [w, w]}}
+    rpath = str(tmp_path / "recipe.json")
+    with open(rpath, "w") as fh:
+        json.dump(recipe, fh)
+    code, out = _run(capsys, ["module", "chop", "--recipe", rpath])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False and "factors" not in rep
+    assert rep["undecided_factor"] == {
+        "dim": 9,
+        "weights": [4, 2, 2, 0, 0, 0, -2, -2, -4],
+        "reason": "brute force infeasible over extension field",
+    }
+
+
 def test_module_bad_recipe(tmp_path, capsys):
     rpath = str(tmp_path / "bad.json")
     with open(rpath, "w") as fh:

@@ -6,6 +6,7 @@ from hlx.exactnum import FiniteField, PrimeField
 from hlx.meataxe import (
     brute_force_irreducible,
     chop,
+    generator_labels,
     generator_set,
     is_irreducible,
     iso_ell_hw,
@@ -155,6 +156,18 @@ def test_generator_set_windows():
     labels = [lab for lab, _ in generator_set(m)]
     rs = {r for _, r, _ in labels}
     assert rs <= set(range(-2, 3))
+
+
+def test_generator_count_independent_of_p():
+    # W(2,2) (x) W(1,3) has the ratios {2, 3} in r at every p >= 5, so its
+    # window is 2 where min(dim^2, p-1) would give 4 at p=5 and 36 beyond
+    counts = set()
+    for p in (5, 101, 10007):
+        F = PrimeField(p)
+        m = tensor(eval_weyl_module(F, 2, F(2)), eval_weyl_module(F, 1, F(3)))
+        assert m.r_window() == 2
+        counts.add(len(generator_labels(m)))
+    assert len(counts) == 1
 
 
 def test_extension_field_brute_force():

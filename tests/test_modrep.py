@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from hlx.cartan import Weight
 from hlx.exactnum import QQ, PrimeField
 from hlx.linalg import Mat
@@ -406,3 +408,17 @@ def test_reduction_of_repeated_root_weyl_ell_weights():
             seen.add(0)
     assert seen == {2, 0, -2}
     assert sum(b["dim"] for b in blocks) == 4
+
+
+def test_int64_bound_on_the_numpy_path():
+    # n*(p-1)^2 < 2^63 with n = max(dim, Lambda precision) = 6 here
+    F = PrimeField(1000000007)
+    m = tensor(eval_weyl_module(F, 1, F(2)), eval_weyl_module(F, 1, F(3)))
+    poly, checks = drinfeld_polynomial(m)
+    assert all(checks.values())
+    assert [c.v for c in poly.polys[0].coeffs] == [1, F(-5).v, 6]
+    # (p-2)^2 overflows int64: refused instead of a wrong minus_matches
+    F = PrimeField(4294967291)
+    m = tensor(eval_weyl_module(F, 1, F(2)), eval_weyl_module(F, 1, F(3)))
+    with pytest.raises(ValueError, match=r"n\*\(p-1\)\^2 < 2\^63"):
+        drinfeld_polynomial(m)
