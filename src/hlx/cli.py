@@ -111,7 +111,13 @@ def run_identity_suite(kmax=3, smax=2, rmax=6, inject_mutant=False):
 # ---------------------------------------------------------------------------
 
 
+def _reason(exc):
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def module_report(m, with_ell=True, r_window=None):
+    """JSON report of a module; a field that cannot be computed is replaced
+    by the reason, under drinfeld_error or ell_weights_error."""
     report = m.to_json()
     report["weight_multiplicities"] = {
         str(w): n for w, n in sorted(m.weight_multiplicities().items())
@@ -120,9 +126,13 @@ def module_report(m, with_ell=True, r_window=None):
         poly, checks = modrep.drinfeld_polynomial(m)
         report["drinfeld"] = poly.fmt()
         report["drinfeld_checks"] = checks
-    except (ValueError, ArithmeticError, KeyError):
-        pass
-    if with_ell and m.ring.card is not None and m.dim <= 36:
+    except (ValueError, ArithmeticError, KeyError) as exc:
+        report["drinfeld_error"] = _reason(exc)
+    if with_ell and m.ring.card is None:
+        report["ell_weights_error"] = "not computed: the ring is not a finite field"
+    elif with_ell and m.dim > 36:
+        report["ell_weights_error"] = "not computed: dimension %d exceeds 36" % m.dim
+    elif with_ell:
         try:
             blocks = modrep.ell_weight_decomposition(m, r_window=r_window)
             a1 = CartanData("A1")
@@ -140,8 +150,8 @@ def module_report(m, with_ell=True, r_window=None):
             report["ell_weights"] = ells
             if chars is not None and chars and all(c == chars[0] for c in chars):
                 report["spectral_character"] = chars[0].fmt()
-        except (ValueError, ArithmeticError):
-            pass
+        except (ValueError, ArithmeticError) as exc:
+            report["ell_weights_error"] = _reason(exc)
     return report
 
 
@@ -153,16 +163,10 @@ def cmd_module(args):
     except (KeyError, ValueError) as exc:
         print("bad recipe: %s" % exc, file=sys.stderr)
         return 2
-    if args.action == "build":
-        _emit(module_report(m, r_window=args.rwindow), args.out, args.json)
-        return 0
     if args.action == "drinfeld":
         poly, checks = modrep.drinfeld_polynomial(m)
         _emit({"recipe": recipe, "drinfeld": poly.fmt(), "checks": checks}, args.out, args.json)
         return 0 if all(checks.values()) else 1
-    if args.action == "dual":
-        _emit(module_report(modrep.dual(m), r_window=args.rwindow), args.out, args.json)
-        return 0
     if args.action == "chop":
         rep = {"recipe": recipe, "dim": m.dim}
         try:
@@ -175,17 +179,25 @@ def cmd_module(args):
         rep["factors"] = [f.to_json() for f in factors]
         _emit(rep, args.out, args.json)
         return 0
-    if args.action == "twist":
+    if args.action == "dual":
+        m = modrep.dual(m)
+    elif args.action == "twist":
         if args.twist_a is not None:
-            m2 = modrep.psi_twist(m, m.ring.parse(args.twist_a))
+            m = modrep.psi_twist(m, m.ring.parse(args.twist_a))
         elif args.frobenius is not None:
-            m2 = modrep.frobenius_twist(m, args.frobenius)
+            m = modrep.frobenius_twist(m, args.frobenius)
         else:
             print("twist needs --twist-a or --frobenius", file=sys.stderr)
             return 2
-        _emit(module_report(m2, r_window=args.rwindow), args.out, args.json)
-        return 0
-    return 2
+    if args.rwindow is not None and args.rwindow < m.lam_precision() - 1:
+        print(
+            "bad --rwindow: the ell-weight series need Lambda_r for |r| <= %d, got %d"
+            % (m.lam_precision() - 1, args.rwindow),
+            file=sys.stderr,
+        )
+        return 2
+    _emit(module_report(m, r_window=args.rwindow), args.out, args.json)
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from .exactnum import (
     TruncatedSeries,
     fppoly_roots,
     fppoly_splits_over,
-    series_inv,
+    integer_binomial,
+    ring_pow,
 )
 
 
@@ -213,32 +214,31 @@ def factor_poly_unit_roots(f):
 
 
 def _extension_hint(f):
+    """The least degree d' <= 4 (a multiple of the field's degree d) over
+    which f splits, or None.  Over F_{p^d} this asks it of the norm
+    N(f) = prod_{i<d} f^{sigma^i}, sigma the coefficientwise Frobenius: N(f)
+    lies in F_p[u], and f splits over F_{p^d'} exactly when N(f) does (its
+    roots are the conjugates of the roots of f)."""
     from .exactnum import FiniteField
 
     ring = f.ring
+    rev = Poly(ring, list(reversed(f.coeffs)))
     if isinstance(ring, PrimeField):
-        rev = [c.v for c in reversed(f.coeffs)]
-        return next((d for d in range(2, 5) if fppoly_splits_over(rev, ring.p, d)), None)
-    if isinstance(ring, FiniteField):
-        base_p, base_d = ring.p, ring.d
+        base_d = 1
+        norm = [c.v for c in rev.coeffs]
+    elif isinstance(ring, FiniteField):
+        base_d = ring.d
+        acc = conj = rev
+        for _ in range(base_d - 1):
+            conj = Poly(ring, [ring_pow(ring, c, ring.p) for c in conj.coeffs])
+            acc = acc * conj
+        norm = [c.coeffs[0] for c in acc.coeffs]
     else:
         return None
-    for d in range(base_d + 1, 5):
-        if d % base_d != 0:
-            continue
-        ext = FiniteField(base_p, d)
-        lifted = Poly(ext, [ext.parse(list(_embed_coeff(c, ring))) for c in f.coeffs])
-        rev = Poly(ext, list(reversed(lifted.coeffs)))
-        _, residual = _roots_in_field(rev)
-        if residual.degree() < 1:
-            return d
-    return None
-
-
-def _embed_coeff(c, ring):
-    if isinstance(ring, PrimeField):
-        return [c.v]
-    return list(c.coeffs)
+    return next(
+        (d for d in range(base_d + 1, 5) if d % base_d == 0 and fppoly_splits_over(norm, ring.char, d)),
+        None,
+    )
 
 
 class EllWeight:
@@ -320,23 +320,38 @@ class EllWeight:
             polys.append(f)
         return DrinfeldPoly(ring, polys)
 
+    def coefficients(self, i, n, sign=1):
+        """Coefficients of u^0..u^n in prod (1 - a u)^{mu_j(h_i)}, with the
+        parameters inverted when sign=-1: the convolution of the closed forms
+        binom(mu, s) (-a)^s, binom being the generalized binomial when mu < 0.
+        Over F_p the arithmetic runs on plain integers mod p."""
+        ring = self.ring
+        pairs = [(a if sign == 1 else ring.inv(a), mu[i]) for a, mu in self.pairs if mu[i]]
+        if isinstance(ring, PrimeField):
+            p = ring.p
+            out = [1] + [0] * n
+            for a, m in pairs:
+                top = n if m < 0 else min(n, m)
+                fac = [(s, integer_binomial(m, s) * pow(-a.v, s, p) % p) for s in range(top + 1)]
+                out = [c % p for c in _convolve(out, [(s, c) for s, c in fac if c], 0)]
+            return [ring(c) for c in out]
+        out = [ring.one] + [ring.zero] * n
+        for a, m in pairs:
+            top = n if m < 0 else min(n, m)
+            fac = []
+            power = ring.one
+            for s in range(top + 1):
+                c = ring.from_int(integer_binomial(m, s)) * power
+                if not ring.is_zero(c):
+                    fac.append((s, c))
+                power = power * -a
+            out = _convolve(out, fac, ring.zero)
+        return out
+
     def series(self, i, prec, sign=1):
         """Expansion of prod (1 - a u)^{±mu_j(h_i)} to the given precision;
         sign=-1 expands with the inverted parameters."""
-        ring = self.ring
-        acc = TruncatedSeries(ring, [ring.one], prec)
-        for a, mu in self.pairs:
-            m = mu[i]
-            base = a if sign == 1 else ring.inv(a)
-            lin = TruncatedSeries(ring, [ring.one, -base], prec)
-            if m >= 0:
-                for _ in range(m):
-                    acc = acc * lin
-            else:
-                inv = series_inv(lin)
-                for _ in range(-m):
-                    acc = acc * inv
-        return acc
+        return TruncatedSeries(self.ring, self.coefficients(i, prec - 1, sign), prec)
 
     def __eq__(self, other):
         return isinstance(other, EllWeight) and self.ring == other.ring and self.pairs == other.pairs
@@ -353,6 +368,20 @@ class EllWeight:
         return "EllWeight(%s)" % ", ".join(
             "omega_{%s,%s}" % (list(mu.coords), self.ring.fmt(a)) for a, mu in self.pairs
         )
+
+
+def _convolve(series, sparse, zero):
+    """series * sum_s c u^s over the (s, c) pairs, s ascending, truncated to
+    len(series)."""
+    out = []
+    for t in range(len(series)):
+        acc = zero
+        for s, c in sparse:
+            if s > t:
+                break
+            acc = acc + c * series[t - s]
+        out.append(acc)
+    return out
 
 
 def _param_sort_key(ring, a):

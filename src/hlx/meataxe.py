@@ -34,6 +34,7 @@ from .modrep import (
     ell_weight_decomposition,
     explicit_module,
     generator_exponents,
+    label_classes,
     ratio_window,
 )
 
@@ -376,32 +377,45 @@ def _is_irreducible_generic(m, gens, seed):
 # ---------------------------------------------------------------------------
 
 
-def _weight_homogenize(m, rows):
-    """Replace a subspace basis by a weight-homogeneous one (every submodule
-    is weight graded); raises if the span is not graded."""
+def _homogenize(m, rows):
+    """Replace a subspace basis by one whose rows each lie in one grading
+    class, returned with the class labels.  Every submodule is weight
+    graded; in a labelled module, where every Lambda_r is diagonal, a
+    Lambda-stable subspace is moreover the sum of its intersections with the
+    joint eigenspaces, the (weight, label) classes.  Raises if the span is
+    not graded."""
     ring = m.ring
+    if m.labels() is None:
+        classes = [
+            (None, {i for i, wi in enumerate(m.weights) if wi == w})
+            for w in sorted(set(m.weights), reverse=True)
+        ]
+    else:
+        classes = [(label, set(idxs)) for _, label, idxs in label_classes(m)]
     out = []
-    for w in sorted(set(m.weights), reverse=True):
+    out_labels = []
+    for label, idxs in classes:
         proj = []
         for row in rows:
-            pr = [c if m.weights[i] == w else ring.zero for i, c in enumerate(row)]
+            pr = [c if i in idxs else ring.zero for i, c in enumerate(row)]
             if not linalg.vec_is_zero(pr, ring):
                 proj.append(pr)
         if proj:
             ech, _ = linalg.rref(proj, ring)
             out.extend(ech)
+            out_labels.extend([label] * len(ech))
     if len(out) != len(rows):
-        raise ArithmeticError("subspace is not weight graded")
-    return out
+        raise ArithmeticError("subspace is not graded by weight and ell-weight")
+    return out, out_labels
 
 
 def _submodule_and_quotient(m, rows):
-    """Explicit modules on a weight-homogeneous invariant subspace and its
-    weight-homogeneous complement."""
+    """Explicit modules on a graded invariant subspace and its graded
+    complement; factors of a labelled module keep their labels."""
     ring = m.ring
     if ring.card is None:
         raise ValueError("chop needs a finite field")
-    rows = _weight_homogenize(m, rows)
+    rows, sub_labels = _homogenize(m, rows)
     sub_weights = []
     for row in rows:
         idx = next(i for i, c in enumerate(row) if not ring.is_zero(c))
@@ -460,16 +474,21 @@ def _submodule_and_quotient(m, rows):
     def quot_lam_fn(r):
         return split(m.lam(r))[1]
 
-    # subquotient tables are linear images of m's: the ratios carry over
+    # subquotient tables are linear images of m's: the ratios carry over, and
+    # so do the labels (the quotient basis is unit vectors of m)
+    labels = m.labels()
+    quot_labels = None if labels is None else [labels[i] for i in comp_idx]
     sub_mod = explicit_module(
         ring, sub_weights, {}, {},
         {"submodule_of": m.recipe}, r_period=period,
         lam_fn=sub_lam_fn, op_fn=sub_op_fn, ratio_fn=m.op_ratios,
+        labels=None if labels is None else sub_labels,
     )
     quot_mod = explicit_module(
         ring, quot_weights, {}, {},
         {"quotient_of": m.recipe}, r_period=period,
         lam_fn=quot_lam_fn, op_fn=quot_op_fn, ratio_fn=m.op_ratios,
+        labels=quot_labels,
     )
     return sub_mod, quot_mod
 

@@ -7,6 +7,19 @@ and lazily memoized operator tables:
     cartan_binom(k)  binom(h, k), always diagonal by basis weight,
     lam(r)           the Garland series coefficient Lambda_r.
 
+Modules built from evaluation Weyl modules also carry an ell-weight label
+per basis vector (labels()): the Lambda-series act diagonally on their
+standard basis, because hev_a(Lambda^+(u)) = (1 - au)^h, the coproduct
+multiplies the series, the antipode inverts them, a Frobenius twist sends
+(a, mu) to (a^{1/p^m}, p^m mu) and psi_c multiplies each parameter by c.
+For them lam(r) is a diagonal read off the labels in closed form, and
+ell_weight_decomposition and drinfeld_polynomial group the basis by label
+instead of searching eigenspaces, so their cost does not grow with the
+field.  Composition factors from meataxe.chop keep the labels; weyl0,
+lattice reductions and plain explicit tables have none and take the matrix
+path.  ell_weight_decomposition refuses an r-window below the Lambda
+precision with a ValueError.
+
 Matrices act on column vectors; entry (i, j) is the coefficient of basis
 vector i in the image of basis vector j.  Construction is by recipe: hyper
 evaluation modules, tensor products via the divided-power comultiplication,
@@ -25,7 +38,7 @@ from fractions import Fraction
 
 from . import looppbw
 from .drinfeld import DrinfeldPoly, EllWeight, FieldExtensionNeeded, factor_poly_unit_roots
-from .exactnum import QQ, Poly, PrimeField, integer_binomial, ring_pow
+from .exactnum import QQ, FiniteField, Poly, PrimeField, integer_binomial, ring_pow
 from .linalg import Mat, check_int64_bound, kernel, rref
 from .looppbw import CARTAN, LOWER, RAISE, HyperElement
 
@@ -84,6 +97,7 @@ class LoopModule:
         self._np_cache = {}
         self._ratio_cache = {}
         self._np_checked = False
+        self._label_cache = {}
 
     # -- operator access ------------------------------------------------------
 
@@ -101,7 +115,10 @@ class LoopModule:
         if r == 0:
             return Mat.identity(self.ring, self.dim)
         if r not in self._lam_cache:
-            self._lam_cache[r] = self._lam(r)
+            if self.labels() is None:
+                self._lam_cache[r] = self._lam(r)
+            else:
+                self._lam_cache[r] = Mat.diag(self.ring, self.lam_diagonal(r))
         return self._lam_cache[r]
 
     def cartan_binom(self, k):
@@ -137,7 +154,11 @@ class LoopModule:
             self._check_np()
             if r == 0:
                 return np.eye(self.dim, dtype=np.int64)
-            self._np_cache[key] = self._lam_np(r)
+            if self.labels() is None:
+                self._np_cache[key] = self._lam_np(r)
+            else:
+                diag = np.array([c.v for c in self.lam_diagonal(r)], dtype=np.int64)
+                self._np_cache[key] = np.diag(diag)
         return self._np_cache[key]
 
     def cartan_binom_np(self, k):
@@ -159,6 +180,35 @@ class LoopModule:
         from .linalg import to_np
 
         return to_np(self.lam(r))
+
+    # -- ell-weight labels -----------------------------------------------------
+
+    def labels(self):
+        """One EllWeight per basis vector, whose series are the vector's
+        Lambda^±-eigenvalues (so every Lambda_r is diagonal), or None when
+        the module carries no such data."""
+        if "labels" not in self._label_cache:
+            self._label_cache["labels"] = self._labels()
+        return self._label_cache["labels"]
+
+    def _labels(self):
+        return None
+
+    def label_coefficients(self, label, sign, n):
+        """Coefficients u^0..u^n of the Lambda^{sign}-series of a label (one
+        of labels()), memoized per label to at least the Lambda precision."""
+        key = (label, sign)
+        have = self._label_cache.get(key)
+        if have is None or len(have) <= n:
+            have = label.coefficients(0, max(n, self.lam_precision() - 1), sign)
+            self._label_cache[key] = have
+        return have
+
+    def lam_diagonal(self, r):
+        """Diagonal of Lambda_r on a labelled module: coefficient |r| of each
+        basis vector's Lambda^±-series, the sign of r choosing the side."""
+        sign = 1 if r > 0 else -1
+        return [self.label_coefficients(lab, sign, abs(r))[abs(r)] for lab in self.labels()]
 
     # -- policies --------------------------------------------------------------
 
@@ -274,16 +324,9 @@ class _EvalWeyl(LoopModule):
                     rows[i][j] = scal * _binom_in_ring(ring, lam - j + k, k)
         return Mat(ring, rows)
 
-    def _lam(self, r):
-        # hev_a(Lambda_r) = (-a)^r binom(h, |r|)
-        ring = self.ring
-        scal = ring_pow(ring, self.a, r)
-        if abs(r) % 2 == 1:
-            scal = -scal
-        return Mat.diag(
-            ring,
-            [scal * _binom_in_ring(ring, w, abs(r)) for w in self.weights],
-        )
+    def _labels(self):
+        # hev_a(Lambda^+(u)) = (1 - au)^h: v_j carries omega_{a, lambda - 2j}
+        return tuple(EllWeight(self.ring, [(self.a, w)]) for w in self.weights)
 
 
 def eval_weyl_module(ring, lam, a):
@@ -329,11 +372,15 @@ class _Tensor(LoopModule):
             acc = term if acc is None else acc + term
         return acc
 
-    def _lam(self, r):
-        if isinstance(self.ring, PrimeField):
-            from .linalg import from_np
+    def _labels(self):
+        # Delta(Lambda^±(u)) = Lambda^±(u) (x) Lambda^±(u): labels multiply
+        left, right = self.left.labels(), self.right.labels()
+        if left is None or right is None:
+            return None
+        return tuple(a * b for a in left for b in right)
 
-            return from_np(self.lam_np(r), self.ring)
+    def _lam(self, r):
+        # an unlabelled factor (weyl0, a lattice reduction): the coproduct sum
         sign = 1 if r > 0 else -1
         acc = None
         for l in range(abs(r) + 1):
@@ -348,16 +395,6 @@ class _Tensor(LoopModule):
         acc = np.zeros((self.dim, self.dim), dtype=np.int64)
         for l in range(k + 1):
             acc += np.kron(self.left.op_np(kind, r, l), self.right.op_np(kind, r, k - l))
-        return acc % p
-
-    def _lam_np(self, r):
-        import numpy as np
-
-        p = self.ring.char
-        sign = 1 if r > 0 else -1
-        acc = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for l in range(abs(r) + 1):
-            acc += np.kron(self.left.lam_np(sign * l), self.right.lam_np(sign * (abs(r) - l)))
         return acc % p
 
 
@@ -394,8 +431,13 @@ class _Dual(LoopModule):
             m = -m
         return m
 
+    def _labels(self):
+        # S(Lambda^±(u)) = Lambda^±(u)^{-1}: the antipode inverts the labels
+        inner = self.inner.labels()
+        return None if inner is None else tuple(lab.inverse() for lab in inner)
+
     def _lam(self, r):
-        # S(Lambda±(u)) = Lambda±(u)^{-1}: invert the matrix series
+        # unlabelled inner module: invert the matrix series
         sign = 1 if r > 0 else -1
         n = abs(r)
         inv = self._lam_inverse_series(sign, n)
@@ -418,22 +460,6 @@ class _Dual(LoopModule):
         if k % 2 == 1:
             m = -m
         return m % p
-
-    def _lam_np(self, r):
-        import numpy as np
-
-        p = self.ring.char
-        sign = 1 if r > 0 else -1
-        n = abs(r)
-        key = ("nplamser", sign)
-        cache = self._np_cache.setdefault(key, [np.eye(self.inner.dim, dtype=np.int64)])
-        while len(cache) <= n:
-            j = len(cache)
-            acc = np.zeros((self.inner.dim, self.inner.dim), dtype=np.int64)
-            for i in range(1, j + 1):
-                acc = (acc + self.inner.lam_np(sign * i) @ cache[j - i]) % p
-            cache.append((-acc) % p)
-        return cache[n].T % p
 
 
 def dual(m):
@@ -475,6 +501,25 @@ class _Frobenius(LoopModule):
             return Mat.zeros(self.ring, self.dim, self.dim)
         return self.inner.op(kind, r, k // self.pm)
 
+    def _labels(self):
+        # Lambda^±(u) -> Lambda^±(u^{p^m}), and 1 - a u^{p^m} = (1 - a^{1/p^m} u)^{p^m}
+        inner = self.inner.labels()
+        if inner is None:
+            return None
+        ring = self.ring
+        # a^{1/p^m} = a^{p^e} with e = -m mod d over F_{p^d}: a itself over F_p
+        e = -self.m % ring.d if isinstance(ring, FiniteField) else 0
+        root = {}
+        out = []
+        for lab in inner:
+            pairs = []
+            for a, mu in lab.pairs:
+                if a not in root:
+                    root[a] = ring_pow(ring, a, ring.char ** e)
+                pairs.append((root[a], mu.scale(self.pm)))
+            out.append(EllWeight(ring, pairs))
+        return tuple(out)
+
     def _lam(self, r):
         if r % self.pm != 0:
             return Mat.zeros(self.ring, self.dim, self.dim)
@@ -486,13 +531,6 @@ class _Frobenius(LoopModule):
         if k % self.pm != 0:
             return np.zeros((self.dim, self.dim), dtype=np.int64)
         return self.inner.op_np(kind, r, k // self.pm)
-
-    def _lam_np(self, r):
-        import numpy as np
-
-        if r % self.pm != 0:
-            return np.zeros((self.dim, self.dim), dtype=np.int64)
-        return self.inner.lam_np(r // self.pm)
 
 
 def frobenius_twist(m, steps):
@@ -529,16 +567,19 @@ class _Psi(LoopModule):
     def _op(self, kind, r, k):
         return self.inner.op(kind, r, k).scale(self._scal(r * k))
 
+    def _labels(self):
+        # Lambda^±(u) -> Lambda^±(c u): every parameter is multiplied by c
+        inner = self.inner.labels()
+        if inner is None:
+            return None
+        return tuple(EllWeight(self.ring, [(self.a * a, mu) for a, mu in lab.pairs]) for lab in inner)
+
     def _lam(self, r):
         return self.inner.lam(r).scale(self._scal(r))
 
     def _op_np(self, kind, r, k):
         p = self.ring.char
         return self.inner.op_np(kind, r, k) * self._scal(r * k).v % p
-
-    def _lam_np(self, r):
-        p = self.ring.char
-        return self.inner.lam_np(r) * self._scal(r).v % p
 
 
 def psi_twist(m, a):
@@ -723,12 +764,14 @@ class _Explicit(LoopModule):
     modules) loop degrees reduce modulo it, otherwise tables must cover the
     certified dim^2 window.  op_fn / lam_fn compute missing tables (lattice
     reductions and chop factors keep a handle on their parents this way);
-    ratio_fn gives op_ratios when the tables are linear images of a parent's.
+    ratio_fn gives op_ratios when the tables are linear images of a parent's,
+    and labels the ell-weight labels when Lambda is diagonal in the basis
+    (chop factors of a labelled module), which then replace lams and lam_fn.
     """
 
     def __init__(
         self, ring, weights, ops, lams, recipe,
-        hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None,
+        hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None, labels=None,
     ):
         super().__init__(ring, weights, recipe, hw_index=hw_index)
         self._ops = ops
@@ -737,10 +780,14 @@ class _Explicit(LoopModule):
         self._lam_fn = lam_fn
         self._op_fn = op_fn
         self._ratio_fn = ratio_fn
+        self._given_labels = None if labels is None else tuple(labels)
         self.r_periodic = r_period is not None
 
     def _op_ratios(self, k):
         return None if self._ratio_fn is None else self._ratio_fn(k)
+
+    def _labels(self):
+        return self._given_labels
 
     def _op(self, kind, r, k):
         if self._period:
@@ -786,11 +833,12 @@ class _Explicit(LoopModule):
 
 def explicit_module(
     ring, weights, ops, lams, recipe,
-    hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None,
+    hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None, labels=None,
 ):
     return _Explicit(
         ring, weights, ops, lams, recipe,
         hw_index=hw_index, r_period=r_period, lam_fn=lam_fn, op_fn=op_fn, ratio_fn=ratio_fn,
+        labels=labels,
     )
 
 
@@ -861,7 +909,15 @@ def drinfeld_polynomial(m, v=None, prec=None):
     if lam < 0:
         raise ValueError("vector weight is not dominant")
 
-    if isinstance(ring, PrimeField):
+    labels = m.labels()
+    if labels is not None and len({labels[i] for i in idxs}) == 1:
+        # v lies in one joint eigenspace: its eigenvalues are its label's
+        label = labels[idxs[0]]
+
+        def eig(r):
+            return m.label_coefficients(label, 1 if r >= 0 else -1, abs(r))[abs(r)]
+
+    elif isinstance(ring, PrimeField):
         import numpy as np
 
         p = ring.p
@@ -979,13 +1035,52 @@ def _generalized_eigenspace_split(mat, basis_rows, ring):
     return found, []
 
 
+def _element_key(ring, x):
+    """Sort key of a finite-field element: its position in ring.elements()."""
+    if isinstance(ring, PrimeField):
+        return x.v
+    return tuple(reversed(x.coeffs))
+
+
+def label_classes(m):
+    """The basis of a labelled module grouped by (weight, label), as a list
+    of (weight, label, indices).  The order is the one in which the matrix
+    path refines the joint eigenspaces: weight descending, then the label's
+    eigenvalues over rs = [1, -1, 2, -2, ...] in field-element order."""
+    ring = m.ring
+    prec = m.lam_precision()
+    groups = {}
+    for i, key in enumerate(zip(m.weights, m.labels())):
+        groups.setdefault(key, []).append(i)
+    by_weight = {}
+    for w, label in groups:
+        by_weight.setdefault(w, []).append(label)
+
+    def eigenvalues(label):
+        plus = m.label_coefficients(label, 1, prec - 1)
+        minus = m.label_coefficients(label, -1, prec - 1)
+        return [_element_key(ring, s[r]) for r in range(1, prec) for s in (plus, minus)]
+
+    out = []
+    for w in sorted(by_weight, reverse=True):
+        labels = by_weight[w]
+        if len(labels) > 1:
+            labels = sorted(labels, key=eigenvalues)
+        out.extend((w, label, groups[w, label]) for label in labels)
+    return out
+
+
 def ell_weight_decomposition(m, r_window=None):
     """Joint generalized eigenspace decomposition of the Lambda operators,
     refining the weight decomposition.
 
-    Returns a list of blocks {weight, dim, series_plus, series_minus,
+    Returns a list of blocks {weight, dim, rows, series_plus, series_minus,
     ell_weight} where ell_weight is an EllWeight when the eigenvalue series
-    factors over the certified field and None (opaque) otherwise.
+    factors over the certified field and None (opaque) otherwise.  A
+    labelled module is grouped by label: each block is one (weight, label)
+    class with its unit vectors as rows, and the label is its ell-weight.
+    Otherwise the weight spaces are split by generalized eigenspaces of
+    Lambda_r for r = 1, -1, ..., r_window, -r_window.
     """
     ring = m.ring
     if ring.card is None:
@@ -993,6 +1088,30 @@ def ell_weight_decomposition(m, r_window=None):
     prec = m.lam_precision()
     if r_window is None:
         r_window = prec - 1
+    elif r_window < prec - 1:
+        raise ValueError(
+            "r-window %d is too small: the ell-weight series need Lambda_r for |r| <= %d"
+            % (r_window, prec - 1)
+        )
+    if m.labels() is not None:
+        out = []
+        for w, label, idxs in label_classes(m):
+            rows = []
+            for i in idxs:
+                row = [ring.zero] * m.dim
+                row[i] = ring.one
+                rows.append(row)
+            out.append(
+                {
+                    "weight": w,
+                    "dim": len(idxs),
+                    "rows": rows,
+                    "series_plus": m.label_coefficients(label, 1, prec - 1)[:prec],
+                    "series_minus": m.label_coefficients(label, -1, prec - 1)[:prec],
+                    "ell_weight": label,
+                }
+            )
+        return out
     rs = [r for rr in range(1, r_window + 1) for r in (rr, -rr)]
     if isinstance(ring, PrimeField):
         blocks = _np_block_refinement(m, rs)

@@ -1,4 +1,7 @@
 import json
+import os
+
+import pytest
 
 from hlx.cli import main, run_steinberg, run_tpd_grid
 
@@ -192,3 +195,62 @@ def test_json_and_out_flag_interaction(tmp_path, capsys):
     text = capsys.readouterr().out
     assert code == 0
     assert json.loads(text)["pass"] is True
+
+
+def _write_recipe(tmp_path, recipe):
+    rpath = str(tmp_path / "recipe.json")
+    with open(rpath, "w") as fh:
+        json.dump(recipe, fh)
+    return rpath
+
+
+def test_module_build_rejects_a_short_rwindow(tmp_path, capsys):
+    # W(2,1) ⊗ W(1,2) over F_5 has Lambda precision 8: the series need r <= 7
+    w = [{"eval_weyl": {"lambda": 2, "a": "1"}}, {"eval_weyl": {"lambda": 1, "a": "2"}}]
+    rpath = _write_recipe(tmp_path, {"ring": {"kind": "Fp", "p": 5}, "build": {"tensor": w}})
+    assert main(["module", "build", "--recipe", rpath, "--rwindow", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad --rwindow" in captured.err and "Traceback" not in captured.err
+    code, out = _run(capsys, ["module", "build", "--recipe", rpath, "--rwindow", "7"])
+    assert code == 0
+    assert [b["dim"] for b in json.loads(out)["ell_weights"]] == [1, 1, 1, 1, 1, 1]
+
+
+def test_module_report_records_failures(tmp_path, capsys):
+    # W(1,1) ⊗ W(1,1)* has a two-dimensional ell-highest-weight space
+    w = {"eval_weyl": {"lambda": 1, "a": "1"}}
+    rpath = _write_recipe(tmp_path, {"ring": {"kind": "Fp", "p": 5}, "build": {"tensor": [w, {"dual": w}]}})
+    code, out = _run(capsys, ["module", "build", "--recipe", rpath])
+    assert code == 0
+    rep = json.loads(out)
+    assert "drinfeld" not in rep
+    assert rep["drinfeld_error"] == "ValueError: ell-highest-weight space has dimension 2"
+    assert "ell_weights" in rep and "ell_weights_error" not in rep
+    _, again = _run(capsys, ["module", "build", "--recipe", rpath])
+    assert again == out
+    rpath = _write_recipe(tmp_path, {"ring": {"kind": "Q"}, "build": w})
+    rep = json.loads(_run(capsys, ["module", "build", "--recipe", rpath])[1])
+    assert rep["drinfeld"] == [["1", "-1"]]
+    assert rep["ell_weights_error"] == "not computed: the ring is not a finite field"
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["module", "build", "--recipe", os.path.join(GOLDEN, "recipe_f5.json")], "module_build_f5.json"),
+        (["module", "chop", "--recipe", os.path.join(GOLDEN, "recipe_f5.json")], "module_chop_f5.json"),
+        (["tpd-grid", "--p", "3"], "tpd_grid_p3.json"),
+    ],
+)
+def test_golden_outputs(capsys, argv, golden):
+    # the recipe has a tensor, a dual and a Frobenius twist over F_5; the
+    # stored outputs come from the eigenspace search, which the ell-weight
+    # labels must reproduce byte for byte
+    code, out = _run(capsys, argv)
+    assert code == 0
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert out.encode() == fh.read()

@@ -112,6 +112,20 @@ def test_chop_tensor_same_parameter():
     assert sum(f.dim for f in factors) == m.dim
 
 
+def test_chop_factors_keep_labels():
+    # W(1,1) ⊗ W(1,1)* over F_5 has the factors V(2,1) and the trivial
+    # module; both keep labels from the tensor, and their ell-weights are them
+    F = PrimeField(5)
+    w = eval_weyl_module(F, 1, F(1))
+    factors = chop(tensor(w, dual(w)))
+    assert [f.dim for f in factors] == [1, 3]
+    for f in factors:
+        labels = f.module.labels()
+        assert labels is not None
+        assert [b["ell_weight"] for b in f.ell_weights] == sorted(set(labels), key=lambda e: -e.wt()[0])
+    assert [f.drinfeld.fmt() for f in factors] == [[["1"]], [["1", "3", "1"]]]
+
+
 def test_chop_irreducible_single_factor():
     F = PrimeField(3)
     m = tensor(eval_weyl_module(F, 1, F(1)), eval_weyl_module(F, 1, F(2)))

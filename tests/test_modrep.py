@@ -6,6 +6,7 @@ from hlx.cartan import Weight
 from hlx.exactnum import QQ, PrimeField
 from hlx.linalg import Mat
 from hlx.looppbw import LOWER, RAISE
+from hlx.meataxe import is_irreducible
 from hlx.modrep import (
     build_module,
     drinfeld_polynomial,
@@ -417,8 +418,34 @@ def test_int64_bound_on_the_numpy_path():
     poly, checks = drinfeld_polynomial(m)
     assert all(checks.values())
     assert [c.v for c in poly.polys[0].coeffs] == [1, F(-5).v, 6]
-    # (p-2)^2 overflows int64: refused instead of a wrong minus_matches
+    # (p-2)^2 overflows int64.  The Drinfeld data of a labelled module come
+    # from its labels in exact integers, so they are right even here ...
     F = PrimeField(4294967291)
     m = tensor(eval_weyl_module(F, 1, F(2)), eval_weyl_module(F, 1, F(3)))
+    poly, checks = drinfeld_polynomial(m)
+    assert all(checks.values())
+    assert [c.v for c in poly.polys[0].coeffs] == [1, F.p - 5, 6]
+    # ... while the numpy tables still refuse the prime
     with pytest.raises(ValueError, match=r"n\*\(p-1\)\^2 < 2\^63"):
-        drinfeld_polynomial(m)
+        m.op_np(LOWER, 1, 1)
+    with pytest.raises(ValueError, match=r"n\*\(p-1\)\^2 < 2\^63"):
+        is_irreducible(m)
+
+
+def test_labelled_analysis_is_exact_at_any_prime():
+    # no eigenspace search, no root finding and no int64 tables: the blocks
+    # and the Drinfeld data of W(2,2) ⊗ W(1,3)* are read off the labels
+    F = PrimeField(4294967291)
+    m = tensor(eval_weyl_module(F, 2, F(2)), dual(eval_weyl_module(F, 1, F(3))))
+    blocks = ell_weight_decomposition(m)
+    assert [b["weight"] for b in blocks] == [3, 1, 1, -1, -1, -3]
+    assert all(b["dim"] == 1 for b in blocks)
+    for b in blocks:
+        i = b["rows"][0].index(F.one)
+        assert b["ell_weight"] == m.labels()[i]
+    top = blocks[0]["ell_weight"]
+    assert top.fmt() == [["2", [2]], ["3", [1]]]
+    assert [c.v for c in top.series(0, 4).coeffs] == [1, F(-7).v, 16, F(-12).v]
+    poly, checks = drinfeld_polynomial(m, blocks[0]["rows"][0])
+    assert all(checks.values())
+    assert [c.v for c in poly.polys[0].coeffs] == [1, F(-7).v, 16, F(-12).v]

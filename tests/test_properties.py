@@ -1,31 +1,41 @@
-"""Generated-input cross-checks of the q-independent prime-field paths.
+"""Generated-input cross-checks of the q-independent paths.
 
-The eigenvalue and root finders are compared with scans of the field, and
-the structural r-window of op_ratios with the periodic window it replaces.
+The eigenvalue and root finders are compared with scans of the field, the
+structural r-window of op_ratios with the periodic window it replaces, the
+ell-weight labels of structural modules with the matrix path on
+independently built Lambda tables, and the norm-based extension hint with
+root enumeration in the extension field.
 """
 
+import json
+import time
 from collections import Counter
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hlx.drinfeld import factor_poly_unit_roots
-from hlx.exactnum import Poly, PrimeField, fppoly_roots, is_prime
-from hlx.linalg import np_eigenvalues, np_inverse, np_nullspace
+from hlx import modrep
+from hlx.drinfeld import FieldExtensionNeeded, _extension_hint, _roots_in_field, factor_poly_unit_roots
+from hlx.exactnum import FiniteField, Poly, PrimeField, fppoly_roots, integer_binomial, is_prime, ring_pow
+from hlx.linalg import Mat, np_eigenvalues, np_inverse, np_nullspace
 from hlx.looppbw import LOWER, RAISE
 from hlx.meataxe import (
     _hom_space_nonzero,
     _spin_up_np,
     _submodule_and_quotient,
+    chop,
     is_irreducible,
     iso_ell_hw,
     np_generator_set,
 )
 from hlx.modrep import (
     build_module,
+    drinfeld_polynomial,
     ell_hw_vectors,
+    ell_weight_decomposition,
     eval_weyl_module,
+    explicit_module,
     generator_exponents,
     ratio_window,
     tensor,
@@ -100,11 +110,11 @@ def test_unit_root_factorization_matches_scan_order(p, data):
 # ---------------------------------------------------------------------------
 
 
-def _recipes(p):
-    units = st.integers(1, p - 1).map(str)
+def _recipes(F):
+    units = st.sampled_from([F.fmt(u) for u in F.units()])
     leaf = st.one_of(
         st.builds(lambda lam, a: {"eval_weyl": {"lambda": lam, "a": a}}, st.integers(0, 3), units),
-        st.builds(lambda lam, a: {"irreducible": {"lambda": lam, "a": a}}, st.integers(1, 2 * p), units),
+        st.builds(lambda lam, a: {"irreducible": {"lambda": lam, "a": a}}, st.integers(1, 2 * F.char), units),
     )
 
     def extend(children):
@@ -120,10 +130,10 @@ def _recipes(p):
 
 @st.composite
 def structural_recipes(draw):
-    p = draw(st.sampled_from(SMALL_PRIMES))
-    recipe = draw(_recipes(p))
-    assume(1 <= build_module(recipe, PrimeField(p)).dim <= 12)
-    return recipe, PrimeField(p)
+    F = PrimeField(draw(st.sampled_from(SMALL_PRIMES)))
+    recipe = draw(_recipes(F))
+    assume(1 <= build_module(recipe, F).dim <= 12)
+    return recipe, F
 
 
 @settings(SETTINGS, max_examples=60)
@@ -184,3 +194,149 @@ def test_hom_window_uses_the_union_of_ratios():
     assert ratio_window(m1, m3) == 3
     assert _hom_space_nonzero(m1, m2)
     assert not _hom_space_nonzero(m1, m3)
+
+
+# ---------------------------------------------------------------------------
+# ell-weight labels against the matrix path
+# ---------------------------------------------------------------------------
+
+
+def _eval_without_labels(ring, lam, a):
+    # W(lambda, a) as an explicit module: the same tables, and Lambda from
+    # hev_a(Lambda_r) = (-a)^r binom(h, |r|), with no labels
+    e = eval_weyl_module(ring, lam, a)
+
+    def lam_fn(r):
+        scal = ring_pow(ring, -a, r) if r > 0 else ring_pow(ring, -ring.inv(a), -r)
+        return Mat.diag(ring, [scal * ring.from_int(integer_binomial(w, abs(r))) for w in e.weights])
+
+    return explicit_module(
+        ring, e.weights, {}, {}, e.recipe, hw_index=0, r_period=ring.card - 1,
+        op_fn=e.op, lam_fn=lam_fn, ratio_fn=e.op_ratios,
+    )
+
+
+def _build_without_labels(node, ring):
+    """The recipe's module with unlabelled leaves, so that tensor, dual and
+    twists compute Lambda by the coproduct sum, the inverse series and the
+    twisted tables instead of from labels."""
+    if "eval_weyl" in node:
+        spec = node["eval_weyl"]
+        return _eval_without_labels(ring, int(spec["lambda"]), ring.parse(spec["a"]))
+    if "irreducible" in node:
+        spec = node["irreducible"]
+        lam, a, p = int(spec["lambda"]), ring.parse(spec["a"]), ring.char
+        factors = []
+        k = 0
+        while lam:
+            if lam % p:
+                leaf = _eval_without_labels(ring, lam % p, ring_pow(ring, a, p ** k))
+                factors.append(modrep.frobenius_twist(leaf, k))
+            lam //= p
+            k += 1
+        return tensor(*factors)
+    if "tensor" in node:
+        return tensor(*[_build_without_labels(sub, ring) for sub in node["tensor"]])
+    if "dual" in node:
+        return modrep.dual(_build_without_labels(node["dual"], ring))
+    if "frobenius_twist" in node:
+        spec = node["frobenius_twist"]
+        return modrep.frobenius_twist(_build_without_labels(spec["of"], ring), int(spec["m"]))
+    spec = node["psi_twist"]
+    return modrep.psi_twist(_build_without_labels(spec["of"], ring), ring.parse(spec["a"]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _factor_reports(m):
+    return sorted(json.dumps(f.to_json(), sort_keys=True) for f in chop(m))
+
+
+@st.composite
+def labelled_recipes(draw):
+    F = draw(st.sampled_from([PrimeField(p) for p in SMALL_PRIMES] + [FiniteField(2, 2), FiniteField(3, 2)]))
+    recipe = draw(_recipes(F))
+    m = build_module(recipe, F)
+    assume(1 <= m.dim <= (12 if isinstance(F, PrimeField) else 8))
+    return recipe, F
+
+
+@settings(SETTINGS, max_examples=60)
+@given(labelled_recipes())
+def test_labels_agree_with_the_matrix_path(recipe_ring):
+    recipe, F = recipe_ring
+    m = build_module(recipe, F)
+    assert m.labels() is not None
+    # the oracle: m's own operator tables, Lambda computed without labels
+    bare = _build_without_labels(recipe, F)
+    assert bare.labels() is None
+    oracle = explicit_module(
+        F, m.weights, {}, {}, m.recipe, hw_index=m.hw_index, r_period=F.card - 1,
+        op_fn=m.op, lam_fn=bare.lam, ratio_fn=m.op_ratios,
+    )
+    prec = m.lam_precision()
+    for r in range(-prec, prec + 1):
+        assert m.lam(r) == oracle.lam(r)
+    assert ell_weight_decomposition(m) == ell_weight_decomposition(oracle)
+    assert _outcome(drinfeld_polynomial, m) == _outcome(drinfeld_polynomial, oracle)
+    for w, _, idxs in modrep.label_classes(m):
+        if w >= 0:
+            v = [F.one if i == idxs[0] else F.zero for i in range(m.dim)]
+            assert drinfeld_polynomial(m, v) == drinfeld_polynomial(oracle, v)
+    if isinstance(F, PrimeField) or F.card ** m.dim <= 4096:
+        assert _factor_reports(m) == _factor_reports(oracle)
+
+
+# ---------------------------------------------------------------------------
+# the extension hint over F_{p^d}
+# ---------------------------------------------------------------------------
+
+
+def _hint_by_enumeration(f):
+    """The least d' <= 4, a multiple of d, such that f splits over
+    F_{p^d'}, found by listing the roots of f in each such field; F_{p^d}
+    embeds by sending its generator to a root of its defining polynomial."""
+    ring = f.ring
+    for d in range(ring.d + 1, 5):
+        if d % ring.d:
+            continue
+        ext = FiniteField(ring.p, d)
+
+        def at(coeffs, x):
+            return sum((ring_pow(ext, x, i) * ext.from_int(c) for i, c in enumerate(coeffs)), ext.zero)
+
+        gen = next(x for x in ext.elements() if ext.is_zero(at(ring.poly, x)))
+        lifted = Poly(ext, [at(c.coeffs, gen) for c in reversed(f.coeffs)])
+        if _roots_in_field(lifted)[1].degree() < 1:
+            return d
+    return None
+
+
+@settings(SETTINGS, max_examples=30)
+@given(st.sampled_from([FiniteField(2, 2), FiniteField(2, 3), FiniteField(3, 2)]), st.data())
+def test_extension_hint_matches_enumeration(F, data):
+    elements = F.elements()
+    tail = data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=4))
+    assume(not F.is_zero(tail[-1]))
+    f = Poly(F, [F.one] + tail)
+    assert _extension_hint(f) == _hint_by_enumeration(f)
+
+
+def test_extension_hint_over_f_31_squared_is_fast():
+    # 1 + u^2 + g u^3 does not split over F_{31^2} nor over F_{31^4}; the
+    # hint used to list all 31^4 elements of F_{31^4} to find that out
+    F = FiniteField(31, 2)
+    f = Poly(F, [F.one, F.zero, F.one, F.gen()])
+    start = time.perf_counter()
+    try:
+        factor_poly_unit_roots(f)
+    except FieldExtensionNeeded as exc:
+        assert exc.suggested_degree is None
+    else:
+        raise AssertionError("a non-split polynomial was factored")
+    assert time.perf_counter() - start < 1.0
