@@ -323,18 +323,9 @@ class EllWeight:
     def coefficients(self, i, n, sign=1):
         """Coefficients of u^0..u^n in prod (1 - a u)^{mu_j(h_i)}, with the
         parameters inverted when sign=-1: the convolution of the closed forms
-        binom(mu, s) (-a)^s, binom being the generalized binomial when mu < 0.
-        Over F_p the arithmetic runs on plain integers mod p."""
+        binom(mu, s) (-a)^s, binom being the generalized binomial when mu < 0."""
         ring = self.ring
         pairs = [(a if sign == 1 else ring.inv(a), mu[i]) for a, mu in self.pairs if mu[i]]
-        if isinstance(ring, PrimeField):
-            p = ring.p
-            out = [1] + [0] * n
-            for a, m in pairs:
-                top = n if m < 0 else min(n, m)
-                fac = [(s, integer_binomial(m, s) * pow(-a.v, s, p) % p) for s in range(top + 1)]
-                out = [c % p for c in _convolve(out, [(s, c) for s, c in fac if c], 0)]
-            return [ring(c) for c in out]
         out = [ring.one] + [ring.zero] * n
         for a, m in pairs:
             top = n if m < 0 else min(n, m)

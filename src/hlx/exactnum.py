@@ -251,6 +251,10 @@ class PrimeField:
     def elements(self):
         return [FpElem(self.p, v) for v in range(self.p)]
 
+    def index(self, x):
+        """Position of x in elements()."""
+        return x.v
+
     def units(self):
         return [FpElem(self.p, v) for v in range(1, self.p)]
 
@@ -576,16 +580,24 @@ class FiniteField:
         lead_inv = pow(r0[-1], -1, self.p)
         return FqElem(self, [c * lead_inv % self.p for c in s0])
 
+    def element(self, n):
+        """Element n of elements(): the coefficients are the base-p digits
+        of n, lowest first."""
+        coeffs = []
+        for _ in range(self.d):
+            coeffs.append(n % self.p)
+            n //= self.p
+        return FqElem(self, coeffs)
+
+    def index(self, x):
+        """Position of x in elements(), the inverse of element()."""
+        n = 0
+        for c in reversed(x.coeffs):
+            n = n * self.p + c
+        return n
+
     def elements(self):
-        out = []
-        for n in range(self.card):
-            coeffs = []
-            t = n
-            for _ in range(self.d):
-                coeffs.append(t % self.p)
-                t //= self.p
-            out.append(FqElem(self, coeffs))
-        return out
+        return [self.element(n) for n in range(self.card)]
 
     def units(self):
         return [x for x in self.elements() if self.is_unit(x)]

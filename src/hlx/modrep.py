@@ -154,11 +154,7 @@ class LoopModule:
             self._check_np()
             if r == 0:
                 return np.eye(self.dim, dtype=np.int64)
-            if self.labels() is None:
-                self._np_cache[key] = self._lam_np(r)
-            else:
-                diag = np.array([c.v for c in self.lam_diagonal(r)], dtype=np.int64)
-                self._np_cache[key] = np.diag(diag)
+            self._np_cache[key] = self._lam_np(r)
         return self._np_cache[key]
 
     def cartan_binom_np(self, k):
@@ -1035,13 +1031,6 @@ def _generalized_eigenspace_split(mat, basis_rows, ring):
     return found, []
 
 
-def _element_key(ring, x):
-    """Sort key of a finite-field element: its position in ring.elements()."""
-    if isinstance(ring, PrimeField):
-        return x.v
-    return tuple(reversed(x.coeffs))
-
-
 def label_classes(m):
     """The basis of a labelled module grouped by (weight, label), as a list
     of (weight, label, indices).  The order is the one in which the matrix
@@ -1059,7 +1048,7 @@ def label_classes(m):
     def eigenvalues(label):
         plus = m.label_coefficients(label, 1, prec - 1)
         minus = m.label_coefficients(label, -1, prec - 1)
-        return [_element_key(ring, s[r]) for r in range(1, prec) for s in (plus, minus)]
+        return [ring.index(s[r]) for r in range(1, prec) for s in (plus, minus)]
 
     out = []
     for w in sorted(by_weight, reverse=True):

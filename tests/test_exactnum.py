@@ -101,6 +101,7 @@ def test_prime_field_axioms():
         for a in els:
             if F.is_unit(a):
                 assert a * F.inv(a) == F.one
+        assert [F.index(a) for a in els] == list(range(p))
 
 
 def test_prime_field_parse_fmt():
@@ -117,6 +118,7 @@ def test_finite_field_construction_and_inverse():
         assert irreducible_mod_p(list(F.poly), p)
         els = F.elements()
         assert len(els) == p ** d
+        assert [F.index(a) for a in els] == list(range(p ** d))
         for _ in range(50):
             a, b = rng.choice(els), rng.choice(els)
             assert (a + b) * (a + b) == a * a + a * b + b * a + b * b
