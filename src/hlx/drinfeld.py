@@ -323,21 +323,25 @@ class EllWeight:
     def coefficients(self, i, n, sign=1):
         """Coefficients of u^0..u^n in prod (1 - a u)^{mu_j(h_i)}, with the
         parameters inverted when sign=-1: the convolution of the closed forms
-        binom(mu, s) (-a)^s, binom being the generalized binomial when mu < 0."""
+        binom(mu, s) (-a)^s, binom being the generalized binomial when mu < 0.
+        The partial products are kept sparse, as {degree: nonzero coefficient}."""
         ring = self.ring
         pairs = [(a if sign == 1 else ring.inv(a), mu[i]) for a, mu in self.pairs if mu[i]]
-        out = [ring.one] + [ring.zero] * n
+        out = {0: ring.one}
         for a, m in pairs:
             top = n if m < 0 else min(n, m)
-            fac = []
+            prod = {}
             power = ring.one
             for s in range(top + 1):
                 c = ring.from_int(integer_binomial(m, s)) * power
-                if not ring.is_zero(c):
-                    fac.append((s, c))
                 power = power * -a
-            out = _convolve(out, fac, ring.zero)
-        return out
+                if ring.is_zero(c):
+                    continue
+                for t, x in out.items():
+                    if t + s <= n:
+                        prod[t + s] = prod[t + s] + c * x if t + s in prod else c * x
+            out = {t: x for t, x in prod.items() if not ring.is_zero(x)}
+        return [out.get(t, ring.zero) for t in range(n + 1)]
 
     def series(self, i, prec, sign=1):
         """Expansion of prod (1 - a u)^{±mu_j(h_i)} to the given precision;
@@ -359,20 +363,6 @@ class EllWeight:
         return "EllWeight(%s)" % ", ".join(
             "omega_{%s,%s}" % (list(mu.coords), self.ring.fmt(a)) for a, mu in self.pairs
         )
-
-
-def _convolve(series, sparse, zero):
-    """series * sum_s c u^s over the (s, c) pairs, s ascending, truncated to
-    len(series)."""
-    out = []
-    for t in range(len(series)):
-        acc = zero
-        for s, c in sparse:
-            if s > t:
-                break
-            acc = acc + c * series[t - s]
-        out.append(acc)
-    return out
 
 
 def _param_sort_key(ring, a):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from hlx.drinfeld import (
     factor,
     minus_involution,
 )
-from hlx.exactnum import Poly, PrimeField, QQ
+from hlx.exactnum import QQ, FiniteField, Poly, PrimeField, TruncatedSeries, ring_pow
 
 
 A1 = CartanData("A1")
@@ -152,6 +154,29 @@ def test_ell_weight_series():
     s = ew.series(0, 4)
     # (1 - a u)^{-1} = sum a^k u^k
     assert list(s.coeffs) == [F(1), a, a * a, a * a * a]
+
+
+@pytest.mark.parametrize("ring", [PrimeField(5), FiniteField(3, 2), QQ])
+def test_ell_weight_coefficients_match_series_products(ring):
+    # reference: one factor (1 - a u) or 1 / (1 - a u) = sum a^k u^k at a time
+    prec = 12
+    units = ring.units() if ring.card else [ring.from_int(k) for k in (2, -3, 5)]
+    rng = random.Random(7)
+    for _ in range(40):
+        pairs = [(rng.choice(units), rng.randint(-6, 6)) for _ in range(rng.randint(0, 3))]
+        ew = EllWeight(ring, pairs)
+        for sign in (1, -1):
+            ref = TruncatedSeries(ring, [ring.one], prec)
+            for a, mu in ew.pairs:
+                a = a if sign == 1 else ring.inv(a)
+                m = mu.coords[0]
+                if m > 0:
+                    factor = TruncatedSeries(ring, [ring.one, -a], prec)
+                else:
+                    factor = TruncatedSeries(ring, [ring_pow(ring, a, k) for k in range(prec)], prec)
+                for _ in range(abs(m)):
+                    ref = ref * factor
+            assert ew.coefficients(0, prec - 1, sign) == [ref[k] for k in range(prec)]
 
 
 def test_factor_over_rationals():
