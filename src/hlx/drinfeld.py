@@ -3,9 +3,9 @@
 A DrinfeldPoly holds one constant-term-1 polynomial per Dynkin node; an
 EllWeight is a canonical multiset of (parameter, weight) pairs with the
 parameter nonzero and the weights allowed to be non-dominant.  Factorization
-is by gcd with x^p - x and Cantor-Zassenhaus splitting over prime fields, root
-enumeration over their extensions and rational root search over Q; nothing
-is ever extended silently.
+is by gcd with x^q - x and Cantor-Zassenhaus splitting over every finite
+field F_q and by rational root search over Q; nothing is ever extended
+silently.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .exactnum import (
     Poly,
     PrimeField,
     TruncatedSeries,
-    fppoly_roots,
+    field_roots,
     fppoly_splits_over,
     integer_binomial,
     ring_pow,
@@ -109,28 +109,16 @@ def _roots_in_field(f):
     ring = f.ring
     roots = []
     g = f
-    if isinstance(ring, PrimeField):
-        # deflating in ascending root order lists the roots exactly as a
-        # scan of the field in element order would
-        for x in fppoly_roots([c.v for c in f.coeffs], ring.p):
-            x = ring(x)
+    if ring.card is not None:
+        # deflating in field-element order lists the roots exactly as a
+        # scan of the field would
+        for x in field_roots(ring, f.coeffs):
             while g.degree() >= 1 and ring.is_zero(g.eval(x)):
                 g = _deflate(g, x)
                 roots.append(x)
         return roots, g
-    if ring.card is not None:
-        candidates = ring.elements()
-    else:
-        candidates = None
     while g.degree() >= 1:
-        found = None
-        if candidates is not None:
-            for x in candidates:
-                if ring.is_zero(g.eval(x)):
-                    found = x
-                    break
-        else:
-            found = _rational_root(g)
+        found = _rational_root(g)
         if found is None:
             break
         g = _deflate(g, found)

@@ -276,99 +276,145 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 
 
+class _ModP:
+    """F_p for the polynomial kernels below (and linalg's array kernel): the
+    scalars are Python ints, reduced mod p only where a kernel calls red, so
+    sums of products stay exact whatever p is."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.p = self.q = ring.p
+        self.zero, self.one = 0, 1
+
+    def red(self, x):
+        return x % self.p
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def element(self, n):
+        """Element n in ring.index order."""
+        return n
+
+    def key(self, x):
+        return x
+
+    def lift(self, e):
+        """Ring element to scalar."""
+        return e.v
+
+    def box(self, x):
+        """Scalar to ring element."""
+        return self.ring(x)
+
+
+class _Boxed:
+    """Any other finite field for the same kernels: the scalars are the
+    field's own (always reduced) elements."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.p, self.q = ring.char, ring.card
+        self.zero, self.one = ring.zero, ring.one
+        self.inv, self.element, self.key = ring.inv, ring.element, ring.index
+
+    @staticmethod
+    def red(x):
+        return x
+
+    lift = box = red
+
+
+def scalars(ring):
+    """The scalar arithmetic of a finite field for the polynomial kernels."""
+    return _ModP(ring) if isinstance(ring, PrimeField) else _Boxed(ring)
+
+
 def _poly_trim(c):
     c = list(c)
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return c
 
 
-def _fppoly_mulmod(a, b, f, p):
-    # a, b dense int lists, f monic of degree d
+def _poly_mulmod(a, b, f, k):
+    # a, b reduced scalar lists, f monic of degree d
     d = len(f) - 1
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    out = [k.zero] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] = out[i + j] + ai * bj
     for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
+        c = k.red(out[i])
         if c:
-            out[i] = 0
             for j in range(d):
-                out[i - d + j] = (out[i - d + j] - c * f[j]) % p
-    return _poly_trim(out[:d] + [0] * max(0, d - len(out)))
+                out[i - d + j] = out[i - d + j] - c * f[j]
+    return _poly_trim([k.red(c) for c in out[:d]])
 
 
-def _fppoly_divmod(a, b, p):
+def _poly_divmod(a, b, k):
     a = list(a)
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
+    binv = k.inv(b[-1])
+    q = [k.zero] * max(0, len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * binv % p
+        c = k.red(a[i + len(b) - 1] * binv)
         if c:
             q[i] = c
             for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    return q, _poly_trim(a[: len(b) - 1])
+                a[i + j] = a[i + j] - c * bj
+    return q, _poly_trim([k.red(c) for c in a[: len(b) - 1]])
 
 
-def _fppoly_sub(a, b, p):
+def _poly_sub(a, b, k):
     n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
+    a = list(a) + [k.zero] * (n - len(a))
+    b = list(b) + [k.zero] * (n - len(b))
+    return _poly_trim([k.red(x - y) for x, y in zip(a, b)])
 
 
-def _fppoly_monic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
+def _poly_monic(a, k):
+    inv = k.inv(a[-1])
+    return [k.red(c * inv) for c in a]
 
 
-def _fppoly_gcd(a, b, p):
+def _poly_gcd(a, b, k):
     # monic gcd; gcd(a, 0) is a made monic
     a, b = _poly_trim(a), _poly_trim(b)
     while b:
-        a, b = b, _fppoly_divmod(a, b, p)[1]
-    return _fppoly_monic(a, p) if a else []
+        a, b = b, _poly_divmod(a, b, k)[1]
+    return _poly_monic(a, k) if a else []
 
 
-def _fppoly_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _fppoly_powmod(base, e, f, p):
-    out = [1]
-    base = _fppoly_mulmod(base, [1], f, p)
+def _poly_powmod(base, e, f, k):
+    out = [k.one]
+    base = _poly_mulmod(base, [k.one], f, k)
     while e:
         if e & 1:
-            out = _fppoly_mulmod(out, base, f, p)
+            out = _poly_mulmod(out, base, f, k)
         e >>= 1
         if e:
-            base = _fppoly_mulmod(base, base, f, p)
+            base = _poly_mulmod(base, base, f, k)
     return out
 
 
-def fppoly_roots(f, p):
-    """Distinct roots in F_p of an integer polynomial (ascending coefficients),
-    sorted ascending.
+def poly_roots(f, k):
+    """Distinct roots in F_q of a polynomial over F_q, given as reduced
+    scalars of k = scalars(F_q), ascending coefficients; returned in
+    ring.index order.
 
-    gcd(f, x^p - x) is the product of the distinct linear factors of f; it is
-    split by Cantor-Zassenhaus: for random d, gcd(h, (x + d)^((p-1)/2) - 1)
-    collects the roots r with r + d a nonzero square.  The cost is polynomial
-    in deg f and log p, never in p.  Fields no larger than the degree are
-    simply scanned, which is cheaper there and leaves only odd p to split.
+    gcd(f, x^q - x) is the product of the distinct linear factors of f; it is
+    split by Cantor-Zassenhaus (1981): gcd(h, s) for a random s that vanishes
+    at about half of the elements of F_q, namely (x + c)^((q-1)/2) - 1 for odd
+    q and the trace Tr(cx) = sum_i (cx)^(2^i) for q = 2^d.  The cost is
+    polynomial in deg f and log q, never in q.
     """
-    f = _poly_trim([c % p for c in f])
+    f = _poly_trim(f)
     if len(f) < 2:
         return []
-    if p <= len(f):
-        return [x for x in range(p) if _fppoly_eval(f, x, p) == 0]
-    f = _fppoly_monic(f, p)
-    h = _fppoly_gcd(f, _fppoly_sub(_fppoly_powmod([0, 1], p, f, p), [0, 1], p), p)
+    f = _poly_monic(f, k)
+    x = [k.zero, k.one]
+    h = _poly_gcd(f, _poly_sub(_poly_powmod(x, k.q, f, k), x, k), k)
     rng = random.Random(0)
     roots = []
     stack = [h]
@@ -376,31 +422,53 @@ def fppoly_roots(f, p):
         h = stack.pop()
         d = len(h) - 1
         if d == 1:
-            roots.append(-h[0] % p)
+            roots.append(k.red(-h[0]))
         elif d >= 2:
             while True:
-                t = _fppoly_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p)
-                g = _fppoly_gcd(h, _fppoly_sub(t, [1], p), p)
+                g = _poly_gcd(h, _splitter(h, rng, k), k)
                 if 1 <= len(g) - 1 < d:
                     break
             stack.append(g)
-            stack.append(_fppoly_divmod(h, g, p)[0])
-    return sorted(roots)
+            stack.append(_poly_divmod(h, g, k)[0])
+    return sorted(roots, key=k.key)
+
+
+def _splitter(h, rng, k):
+    if k.p == 2:
+        t = acc = _poly_mulmod([k.zero, k.element(rng.randrange(1, k.q))], [k.one], h, k)
+        for _ in range(k.q.bit_length() - 2):
+            t = _poly_mulmod(t, t, h, k)
+            acc = _poly_sub(acc, t, k)  # in characteristic 2, acc + t
+        return acc
+    t = _poly_powmod([k.element(rng.randrange(k.q)), k.one], (k.q - 1) // 2, h, k)
+    return _poly_sub(t, [k.one], k)
+
+
+def fppoly_roots(f, p):
+    """Distinct roots in F_p of an integer polynomial (ascending
+    coefficients), sorted ascending: poly_roots over F_p."""
+    return poly_roots([c % p for c in f], scalars(PrimeField(p)))
+
+
+def field_roots(ring, coeffs):
+    """Distinct roots in a finite field of a polynomial with coefficients in
+    it (ascending), in ring.index order."""
+    k = scalars(ring)
+    return [k.box(x) for x in poly_roots([k.lift(c) for c in coeffs], k)]
 
 
 def fppoly_splits_over(f, p, d):
     """Whether an integer polynomial splits over F_{p^d}, that is, whether
     each irreducible factor mod p has degree dividing d: gcd with
     x^{p^d} - x strips one copy of every such factor at a time."""
-    g = _fppoly_monic(_poly_trim([c % p for c in f]), p)
+    k = scalars(PrimeField(p))
+    x = [0, 1]
+    g = _poly_monic(_poly_trim([c % p for c in f]), k)
     while len(g) > 1:
-        xq = [0, 1]
-        for _ in range(d):
-            xq = _fppoly_powmod(xq, p, g, p)
-        h = _fppoly_gcd(g, _fppoly_sub(xq, [0, 1], p), p)
+        h = _poly_gcd(g, _poly_sub(_poly_powmod(x, p ** d, g, k), x, k), k)
         if len(h) == 1:
             return False
-        g = _fppoly_divmod(g, h, p)[0]
+        g = _poly_divmod(g, h, k)[0]
     return True
 
 
@@ -419,26 +487,19 @@ def ring_pow(ring, x, e):
 
 
 def irreducible_mod_p(f, p):
-    """Irreducibility of a monic integer-coefficient polynomial mod p, deg <= 4.
-
-    Degree 2 and 3 reduce to root absence; degree 4 additionally excludes
-    monic quadratic factors by trial division.
-    """
+    """Irreducibility of a monic integer-coefficient polynomial mod p, deg <= 4:
+    no irreducible factor of degree i <= deg/2, that is, gcd(f, x^{p^i} - x)
+    = 1 for each such i."""
     f = [c % p for c in f]
     d = len(f) - 1
     if d < 1 or d > 4:
         raise ValueError("only degrees 1..4 supported")
-    if d == 1:
-        return True
-    if any(_fppoly_eval(f, x, p) == 0 for x in range(p)):
-        return False
-    if d == 4:
-        for c0 in range(p):
-            for c1 in range(p):
-                g = [c0, c1, 1]
-                _, r = _fppoly_divmod(f, g, p)
-                if not r:
-                    return False
+    k = scalars(PrimeField(p))
+    x = xp = [0, 1]
+    for _ in range(d // 2):
+        xp = _poly_powmod(xp, p, f, k)
+        if len(_poly_gcd(f, _poly_sub(xp, x, k), k)) > 1:
+            return False
     return True
 
 
@@ -478,8 +539,11 @@ class FqElem:
         return FqElem(self.field, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        c = _fppoly_mulmod(list(self.coeffs), list(other.coeffs), self.field.poly, self.field.p)
+        c = _poly_mulmod(self.coeffs, other.coeffs, self.field.poly, self.field.base)
         return FqElem(self.field, c)
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -519,6 +583,7 @@ class FiniteField:
         if not irreducible_mod_p(poly, p):
             raise ValueError("defining polynomial is reducible mod %d" % p)
         self.poly = tuple(poly)
+        self.base = scalars(PrimeField(p))
 
     @property
     def char(self):
@@ -567,7 +632,7 @@ class FiniteField:
         r0, r1 = list(self.poly), _poly_trim(list(x.coeffs))
         s0, s1 = [], [1]
         while r1:
-            q, r = _fppoly_divmod(r0, r1, self.p)
+            q, r = _poly_divmod(r0, r1, self.base)
             r0, r1 = r1, r
             qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
             for i, qi in enumerate(q):

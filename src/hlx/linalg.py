@@ -1,16 +1,27 @@
 """Exact linear algebra over ring descriptors.
 
-Generic routines work over any field descriptor from exactnum; matrices are
-immutable row-tuples.  Prime fields additionally get a numpy int64 fast path
-(used by the MeatAxe and the saturation engine) — all arithmetic there is
-integer mod p, so it stays exact.
+Mat is the boxed matrix of any ring descriptor from exactnum (immutable
+row-tuples); rref, kernel and det on it serve Q, Z_(p) and Q(a, b).
+
+Every finite field runs on one numpy int64 kernel instead, through the field
+object arrays(F).  An element of F_p is an int64 residue mod p; an element of
+F_{p^d} (d > 1) is an int64 array with a trailing axis of d coordinates over
+the defining polynomial.  Sums and differences are coordinatewise mod p in
+both cases; a product is d^2 F_p products plus one reduction by the defining
+polynomial, and pivots are inverted by FiniteField.inv.  The routines np_rref,
+np_nullspace, np_inverse, np_charpoly, np_eigenvalues and NpEchelon are
+written once against that object and take the field where they once took p.
+All arithmetic is integer, so it stays exact below the bound that
+check_int64_bound enforces.
 """
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
-from .exactnum import PrimeField, fppoly_roots
+from .exactnum import FqElem, PrimeField, _Boxed, _ModP, poly_roots
 
 
 class Mat:
@@ -154,15 +165,6 @@ def rref(rows, ring):
     return out, pivots
 
 
-def rank(mat):
-    rows, _ = rref(mat.rows, mat.ring)
-    return len(rows)
-
-
-def vec_is_zero(vec, ring):
-    return all(ring.is_zero(a) for a in vec)
-
-
 def reduce_against(vec, basis_rows, pivots, ring):
     """Reduce a vector against echelon rows with known pivot columns."""
     v = list(vec)
@@ -188,24 +190,6 @@ def kernel(mat):
             v[col] = -row[f]
         out.append(v)
     return out
-
-
-def solve_right(a, b):
-    """Solve A x = b for one vector b, or return None."""
-    ring = a.ring
-    m, n = a.shape
-    aug = [list(r) + [bv] for r, bv in zip(a.rows, b)]
-    rows, pivots = rref(aug, ring)
-    x = [ring.zero] * n
-    for row, col in zip(rows, pivots):
-        if col == n:
-            return None
-        x[col] = row[n]
-    # verify (guards against underdetermined systems with inconsistent residue)
-    chk = a.apply(x)
-    if any(not ring.is_zero(u - v) for u, v in zip(chk, b)):
-        return None
-    return x
 
 
 def det(mat):
@@ -253,127 +237,10 @@ def det(mat):
     return d
 
 
-# ---------------------------------------------------------------------------
-# numpy fast path for prime fields
-# ---------------------------------------------------------------------------
-
-
-def is_np_ring(ring):
-    return isinstance(ring, PrimeField)
-
-
-def check_int64_bound(p, n):
-    """Refuse a prime for which int64 arithmetic mod p could overflow: the
-    numpy path sums up to n products of residues in [0, p)."""
-    if n * (p - 1) ** 2 >= 2 ** 63:
-        raise ValueError(
-            "int64 arithmetic mod %d needs n*(p-1)^2 < 2^63; here n = %d" % (p, n)
-        )
-
-
-def to_np(mat):
-    return np.array([[a.v for a in r] for r in mat.rows], dtype=np.int64)
-
-
-def from_np(arr, ring):
-    p = ring.p
-    return Mat(ring, [[ring(int(v)) for v in row] for row in (arr % p)])
-
-
-def np_rref(a, p):
-    """RREF mod p of an int64 array; returns (rows, pivots) with zero rows dropped."""
-    a = a % p
-    m, n = a.shape
-    r = 0
-    pivots = []
-    a = a.copy()
-    for col in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), -1, p)
-        a[r] = a[r] * inv % p
-        mask = np.nonzero(a[:, col])[0]
-        mask = mask[mask != r]
-        if mask.size:
-            a[mask] = (a[mask] - np.outer(a[mask, col], a[r])) % p
-        pivots.append(col)
-        r += 1
-    return a[:r], pivots
-
-
-def charpoly_mod_p(a, p):
-    """Characteristic polynomial det(x I - A) mod p, ascending coefficients.
-
-    A is brought to upper Hessenberg form by similarity; the characteristic
-    polynomials of its leading principal blocks then follow a recurrence
-    along the subdiagonal (Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 2.2.9).  Entries are Python ints, so no size of p
-    overflows.
-    """
-    h = [[int(x) % p for x in row] for row in a]
-    n = len(h)
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = pow(h[j + 1][j], -1, p)
-        for i in range(j + 2, n):
-            u = h[i][j] * inv % p
-            if u:
-                # row_i -= u row_{j+1}, then col_{j+1} += u col_i
-                hi, hj = h[i], h[j + 1]
-                for c in range(j, n):
-                    hi[c] = (hi[c] - u * hj[c]) % p
-                for row in h:
-                    row[j + 1] = (row[j + 1] + u * row[i]) % p
-    polys = [[1]]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = [0] + prev
-        for i, c in enumerate(prev):
-            cur[i] = (cur[i] - h[m - 1][m - 1] * c) % p
-        t = 1
-        for i in range(1, m):
-            t = t * h[m - i][m - i - 1] % p
-            c = h[m - i - 1][m - 1] * t % p
-            if c:
-                for k, v in enumerate(polys[m - i - 1]):
-                    cur[k] = (cur[k] - c * v) % p
-        polys.append(cur)
-    return polys[n]
-
-
-def np_eigenvalues(a, p):
-    """Eigenvalues of a square matrix that lie in F_p, ascending: the F_p-roots
-    of its characteristic polynomial."""
-    return fppoly_roots(charpoly_mod_p(a, p), p)
-
-
-def np_nullspace(a, p):
-    """Rows spanning the right kernel mod p."""
-    m, n = a.shape
-    rows, pivots = np_rref(a, p)
-    free = [j for j in range(n) if j not in pivots]
-    out = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        out[i, f] = 1
-        for row, col in zip(rows, pivots):
-            out[i, col] = (-row[f]) % p
-    return out
-
-
 class Echelon:
     """Incremental echelon basis over a field descriptor."""
+
+    # no caller left: kept because the benchmark tracer resolves Echelon.add
 
     __slots__ = ("ring", "n", "rows", "pivots")
 
@@ -412,60 +279,325 @@ class Echelon:
         return len(self.rows)
 
 
-def np_inverse(a, p):
-    """Inverse of a square matrix mod p (raises when singular)."""
+# ---------------------------------------------------------------------------
+# the int64 kernel for every finite field
+# ---------------------------------------------------------------------------
+
+
+class _FpArrays(_ModP):
+    """F_p: an element is an int64 residue, a matrix a 2-axis array."""
+
+    d = 1
+    tail = ()
+    unit = 1
+
+    def mul(self, a, b):
+        """Matrix (or matrix-vector) product, reduced."""
+        return a @ b % self.p
+
+    def emul(self, x, y):
+        """Elementwise product of broadcastable element arrays, reduced."""
+        return x * y % self.p
+
+    def submul(self, x, c, y):
+        """x - c*y elementwise, reduced."""
+        return (x - c * y) % self.p
+
+    def nz(self, a):
+        """Which elements of an element array are nonzero."""
+        return a != 0
+
+    def inv_elt(self, x):
+        return pow(int(x), -1, self.p)
+
+    def coords(self, s):
+        """Scalar (see exactnum.scalars) to array element."""
+        return s
+
+    def scalar(self, x):
+        """Array element to scalar."""
+        return int(x)
+
+    def scalar_rows(self, arr):
+        """A matrix as nested lists of scalars."""
+        return (arr % self.p).tolist()
+
+    def from_ring(self, e):
+        return e.v
+
+    def to_ring(self, x):
+        return self.ring(int(x))
+
+    def eye(self, n):
+        return np.eye(n, dtype=np.int64)
+
+    def from_ints(self, values):
+        """Integers as elements of the prime field."""
+        return np.asarray(values, dtype=np.int64) % self.p
+
+    def from_rows(self, rows, shape):
+        return np.array([[a.v for a in r] for r in rows], dtype=np.int64).reshape(shape)
+
+    def to_rows(self, arr):
+        ring = self.ring
+        return [[ring(v) for v in row] for row in (arr % self.p).tolist()]
+
+
+class _FqArrays(_Boxed):
+    """A FiniteField F_{p^d}: an element carries a trailing axis of d
+    coordinates over the defining polynomial f, lowest power first."""
+
+    def __init__(self, ring):
+        super().__init__(ring)
+        self.d = ring.d
+        self.tail = (ring.d,)
+        self.low = np.array(ring.poly[:-1], dtype=np.int64)
+        self.unit = self.coords(ring.one)
+
+    def _fold(self, c):
+        # coefficients of x^0 .. x^(2d-2) to coordinates: from the top,
+        # x^s = x^(s-d) x^d and x^d = -(f_0 + f_1 x + ... + f_(d-1) x^(d-1))
+        p, d = self.p, self.d
+        c %= p
+        for s in range(2 * d - 2, d - 1, -1):
+            c[..., s - d : s] = (c[..., s - d : s] - c[..., s, None] * self.low) % p
+        return np.ascontiguousarray(c[..., :d])
+
+    def mul(self, a, b):
+        d = self.d
+        out = None
+        for i in range(d):
+            for j in range(d):
+                t = a[..., i] @ b[..., j]
+                if out is None:
+                    out = np.zeros(np.shape(t) + (2 * d - 1,), dtype=np.int64)
+                out[..., i + j] += t
+        return self._fold(out)
+
+    def emul(self, x, y):
+        d = self.d
+        out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (2 * d - 1,), dtype=np.int64)
+        for i in range(d):
+            for j in range(d):
+                out[..., i + j] += x[..., i] * y[..., j]
+        return self._fold(out)
+
+    def submul(self, x, c, y):
+        return (x - self.emul(c, y)) % self.p
+
+    def nz(self, a):
+        return a.any(axis=-1)
+
+    def inv_elt(self, x):
+        return self.coords(self.inv(self.scalar(x)))
+
+    # the scalars are the field's elements
+    def from_ring(self, e):
+        return np.array(e.coeffs, dtype=np.int64)
+
+    def to_ring(self, x):
+        return FqElem(self.ring, x.tolist())
+
+    coords, scalar = from_ring, to_ring
+
+    def scalar_rows(self, arr):
+        return self.to_rows(arr)
+
+    def eye(self, n):
+        out = np.zeros((n, n, self.d), dtype=np.int64)
+        out[np.arange(n), np.arange(n), 0] = 1
+        return out
+
+    def from_ints(self, values):
+        values = np.asarray(values, dtype=np.int64)
+        out = np.zeros(values.shape + self.tail, dtype=np.int64)
+        out[..., 0] = values % self.p
+        return out
+
+    def from_rows(self, rows, shape):
+        return np.array([[a.coeffs for a in r] for r in rows], dtype=np.int64).reshape(shape + self.tail)
+
+    def to_rows(self, arr):
+        ring = self.ring
+        return [[FqElem(ring, v) for v in row] for row in (arr % self.p).tolist()]
+
+
+_ARRAYS = {}
+
+
+def arrays(F):
+    """The array kernel of a finite field: one object per field."""
+    K = _ARRAYS.get(F)
+    if K is None:
+        K = _ARRAYS[F] = _FpArrays(F) if isinstance(F, PrimeField) else _FqArrays(F)
+    return K
+
+
+def check_int64_bound(F, n):
+    """Refuse a field for which the int64 kernel could overflow.  Its longest
+    sum is one coordinate of a matrix product with n-term rows: over F_{p^d}
+    up to d coordinate products of n terms each add into one coefficient of
+    the convolution, so n*d products of residues in [0, p).  The reduction by
+    the defining polynomial works on reduced coordinates, one product at a
+    time."""
+    K = arrays(F)
+    terms = n * K.d
+    if terms * (K.p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(
+            "int64 arithmetic mod %d needs n*(p-1)^2 < 2^63; here n = %d" % (K.p, terms)
+        )
+
+
+def kron(a, b, F):
+    """Kronecker product of two matrices, reduced."""
+    K = arrays(F)
+    out = K.emul(a[:, None, :, None], b[None, :, None, :])
+    return out.reshape((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]) + K.tail)
+
+
+def to_np(mat):
+    return arrays(mat.ring).from_rows(mat.rows, mat.shape)
+
+
+def from_np(arr, ring):
+    return Mat(ring, arrays(ring).to_rows(arr))
+
+
+def np_rref(a, F):
+    """RREF of a matrix over a finite field; returns (rows, pivots) with zero
+    rows dropped."""
+    K = arrays(F)
+    a = a % K.p
+    m, n = a.shape[:2]
+    r = 0
+    pivots = []
+    for col in range(n):
+        if r == m:
+            break
+        nz = K.nz(a[r:, col]).nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = K.emul(a[r], K.inv_elt(a[r, col]))
+        mask = K.nz(a[:, col]).nonzero()[0]
+        mask = mask[mask != r]
+        if mask.size:
+            a[mask] = K.submul(a[mask], a[mask, col][:, None], a[r][None])
+        pivots.append(col)
+        r += 1
+    return a[:r], pivots
+
+
+def np_charpoly(a, F):
+    """Characteristic polynomial det(x I - A) over a finite field, ascending
+    coefficients as scalars of arrays(F) (exactnum.scalars).
+
+    A is brought to upper Hessenberg form by similarity, on arrays; the
+    characteristic polynomials of its leading principal blocks then follow a
+    recurrence along the subdiagonal (Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 2.2.9), in scalars, which over F_p are
+    Python ints.
+    """
+    K = arrays(F)
+    p = K.p
+    h = a % p
+    n = h.shape[0]
+    for j in range(n - 2):
+        nz = K.nz(h[j + 1 :, j]).nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = j + 1 + int(nz[0])
+        if piv != j + 1:
+            h[[j + 1, piv]] = h[[piv, j + 1]]
+            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        # rows i > j+1 lose u_i row_{j+1}, then col_{j+1} gains sum u_i col_i
+        u = K.emul(h[j + 2 :, j], K.inv_elt(h[j + 1, j]))
+        h[j + 2 :] = K.submul(h[j + 2 :], u[:, None], h[j + 1][None])
+        h[:, j + 1] = (h[:, j + 1] + K.mul(h[:, j + 2 :], u)) % p
+    h = K.scalar_rows(h)
+    red = K.red
+    polys = [[K.one]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        cur = [K.zero] + prev
+        for i, c in enumerate(prev):
+            cur[i] = red(cur[i] - h[m - 1][m - 1] * c)
+        t = K.one
+        for i in range(1, m):
+            t = red(t * h[m - i][m - i - 1])
+            c = red(h[m - i - 1][m - 1] * t)
+            if c:
+                for k, v in enumerate(polys[m - i - 1]):
+                    cur[k] = red(cur[k] - c * v)
+        polys.append(cur)
+    return polys[n]
+
+
+def np_eigenvalues(a, F):
+    """Eigenvalues of a square matrix that lie in the field, as scalars in
+    ring.index order: the roots of its characteristic polynomial."""
+    return poly_roots(np_charpoly(a, F), arrays(F))
+
+
+def np_nullspace(a, F):
+    """Rows spanning the right kernel."""
+    K = arrays(F)
+    n = a.shape[1]
+    rows, pivots = np_rref(a, F)
+    free = [j for j in range(n) if j not in pivots]
+    out = np.zeros((len(free), n) + K.tail, dtype=np.int64)
+    out[np.arange(len(free)), free] = K.unit
+    out[:, pivots] = -rows[:, free].swapaxes(0, 1) % K.p
+    return out
+
+
+def np_inverse(a, F):
+    """Inverse of a square matrix (raises when singular)."""
+    K = arrays(F)
     n = a.shape[0]
-    aug = np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = np_rref(aug, p)
+    aug = np.concatenate([a % K.p, K.eye(n)], axis=1)
+    red, pivots = np_rref(aug, F)
     if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular mod %d" % p)
-    return red[:, n:] % p
+        raise ZeroDivisionError("matrix is singular over %r" % (F,))
+    return red[:, n:]
 
 
 class NpEchelon:
-    """Incremental echelon basis mod p, used by spin-up loops."""
+    """Incremental fully reduced echelon basis over a finite field, used by
+    spin-up loops.  No row has an entry at another row's pivot, so a vector
+    reduces in one product with its pivot coordinates."""
 
-    __slots__ = ("p", "n", "rows", "pivots")
+    __slots__ = ("field", "basis", "pivots")
 
-    def __init__(self, p, n):
-        self.p = p
-        self.n = n
-        self.rows = []
+    def __init__(self, F, n):
+        self.field = arrays(F)
+        self.basis = np.zeros((0, n) + self.field.tail, dtype=np.int64)
         self.pivots = []
 
     def reduce(self, v):
-        v = v % self.p
-        for row, col in zip(self.rows, self.pivots):
-            c = int(v[col])
-            if c:
-                v = (v - c * row) % self.p
-        return v
+        K = self.field
+        return (v - K.mul(v[self.pivots], self.basis)) % K.p
 
     def add(self, v):
         """Reduce v and insert if independent; returns True when rank grew."""
-        v = self.reduce(np.asarray(v, dtype=np.int64))
-        nz = np.nonzero(v)[0]
+        K = self.field
+        v = self.reduce(v)
+        nz = K.nz(v).nonzero()[0]
         if nz.size == 0:
             return False
         col = int(nz[0])
-        v = v * pow(int(v[col]), -1, self.p) % self.p
-        for row in self.rows:
-            c = int(row[col])
-            if c:
-                row -= c * v
-                row %= self.p
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < col:
-            idx += 1
-        self.rows.insert(idx, v)
+        v = K.emul(v, K.inv_elt(v[col]))
+        basis = K.submul(self.basis, self.basis[:, col][:, None], v[None])
+        idx = bisect.bisect(self.pivots, col)
+        self.basis = np.concatenate([basis[:idx], v[None], basis[idx:]])
         self.pivots.insert(idx, col)
         return True
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def basis_matrix(self):
-        if not self.rows:
-            return np.zeros((0, self.n), dtype=np.int64)
-        return np.vstack(self.rows)
+        return self.basis

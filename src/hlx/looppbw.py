@@ -22,7 +22,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import linalg
 from .exactnum import integer_binomial
 
 LOWER, CARTAN, RAISE = 0, 1, 2
@@ -799,11 +798,7 @@ def _echelonize_rows(rows, columns, col_index, ring, in_xi):
     a pivot inside Xi' cuts the dimension, and because out-of-range columns
     all precede Xi' columns, its row is supported on Xi' alone.
     """
-    if linalg.is_np_ring(ring):
-        echelon = _np_echelon(rows, col_index, ring)
-    else:
-        echelon = _sparse_echelon(rows, col_index, ring)
-
+    echelon = _sparse_echelon(rows, col_index, ring)
     pivots = set(echelon)
     basis = [m for m in columns if col_index[m] not in pivots and in_xi(m)]
     rules = {}
@@ -861,21 +856,4 @@ def _sparse_echelon(rows, col_index, ring):
                     else:
                         prow[j] = nv
         echelon[lead] = srow
-    return echelon
-
-
-def _np_echelon(rows, col_index, ring):
-    import numpy as np
-
-    p = ring.p
-    ncols = len(col_index)
-    dense = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for m, c in row.items():
-            dense[i, col_index[m]] = c.v
-    red, pivots = linalg.np_rref(dense, p)
-    echelon = {}
-    for row, lead in zip(red, pivots):
-        nz = np.nonzero(row)[0]
-        echelon[lead] = {int(j): ring(int(row[j])) for j in nz}
     return echelon

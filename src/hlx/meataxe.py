@@ -11,8 +11,12 @@ invertible on W and then W = zW forces null(z^T) = (zM)° inside W°).  Random
 choices only affect how fast a useful z is found, never the verdict; the
 escalation order on failure is retry, brute force when feasible, undecided.
 
-Prime fields run on numpy int64 arithmetic mod p; extensions fall back on the
-generic exact path.
+Norton's test runs over prime fields.  Over F_{p^d} the verdict comes from
+brute force, spinning up every projective point, when |F|^dim is within the
+bound (HLX_MAX_BRUTE), and is otherwise undecided.  Everything here works on
+the int64 array kernel of linalg, one code path for F_p and F_{p^d}; chop
+cuts subquotient tables out of the parent's arrays and boxes one only when a
+caller asks for it.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ import numpy as np
 
 from . import linalg
 from .exactnum import PrimeField
-from .linalg import Mat, NpEchelon
+from .linalg import NpEchelon, arrays, from_np
 from .looppbw import LOWER, RAISE
 from .modrep import (
+    LoopModule,
     drinfeld_polynomial,
     dual,
     ell_hw_vectors,
     ell_weight_decomposition,
-    explicit_module,
     generator_exponents,
     label_classes,
     ratio_window,
@@ -75,7 +79,7 @@ def generator_set(m, r_window=None):
 
 
 def np_generator_set(m, r_window=None):
-    """The same generators as int64 arrays mod p (prime fields only)."""
+    """The same generators as arrays of the field's int64 kernel."""
     out = []
     for label in generator_labels(m, r_window):
         kind, r, k = label
@@ -94,57 +98,57 @@ def _seed_from(label, seed):
 # ---------------------------------------------------------------------------
 
 
-def spin_up(m, vectors, gens=None):
+def spin_up(m, vectors):
     """Smallest generator-invariant subspace containing the vectors, as an
     echelonized list of rows."""
-    if isinstance(m.ring, PrimeField):
-        return _spin_up_np(m, vectors, np_generator_set(m))
-    if gens is None:
-        gens = generator_set(m)
-    return _spin_up_generic(m, vectors, [g for _, g in gens])
+    return _spin_up_np(m, vectors, np_generator_set(m))
 
 
 def _spin_up_np(m, vectors, np_gens):
-    p = m.ring.p
-    ech = NpEchelon(p, m.dim)
-    frontier = []
-    for v in vectors:
-        arr = np.array([c.v if hasattr(c, "v") else int(c) for c in v], dtype=np.int64) % p
-        if ech.add(arr.copy()):
-            frontier.append(arr)
+    K = arrays(m.ring)
+    ech = NpEchelon(m.ring, m.dim)
+    frontier = [v for v in K.from_rows(vectors, (len(vectors), m.dim)) if ech.add(v)]
     while frontier:
-        fmat = np.vstack(frontier)
+        fmat = np.stack(frontier)
         new_frontier = []
         for g in np_gens:
-            imgs = (fmat @ g.T) % p
-            for w in imgs:
-                w = w.astype(np.int64)
-                if ech.add(w.copy()):
+            for w in K.mul(fmat, g.swapaxes(0, 1)):
+                if ech.add(w):
                     new_frontier.append(w)
         frontier = new_frontier
-    return _np_rows_to_ring(ech.basis_matrix(), m.ring)
+    return K.to_rows(ech.basis_matrix())
 
 
-def _np_rows_to_ring(arr, ring):
-    return [[ring(int(x)) for x in row] for row in arr]
-
-
-def _spin_up_generic(m, vectors, gens):
-    ring = m.ring
-    ech = linalg.Echelon(ring, m.dim)
-    frontier = []
-    for v in vectors:
-        if ech.add(list(v)):
-            frontier.append(list(v))
-    while frontier:
+def _spin_np_dim(ech, np_gens, K, n):
+    frontier = ech.basis_matrix()
+    while len(frontier) and ech.dim < n:
         new_frontier = []
-        for g in gens:
-            for v in frontier:
-                w = g.apply(v)
-                if ech.add(list(w)):
+        for g in np_gens:
+            for w in K.mul(frontier, g.swapaxes(0, 1)):
+                if ech.add(w):
                     new_frontier.append(w)
-        frontier = new_frontier
-    return [list(r) for r in ech.rows]
+                    if ech.dim == n:
+                        return n
+        frontier = np.array(new_frontier)
+    return ech.dim
+
+
+def _projective_points_np(K, n):
+    # one representative per line: first nonzero coordinate equals 1, the
+    # later ones run over the field in index order, the first of them fastest
+    table = None
+    for lead in range(n):
+        tail = n - lead - 1
+        if tail and table is None:
+            table = K.from_rows([K.ring.elements()], (1, K.q))[0]
+        for code in range(K.q ** tail):
+            v = np.zeros((n,) + K.tail, dtype=np.int64)
+            v[lead] = K.unit
+            c = code
+            for i in range(tail):
+                v[lead + 1 + i] = table[c % K.q]
+                c //= K.q
+            yield v
 
 
 # ---------------------------------------------------------------------------
@@ -152,28 +156,29 @@ def _spin_up_generic(m, vectors, gens):
 # ---------------------------------------------------------------------------
 
 
-def _random_element_np(np_gens, p, n, rng, max_len=4):
-    acc = np.zeros((n, n), dtype=np.int64)
+def _random_element_np(np_gens, K, n, rng, max_len=4):
+    acc = np.zeros((n, n) + K.tail, dtype=np.int64)
     words = rng.randint(2, 3)
     for _ in range(words):
-        word = np.eye(n, dtype=np.int64)
+        word = K.eye(n)
         for _ in range(rng.randint(1, max_len)):
-            word = (word @ rng.choice(np_gens)) % p
-        acc = (acc + rng.randint(1, p) * word) % p
+            word = K.mul(word, rng.choice(np_gens))
+        acc = (acc + rng.randint(1, K.p) * word) % K.p
     return acc
 
 
-def _choose_singular_np(np_gens, p, n, rng, tries=24):
+def _choose_singular_np(np_gens, F, n, rng, tries=24):
     """A singular element of the image algebra with small positive nullity;
-    shifting a random element by an eigenvalue in F_p keeps it in the algebra
-    (the identity is op(·, ·, 0)).  Eigenvalues come ascending from the
-    characteristic polynomial, so no field element is tried in vain."""
+    shifting a random element by an eigenvalue keeps it in the algebra (the
+    identity is op(·, ·, 0)).  Eigenvalues come in field-element order from
+    the characteristic polynomial, so no field element is tried in vain."""
+    K = arrays(F)
     best = None
     for _ in range(tries):
-        z = _random_element_np(np_gens, p, n, rng)
-        for nu in linalg.np_eigenvalues(z, p):
-            shifted = (z - nu * np.eye(n, dtype=np.int64)) % p
-            ns = linalg.np_nullspace(shifted, p)
+        z = _random_element_np(np_gens, K, n, rng)
+        for nu in linalg.np_eigenvalues(z, F):
+            shifted = (z - K.emul(K.eye(n), K.coords(nu))) % K.p
+            ns = linalg.np_nullspace(shifted, F)
             d = ns.shape[0]
             if 0 < d < n:
                 if best is None or d < best[2]:
@@ -188,9 +193,10 @@ def _choose_singular_np(np_gens, p, n, rng, tries=24):
 # ---------------------------------------------------------------------------
 
 
-def brute_force_irreducible(m, gens=None, bound=None):
+def brute_force_irreducible(m, bound=None):
     """Spin up every 1-dimensional subspace; irreducible iff all closures are
-    the whole module.  Only feasible when |F|^dim is under the bound."""
+    the whole module.  Only feasible when |F|^dim is under the bound, which is
+    checked before any table is built."""
     ring = m.ring
     if ring.card is None:
         raise ValueError("brute force needs a finite field")
@@ -200,72 +206,14 @@ def brute_force_irreducible(m, gens=None, bound=None):
         return True, None
     if ring.card ** m.dim > bound:
         raise ValueError("brute-force bound exceeded: %d^%d > %d" % (ring.card, m.dim, bound))
-    if isinstance(ring, PrimeField):
-        np_gens = np_generator_set(m)
-        for v in _projective_points_np(ring.p, m.dim):
-            ech = NpEchelon(ring.p, m.dim)
-            ech.add(v.copy())
-            if _spin_np_dim(ech, np_gens, ring.p, m.dim) < m.dim:
-                witness = _np_rows_to_ring(ech.basis_matrix(), ring)
-                return False, witness
-        return True, None
-    if gens is None:
-        gens = generator_set(m)
-    mats = [g for _, g in gens]
-    for v in _projective_points_generic(ring, m.dim):
-        closure = _spin_up_generic(m, [v], mats)
-        if len(closure) < m.dim:
-            return False, closure
+    K = arrays(ring)
+    np_gens = np_generator_set(m)
+    for v in _projective_points_np(K, m.dim):
+        ech = NpEchelon(ring, m.dim)
+        ech.add(v)
+        if _spin_np_dim(ech, np_gens, K, m.dim) < m.dim:
+            return False, K.to_rows(ech.basis_matrix())
     return True, None
-
-
-def _spin_np_dim(ech, np_gens, p, n):
-    frontier = [row.copy() for row in ech.rows]
-    while frontier and ech.dim < n:
-        new_frontier = []
-        for g in np_gens:
-            for v in frontier:
-                w = (g @ v) % p
-                if ech.add(w.copy()):
-                    new_frontier.append(w)
-                    if ech.dim == n:
-                        return n
-        frontier = new_frontier
-    return ech.dim
-
-
-def _projective_points_np(p, n):
-    # one representative per line: first nonzero coordinate equals 1
-    for lead in range(n):
-        tail = n - lead - 1
-        for code in range(p ** tail):
-            v = np.zeros(n, dtype=np.int64)
-            v[lead] = 1
-            c = code
-            for i in range(tail):
-                v[lead + 1 + i] = c % p
-                c //= p
-            yield v
-
-
-def _projective_points_generic(ring, n):
-    els = ring.elements()
-    for lead in range(n):
-        tail = n - lead - 1
-
-        def rec(i, acc):
-            if i == tail:
-                yield list(acc)
-                return
-            for e in els:
-                yield from rec(i + 1, acc + [e])
-
-        for tail_vals in rec(0, []):
-            v = [ring.zero] * n
-            v[lead] = ring.one
-            for i, e in enumerate(tail_vals):
-                v[lead + 1 + i] = e
-            yield v
 
 
 class IrreducibilityResult:
@@ -293,9 +241,10 @@ def is_irreducible(m, seed=0, max_retries=16, enum_cap=4096):
     if m.dim == 1:
         return IrreducibilityResult(True, {"reason": "dimension 1"})
     if not isinstance(ring, PrimeField):
-        return _is_irreducible_generic(m, generator_set(m), seed)
+        # no Norton test over extension fields: go straight to the oracle
+        return _brute_force_result(m, "brute force infeasible over extension field")
 
-    p = ring.p
+    K = arrays(ring)
     np_gens = np_generator_set(m)
     if not np_gens:
         # every operator acts by zero: any line is a submodule
@@ -308,35 +257,33 @@ def is_irreducible(m, seed=0, max_retries=16, enum_cap=4096):
     rng = random.Random(_seed_from("norton", seed))
 
     for attempt in range(max_retries):
-        picked = _choose_singular_np(np_gens, p, m.dim, rng)
+        picked = _choose_singular_np(np_gens, ring, m.dim, rng)
         if picked is None:
             continue
         z, nullrows, nullity = picked
-        npoints = (p ** nullity - 1) // (p - 1)
+        npoints = (K.q ** nullity - 1) // (K.q - 1)
         if npoints > enum_cap:
             continue
         # module side: every projective point of null(z)
-        for coeffs in _projective_points_np(p, nullity):
-            v = (coeffs @ nullrows) % p
-            ech = NpEchelon(p, m.dim)
-            ech.add(v.copy())
-            if _spin_np_dim(ech, np_gens, p, m.dim) < m.dim:
-                witness = _np_rows_to_ring(ech.basis_matrix(), ring)
+        for coeffs in _projective_points_np(K, nullity):
+            ech = NpEchelon(ring, m.dim)
+            ech.add(K.mul(coeffs, nullrows))
+            if _spin_np_dim(ech, np_gens, K, m.dim) < m.dim:
+                witness = K.to_rows(ech.basis_matrix())
                 return IrreducibilityResult(
                     False,
                     {"seed": seed, "attempt": attempt, "witness_dim": ech.dim, "witness": _fmt_rows(witness, ring)},
                 )
         # dual side: one nullvector of z^T spun inside the antipode dual
-        ns_t = linalg.np_nullspace(z.T % p, p)
+        ns_t = linalg.np_nullspace(z.swapaxes(0, 1), ring)
         if ns_t.shape[0] == 0:
             continue
         if dual_gens is None:
             dual_gens = np_generator_set(d)
-        w = ns_t[0] % p
-        ech = NpEchelon(p, m.dim)
-        ech.add(w.copy())
-        if _spin_np_dim(ech, dual_gens, p, m.dim) < m.dim:
-            witness = _np_rows_to_ring(ech.basis_matrix(), ring)
+        ech = NpEchelon(ring, m.dim)
+        ech.add(ns_t[0])
+        if _spin_np_dim(ech, dual_gens, K, m.dim) < m.dim:
+            witness = K.to_rows(ech.basis_matrix())
             return IrreducibilityResult(
                 False,
                 {"seed": seed, "attempt": attempt, "dual_witness_dim": ech.dim, "witness": _fmt_rows(witness, ring)},
@@ -346,30 +293,22 @@ def is_irreducible(m, seed=0, max_retries=16, enum_cap=4096):
             {"seed": seed, "attempt": attempt, "nullity": nullity, "points": npoints},
         )
     # escalation: brute force if feasible, else undecided
+    return _brute_force_result(m, "norton retries exhausted, brute force infeasible")
+
+
+def _brute_force_result(m, infeasible_reason):
     try:
         verdict, witness = brute_force_irreducible(m)
-        cert = {"method": "brute-force"}
-        if witness is not None:
-            cert["witness"] = _fmt_rows(witness, ring)
-        return IrreducibilityResult(verdict, cert)
     except ValueError:
-        return IrreducibilityResult(None, {"reason": "norton retries exhausted, brute force infeasible"})
-
-
-def _fmt_rows(rows, ring):
-    return [[ring.fmt(c) for c in row] for row in rows]
-
-
-def _is_irreducible_generic(m, gens, seed):
-    # small extension fields: go straight to the oracle
-    try:
-        verdict, witness = brute_force_irreducible(m, gens)
-    except ValueError:
-        return IrreducibilityResult(None, {"reason": "brute force infeasible over extension field"})
+        return IrreducibilityResult(None, {"reason": infeasible_reason})
     cert = {"method": "brute-force"}
     if witness is not None:
         cert["witness"] = _fmt_rows(witness, m.ring)
     return IrreducibilityResult(verdict, cert)
+
+
+def _fmt_rows(rows, ring):
+    return [[ring.fmt(c) for c in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -378,125 +317,110 @@ def _is_irreducible_generic(m, gens, seed):
 
 
 def _homogenize(m, rows):
-    """Replace a subspace basis by one whose rows each lie in one grading
-    class, returned with the class labels.  Every submodule is weight
-    graded; in a labelled module, where every Lambda_r is diagonal, a
-    Lambda-stable subspace is moreover the sum of its intersections with the
-    joint eigenspaces, the (weight, label) classes.  Raises if the span is
-    not graded."""
-    ring = m.ring
+    """Replace a subspace basis (an array) by one whose rows each lie in one
+    grading class; returns the rows, their pivot columns and the class
+    labels.  Every submodule is weight graded; in a labelled module, where
+    every Lambda_r is diagonal, a Lambda-stable subspace is moreover the sum
+    of its intersections with the joint eigenspaces, the (weight, label)
+    classes.  Raises if the span is not graded."""
     if m.labels() is None:
         classes = [
-            (None, {i for i, wi in enumerate(m.weights) if wi == w})
+            (None, [i for i, wi in enumerate(m.weights) if wi == w])
             for w in sorted(set(m.weights), reverse=True)
         ]
     else:
-        classes = [(label, set(idxs)) for _, label, idxs in label_classes(m)]
+        classes = [(label, idxs) for _, label, idxs in label_classes(m)]
     out = []
+    pivots = []
     out_labels = []
+    K = arrays(m.ring)
     for label, idxs in classes:
-        proj = []
-        for row in rows:
-            pr = [c if i in idxs else ring.zero for i, c in enumerate(row)]
-            if not linalg.vec_is_zero(pr, ring):
-                proj.append(pr)
-        if proj:
-            ech, _ = linalg.rref(proj, ring)
-            out.extend(ech)
-            out_labels.extend([label] * len(ech))
-    if len(out) != len(rows):
+        if not K.nz(rows[:, idxs]).any():
+            continue
+        proj = np.zeros_like(rows)
+        proj[:, idxs] = rows[:, idxs]
+        ech, piv = linalg.np_rref(proj, m.ring)
+        out.append(ech)
+        pivots.extend(piv)
+        out_labels.extend([label] * len(piv))
+    if len(pivots) != rows.shape[0]:
         raise ArithmeticError("subspace is not graded by weight and ell-weight")
-    return out, out_labels
+    return np.concatenate(out), pivots, out_labels
+
+
+class _Subquotient(LoopModule):
+    """The submodule (part 0) or the quotient (part 1) of a module on a
+    graded invariant subspace.  In the basis of the subspace followed by its
+    complement, every table of the parent is block triangular; this module's
+    table is a diagonal block, cut on arrays and boxed only when op or lam is
+    asked for.  The tables are linear images of the parent's, so the ratios
+    carry over, and so do the labels."""
+
+    def __init__(self, parent, weights, recipe, change, part, labels):
+        super().__init__(parent.ring, weights, recipe)
+        self.parent = parent
+        self.change = change  # (basis change, its inverse, subspace dim)
+        self.part = part
+        self.given_labels = labels
+        self.r_periodic = parent.r_periodic
+
+    def _cut(self, arr):
+        big, big_inv, s = self.change
+        K = arrays(self.ring)
+        full = K.mul(big_inv, K.mul(arr, big))
+        if K.nz(full[s:, :s]).any():
+            raise ArithmeticError("claimed subspace is not invariant")
+        return full[:s, :s] if self.part == 0 else full[s:, s:]
+
+    def _op_np(self, kind, r, k):
+        if k > self.max_exponent():
+            return np.zeros((self.dim, self.dim) + arrays(self.ring).tail, dtype=np.int64)
+        if self.r_periodic:
+            r %= self.ring.card - 1
+        return self._cut(self.parent.op_np(kind, r, k))
+
+    def _op(self, kind, r, k):
+        return from_np(self.op_np(kind, r, k), self.ring)
+
+    def _lam_np(self, r):
+        return self._cut(self.parent.lam_np(r))
+
+    def _lam(self, r):
+        return from_np(self.lam_np(r), self.ring)
+
+    def _op_ratios(self, k):
+        return self.parent.op_ratios(k)
+
+    def _labels(self):
+        return self.given_labels
 
 
 def _submodule_and_quotient(m, rows):
-    """Explicit modules on a graded invariant subspace and its graded
-    complement; factors of a labelled module keep their labels."""
+    """Modules on a graded invariant subspace (rows of ring elements) and on
+    its graded complement of unit vectors; factors of a labelled module keep
+    their labels."""
     ring = m.ring
     if ring.card is None:
         raise ValueError("chop needs a finite field")
-    rows, sub_labels = _homogenize(m, rows)
-    sub_weights = []
-    for row in rows:
-        idx = next(i for i, c in enumerate(row) if not ring.is_zero(c))
-        sub_weights.append(m.weights[idx])
-    # complement: standard vectors at non-pivot indices, per weight
-    _, pivots = linalg.rref(rows, ring)
+    K = arrays(ring)
+    rows, pivots, sub_labels = _homogenize(m, K.from_rows(rows, (len(rows), m.dim)))
     comp_idx = [i for i in range(m.dim) if i not in pivots]
-    basis_rows = rows + [_unit_row(ring, m.dim, i) for i in comp_idx]
-    quot_weights = [m.weights[i] for i in comp_idx]
-    big = Mat(ring, basis_rows).transpose()  # change of basis, columns = new basis
-
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        big_np = linalg.to_np(big)
-        big_inv = linalg.np_inverse(big_np, p)
-
-        def in_new_coords(mat):
-            # reduce between the products: a chain of two sums n^2 (p-1)^3
-            return linalg.from_np(big_inv @ (linalg.to_np(mat) @ big_np % p) % p, ring)
-
-    else:
-        from .linalg import solve_right
-
-        def in_new_coords(mat):
-            cols = []
-            for col in basis_rows:
-                img = mat.apply(list(col))
-                coords = solve_right(big, img)
-                if coords is None:
-                    raise ArithmeticError("basis change failed")
-                cols.append(coords)
-            return Mat(ring, list(zip(*cols)))
-
-    s = len(rows)
-
-    def split(mat):
-        full = in_new_coords(mat)
-        sub = Mat(ring, [r[:s] for r in full.rows[:s]])
-        for r in full.rows[s:]:
-            if any(not ring.is_zero(c) for c in r[:s]):
-                raise ArithmeticError("claimed subspace is not invariant")
-        quot = Mat(ring, [r[s:] for r in full.rows[s:]])
-        return sub, quot
-
-    period = ring.card - 1 if m.r_periodic else None
-
-    def sub_op_fn(kind, r, k):
-        return split(m.op(kind, r, k))[0]
-
-    def quot_op_fn(kind, r, k):
-        return split(m.op(kind, r, k))[1]
-
-    def sub_lam_fn(r):
-        return split(m.lam(r))[0]
-
-    def quot_lam_fn(r):
-        return split(m.lam(r))[1]
-
-    # subquotient tables are linear images of m's: the ratios carry over, and
-    # so do the labels (the quotient basis is unit vectors of m)
+    s = len(pivots)
+    basis = np.zeros((m.dim, m.dim) + K.tail, dtype=np.int64)
+    basis[:s] = rows
+    basis[np.arange(s, m.dim), comp_idx] = K.unit
+    big = basis.swapaxes(0, 1)  # change of basis, columns = new basis
+    change = (big, linalg.np_inverse(big, ring), s)
     labels = m.labels()
-    quot_labels = None if labels is None else [labels[i] for i in comp_idx]
-    sub_mod = explicit_module(
-        ring, sub_weights, {}, {},
-        {"submodule_of": m.recipe}, r_period=period,
-        lam_fn=sub_lam_fn, op_fn=sub_op_fn, ratio_fn=m.op_ratios,
-        labels=None if labels is None else sub_labels,
+    sub = _Subquotient(
+        m, [m.weights[i] for i in pivots], {"submodule_of": m.recipe}, change, 0,
+        None if labels is None else sub_labels,
     )
-    quot_mod = explicit_module(
-        ring, quot_weights, {}, {},
-        {"quotient_of": m.recipe}, r_period=period,
-        lam_fn=quot_lam_fn, op_fn=quot_op_fn, ratio_fn=m.op_ratios,
-        labels=quot_labels,
+    quot = _Subquotient(
+        m, [m.weights[i] for i in comp_idx], {"quotient_of": m.recipe}, change, 1,
+        None if labels is None else [labels[i] for i in comp_idx],
     )
-    return sub_mod, quot_mod
-
-
-def _unit_row(ring, n, i):
-    row = [ring.zero] * n
-    row[i] = ring.one
-    return row
+    return sub, quot
 
 
 class UndecidedFactor(RuntimeError):
@@ -564,9 +488,8 @@ def chop(m, seed=0, analyze=True):
 
 
 def _annihilator(m, dual_rows):
-    ring = m.ring
-    ker = linalg.kernel(Mat(ring, dual_rows))
-    return ker
+    K = arrays(m.ring)
+    return K.to_rows(linalg.np_nullspace(K.from_rows(dual_rows, (len(dual_rows), m.dim)), m.ring))
 
 
 def _analyze_factor(mod):
@@ -619,33 +542,16 @@ def _hom_space_nonzero(m1, m2):
     """Solve T op1(g) = op2(g) T for all generators; nonzero solution plus
     irreducibility implies isomorphism (Schur)."""
     ring = m1.ring
-    n = m1.dim
-    pairs = []
-    for label in generator_labels(m1, ratio_window(m1, m2)):
-        kind, r, k = label
+    if ring.card is None:
+        raise ValueError("the intertwiner search needs a finite field")
+    K = arrays(ring)
+    eye = K.eye(m1.dim)
+    blocks = []
+    for kind, r, k in generator_labels(m1, ratio_window(m1, m2)):
         if kind == "h":
-            pairs.append((m1.cartan_binom(k), m2.cartan_binom(k)))
+            a1, a2 = m1.cartan_binom_np(k), m2.cartan_binom_np(k)
         else:
-            pairs.append((m1.op(kind, r, k), m2.op(kind, r, k)))
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        blocks = []
-        for g1, g2 in pairs:
-            a1, a2 = linalg.to_np(g1), linalg.to_np(g2)
-            # vec(T g1 - g2 T) = (g1^T ⊗ I - I ⊗ g2) vec(T)
-            blocks.append(
-                (np.kron(a1.T, np.eye(n, dtype=np.int64)) - np.kron(np.eye(n, dtype=np.int64), a2)) % p
-            )
-        big = np.concatenate(blocks, axis=0)
-        return linalg.np_nullspace(big, p).shape[0] > 0
-    rows = []
-    for g1, g2 in pairs:
-        for i in range(n):
-            for j in range(n):
-                row = [ring.zero] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = row[i * n + k] + g1[k, j]
-                    row[k * n + j] = row[k * n + j] - g2[i, k]
-                rows.append(row)
-    ker = linalg.kernel(Mat(ring, rows))
-    return len(ker) > 0
+            a1, a2 = m1.op_np(kind, r, k), m2.op_np(kind, r, k)
+        # vec(T g1 - g2 T) = (g1^T ⊗ I - I ⊗ g2) vec(T)
+        blocks.append((linalg.kron(a1.swapaxes(0, 1), eye, ring) - linalg.kron(eye, a2, ring)) % K.p)
+    return linalg.np_nullspace(np.concatenate(blocks, axis=0), ring).shape[0] > 0

@@ -24,8 +24,10 @@ Matrices act on column vectors; entry (i, j) is the coefficient of basis
 vector i in the image of basis vector j.  Construction is by recipe: hyper
 evaluation modules, tensor products via the divided-power comultiplication,
 duals via the antipode, Frobenius and parameter twists, straightened Weyl
-modules in characteristic zero, and explicit tables (lattice reductions,
-composition factors).
+modules in characteristic zero, and explicit tables (lattice reductions).
+Over a finite field every table also exists as an array of the int64 kernel
+of linalg (op_np, lam_np, cartan_binom_np); tensor, dual and twists build
+those directly from their factors' arrays.
 
 Modules are immutable after construction apart from the lazily memoized
 tables; once a table is materialized it is never rewritten, so concurrent
@@ -36,10 +38,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from . import looppbw
 from .drinfeld import DrinfeldPoly, EllWeight, FieldExtensionNeeded, factor_poly_unit_roots
-from .exactnum import QQ, FiniteField, Poly, PrimeField, integer_binomial, ring_pow
-from .linalg import Mat, check_int64_bound, kernel, rref
+from .exactnum import QQ, FiniteField, Poly, integer_binomial, lucas_binom, ring_pow
+from .linalg import (
+    Mat,
+    arrays,
+    check_int64_bound,
+    from_np,
+    kernel,
+    kron,
+    np_eigenvalues,
+    np_nullspace,
+    np_rref,
+    to_np,
+)
 from .looppbw import CARTAN, LOWER, RAISE, HyperElement
 
 KINDS = (LOWER, RAISE)
@@ -124,57 +139,47 @@ class LoopModule:
     def cartan_binom(self, k):
         return Mat.diag(self.ring, [_binom_in_ring(self.ring, w, k) for w in self.weights])
 
-    # -- numpy mirrors (prime fields): same tables as int64 arrays mod p ------
+    # -- array tables (finite fields): the same tables in the int64 kernel ---
 
     def _check_np(self):
-        if not isinstance(self.ring, PrimeField):
-            raise TypeError("numpy tables are only kept for prime fields")
+        if self.ring.card is None:
+            raise TypeError("array tables are only kept for finite fields")
         if not self._np_checked:
             # the longest int64 sums: matrix products (dim terms) and the
             # ell-weight denominator solves (below the Lambda precision)
-            check_int64_bound(self.ring.p, max(self.dim, self.lam_precision()))
+            check_int64_bound(self.ring, max(self.dim, self.lam_precision()))
             self._np_checked = True
 
     def op_np(self, kind, r, k):
-        import numpy as np
-
         key = ("op", kind, r, k)
         if key not in self._np_cache:
             self._check_np()
             if k == 0:
-                return np.eye(self.dim, dtype=np.int64)
+                return arrays(self.ring).eye(self.dim)
             self._np_cache[key] = self._op_np(kind, r, k)
         return self._np_cache[key]
 
     def lam_np(self, r):
-        import numpy as np
-
         key = ("lam", r)
         if key not in self._np_cache:
             self._check_np()
             if r == 0:
-                return np.eye(self.dim, dtype=np.int64)
+                return arrays(self.ring).eye(self.dim)
             self._np_cache[key] = self._lam_np(r)
         return self._np_cache[key]
 
     def cartan_binom_np(self, k):
-        import numpy as np
-        from .exactnum import lucas_binom
-
         self._check_np()
-        p = self.ring.char
-        return np.diag(
-            np.array([lucas_binom(w, k, p) for w in self.weights], dtype=np.int64)
-        )
+        K = arrays(self.ring)
+        out = np.zeros((self.dim, self.dim) + K.tail, dtype=np.int64)
+        idx = np.arange(self.dim)
+        out[idx, idx] = K.from_ints([lucas_binom(w, k, K.p) for w in self.weights])
+        return out
 
     def _op_np(self, kind, r, k):
-        from .linalg import to_np
-
         return to_np(self.op(kind, r, k))
 
     def _lam_np(self, r):
-        from .linalg import to_np
-
         return to_np(self.lam(r))
 
     # -- ell-weight labels -----------------------------------------------------
@@ -358,9 +363,7 @@ class _Tensor(LoopModule):
         return frozenset(out)
 
     def _op(self, kind, r, k):
-        if isinstance(self.ring, PrimeField):
-            from .linalg import from_np
-
+        if self.ring.card is not None:
             return from_np(self.op_np(kind, r, k), self.ring)
         acc = None
         for l in range(k + 1):
@@ -385,13 +388,11 @@ class _Tensor(LoopModule):
         return acc
 
     def _op_np(self, kind, r, k):
-        import numpy as np
-
-        p = self.ring.char
-        acc = np.zeros((self.dim, self.dim), dtype=np.int64)
+        K = arrays(self.ring)
+        acc = np.zeros((self.dim, self.dim) + K.tail, dtype=np.int64)
         for l in range(k + 1):
-            acc += np.kron(self.left.op_np(kind, r, l), self.right.op_np(kind, r, k - l))
-        return acc % p
+            acc += kron(self.left.op_np(kind, r, l), self.right.op_np(kind, r, k - l), self.ring)
+        return acc % K.p
 
 
 def tensor(*mods):
@@ -451,11 +452,10 @@ class _Dual(LoopModule):
         return cache
 
     def _op_np(self, kind, r, k):
-        p = self.ring.char
-        m = self.inner.op_np(kind, r, k).T
+        m = self.inner.op_np(kind, r, k).swapaxes(0, 1)
         if k % 2 == 1:
             m = -m
-        return m % p
+        return m % self.ring.char
 
 
 def dual(m):
@@ -522,10 +522,8 @@ class _Frobenius(LoopModule):
         return self.inner.lam(r // self.pm)
 
     def _op_np(self, kind, r, k):
-        import numpy as np
-
         if k % self.pm != 0:
-            return np.zeros((self.dim, self.dim), dtype=np.int64)
+            return np.zeros((self.dim, self.dim) + arrays(self.ring).tail, dtype=np.int64)
         return self.inner.op_np(kind, r, k // self.pm)
 
 
@@ -574,8 +572,8 @@ class _Psi(LoopModule):
         return self.inner.lam(r).scale(self._scal(r))
 
     def _op_np(self, kind, r, k):
-        p = self.ring.char
-        return self.inner.op_np(kind, r, k) * self._scal(r * k).v % p
+        K = arrays(self.ring)
+        return K.emul(self.inner.op_np(kind, r, k), K.from_ring(self._scal(r * k)))
 
 
 def psi_twist(m, a):
@@ -749,7 +747,7 @@ def weyl0_from_roots(ring, roots, margin=6):
 
 
 # ---------------------------------------------------------------------------
-# explicit tables (lattice reductions, composition factors)
+# explicit tables (lattice reductions)
 # ---------------------------------------------------------------------------
 
 
@@ -759,15 +757,13 @@ class _Explicit(LoopModule):
     ops: {(kind, r, k): Mat}; when r_period is set (structural finite-field
     modules) loop degrees reduce modulo it, otherwise tables must cover the
     certified dim^2 window.  op_fn / lam_fn compute missing tables (lattice
-    reductions and chop factors keep a handle on their parents this way);
-    ratio_fn gives op_ratios when the tables are linear images of a parent's,
-    and labels the ell-weight labels when Lambda is diagonal in the basis
-    (chop factors of a labelled module), which then replace lams and lam_fn.
+    reductions keep a handle on their ambient module this way); ratio_fn
+    gives op_ratios when the tables are linear images of another module's.
     """
 
     def __init__(
         self, ring, weights, ops, lams, recipe,
-        hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None, labels=None,
+        hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None,
     ):
         super().__init__(ring, weights, recipe, hw_index=hw_index)
         self._ops = ops
@@ -776,14 +772,10 @@ class _Explicit(LoopModule):
         self._lam_fn = lam_fn
         self._op_fn = op_fn
         self._ratio_fn = ratio_fn
-        self._given_labels = None if labels is None else tuple(labels)
         self.r_periodic = r_period is not None
 
     def _op_ratios(self, k):
         return None if self._ratio_fn is None else self._ratio_fn(k)
-
-    def _labels(self):
-        return self._given_labels
 
     def _op(self, kind, r, k):
         if self._period:
@@ -829,12 +821,11 @@ class _Explicit(LoopModule):
 
 def explicit_module(
     ring, weights, ops, lams, recipe,
-    hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None, labels=None,
+    hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None,
 ):
     return _Explicit(
         ring, weights, ops, lams, recipe,
         hw_index=hw_index, r_period=r_period, lam_fn=lam_fn, op_fn=op_fn, ratio_fn=ratio_fn,
-        labels=labels,
     )
 
 
@@ -852,10 +843,7 @@ def ell_hw_vectors(m, r_window=None, kmax=None):
     if kmax is None:
         kmax = m.max_exponent()
     ks = generator_exponents(ring.char, kmax)
-    if isinstance(ring, PrimeField):
-        import numpy as np
-        from .linalg import np_nullspace
-
+    if ring.card is not None:
         blocks = []
         for r in range(-r_window, r_window + 1):
             for k in ks:
@@ -864,8 +852,7 @@ def ell_hw_vectors(m, r_window=None, kmax=None):
                     blocks.append(mat)
         if not blocks:
             return [list(row) for row in Mat.identity(ring, m.dim).rows]
-        ker = np_nullspace(np.concatenate(blocks, axis=0), ring.p)
-        return [[ring(int(c)) for c in row] for row in ker]
+        return arrays(ring).to_rows(np_nullspace(np.concatenate(blocks, axis=0), ring))
     rows = []
     for r in range(-r_window, r_window + 1):
         for k in ks:
@@ -913,19 +900,17 @@ def drinfeld_polynomial(m, v=None, prec=None):
         def eig(r):
             return m.label_coefficients(label, 1 if r >= 0 else -1, abs(r))[abs(r)]
 
-    elif isinstance(ring, PrimeField):
-        import numpy as np
-
-        p = ring.p
-        vnp = np.array([c.v for c in v], dtype=np.int64)
+    elif ring.card is not None:
+        K = arrays(ring)
+        vnp = K.from_rows([v], (1, m.dim))[0]
+        inv0 = K.inv_elt(vnp[idxs[0]])
 
         def eig(r):
-            img = m.lam_np(r) @ vnp % p
-            i0 = idxs[0]
-            cand = img[i0] * pow(int(vnp[i0]), -1, p) % p
-            if ((cand * vnp - img) % p).any():
+            img = K.mul(m.lam_np(r), vnp)
+            cand = K.emul(img[idxs[0]], inv0)
+            if K.submul(img, cand, vnp).any():
                 raise ValueError("vector is not a joint Lambda eigenvector")
-            return ring(int(cand))
+            return K.to_ring(cand)
 
     else:
 
@@ -956,79 +941,6 @@ def drinfeld_polynomial(m, v=None, prec=None):
             if not ring.is_zero(minus[r] - want):
                 report["minus_matches"] = False
     return poly, report
-
-
-def _restricted_matrix(mat, basis_rows, ring):
-    """Matrix of mat on the span of basis_rows, in those coordinates."""
-    from .linalg import solve_right
-
-    big = Mat(ring, basis_rows).transpose()  # columns are basis vectors
-    restricted_cols = []
-    for row in basis_rows:
-        img = mat.apply(list(row))
-        coords = solve_right(big, img)
-        if coords is None:
-            raise ArithmeticError("subspace is not invariant")
-        restricted_cols.append(coords)
-    return Mat(ring, list(zip(*restricted_cols)))
-
-
-def _nil_power(mat, n):
-    power = mat
-    for _ in range(max(1, n.bit_length())):
-        power = power * power
-    return power
-
-
-def _generalized_eigenspace_split(mat, basis_rows, ring):
-    """Split the span of basis_rows into generalized eigenspaces of mat.
-
-    Returns (list of (eigenvalue, rows), opaque_rows) where opaque_rows spans
-    the invariant complement with no eigenvalue in the field.
-    """
-    n = len(basis_rows)
-    if n == 0:
-        return [], []
-    if n == 1:
-        v = basis_rows[0]
-        img = mat.apply(list(v))
-        idx = next(i for i, c in enumerate(v) if not ring.is_zero(c))
-        ratio = img[idx] * ring.inv(v[idx])
-        if all(ring.is_zero(a - ratio * b) for a, b in zip(img, v)):
-            return [(ratio, basis_rows)], []
-        raise ArithmeticError("1-dimensional block is not invariant")
-    rmat = _restricted_matrix(mat, basis_rows, ring)
-    if ring.card is None:
-        raise ValueError("generalized eigenspaces need a finite field")
-
-    def lift(coord_vecs):
-        m0 = len(basis_rows[0])
-        out = []
-        for kv in coord_vecs:
-            vec = [ring.zero] * m0
-            for j in range(n):
-                if not ring.is_zero(kv[j]):
-                    vec = [a + kv[j] * b for a, b in zip(vec, basis_rows[j])]
-            out.append(vec)
-        return out
-
-    found = []
-    total = 0
-    ident = Mat.identity(ring, n)
-    for nu in ring.elements():
-        ker = kernel(_nil_power(rmat - ident.scale(nu), n))
-        if ker:
-            found.append((nu, lift(ker)))
-            total += len(ker)
-        if total == n:
-            break
-    if total < n:
-        prod = ident
-        for nu, _ in found:
-            prod = prod * _nil_power(rmat - ident.scale(nu), n)
-        img_rows, _ = rref(list(zip(*prod.rows)), ring)
-        return found, lift(img_rows)
-    return found, []
 
 
 def label_classes(m):
@@ -1102,12 +1014,8 @@ def ell_weight_decomposition(m, r_window=None):
             )
         return out
     rs = [r for rr in range(1, r_window + 1) for r in (rr, -rr)]
-    if isinstance(ring, PrimeField):
-        blocks = _np_block_refinement(m, rs)
-    else:
-        blocks = _generic_block_refinement(m, rs)
     out = []
-    for w, rows, eigs in blocks:
+    for w, rows, eigs in _block_refinement(m, rs):
         opaque = any(r not in eigs for r in rs)
         if opaque:
             series_plus = series_minus = None
@@ -1129,92 +1037,59 @@ def ell_weight_decomposition(m, r_window=None):
     return out
 
 
-def _generic_block_refinement(m, rs):
+def _block_refinement(m, rs):
+    """Weight blocks refined by the generalized eigenspaces of Lambda_r for r
+    in rs, on arrays: (weight, rows, {r: eigenvalue}) with the rows in RREF
+    and the eigenvalues in field-element order."""
     ring = m.ring
-    blocks = []
-    for w in sorted(set(m.weights), reverse=True):
-        rows = []
-        for i, wi in enumerate(m.weights):
-            if wi == w:
-                row = [ring.zero] * m.dim
-                row[i] = ring.one
-                rows.append(row)
-        blocks.append((w, rows, {}))
-    for r in rs:
-        mat = m.lam(r)
-        nxt = []
-        for w, rows, eigs in blocks:
-            found, opaque = _generalized_eigenspace_split(mat, rows, ring)
-            for nu, vecs in found:
-                e = dict(eigs)
-                e[r] = nu
-                nxt.append((w, vecs, e))
-            if opaque:
-                nxt.append((w, opaque, dict(eigs)))  # no eigenvalue at r
-        blocks = nxt
-    return blocks
-
-
-def _np_block_refinement(m, rs):
-    import numpy as np
-    from .linalg import np_eigenvalues, np_nullspace, np_rref
-
-    ring = m.ring
-    p = ring.p
+    K = arrays(ring)
+    p = K.p
     blocks = []
     for w in sorted(set(m.weights), reverse=True):
         idxs = [i for i, wi in enumerate(m.weights) if wi == w]
-        rows = np.zeros((len(idxs), m.dim), dtype=np.int64)
-        for j, i in enumerate(idxs):
-            rows[j, i] = 1
+        rows = np.zeros((len(idxs), m.dim) + K.tail, dtype=np.int64)
+        rows[np.arange(len(idxs)), idxs] = K.unit
         blocks.append((w, rows, list(idxs), {}))
     for r in rs:
         mat = m.lam_np(r)
         nxt = []
         for w, rows, pivots, eigs in blocks:
             s = rows.shape[0]
-            imgs = rows @ mat.T % p
+            imgs = K.mul(rows, mat.swapaxes(0, 1))
             # coordinates against the RREF rows: entries at pivot columns
-            coords = imgs[:, pivots] % p
-            if ((coords @ rows - imgs) % p).any():
+            coords = imgs[:, pivots]
+            if ((K.mul(coords, rows) - imgs) % p).any():
                 raise ArithmeticError("weight block is not Lambda invariant")
-            rmat = coords.T % p  # restricted matrix, column action
+            rmat = coords.swapaxes(0, 1)  # restricted matrix, column action
             if s == 1:
                 e = dict(eigs)
-                e[r] = ring(int(rmat[0, 0]))
+                e[r] = K.to_ring(rmat[0, 0])
                 nxt.append((w, rows, pivots, e))
                 continue
             found_total = 0
-            prod = np.eye(s, dtype=np.int64)
-            # only eigenvalues have a nonzero generalized kernel; ascending
-            # order keeps the blocks in field-element order
-            for nu in np_eigenvalues(rmat, p):
-                shifted = (rmat - nu * np.eye(s, dtype=np.int64)) % p
-                power = shifted
+            prod = K.eye(s)
+            # only eigenvalues have a nonzero generalized kernel; they come
+            # in field-element order, which keeps the blocks in that order
+            for nu in np_eigenvalues(rmat, ring):
+                power = (rmat - K.emul(K.eye(s), K.coords(nu))) % p
                 for _ in range(max(1, s.bit_length())):
-                    power = power @ power % p
-                ker = np_nullspace(power, p)
-                lifted = ker @ rows % p
-                red, piv = np_rref(lifted, p)
+                    power = K.mul(power, power)
+                ker = np_nullspace(power, ring)
+                red, piv = np_rref(K.mul(ker, rows), ring)
                 e = dict(eigs)
-                e[r] = ring(nu)
+                e[r] = K.box(nu)
                 nxt.append((w, red, piv, e))
                 found_total += ker.shape[0]
-                prod = prod @ power % p
+                prod = K.mul(prod, power)
                 if found_total == s:
                     break
             if found_total < s:
-                img_rows, piv = np_rref(prod.T % p, p)
+                img_rows, _ = np_rref(prod.swapaxes(0, 1), ring)
                 if img_rows.shape[0]:
-                    lifted = img_rows @ rows % p
-                    red, piv2 = np_rref(lifted, p)
-                    nxt.append((w, red, piv2, dict(eigs)))
+                    red, piv = np_rref(K.mul(img_rows, rows), ring)
+                    nxt.append((w, red, piv, dict(eigs)))
         blocks = nxt
-    out = []
-    for w, rows, pivots, eigs in blocks:
-        ring_rows = [[ring(int(c)) for c in row] for row in rows]
-        out.append((w, ring_rows, eigs))
-    return out
+    return [(w, K.to_rows(rows), eigs) for w, rows, _, eigs in blocks]
 
 
 def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):
@@ -1270,42 +1145,24 @@ def _solve_denominator(ring, series, dom, dpi, prec):
         if all(ring.is_zero(series[r]) for r in range(dom + 1, prec)):
             return [ring.one]
         return None
-    if isinstance(ring, PrimeField):
-        import numpy as np
-        from .linalg import np_rref
-
-        p = ring.p
-        nrows = prec - dom - 1
-        a = np.zeros((nrows, dpi + 1), dtype=np.int64)
-        for i, mdeg in enumerate(range(dom + 1, prec)):
-            for j in range(1, dpi + 1):
-                if mdeg - j >= 0:
-                    a[i, j - 1] = series[mdeg - j].v
-            a[i, dpi] = (-series[mdeg].v) % p
-        red, pivots = np_rref(a, p)
-        if dpi in pivots:
-            return None
-        x = np.zeros(dpi, dtype=np.int64)
-        for row, col in zip(red, pivots):
-            x[col] = row[dpi]
-        # verify (system may be underdetermined)
-        if ((a[:, :dpi] @ x - a[:, dpi]) % p).any():
-            return None
-        return [ring.one] + [ring(int(c)) for c in x]
-    rows = []
-    rhs = []
-    for mdeg in range(dom + 1, prec):
-        row = []
+    K = arrays(ring)
+    p = K.p
+    a = np.zeros((prec - dom - 1, dpi + 1) + K.tail, dtype=np.int64)
+    for i, mdeg in enumerate(range(dom + 1, prec)):
         for j in range(1, dpi + 1):
-            row.append(series[mdeg - j] if 0 <= mdeg - j else ring.zero)
-        rows.append(row)
-        rhs.append(-series[mdeg])
-    from .linalg import solve_right
-
-    sol = solve_right(Mat(ring, rows), rhs)
-    if sol is None:
+            if mdeg - j >= 0:
+                a[i, j - 1] = K.from_ring(series[mdeg - j])
+        a[i, dpi] = -K.from_ring(series[mdeg]) % p
+    red, pivots = np_rref(a, ring)
+    if dpi in pivots:
         return None
-    return [ring.one] + sol
+    x = np.zeros((dpi,) + K.tail, dtype=np.int64)
+    for row, col in zip(red, pivots):
+        x[col] = row[dpi]
+    # verify (system may be underdetermined)
+    if ((K.mul(a[:, :dpi], x) - a[:, dpi]) % p).any():
+        return None
+    return [ring.one] + [K.to_ring(c) for c in x]
 
 
 def _series_times_poly(ring, series, pi, dom):

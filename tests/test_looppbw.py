@@ -260,6 +260,14 @@ def test_weyl_upper_bound_char_p():
     assert res.dimension_bound == 4
 
 
+def test_weyl_upper_bound_degree_4_over_f2():
+    # omega = (1-u)^4: the sparse straightening echelon bounds W by 2^4
+    F = PrimeField(2)
+    res = weyl_upper_bound([F(c) for c in (1, -4, 6, -4, 1)], F)
+    assert res.dimension_bound == 16
+    assert res.stabilized
+
+
 def test_weyl_upper_bound_rejects_bad_input():
     with pytest.raises(ValueError):
         weyl_upper_bound([Fraction(0), Fraction(1)], QQ)

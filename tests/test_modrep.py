@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from hlx.cartan import Weight
-from hlx.exactnum import QQ, PrimeField
-from hlx.linalg import Mat
+from hlx.exactnum import QQ, FiniteField, PrimeField
+from hlx.linalg import Mat, arrays, from_np, to_np
 from hlx.looppbw import LOWER, RAISE
 from hlx.meataxe import is_irreducible
 from hlx.modrep import (
@@ -430,6 +430,39 @@ def test_int64_bound_on_the_numpy_path():
         m.op_np(LOWER, 1, 1)
     with pytest.raises(ValueError, match=r"n\*\(p-1\)\^2 < 2\^63"):
         is_irreducible(m)
+
+
+def test_int64_bound_over_an_extension_field():
+    # over F_{p^2} one coordinate of a product sums n*d = 12 terms of size
+    # (p-1)^2: at p = 1000000007 the F_p tables (6 terms) pass the bound and
+    # the F_{p^2} tables must refuse
+    Fp = PrimeField(1000000007)
+    m = tensor(eval_weyl_module(Fp, 1, Fp(2)), eval_weyl_module(Fp, 1, Fp(3)))
+    assert m.op_np(LOWER, 1, 1).any()
+    F = FiniteField(1000000007, 2)
+    m = tensor(eval_weyl_module(F, 1, F.gen()), eval_weyl_module(F, 1, F.gen() + F.one))
+    with pytest.raises(ValueError, match=r"n\*\(p-1\)\^2 < 2\^63"):
+        m.op_np(LOWER, 1, 1)
+    with pytest.raises(ValueError, match=r"n\*\(p-1\)\^2 < 2\^63"):
+        ell_hw_vectors(m)
+    # just below the bound the kernel is exact: its tables and products
+    # agree with the boxed Kronecker sums and Mat products
+    F = FiniteField(536870909, 2)
+    left, right = eval_weyl_module(F, 1, F.gen()), eval_weyl_module(F, 1, F.gen() + F.one)
+    m = tensor(left, right)
+    K = arrays(F)
+    for kind in (LOWER, RAISE):
+        for r in (-2, 1, 3):
+            want = left.op(kind, r, 1).kron(right.op(kind, r, 0)) + left.op(kind, r, 0).kron(right.op(kind, r, 1))
+            assert from_np(m.op_np(kind, r, 1), F) == want
+            assert from_np(K.mul(m.op_np(kind, r, 1), m.op_np(LOWER, r, 1)), F) == want * from_np(
+                m.op_np(LOWER, r, 1), F
+            )
+    hw = ell_hw_vectors(m)
+    assert len(hw) == 1
+    for r in (-2, 1, 3):
+        assert to_np(m.op(RAISE, r, 1)).any()
+        assert all(F.is_zero(c) for c in m.op(RAISE, r, 1).apply(hw[0]))
 
 
 def test_labelled_analysis_is_exact_at_any_prime():

@@ -1,10 +1,11 @@
 """Generated-input cross-checks of the q-independent paths.
 
-The eigenvalue and root finders are compared with scans of the field, the
-structural r-window of op_ratios with the periodic window it replaces, the
-ell-weight labels of structural modules with the matrix path on
-independently built Lambda tables, and the norm-based extension hint with
-root enumeration in the extension field.
+The int64 kernel of every finite field is compared with the boxed Mat
+routines and with scans of the field, and brute-force witnesses with the
+boxed generators; the structural r-window of op_ratios with the periodic
+window it replaces, the ell-weight labels of structural modules with the
+matrix path on independently built Lambda tables, and the norm-based
+extension hint with root enumeration in the extension field.
 """
 
 import json
@@ -17,11 +18,35 @@ from hypothesis import strategies as st
 
 from hlx import modrep
 from hlx.drinfeld import FieldExtensionNeeded, _extension_hint, _roots_in_field, factor_poly_unit_roots
-from hlx.exactnum import FiniteField, Poly, PrimeField, fppoly_roots, integer_binomial, is_prime, ring_pow
-from hlx.linalg import Mat, np_eigenvalues, np_inverse, np_nullspace
+from hlx.exactnum import (
+    FiniteField,
+    Poly,
+    PrimeField,
+    field_roots,
+    fppoly_roots,
+    integer_binomial,
+    is_prime,
+    ring_pow,
+)
+from hlx.linalg import (
+    Mat,
+    arrays,
+    det,
+    from_np,
+    kernel,
+    np_charpoly,
+    np_eigenvalues,
+    np_inverse,
+    np_nullspace,
+    np_rref,
+    rref,
+    to_np,
+)
 from hlx.looppbw import LOWER, RAISE
 from hlx.meataxe import (
     _hom_space_nonzero,
+    brute_force_irreducible,
+    generator_set,
     _spin_up_np,
     _submodule_and_quotient,
     chop,
@@ -67,8 +92,8 @@ def square_matrices(draw):
 def test_eigenvalues_match_nullspace_scan(pa):
     p, a = pa
     n = a.shape[0]
-    scan = [nu for nu in range(p) if np_nullspace((a - nu * np.eye(n, dtype=np.int64)) % p, p).shape[0]]
-    assert np_eigenvalues(a, p) == scan
+    scan = [nu for nu in range(p) if np_nullspace((a - nu * np.eye(n, dtype=np.int64)) % p, PrimeField(p)).shape[0]]
+    assert np_eigenvalues(a, PrimeField(p)) == scan
 
 
 @SETTINGS
@@ -103,6 +128,120 @@ def test_unit_root_factorization_matches_scan_order(p, data):
             pass
         else:
             raise AssertionError("non-split factor accepted")
+
+
+# ---------------------------------------------------------------------------
+# the int64 kernel of every finite field against the boxed routines
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = [PrimeField(p) for p in SMALL_PRIMES] + [
+    FiniteField(2, 2), FiniteField(2, 3), FiniteField(3, 2), FiniteField(5, 2)
+]
+
+
+def _element(F, n):
+    return F(n) if isinstance(F, PrimeField) else F.element(n)
+
+
+@st.composite
+def field_matrices(draw, F=None, rows=None, cols=None):
+    F = draw(st.sampled_from(KERNEL_FIELDS)) if F is None else F
+    m = draw(st.integers(1, 5)) if rows is None else rows
+    n = draw(st.integers(1, 5)) if cols is None else cols
+    # a few values, so that pivots clash and nullities are positive
+    values = st.sampled_from(sorted({0, 1, F.card - 1, draw(st.integers(0, F.card - 1))}))
+    return F, Mat(F, [[_element(F, draw(values)) for _ in range(n)] for _ in range(m)])
+
+
+class _PolyRing:
+    """F[x] as a ring descriptor, for the boxed det(x I - A)."""
+
+    def __init__(self, F):
+        self.zero, self.one = Poly(F, []), Poly(F, [F.one])
+
+    def is_zero(self, f):
+        return f.is_zero()
+
+
+@SETTINGS
+@given(field_matrices(), st.data())
+def test_kernel_products_match_boxed(fa, data):
+    F, a = fa
+    _, b = data.draw(field_matrices(F, rows=a.shape[1]))
+    assert from_np(arrays(F).mul(to_np(a), to_np(b)), F) == a * b
+
+
+@SETTINGS
+@given(field_matrices())
+def test_kernel_rref_and_nullspace_match_boxed(fa):
+    F, a = fa
+    K = arrays(F)
+    rows, pivots = np_rref(to_np(a), F)
+    want_rows, want_pivots = rref(a.rows, F)
+    assert (K.to_rows(rows), pivots) == (want_rows, want_pivots)
+    assert K.to_rows(np_nullspace(to_np(a), F)) == kernel(a)
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: field_matrices(rows=n, cols=n)))
+def test_kernel_inverse_and_characteristic_polynomial(fa):
+    F, a = fa
+    K = arrays(F)
+    n = a.shape[0]
+    if kernel(a):
+        try:
+            np_inverse(to_np(a), F)
+        except ZeroDivisionError:
+            pass
+        else:
+            raise AssertionError("a singular matrix was inverted")
+    else:
+        assert from_np(np_inverse(to_np(a), F), F) * a == Mat.identity(F, n)
+    charpoly = [K.box(c) for c in np_charpoly(to_np(a), F)]
+    if n <= 4:
+        R = _PolyRing(F)
+        xa = Mat(R, [[Poly(F, [-a[i, j]] + ([F.one] if i == j else [])) for j in range(n)] for i in range(n)])
+        assert Poly(F, charpoly) == det(xa)
+    # eigenvalues: a scan of the field for a nonzero kernel of A - t I
+    scan = [t for t in F.elements() if kernel(a - Mat.identity(F, n).scale(t))]
+    assert [K.box(t) for t in np_eigenvalues(to_np(a), F)] == scan
+
+
+@SETTINGS
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_roots_match_a_scan_in_index_order(F, data):
+    coeffs = data.draw(st.lists(st.integers(0, F.card - 1).map(lambda n: _element(F, n)), min_size=1, max_size=8))
+    f = Poly(F, coeffs)
+    assume(f.degree() >= 1)
+    assert field_roots(F, coeffs) == [t for t in F.elements() if F.is_zero(f.eval(t))]
+
+
+@st.composite
+def brute_force_modules(draw):
+    F = draw(st.sampled_from(KERNEL_FIELDS[4:]))
+    if draw(st.booleans()):
+        # W(l, a) (x) W(l', b) is reducible when a = b
+        a = F.element(draw(st.integers(1, F.card - 1)))
+        b = draw(st.sampled_from([a, F.element(draw(st.integers(1, F.card - 1)))]))
+        lams = draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
+        m = tensor(eval_weyl_module(F, lams[0], a), eval_weyl_module(F, lams[1], b))
+    else:
+        m = build_module(draw(_recipes(F)), F)
+    assume(2 <= m.dim and F.card ** m.dim <= 7000)
+    return m
+
+
+@settings(SETTINGS, max_examples=30)
+@given(brute_force_modules())
+def test_brute_force_witnesses_are_invariant(m):
+    F = m.ring
+    verdict, witness = brute_force_irreducible(m)
+    if witness is None:
+        return
+    assert verdict is False and 0 < len(witness) < m.dim
+    for _, g in generator_set(m):
+        for row in witness:
+            assert len(rref(witness + [g.apply(row)], F)[0]) == len(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +316,7 @@ def test_op_ratios_decompose_the_tables(recipe_ring):
             if not cs:
                 assert not any(t.any() for t in tables.values())
                 continue
-            vinv = np_inverse(np.array([[pow(c, r, p) for c in cs] for r in range(len(cs))]), p)
+            vinv = np_inverse(np.array([[pow(c, r, p) for c in cs] for r in range(len(cs))]), m.ring)
             parts = vinv @ np.array([tables[r] for r in range(len(cs))]) % p
             for r, table in tables.items():
                 powers = np.array([pow(c, r, p) for c in cs])
