@@ -164,7 +164,11 @@ def cmd_module(args):
         print("bad recipe: %s" % exc, file=sys.stderr)
         return 2
     if args.action == "drinfeld":
-        poly, checks = modrep.drinfeld_polynomial(m)
+        try:
+            poly, checks = modrep.drinfeld_polynomial(m)
+        except (ValueError, ArithmeticError, KeyError) as exc:
+            _emit({"recipe": recipe, "drinfeld_error": _reason(exc)}, args.out, args.json)
+            return 1
         _emit({"recipe": recipe, "drinfeld": poly.fmt(), "checks": checks}, args.out, args.json)
         return 0 if all(checks.values()) else 1
     if args.action == "chop":

@@ -819,8 +819,9 @@ class MPoly:
         self.names = tuple(names)
         clean = {}
         for e, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 clean[tuple(e)] = c
         self.terms = clean
 
@@ -837,6 +838,9 @@ class MPoly:
 
     def is_zero(self):
         return not self.terms
+
+    def is_one(self):
+        return len(self.terms) == 1 and self.terms.get((0,) * len(self.names)) == 1
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -979,11 +983,16 @@ def _uni_divexact(a, b):
 
 
 class SymElem:
-    """Rational function num/den over MPoly.
+    """Rational function num/den over MPoly, kept in a normal form.
 
-    Reduction is by monomial content always, and by polynomial gcd when the
-    fraction is effectively univariate; equality cross-multiplies so it never
-    depends on reduction.
+    Every operation reduces eagerly: by monomial content always, then by the
+    univariate gcd when num and den both have at least two terms and use the
+    same single variable, and finally den is made to lead with coefficient 1.
+    After the content shift a monomial is coprime to the other side, so
+    skipping the gcd when either side is one term leaves the normal form
+    unchanged.  Bivariate fractions are not reduced by a gcd, so the normal
+    form is not canonical: equality cross-multiplies and the hash is one
+    constant per field.
     """
 
     __slots__ = ("num", "den")
@@ -995,35 +1004,46 @@ class SymElem:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _normal(cls, num, den):
+        # num/den already in normal form
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
     @staticmethod
     def _reduce(num, den):
         if num.is_zero():
             return num, MPoly.const(den.names, 1)
+        if den.is_one():
+            return num, den
         sn = num.monomial_content()
         sd = den.monomial_content()
         shift = tuple(min(a, b) for a, b in zip(sn, sd))
         if any(shift):
             num = num.shift_down(shift)
             den = den.shift_down(shift)
-        un = num.as_univariate()
-        ud = den.as_univariate()
-        if un is not None and ud is not None and (un[0] == ud[0] or len(un[1]) == 1 or len(ud[1]) == 1):
-            i = un[0] if len(un[1]) > 1 else ud[0]
-            g = _uni_gcd(un[1], ud[1])
-            if len(g) > 1:
-                qn = _uni_divexact(un[1], g)
-                qd = _uni_divexact(ud[1], g)
+        if len(num.terms) > 1 and len(den.terms) > 1:
+            un = num.as_univariate()
+            ud = den.as_univariate()
+            if un is not None and ud is not None and un[0] == ud[0]:
+                i = un[0]
+                g = _uni_gcd(un[1], ud[1])
+                if len(g) > 1:
+                    qn = _uni_divexact(un[1], g)
+                    qd = _uni_divexact(ud[1], g)
 
-                def rebuild(coeffs):
-                    terms = {}
-                    for k, c in enumerate(coeffs):
-                        if c:
-                            e = [0] * len(num.names)
-                            e[i] = k
-                            terms[tuple(e)] = c
-                    return MPoly(num.names, terms)
+                    def rebuild(coeffs):
+                        terms = {}
+                        for k, c in enumerate(coeffs):
+                            if c:
+                                e = [0] * len(num.names)
+                                e[i] = k
+                                terms[tuple(e)] = c
+                        return MPoly(num.names, terms)
 
-                num, den = rebuild(qn), rebuild(qd)
+                    num, den = rebuild(qn), rebuild(qd)
         # normalize: den's leading coefficient 1
         _, lc = den.lead()
         if lc != 1:
@@ -1033,16 +1053,20 @@ class SymElem:
         return num, den
 
     def __add__(self, other):
-        return SymElem(self.num * other.den + other.num * self.den, self.den * other.den)
+        return SymElem(
+            _times(self.num, other.den) + _times(other.num, self.den), _times(self.den, other.den)
+        )
 
     def __sub__(self, other):
-        return SymElem(self.num * other.den - other.num * self.den, self.den * other.den)
+        return SymElem(
+            _times(self.num, other.den) - _times(other.num, self.den), _times(self.den, other.den)
+        )
 
     def __neg__(self):
-        return SymElem(-self.num, self.den)
+        return SymElem._normal(-self.num, self.den)
 
     def __mul__(self, other):
-        return SymElem(self.num * other.num, self.den * other.den)
+        return SymElem(self.num * other.num, _times(self.den, other.den))
 
     def __eq__(self, other):
         if not isinstance(other, SymElem):
@@ -1050,14 +1074,23 @@ class SymElem:
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(("Sym", self.num.names))
 
     def __str__(self):
-        if self.den == MPoly.const(self.den.names, 1):
+        if self.den.is_one():
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 
     __repr__ = __str__
+
+
+def _times(x, y):
+    """x * y without the product when a factor is the constant 1."""
+    if y.is_one():
+        return x
+    if x.is_one():
+        return y
+    return x * y
 
 
 class SymField:
@@ -1069,14 +1102,9 @@ class SymField:
 
     def __init__(self, names):
         self.names = tuple(names)
-
-    @property
-    def zero(self):
-        return SymElem(MPoly.const(self.names, 0), MPoly.const(self.names, 1))
-
-    @property
-    def one(self):
-        return SymElem(MPoly.const(self.names, 1), MPoly.const(self.names, 1))
+        # elements are immutable, so the constants are built once
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     def from_int(self, n):
         return SymElem(MPoly.const(self.names, n), MPoly.const(self.names, 1))

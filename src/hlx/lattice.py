@@ -7,6 +7,14 @@ every operator table has p-integral entries and the closure L = U(g~)_A v
 stays p-integral.  Canonical form is a Hermite-style echelon over Z_(p):
 pivots are the entries of minimal valuation, normalized to powers of p, with
 entries above pivots reduced to integer representatives in [0, p^v).
+
+Closure and its invariance check run on integers.  Each operator table and
+the basis are scaled to integer matrices by the least common denominator of
+their entries, a p-unit.  The closure applies a lowering table to the whole
+basis as one integer product; the invariance check inverts the pivot block of
+the canonical basis once and then tests each certified operator with one
+product, a p-power divisibility test and an exact span check.  Python ints
+carry every entry, so no size bound applies.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from fractions import Fraction
 
 from . import looppbw, modrep
 from .exactnum import DvrElem, INFINITY, QQ, val_p
-from .linalg import Mat
+from .linalg import Mat, rref
 from .looppbw import LOWER, RAISE
 
 
@@ -176,6 +184,29 @@ def _check_unit_parameters(m, p):
     walk(m.recipe)
 
 
+def _integer_rows(rows):
+    """(d, integer rows) with rows = integer rows / d, where d is the least
+    common denominator of the entries: a p-unit when they are p-integral."""
+    from math import lcm
+
+    d = lcm(*(c.denominator for r in rows for c in r))
+    return d, [[c.numerator * (d // c.denominator) for c in r] for r in rows]
+
+
+def _images(rows, table):
+    """Row i is the image of rows[i] under the matrix table, on integers."""
+    from operator import mul
+
+    return [[sum(map(mul, t, row)) for t in table] for row in rows]
+
+
+def _table(m, tables, kind, r, k):
+    key = (kind, r, k)
+    if key not in tables:
+        tables[key] = _integer_rows(m.op(kind, r, k).rows)
+    return tables[key]
+
+
 def lattice_closure(m, v, p, max_window=64, kmax=None):
     """L = U(g~)_A v: iterate lowering divided powers over an expanding loop
     window until the canonical form is stable across two increments, then
@@ -189,19 +220,20 @@ def lattice_closure(m, v, p, max_window=64, kmax=None):
     window = max(1, lam_top)
     prev = None
     rows = [list(map(Fraction, v))]
+    tables = {}
     while True:
         basis = canonicalize(rows, p, m.weights)
         changed = True
         while changed:
             changed = False
             new_rows = list(basis)
+            e, ints = _integer_rows(basis)
             for r in range(-window, window + 1):
                 for k in range(1, kmax + 1):
-                    mat = m.op(LOWER, r, k)
-                    for row in basis:
-                        img = mat.apply(list(row))
+                    d, table = _table(m, tables, LOWER, r, k)
+                    for img in _images(ints, table):
                         if any(img):
-                            new_rows.append(img)
+                            new_rows.append([Fraction(c, e * d) for c in img])
             merged = canonicalize(new_rows, p, m.weights)
             if merged != basis:
                 basis = merged
@@ -214,28 +246,53 @@ def lattice_closure(m, v, p, max_window=64, kmax=None):
             raise LatticeError("closure did not stabilize within window %d" % max_window)
         rows = basis
     lat = LatticeBasis(m, p, prev, window)
-    _verify_invariance(m, lat, kmax)
+    _verify_invariance(m, lat, kmax, tables)
     return lat
 
 
-def _verify_invariance(m, lat, kmax):
+def _verify_invariance(m, lat, kmax, tables=None):
+    """Check that every certified operator maps the lattice into itself.
+
+    Over common denominators the basis B, the inverse T^-1 of its pivot
+    block B[:, P] and each operator table M are integer matrices.  The
+    images of the basis rows are W = B M^T and their coordinates are
+    X = W[:, P] T^-1 (up to the denominators); the lattice is invariant under
+    M when X is p-integral, a p-power divisibility test on integers, and
+    X B = W, so that the images lie in the span.
+    """
+    if tables is None:
+        tables = {}
     window = lat.stable_window
     checks = []
     for kind in (LOWER, RAISE):
         for r in range(-window, window + 1):
             for k in range(1, kmax + 1):
-                checks.append(m.op(kind, r, k))
+                checks.append(_table(m, tables, kind, r, k))
     for k in range(1, kmax + 1):
-        checks.append(m.cartan_binom(k))
+        checks.append(_integer_rows(m.cartan_binom(k).rows))
     prec = m.lam_precision()
     for r in range(-prec + 1, prec):
         if r:
-            checks.append(m.lam(r))
-    for mat in checks:
-        for row in lat.rows:
-            img = mat.apply(list(row))
-            if any(img) and not lat.contains(img):
-                raise LatticeError("lattice is not invariant under a certified operator")
+            checks.append(_integer_rows(m.lam(r).rows))
+    if not lat.rows:
+        return
+    _, basis = _integer_rows(lat.rows)
+    pivots = lat._pivots
+    n = len(basis)
+    # [T | 1] reduces to [1 | T^-1]; T^-1 = inverse / t
+    block = [[b[c] for c in pivots] + [int(i == j) for j in range(n)] for i, b in enumerate(basis)]
+    t, inverse = _integer_rows([r[n:] for r in rref(block, QQ)[0]])
+    inverse_t = list(zip(*inverse))
+    basis_t = list(zip(*basis))
+    for d, table in checks:
+        images = _images(basis, table)
+        # the coordinates X are coords / (d t)
+        coords = _images([[w[c] for c in pivots] for w in images], inverse_t)
+        power = lat.p ** val_p(d * t, lat.p)
+        if any(x % power for row in coords for x in row) or _images(coords, basis_t) != [
+            [t * c for c in w] for w in images
+        ]:
+            raise LatticeError("lattice is not invariant under a certified operator")
 
 
 def reduce_mod_p(lat):

@@ -235,6 +235,18 @@ def test_module_report_records_failures(tmp_path, capsys):
     assert rep["ell_weights_error"] == "not computed: the ring is not a finite field"
 
 
+def test_module_drinfeld_reports_a_plane_ell_highest_weight_space(tmp_path, capsys):
+    # W(1, g) ⊗ W(1, g)* over F_9: the ell-highest-weight space is a plane,
+    # so the Drinfeld polynomial is undefined; the report says why, exit 1
+    w = {"eval_weyl": {"lambda": 1, "a": "[0,1]"}}
+    recipe = {"ring": {"kind": "Fq", "p": 3, "d": 2}, "build": {"tensor": [w, {"dual": w}]}}
+    rpath = _write_recipe(tmp_path, recipe)
+    code, out = _run(capsys, ["module", "drinfeld", "--recipe", rpath])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep == {"recipe": recipe, "drinfeld_error": "ValueError: ell-highest-weight space has dimension 2"}
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlx.exactnum import (
     QQ,
@@ -221,3 +223,106 @@ def test_dvr_and_sym_axioms():
         a, b, c = rng.choice(sels), rng.choice(sels), rng.choice(sels)
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
+
+
+def test_sym_hash_agrees_with_equality():
+    # the bivariate normal form is not canonical: x and y print differently
+    K = SymField(("a", "b"))
+    a, b = K.var("a"), K.var("b")
+    x = ((a - b) * (a - b)) * K.inv(a - b)
+    y = a - b
+    assert x == y and str(x) != str(y)
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
+def _reference_reduce(num, den):
+    # SymElem._reduce before the monomial shortcut: the univariate gcd runs
+    # whenever both sides are univariate in one variable or either is constant
+    from hlx.exactnum import _uni_divexact, _uni_gcd
+
+    if num.is_zero():
+        return num, MPoly.const(den.names, 1)
+    sn, sd = num.monomial_content(), den.monomial_content()
+    shift = tuple(min(x, y) for x, y in zip(sn, sd))
+    if any(shift):
+        num, den = num.shift_down(shift), den.shift_down(shift)
+    un, ud = num.as_univariate(), den.as_univariate()
+    if un is not None and ud is not None and (un[0] == ud[0] or len(un[1]) == 1 or len(ud[1]) == 1):
+        i = un[0] if len(un[1]) > 1 else ud[0]
+        g = _uni_gcd(un[1], ud[1])
+        if len(g) > 1:
+
+            def rebuild(coeffs):
+                terms = {}
+                for k, c in enumerate(coeffs):
+                    e = [0] * len(num.names)
+                    e[i] = k
+                    terms[tuple(e)] = c
+                return MPoly(num.names, terms)
+
+            num, den = rebuild(_uni_divexact(un[1], g)), rebuild(_uni_divexact(ud[1], g))
+    _, lc = den.lead()
+    num = MPoly(num.names, {e: c / lc for e, c in num.terms.items()})
+    den = MPoly(den.names, {e: c / lc for e, c in den.terms.items()})
+    return num, den
+
+
+NAMES = ("a", "b")
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def mpolys(draw, max_terms=3):
+    # univariate in a, univariate in b, or bivariate, so that both the gcd
+    # path and the bivariate path are reached
+    shape = draw(st.sampled_from(["a", "b", "ab"]))
+    exps = st.tuples(
+        st.integers(0, 3) if "a" in shape else st.just(0),
+        st.integers(0, 3) if "b" in shape else st.just(0),
+    )
+    terms = draw(st.dictionaries(exps, coefficients.filter(bool), min_size=1, max_size=max_terms))
+    return MPoly(NAMES, terms)
+
+
+@st.composite
+def monomial_times_polys(draw):
+    mono = MPoly(NAMES, {(draw(st.integers(0, 3)), draw(st.integers(0, 3))): draw(coefficients.filter(bool))})
+    return mono * draw(mpolys())
+
+
+@st.composite
+def fraction_pairs(draw):
+    # num and den share a factor half of the time
+    num, den = draw(monomial_times_polys()), draw(monomial_times_polys())
+    if draw(st.booleans()):
+        common = draw(mpolys(max_terms=2))
+        num, den = num * common, den * common
+    return num, den
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_pairs())
+def test_sym_reduction_shortcut_keeps_normal_forms(pair):
+    from hlx.exactnum import SymElem
+
+    num, den = pair
+    x = SymElem(num, den)
+    rn, rd = _reference_reduce(num, den)
+    assert (x.num, x.den) == (rn, rd)
+    assert str(x) == str(SymElem._normal(rn, rd))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_pairs(), fraction_pairs())
+def test_sym_arithmetic_keeps_normal_forms(p1, p2):
+    from hlx.exactnum import SymElem
+
+    x, y = SymElem(*p1), SymElem(*p2)
+    for got, num, den in (
+        (x + y, x.num * y.den + y.num * x.den, x.den * y.den),
+        (x - y, x.num * y.den - y.num * x.den, x.den * y.den),
+        (x * y, x.num * y.num, x.den * y.den),
+        (-x, -x.num, x.den),
+    ):
+        assert (got.num, got.den) == _reference_reduce(num, den)

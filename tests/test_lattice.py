@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hlx.exactnum import QQ, PrimeField, val_p
 from hlx.lattice import (
+    LatticeBasis,
     LatticeError,
+    _verify_invariance,
     canonicalize,
     compare_lattices,
     conjecture_cp0_report,
@@ -14,6 +18,7 @@ from hlx.lattice import (
     reduce_mod_p,
     tensor_lattice,
 )
+from hlx.looppbw import LOWER, RAISE
 from hlx.modrep import (
     drinfeld_polynomial,
     eval_weyl_module,
@@ -187,3 +192,75 @@ def test_rank_equality_higher_weight_tensor():
     m = tensor(eval_weyl_module(QQ, 2, Fraction(1)), eval_weyl_module(QQ, 1, Fraction(2)))
     lat = lattice_closure(m, m.hw_vector(), 3)
     assert lat.rank == m.dim == 6
+
+
+def _oracle_invariant(m, lat, kmax):
+    # the row-by-row check on Fractions: every image of a basis row under a
+    # certified operator has p-integral coordinates in the basis
+    window = lat.stable_window
+    checks = [
+        m.op(kind, r, k) for kind in (LOWER, RAISE) for r in range(-window, window + 1) for k in range(1, kmax + 1)
+    ]
+    checks += [m.cartan_binom(k) for k in range(1, kmax + 1)]
+    prec = m.lam_precision()
+    checks += [m.lam(r) for r in range(-prec + 1, prec) if r]
+    for mat in checks:
+        for row in lat.rows:
+            img = mat.apply(list(row))
+            if any(img) and not lat.contains(img):
+                return False
+    return True
+
+
+def _integer_invariant(m, lat, kmax):
+    try:
+        _verify_invariance(m, lat, kmax)
+    except LatticeError as exc:
+        assert str(exc) == "lattice is not invariant under a certified operator"
+        return False
+    return True
+
+
+@st.composite
+def closure_lattices(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    units = st.builds(
+        Fraction,
+        st.integers(-3 * p, 3 * p).filter(lambda n: n % p),
+        st.integers(1, 2 * p).filter(lambda n: n % p),
+    )
+    lams = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    factors = [eval_weyl_module(QQ, lam, draw(units)) for lam in lams]
+    m = factors[0] if len(factors) == 1 else tensor(*factors)
+    return m, lattice_closure(m, m.hw_vector(), p)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(closure_lattices(), st.data())
+def test_integer_invariance_check_agrees_with_fraction_check(case, data):
+    m, lat = case
+    p, kmax = lat.p, max(1, m.max_exponent())
+    assert _integer_invariant(m, lat, kmax) and _oracle_invariant(m, lat, kmax)
+    rows = [list(r) for r in lat.rows]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    # one row multiplied by p: still an echelon basis, of a smaller lattice
+    scaled = [[c * p for c in r] if j == i else r for j, r in enumerate(rows)]
+    # one row replaced by a random p-integral vector, then made canonical
+    entries = st.builds(Fraction, st.integers(-p, p), st.integers(1, 2 * p).filter(lambda n: n % p))
+    swapped = list(rows)
+    swapped[i] = data.draw(st.lists(entries, min_size=m.dim, max_size=m.dim))
+    swapped = canonicalize(swapped, p, m.weights)
+    for perturbed in (scaled, swapped):
+        bad = LatticeBasis(m, p, perturbed, lat.stable_window)
+        assert _integer_invariant(m, bad, kmax) == _oracle_invariant(m, bad, kmax)
+
+
+def test_integer_invariance_check_rejects_a_row_times_p():
+    m = tensor(eval_weyl_module(QQ, 1, Fraction(1)), eval_weyl_module(QQ, 2, Fraction(4)))
+    lat = lattice_closure(m, m.hw_vector(), 3)
+    kmax = m.max_exponent()
+    for i in range(lat.rank):
+        rows = [[c * 3 for c in r] if j == i else list(r) for j, r in enumerate(lat.rows)]
+        bad = LatticeBasis(m, 3, rows, lat.stable_window)
+        assert not _integer_invariant(m, bad, kmax)
+        assert not _oracle_invariant(m, bad, kmax)
