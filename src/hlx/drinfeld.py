@@ -233,7 +233,7 @@ class EllWeight:
     """Canonical multiset of (parameter, Weight) pairs with integer weights;
     identified with prod_j omega_{mu_j, a_j}."""
 
-    __slots__ = ("ring", "pairs", "rank")
+    __slots__ = ("ring", "pairs", "rank", "_memo")
 
     def __init__(self, ring, pairs, rank=1):
         merged = []
@@ -253,6 +253,7 @@ class EllWeight:
         self.ring = ring
         self.pairs = tuple(merged)
         self.rank = self.pairs[0][1].coords.__len__() if self.pairs else rank
+        self._memo = {}  # {sign: coefficients(0, n, sign)}, the longest n asked for
 
     @classmethod
     def one(cls, ring, rank=1):
@@ -330,6 +331,15 @@ class EllWeight:
                         prod[t + s] = prod[t + s] + c * x if t + s in prod else c * x
             out = {t: x for t, x in prod.items() if not ring.is_zero(x)}
         return [out.get(t, ring.zero) for t in range(n + 1)]
+
+    def memo_coefficients(self, n, sign, at_least):
+        """coefficients(0, m, sign) for some m >= n, memoized on the label,
+        which a module and its subquotients share.  A miss computes
+        max(n, at_least) terms, so the longest list per sign is kept."""
+        have = self._memo.get(sign)
+        if have is None or len(have) <= n:
+            have = self._memo[sign] = self.coefficients(0, max(n, at_least), sign)
+        return have
 
     def series(self, i, prec, sign=1):
         """Expansion of prod (1 - a u)^{±mu_j(h_i)} to the given precision;

@@ -11,9 +11,10 @@ and for r != 0 it is a plain power of h_r.
 Products are normal ordered by word rewriting with the sl2 loop brackets
     [x+_r, x-_s] = h_{r+s},   [h_r, x±_s] = ±2 x±_{r+s},
 which terminates because each swap either removes an inversion or shortens
-the word.  All coefficients are exact rationals; integrality questions are
-settled afterwards by a triangular change of basis into the divided-power
-integral form.
+the word.  The structure constants are integers, so word rewriting runs on
+Python ints; PBW coefficients are exact rationals, because divided powers
+divide.  Integrality questions are settled afterwards by a triangular change
+of basis into the divided-power integral form.
 """
 
 from __future__ import annotations
@@ -36,36 +37,33 @@ _KIND_NAME = {LOWER: "x-", CARTAN: "h", RAISE: "x+"}
 _straighten_cache = {}
 
 
-def _letter_key(g):
-    return g  # (kind, r) sorts exactly the way the PBW order wants
-
-
 def _bracket(a, b):
-    """[a, b] for letters with key(a) > key(b); None when they commute."""
+    """[a, b] for letters with a > b; None when they commute.  The structure
+    constants are integers, so words are rewritten on Python ints."""
     ka, ra = a
     kb, rb = b
     if ka == RAISE and kb == LOWER:
-        return (CARTAN, ra + rb), Fraction(1)
+        return (CARTAN, ra + rb), 1
     if ka == RAISE and kb == CARTAN:
         # [x+_ra, h_rb] = -2 x+_{ra+rb}
-        return (RAISE, ra + rb), Fraction(-2)
+        return (RAISE, ra + rb), -2
     if ka == CARTAN and kb == LOWER:
-        return (LOWER, ra + rb), Fraction(-2)
+        return (LOWER, ra + rb), -2
     return None
 
 
 def _straighten(word):
-    """Normal order a word of letters; returns {sorted word: coefficient}."""
+    """Normal order a word of letters; returns {sorted word: integer coefficient}.
+
+    Letters (kind, r) sort exactly the way the PBW order wants."""
     cached = _straighten_cache.get(word)
     if cached is not None:
         return cached
-    pos = -1
-    for i in range(len(word) - 1):
-        if _letter_key(word[i]) > _letter_key(word[i + 1]):
-            pos = i
+    for pos in range(len(word) - 1):
+        if word[pos] > word[pos + 1]:
             break
-    if pos < 0:
-        out = {word: Fraction(1)}
+    else:
+        out = {word: 1}
         _straighten_cache[word] = out
         return out
     a, b = word[pos], word[pos + 1]
@@ -76,7 +74,7 @@ def _straighten(word):
         letter, coeff = br
         shorter = word[:pos] + (letter,) + word[pos + 2 :]
         for w, c in _straighten(shorter).items():
-            out[w] = out.get(w, Fraction(0)) + coeff * c
+            out[w] = out.get(w, 0) + coeff * c
     out = {w: c for w, c in out.items() if c}
     _straighten_cache[word] = out
     return out
@@ -176,8 +174,9 @@ def _mono_product(m1, m2):
     w2 = _expand(m2)
     for word1, c1 in _expand(m1).items():
         for word2, c2 in w2.items():
+            c12 = c1 * c2
             for w, c in _straighten(word1 + word2).items():
-                _collect(w, c1 * c2 * c, acc)
+                _collect(w, c12 * c, acc)
     acc = {m: c for m, c in acc.items() if c}
     _mono_product_cache[key] = acc
     return acc
@@ -615,15 +614,14 @@ def _merge_lower(m1, m2, ring):
     Monomials are tuples of (s, k) sorted by s; returns (monomial, coeff).
     """
     counts = dict(m1)
-    coeff = ring.one
+    coeff = 1
     for s, k in m2:
         if s in counts:
-            c = integer_binomial(counts[s] + k, k)
-            coeff = coeff * ring.from_int(c)
+            coeff *= integer_binomial(counts[s] + k, k)
             counts[s] += k
         else:
             counts[s] = k
-    return tuple(sorted(counts.items())), coeff
+    return tuple(sorted(counts.items())), ring.one if coeff == 1 else ring.from_int(coeff)
 
 
 def _lower_monomials(slots, maxdeg):
@@ -704,6 +702,23 @@ class SaturationResult:
         return [coords[m] for m in self.basis]
 
 
+def _relation_instances(lam, shifts, smin, smax, omega, ring):
+    """The distinct Garland relation instances inside the slot window, in
+    first-seen order, keyed by exact value.
+
+    Many (k, l, shift) give one instance: the reldeg-1 instance (k, k-1) at
+    shift s is (k-1, k-2) at shift s+1.  The key compares coefficients with
+    ==, which is exact in every ring (Q(a, b) hashes all its elements alike)."""
+    out = {}
+    for k in range(lam + 1, 2 * lam + 1):
+        for l in range(max(1, k - lam), k):
+            for shift in shifts:
+                rel = _relation_instance(k, l, shift, omega, ring)
+                if rel and all(smin <= s <= smax for m in rel for s, _ in m):
+                    out.setdefault(frozenset(rel.items()), rel)
+    return out
+
+
 def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     """Dimension upper bound for the Weyl module with highest weight omega.
 
@@ -713,6 +728,15 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     monomials, and echelonizes with out-of-range monomials eliminated first.
     The returned dimension_bound is >= dim W for every window, because every
     relation row vanishes on the corresponding vectors of W.
+
+    Each sweep widens the shifts and the slot window by one on either side,
+    and starts from the previous sweep's fully reduced echelon plus only the
+    rows that sweep lacked: those of a relation instance it did not have, and
+    those whose multiplier touches a new slot.  This is exact: the windows
+    only grow, so every row of a sweep is a row of the next; the column order
+    (`badness`) does not depend on the window; and a fully reduced echelon is
+    unique for its row space and column order.  Equal relation instances
+    give equal rows, so each is built once per sweep.
     """
     lam = len(omega) - 1
     if lam < 0 or not ring.is_zero(omega[0] - ring.one):
@@ -722,67 +746,69 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     if not ring.is_unit(omega[-1]):
         raise ValueError("leading coefficient of omega must be a unit")
 
+    def badness(mono):
+        # out-of-range distance first, then degree, then total slot value
+        # so that low loop degrees survive as the quotient basis; the key
+        # does not depend on the window
+        dist = sum(k * (max(0, -s) + max(0, s - (lam - 1))) for s, k in mono)
+        slotsum = sum(abs(s) * k for s, k in mono)
+        return (dist, sum(k for _, k in mono), slotsum, mono)
+
+    def in_xi(mono):
+        return all(0 <= s < lam for s, _ in mono)
+
     prev_bound = None
     result = None
+    columns, echelon = [], {}
+    instances, window = {}, None
     for sweep in range(max_sweeps):
         grow = sweep + margin
         shifts = range(-lam - grow, lam + 1 + grow)
         smin = min(min(shifts) + 1, 0)
         smax = max(max(shifts) + 2 * lam, lam - 1)
         slots = list(range(smin, smax + 1))
-        monos = _lower_monomials(slots, lam)
 
-        def in_xi(mono):
-            return all(0 <= s < lam for s, _ in mono)
-
-        def badness(mono):
-            # out-of-range distance first, then degree, then total slot value
-            # so that low loop degrees survive as the quotient basis
-            dist = sum(k * (max(0, -s) + max(0, s - (lam - 1))) for s, k in mono)
-            slotsum = sum(abs(s) * k for s, k in mono)
-            return (dist, sum(k for _, k in mono), slotsum, mono)
-
-        # column order: worst monomials first so they pick up the pivots
-        columns = sorted(monos, key=badness, reverse=True)
+        # column order: worst monomials first so they pick up the pivots;
+        # the carried echelon moves to the wider window's column indices
+        old_columns, columns = columns, sorted(_lower_monomials(slots, lam), key=badness, reverse=True)
         col_index = {m: i for i, m in enumerate(columns)}
+        move = [col_index[m] for m in old_columns]
+        echelon = {move[lead]: {move[j]: c for j, c in row.items()} for lead, row in echelon.items()}
 
+        def new_slot(mono):
+            # window is still the last sweep's
+            return window is not None and any(s < window[0] or s > window[1] for s, _ in mono)
+
+        old_instances = instances
+        instances = _relation_instances(lam, shifts, smin, smax, omega, ring)
+        multipliers = {}  # maxmul -> (all multipliers, those touching a new slot)
         rows = []
-        multipliers_by_deg = {}
-        for k in range(lam + 1, 2 * lam + 1):
-            for l in range(1, k):
-                reldeg = k - l
-                if reldeg > lam:
-                    continue
-                maxmul = lam - reldeg
-                if maxmul not in multipliers_by_deg:
-                    multipliers_by_deg[maxmul] = _lower_monomials(slots, maxmul)
-                for shift in shifts:
-                    rel = _relation_instance(k, l, shift, omega, ring)
-                    if not rel:
-                        continue
-                    if any(s < smin or s > smax for m in rel for s, _ in m):
-                        continue
-                    for mul in multipliers_by_deg[maxmul]:
-                        row = {}
-                        ok = True
-                        for mono, c in rel.items():
-                            merged, extra = _merge_lower(mul, mono, ring)
-                            if any(s < smin or s > smax for s, _ in merged):
-                                ok = False
-                                break
-                            cc = c * extra
-                            if not ring.is_zero(cc):
-                                row[merged] = row.get(merged, ring.zero) + cc
-                        if ok and row:
-                            rows.append(row)
+        for key, rel in instances.items():
+            maxmul = lam - sum(k for _, k in next(iter(rel)))
+            if maxmul not in multipliers:
+                muls = _lower_monomials(slots, maxmul)
+                multipliers[maxmul] = (muls, [m for m in muls if new_slot(m)])
+            muls, fresh = multipliers[maxmul]
+            for mul in (fresh if key in old_instances else muls):
+                row = {}
+                for mono, c in rel.items():
+                    # merging with mul is injective, so no two terms collide
+                    merged, extra = _merge_lower(mul, mono, ring)
+                    cc = c * extra
+                    if not ring.is_zero(cc):
+                        row[merged] = cc
+                if row:
+                    rows.append(row)
+        window = (smin, smax)
 
-        basis, rules, relations = _echelonize_rows(rows, columns, col_index, ring, in_xi)
+        _sparse_echelon(rows, col_index, ring, echelon)
+        basis, rules, relations = _read_echelon(echelon, columns, ring, in_xi)
         bound = len(basis)
         stabilized = prev_bound is not None and bound == prev_bound
         result = SaturationResult(
             ring, lam,
             sorted(basis, key=lambda m: (sum(k for _, k in m), m)),
-            rules, (smin, smax), bound, relations, stabilized, sweep + 1,
+            rules, window, bound, relations, stabilized, sweep + 1,
         )
         if stabilized:
             break
@@ -790,17 +816,15 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     return result
 
 
-def _echelonize_rows(rows, columns, col_index, ring, in_xi):
-    """RREF with the given column order.
+def _read_echelon(echelon, columns, ring, in_xi):
+    """Basis monomials, rewrite rules for pivot monomials and pure-Xi'
+    relations of a fully reduced echelon.
 
-    Returns (basis monomials, rewrite rules for pivot monomials, pure-Xi'
-    relations).  A pivot on an out-of-range monomial yields a rewrite rule;
-    a pivot inside Xi' cuts the dimension, and because out-of-range columns
-    all precede Xi' columns, its row is supported on Xi' alone.
+    A pivot on an out-of-range monomial yields a rewrite rule; a pivot inside
+    Xi' cuts the dimension, and because out-of-range columns all precede Xi'
+    columns, its row is supported on Xi' alone.
     """
-    echelon = _sparse_echelon(rows, col_index, ring)
-    pivots = set(echelon)
-    basis = [m for m in columns if col_index[m] not in pivots and in_xi(m)]
+    basis = [m for i, m in enumerate(columns) if i not in echelon and in_xi(m)]
     rules = {}
     relations = []
     for lead in sorted(echelon):
@@ -816,44 +840,60 @@ def _echelonize_rows(rows, columns, col_index, ring, in_xi):
     return basis, rules, relations
 
 
-def _sparse_echelon(rows, col_index, ring):
-    """Fully reduced sparse echelon {pivot column: row dict}; pivot entry 1
-    and no other pivot columns appear in any stored row."""
-    echelon = {}
+def _subtract(row, j, c, prow, ring):
+    """row -= c * prow, skipping prow's pivot column j; returns the columns
+    that entered row."""
+    entered = []
+    nc = -c
+    for j2, v in prow.items():
+        if j2 == j:
+            continue
+        old = row.get(j2)
+        if old is None:
+            row[j2] = nc * v
+            entered.append(j2)
+        else:
+            nv = old + nc * v
+            if ring.is_zero(nv):
+                del row[j2]
+            else:
+                row[j2] = nv
+    return entered
+
+
+def _sparse_echelon(rows, col_index, ring, echelon):
+    """Add rows to a fully reduced sparse echelon {pivot column: row dict}:
+    pivot entry 1, the pivot the row's least column, and no other pivot
+    column in any stored row.
+
+    A new row takes one subtraction per pivot column it holds, and each
+    brings in non-pivot columns only.  A new pivot changes only the stored
+    rows that hold its column; `holders` indexes them, so no step scans
+    every stored row."""
+    holders = {}  # column -> pivots whose rows held it (possibly stale)
+    for lead, row in echelon.items():
+        for j in row:
+            if j != lead:
+                holders.setdefault(j, set()).add(lead)
     for row in rows:
-        srow = {col_index[m]: c for m, c in row.items() if not ring.is_zero(c)}
-        # eliminate all pivot columns present (stored rows are clean, so each
-        # subtraction introduces only non-pivot columns)
-        hits = sorted(j for j in srow if j in echelon)
-        for j in hits:
-            c = srow.pop(j, None)
-            if c is None or ring.is_zero(c):
-                continue
-            for j2, v in echelon[j].items():
-                if j2 == j:
-                    continue
-                nv = srow.get(j2, ring.zero) - c * v
-                if ring.is_zero(nv):
-                    srow.pop(j2, None)
-                else:
-                    srow[j2] = nv
+        srow = {col_index[m]: c for m, c in row.items()}
+        for j in sorted(j for j in srow if j in echelon):
+            _subtract(srow, j, srow.pop(j), echelon[j], ring)
         if not srow:
             continue
         lead = min(srow)
         inv = ring.inv(srow[lead])
         srow = {j: inv * c for j, c in srow.items()}
         srow[lead] = ring.one
-        for prow in echelon.values():
-            c = prow.get(lead)
-            if c is not None and not ring.is_zero(c):
-                del prow[lead]
-                for j, v in srow.items():
-                    if j == lead:
-                        continue
-                    nv = prow.get(j, ring.zero) - c * v
-                    if ring.is_zero(nv):
-                        prow.pop(j, None)
-                    else:
-                        prow[j] = nv
+        for plead in holders.pop(lead, ()):
+            prow = echelon[plead]
+            c = prow.pop(lead, None)
+            if c is None:
+                continue  # the entry has cancelled since
+            for j in _subtract(prow, lead, c, srow, ring):
+                holders.setdefault(j, set()).add(plead)
+        for j in srow:
+            if j != lead:
+                holders.setdefault(j, set()).add(lead)
         echelon[lead] = srow
     return echelon

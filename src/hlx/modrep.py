@@ -196,14 +196,10 @@ class LoopModule:
         return None
 
     def label_coefficients(self, label, sign, n):
-        """Coefficients u^0..u^n of the Lambda^{sign}-series of a label (one
-        of labels()), memoized per label to at least the Lambda precision."""
-        key = (label, sign)
-        have = self._label_cache.get(key)
-        if have is None or len(have) <= n:
-            have = label.coefficients(0, max(n, self.lam_precision() - 1), sign)
-            self._label_cache[key] = have
-        return have
+        """Coefficients u^0..u^n (or more) of the Lambda^{sign}-series of a
+        label (one of labels()), memoized on the label to at least the
+        Lambda precision."""
+        return label.memo_coefficients(n, sign, self.lam_precision() - 1)
 
     def lam_diagonal(self, r):
         """Diagonal of Lambda_r on a labelled module: coefficient |r| of each

@@ -256,12 +256,17 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         (["module", "build", "--recipe", os.path.join(GOLDEN, "recipe_f5.json")], "module_build_f5.json"),
         (["module", "chop", "--recipe", os.path.join(GOLDEN, "recipe_f5.json")], "module_chop_f5.json"),
         (["tpd-grid", "--p", "3"], "tpd_grid_p3.json"),
+        (["paper-example", "--json"], "paper_example.json"),
+        (["conjecture-cp0", "--p", "3", "--degmax", "3", "--json"], "conjecture_cp0_p3_d3.json"),
+        (["verify-identities", "--json"], "verify_identities.json"),
     ],
 )
 def test_golden_outputs(capsys, argv, golden):
     # the recipe has a tensor, a dual and a Frobenius twist over F_5; the
     # stored outputs come from the eigenspace search, which the ell-weight
-    # labels must reproduce byte for byte
+    # labels must reproduce byte for byte.  The worked example, the
+    # conjecture desk test and the identity suite pin the characteristic-zero
+    # layer: the straightening echelon and the integer word rewriting
     code, out = _run(capsys, argv)
     assert code == 0
     with open(os.path.join(GOLDEN, golden), "rb") as fh:

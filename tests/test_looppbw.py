@@ -1,14 +1,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hlx.exactnum import QQ, PrimeField
+from hlx.linalg import np_rref, rref
 from hlx.looppbw import (
     CARTAN,
     LOWER,
     RAISE,
     HyperElement,
+    _lower_monomials,
+    _merge_lower,
+    _relation_instance,
     cartan_to_lambda_monomials,
     ev_lambda_expected,
     formal_ev,
@@ -260,12 +267,111 @@ def test_weyl_upper_bound_char_p():
     assert res.dimension_bound == 4
 
 
-def test_weyl_upper_bound_degree_4_over_f2():
-    # omega = (1-u)^4: the sparse straightening echelon bounds W by 2^4
-    F = PrimeField(2)
-    res = weyl_upper_bound([F(c) for c in (1, -4, 6, -4, 1)], F)
+@pytest.mark.parametrize(
+    "p, omega",
+    [
+        (2, (1, -4, 6, -4, 1)),  # (1-u)^4
+        (3, (1, -6, 13, -12, 4)),  # (1-u)^2 (1-2u)^2: two double roots
+    ],
+    ids=["f2", "f3"],
+)
+def test_weyl_upper_bound_degree_4_over_f2(p, omega):
+    # the sparse straightening echelon bounds W by 2^4
+    F = PrimeField(p)
+    res = weyl_upper_bound([F(c) for c in omega], F)
     assert res.dimension_bound == 16
     assert res.stabilized
+
+
+def _reference_saturation(omega, ring, max_sweeps=5, margin=0):
+    """weyl_upper_bound without its shortcuts: each sweep builds every
+    (k, l, shift, multiplier) row, repeats included, and takes one dense
+    RREF in the documented column order (out-of-range distance, degree,
+    total slot value, monomial; descending)."""
+    lam = len(omega) - 1
+
+    def badness(mono):
+        dist = sum(k * (max(0, -s) + max(0, s - (lam - 1))) for s, k in mono)
+        return (dist, sum(k for _, k in mono), sum(abs(s) * k for s, k in mono), mono)
+
+    def in_xi(mono):
+        return all(0 <= s < lam for s, _ in mono)
+
+    prev = None
+    for sweep in range(max_sweeps):
+        grow = sweep + margin
+        shifts = range(-lam - grow, lam + 1 + grow)
+        smin, smax = min(min(shifts) + 1, 0), max(max(shifts) + 2 * lam, lam - 1)
+        slots = list(range(smin, smax + 1))
+        columns = sorted(_lower_monomials(slots, lam), key=badness, reverse=True)
+        col_index = {m: i for i, m in enumerate(columns)}
+        rows = []
+        for k in range(lam + 1, 2 * lam + 1):
+            for l in range(max(1, k - lam), k):
+                muls = _lower_monomials(slots, lam - (k - l))
+                for shift in shifts:
+                    rel = _relation_instance(k, l, shift, omega, ring)
+                    if not rel or any(not smin <= s <= smax for m in rel for s, _ in m):
+                        continue
+                    for mul in muls:
+                        row = {}
+                        for mono, c in rel.items():
+                            merged, extra = _merge_lower(mul, mono, ring)
+                            row[col_index[merged]] = c * extra
+                        rows.append(row)
+        if ring.card is None:
+            red, pivots = rref([[row.get(j, ring.zero) for j in range(len(columns))] for row in rows], ring)
+            red = [{j: c for j, c in enumerate(row) if not ring.is_zero(c)} for row in red]
+        else:
+            dense = np.zeros((len(rows), len(columns)), dtype=np.int64)
+            for i, row in enumerate(rows):
+                for j, c in row.items():
+                    dense[i, j] = c.v
+            arr, pivots = np_rref(dense, ring)
+            red = [{int(j): ring(int(row[j])) for j in np.flatnonzero(row)} for row in arr]
+        pivot_set = set(pivots)
+        basis = [m for j, m in enumerate(columns) if j not in pivot_set and in_xi(m)]
+        rules, relations = {}, []
+        for row, lead in zip(red, pivots):
+            rest = {columns[j]: c for j, c in row.items() if j != lead}
+            rules[columns[lead]] = {m: -c for m, c in rest.items()}
+            if in_xi(columns[lead]):
+                relations.append({columns[lead]: ring.one, **rest})
+        stabilized = prev is not None and len(basis) == prev
+        if stabilized:
+            break
+        prev = len(basis)
+    basis.sort(key=lambda m: (sum(k for _, k in m), m))
+    return basis, rules, relations, (smin, smax), len(basis), stabilized, sweep + 1
+
+
+@st.composite
+def weights(draw):
+    """(omega, ring): constant term 1 and a unit leading coefficient, over
+    F_2..F_7 up to degree 3 and over Q up to degree 2 (a dense RREF over
+    Fractions at degree 3 takes minutes)."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    if p:
+        ring = PrimeField(p)
+        coeff, lead = st.integers(0, p - 1), st.integers(1, p - 1)
+    else:
+        ring = QQ
+        coeff = st.fractions(-3, 3, max_denominator=3)
+        lead = coeff.filter(bool)
+    deg = draw(st.integers(1, 3 if p else 2))
+    cs = [1] + [draw(coeff) for _ in range(deg - 1)] + [draw(lead)]
+    return [ring(c) if p else Fraction(c) for c in cs], ring
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(weights())
+def test_weyl_upper_bound_matches_dense_reference(case):
+    # the echelon carried across sweeps, the repeated rows skipped and the
+    # indexed pivot updates give the very result of one dense RREF per sweep
+    omega, ring = case
+    res = weyl_upper_bound(omega, ring)
+    got = (res.basis, res._rules, res.relations, res.window, res.dimension_bound, res.stabilized, res.sweeps)
+    assert got == _reference_saturation(omega, ring)
 
 
 def test_weyl_upper_bound_rejects_bad_input():
