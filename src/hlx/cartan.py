@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactnum import QQ
+from .linalg import Mat, det
+
 
 PRESETS = {
     "A1": [[2]],
@@ -182,7 +185,7 @@ class CartanData:
         b = [[Fraction(self.symmetrizers[i] * self.matrix[i][j]) for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):
             sub = [row[:k] for row in b[:k]]
-            if _fraction_det(sub) <= 0:
+            if det(Mat(QQ, sub)) <= 0:
                 raise ValueError("Cartan matrix is not of finite type")
 
     # -- basic conversions ---------------------------------------------------
@@ -190,14 +193,6 @@ class CartanData:
     def simple_root_weight(self, i):
         """alpha_i in fundamental-weight coordinates (i-th column of C)."""
         return Weight(tuple(self.matrix[j][i] for j in range(self.rank)))
-
-    def root_to_weight(self, rv):
-        coords = [0] * self.rank
-        for i, m in enumerate(rv):
-            if m:
-                col = self.simple_root_weight(i)
-                coords = [a + m * b for a, b in zip(coords, col)]
-        return Weight(coords)
 
     def pairing(self, rv, i):
         """alpha(h_i) for alpha given in root coordinates."""
@@ -288,10 +283,6 @@ class CartanData:
         )
         return WeightClass(factors, residues)
 
-    def zero_class(self):
-        factors = self.weight_mod_root_lattice()
-        return WeightClass(factors, tuple(0 for _ in factors))
-
     # -- base-p digits ---------------------------------------------------------
 
     def base_p_digits(self, lam, p):
@@ -308,30 +299,6 @@ class CartanData:
 
     def to_json(self):
         return {"rank": self.rank, "matrix": [list(r) for r in self.matrix]}
-
-
-def _fraction_det(rows):
-    n = len(rows)
-    work = [[Fraction(x) for x in r] for r in rows]
-    d = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            d = -d
-        d *= work[col][col]
-        for i in range(col + 1, n):
-            c = work[i][col] / work[col][col]
-            if c:
-                for j in range(col, n):
-                    work[i][j] -= c * work[col][j]
-    return d
 
 
 def _smith_normal_form(a):

@@ -135,21 +135,17 @@ def module_report(m, with_ell=True, r_window=None):
     elif with_ell:
         try:
             blocks = modrep.ell_weight_decomposition(m, r_window=r_window)
-            a1 = CartanData("A1")
-            ells = []
-            chars = []
-            for b in blocks:
-                entry = {"weight": b["weight"], "dim": b["dim"]}
-                if b["ell_weight"] is not None:
-                    entry["ell_weight"] = b["ell_weight"].fmt()
-                    chars.append(b["ell_weight"].spectral_character(a1))
-                else:
-                    entry["ell_weight"] = None
-                    chars = None
-                ells.append(entry)
-            report["ell_weights"] = ells
-            if chars is not None and chars and all(c == chars[0] for c in chars):
-                report["spectral_character"] = chars[0].fmt()
+            report["ell_weights"] = [
+                {
+                    "weight": b["weight"],
+                    "dim": b["dim"],
+                    "ell_weight": None if b["ell_weight"] is None else b["ell_weight"].fmt(),
+                }
+                for b in blocks
+            ]
+            character = modrep.common_spectral_character(blocks)
+            if character is not None:
+                report["spectral_character"] = character.fmt()
         except (ValueError, ArithmeticError) as exc:
             report["ell_weights_error"] = _reason(exc)
     return report
@@ -378,11 +374,11 @@ def run_blocks(report_paths, seed=0):
     built = []
     for label, recipe, rg in usable:
         m = modrep.build_module({"ring": rg.to_json(), "build": recipe})
-        chi = _module_character(m, a1)
+        chi = _module_character(m)
         if chi is None:
             continue
         built.append((label, m, chi))
-        dchi = _module_character(modrep.dual(m), a1)
+        dchi = _module_character(modrep.dual(m))
         dual_ok = dchi is not None and dchi == -chi
         checks.append({"member": label, "dual_negation": dual_ok})
         if not dual_ok:
@@ -391,7 +387,7 @@ def run_blocks(report_paths, seed=0):
         for j in range(i + 1, len(built)):
             l1, m1, c1 = built[i]
             l2, m2, c2 = built[j]
-            ct = _module_character(modrep.tensor(m1, m2), a1)
+            ct = _module_character(modrep.tensor(m1, m2))
             add_ok = ct is not None and ct == c1 + c2
             checks.append({"pair": [l1, l2], "tensor_additive": add_ok})
             if not add_ok:
@@ -401,19 +397,12 @@ def run_blocks(report_paths, seed=0):
     return report
 
 
-def _module_character(m, a1):
+def _module_character(m):
     try:
         blocks = modrep.ell_weight_decomposition(m)
     except (ValueError, ArithmeticError):
         return None
-    chars = []
-    for b in blocks:
-        if b["ell_weight"] is None:
-            return None
-        chars.append(b["ell_weight"].spectral_character(a1))
-    if not chars or any(c != chars[0] for c in chars):
-        return None
-    return chars[0]
+    return modrep.common_spectral_character(blocks)
 
 
 # ---------------------------------------------------------------------------

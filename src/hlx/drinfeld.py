@@ -49,23 +49,9 @@ class DrinfeldPoly:
     def sl2(cls, ring, coeffs):
         return cls(ring, [Poly(ring, coeffs)])
 
-    @classmethod
-    def from_roots_sl2(cls, ring, roots):
-        f = Poly.const(ring, ring.one)
-        for a in roots:
-            f = f * Poly(ring, [ring.one, -a])
-        return cls(ring, [f])
-
     @property
     def rank(self):
         return len(self.polys)
-
-    def degree_weight(self):
-        return Weight([f.degree() for f in self.polys])
-
-    def is_plus_plus(self):
-        """Leading coefficients are units (the ++ condition)."""
-        return all(self.ring.is_unit(f.coeffs[-1]) for f in self.polys)
 
     def __mul__(self, other):
         assert self.ring == other.ring and self.rank == other.rank

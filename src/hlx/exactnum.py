@@ -786,12 +786,6 @@ class Dvr:
             raise ZeroDivisionError("%s is not a unit in Z_(%d)" % (x, self.p))
         return DvrElem(1 / x.q, self.p)
 
-    def residue_field(self):
-        return PrimeField(self.p)
-
-    def fraction_field(self):
-        return QQ
-
     def to_json(self):
         return {"kind": "Zp", "p": self.p}
 
@@ -1112,9 +1106,6 @@ class SymField:
     def var(self, name):
         return SymElem(MPoly.var(self.names, name), MPoly.const(self.names, 1))
 
-    def from_mpoly(self, poly):
-        return SymElem(poly, MPoly.const(self.names, 1))
-
     def parse(self, s):
         s = str(s).strip()
         if s in self.names:
@@ -1183,10 +1174,6 @@ class Poly:
     @classmethod
     def const(cls, ring, c):
         return cls(ring, [c])
-
-    @classmethod
-    def one_minus_au(cls, ring, a):
-        return cls(ring, [ring.one, -a])
 
     def degree(self):
         return len(self.coeffs) - 1

@@ -22,17 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import looppbw, modrep
-from .exactnum import DvrElem, INFINITY, QQ, val_p
+from .exactnum import QQ, val_p
 from .linalg import Mat, rref
 from .looppbw import LOWER, RAISE
 
 
 class LatticeError(ValueError):
     pass
-
-
-def _vec_val(vec, p):
-    return min((val_p(c, p) for c in vec if c != 0), default=INFINITY)
 
 
 def canonicalize(rows, p, weights=None):
@@ -118,9 +114,6 @@ class LatticeBasis:
                     used.add(col)
                     break
         self.weights = tuple(ambient.weights[c] for c in self._pivots)
-
-    def dvr_rows(self):
-        return [[DvrElem(c, self.p) for c in r] for r in self.rows]
 
     def coords(self, vec):
         """Coordinates of an ambient vector in the lattice basis over Q, or
@@ -299,10 +292,10 @@ def reduce_mod_p(lat):
     """L ⊗ F_p as an explicit module: residues of the ambient operators in
     the lattice basis, computed on demand.
 
-    The result is NOT marked r-periodic: expressing the ambient tables in the
-    lattice basis can introduce p in denominators of the geometric-sequence
-    coefficients, so the residue tables are only linearly recurrent in r, not
-    (p-1)-periodic.
+    The result carries no ratio data, so its r-window is dim^2: expressing
+    the ambient tables in the lattice basis can introduce p in denominators
+    of the geometric-sequence coefficients, so the residue tables are only
+    linearly recurrent in r, not (p-1)-periodic.
     """
     from .exactnum import PrimeField, residue
 
@@ -338,15 +331,7 @@ def reduce_mod_p(lat):
             if len(nz) == 1:
                 hw = nz[0]
     return modrep.explicit_module(
-        F,
-        list(lat.weights),
-        {},
-        {},
-        {"from_lattice": {"ambient": m.recipe, "p": p}},
-        hw_index=hw,
-        r_period=None,
-        lam_fn=lam_fn,
-        op_fn=op_fn,
+        F, list(lat.weights), {"from_lattice": {"ambient": m.recipe, "p": p}}, op_fn, lam_fn, hw_index=hw
     )
 
 

@@ -33,6 +33,7 @@ from .linalg import NpEchelon, arrays, from_np
 from .looppbw import LOWER, RAISE
 from .modrep import (
     LoopModule,
+    common_spectral_character,
     drinfeld_polynomial,
     dual,
     ell_hw_vectors,
@@ -362,7 +363,6 @@ class _Subquotient(LoopModule):
         self.change = change  # (basis change, its inverse, subspace dim)
         self.part = part
         self.given_labels = labels
-        self.r_periodic = parent.r_periodic
 
     def _cut(self, arr):
         big, big_inv, s = self.change
@@ -375,7 +375,8 @@ class _Subquotient(LoopModule):
     def _op_np(self, kind, r, k):
         if k > self.max_exponent():
             return np.zeros((self.dim, self.dim) + arrays(self.ring).tail, dtype=np.int64)
-        if self.r_periodic:
+        if self.op_ratios(k) is not None:
+            # unit ratios: the tables are (q-1)-periodic in r
             r %= self.ring.card - 1
         return self._cut(self.parent.op_np(kind, r, k))
 
@@ -497,20 +498,8 @@ def _analyze_factor(mod):
     ells = None
     character = None
     try:
-        blocks = ell_weight_decomposition(mod)
-        ells = blocks
-        from .cartan import CartanData
-
-        a1 = CartanData("A1")
-        chars = []
-        for b in blocks:
-            if b["ell_weight"] is None:
-                chars = None
-                break
-            chars.append(b["ell_weight"].spectral_character(a1))
-        if chars:
-            if all(c == chars[0] for c in chars):
-                character = chars[0]
+        ells = ell_weight_decomposition(mod)
+        character = common_spectral_character(ells)
     except ValueError:
         pass
     try:

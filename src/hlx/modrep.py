@@ -15,19 +15,24 @@ multiplies the series, the antipode inverts them, a Frobenius twist sends
 For them lam(r) is a diagonal read off the labels in closed form, and
 ell_weight_decomposition and drinfeld_polynomial group the basis by label
 instead of searching eigenspaces, so their cost does not grow with the
-field.  Composition factors from meataxe.chop keep the labels; weyl0,
-lattice reductions and plain explicit tables have none and take the matrix
-path.  ell_weight_decomposition refuses an r-window below the Lambda
-precision with a ValueError.
+field.  Composition factors from meataxe.chop keep the labels; weyl0 and
+lattice reductions have none and take the matrix path.
+ell_weight_decomposition refuses an r-window below the Lambda precision with
+a ValueError.
+
+The same recipes give the ratios of the tables in r (op_ratios), which set
+the r-window: the loop degrees whose tables span those of every degree.
+weyl0, lattice reductions and modules built on them have no ratio data and
+use the dim^2 window (ratio_window).
 
 Matrices act on column vectors; entry (i, j) is the coefficient of basis
 vector i in the image of basis vector j.  Construction is by recipe: hyper
 evaluation modules, tensor products via the divided-power comultiplication,
 duals via the antipode, Frobenius and parameter twists, straightened Weyl
-modules in characteristic zero, and explicit tables (lattice reductions).
-Over a finite field every table also exists as an array of the int64 kernel
-of linalg (op_np, lam_np, cartan_binom_np); tensor, dual and twists build
-those directly from their factors' arrays.
+modules in characteristic zero, and tables computed on demand (lattice
+reductions).  Over a finite field every table also exists as an array of the
+int64 kernel of linalg (op_np, lam_np, cartan_binom_np); tensor, dual and
+twists build those directly from their factors' arrays.
 
 Modules are immutable after construction apart from the lazily memoized
 tables; once a table is materialized it is never rewritten, so concurrent
@@ -41,6 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import looppbw
+from .cartan import CartanData
 from .drinfeld import DrinfeldPoly, EllWeight, FieldExtensionNeeded, factor_poly_unit_roots
 from .exactnum import QQ, FiniteField, Poly, integer_binomial, lucas_binom, ring_pow
 from .linalg import (
@@ -56,9 +62,6 @@ from .linalg import (
     to_np,
 )
 from .looppbw import CARTAN, LOWER, RAISE, HyperElement
-
-KINDS = (LOWER, RAISE)
-KIND_NAMES = {LOWER: "lower", RAISE: "raise"}
 
 
 def _binom_in_ring(ring, m, k):
@@ -81,9 +84,19 @@ def generator_exponents(p, kmax):
 def ratio_window(*mods):
     """r-window for the tables of modules over one ring taken together (two
     of them in the intertwiner equations T op1(r) = op2(r) T): the largest
-    number of their joint ratios over the generator exponents, capped by the
-    periodic windows, which alone apply when a module has no ratio data."""
-    bound = max(m.periodic_window() for m in mods)
+    number of their joint ratios over the generator exponents, capped by
+    dim^2, which alone applies when a module has no ratio data.
+
+    Structurally built modules give their ratios (op_ratios): their tables
+    are combinations of geometric sequences c^r with c a unit, so over F_q
+    the count is at most q - 1 and the tables are (q-1)-periodic in r.
+    weyl0, lattice reductions and what is built on them give none.  The
+    entries of a lattice reduction's tables still satisfy a linear
+    recurrence in r of order at most dim^2, but need not be (q-1)-periodic:
+    expressing the ambient tables in the lattice basis can put p in the
+    denominators of the geometric-sequence coefficients.
+    """
+    bound = max(m.dim for m in mods) ** 2
     count = 0
     for k in generator_exponents(mods[0].ring.char, max(m.max_exponent() for m in mods)):
         sets = [m.op_ratios(k) for m in mods]
@@ -94,13 +107,6 @@ def ratio_window(*mods):
 
 
 class LoopModule:
-    # structurally built modules over F_q have operator tables that are
-    # F_q-combinations of geometric sequences c^r, hence (q-1)-periodic in r;
-    # lattice reductions lose this (basis inversion introduces denominators)
-    # and fall back on the dim^2 window, sound because the residue entries
-    # still satisfy a linear recurrence of that order in r
-    r_periodic = True
-
     def __init__(self, ring, weights, recipe, hw_index=None):
         self.ring = ring
         self.weights = tuple(int(w) for w in weights)
@@ -222,14 +228,6 @@ class LoopModule:
     def _op_ratios(self, k):
         return None
 
-    def periodic_window(self):
-        """The window that needs no ratio data: over F_q, periodic tables need
-        only [0, q-1); otherwise the ratio count (with multiplicity) is
-        bounded by dim^2."""
-        if self.ring.card is not None and self.r_periodic:
-            return min(self.dim ** 2, self.ring.card - 1)
-        return self.dim ** 2
-
     def r_window(self):
         """Window of loop degrees whose tables determine every operator.
 
@@ -240,7 +238,8 @@ class LoopModule:
         span over all r in Z, and spin-up, Norton's test and ell_hw_vectors,
         which depend on that span alone, need no more.  N is the largest
         ratio count over the generator exponents when the module's structure
-        gives it (op_ratios); periodic_window() bounds it in every case.
+        gives it (op_ratios), and dim^2 bounds it in every case (see
+        ratio_window).
         """
         return ratio_window(self)
 
@@ -748,81 +747,31 @@ def weyl0_from_roots(ring, roots, margin=6):
 
 
 class _Explicit(LoopModule):
-    """Module given by stored tables plus optional on-demand functions.
+    """Module whose tables come from functions: op_fn(kind, r, k) and
+    lam_fn(r) compute them on demand (lattice reductions keep a handle on
+    their ambient module this way); ratio_fn gives op_ratios when the tables
+    are linear images of another module's."""
 
-    ops: {(kind, r, k): Mat}; when r_period is set (structural finite-field
-    modules) loop degrees reduce modulo it, otherwise tables must cover the
-    certified dim^2 window.  op_fn / lam_fn compute missing tables (lattice
-    reductions keep a handle on their ambient module this way); ratio_fn
-    gives op_ratios when the tables are linear images of another module's.
-    """
-
-    def __init__(
-        self, ring, weights, ops, lams, recipe,
-        hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None,
-    ):
+    def __init__(self, ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_fn=None):
         super().__init__(ring, weights, recipe, hw_index=hw_index)
-        self._ops = ops
-        self._lams = lams
-        self._period = r_period
-        self._lam_fn = lam_fn
         self._op_fn = op_fn
+        self._lam_fn = lam_fn
         self._ratio_fn = ratio_fn
-        self.r_periodic = r_period is not None
 
     def _op_ratios(self, k):
         return None if self._ratio_fn is None else self._ratio_fn(k)
 
     def _op(self, kind, r, k):
-        if self._period:
-            r %= self._period
-        key = (kind, r, k)
-        if key in self._ops:
-            return self._ops[key]
         if k > self.max_exponent():
             return Mat.zeros(self.ring, self.dim, self.dim)
-        if self._op_fn is not None:
-            return self._op_fn(kind, r, k)
-        # compose from stored p-power tables: x^(k) = unit * prod x^(p^j)^(k_j)
-        p = self.ring.char
-        if p == 0:
-            raise KeyError("operator (%s, %d, %d) not stored" % (KIND_NAMES[kind], r, k))
-        digits = []
-        rest = k
-        while rest:
-            digits.append(rest % p)
-            rest //= p
-        acc = Mat.identity(self.ring, self.dim)
-        mult = 1
-        total = 0
-        for j, dj in enumerate(digits):
-            for _ in range(dj):
-                step = (kind, r, p ** j)
-                if step not in self._ops:
-                    raise KeyError("operator (%s, %d, %d) not stored" % (KIND_NAMES[kind], r, p ** j))
-                acc = acc * self._ops[step]
-                mult = mult * integer_binomial(total + p ** j, p ** j)
-                total += p ** j
-        # acc = prod x^(p^j) (each dj times) = mult * x^(k), mult a unit mod p
-        inv = self.ring.inv(self.ring.from_int(mult % p))
-        return acc.scale(inv)
+        return self._op_fn(kind, r, k)
 
     def _lam(self, r):
-        if r in self._lams:
-            return self._lams[r]
-        if self._lam_fn is not None:
-            return self._lam_fn(r)
-        raise KeyError("Lambda_%d not stored (precision too small)" % r)
+        return self._lam_fn(r)
 
 
-def explicit_module(
-    ring, weights, ops, lams, recipe,
-    hw_index=None, r_period=None, lam_fn=None, op_fn=None, ratio_fn=None,
-):
-    return _Explicit(
-        ring, weights, ops, lams, recipe,
-        hw_index=hw_index, r_period=r_period, lam_fn=lam_fn, op_fn=op_fn, ratio_fn=ratio_fn,
-    )
+def explicit_module(ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_fn=None):
+    return _Explicit(ring, weights, recipe, op_fn, lam_fn, hw_index=hw_index, ratio_fn=ratio_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -895,18 +844,6 @@ def drinfeld_polynomial(m, v=None, prec=None):
 
         def eig(r):
             return m.label_coefficients(label, 1 if r >= 0 else -1, abs(r))[abs(r)]
-
-    elif ring.card is not None:
-        K = arrays(ring)
-        vnp = K.from_rows([v], (1, m.dim))[0]
-        inv0 = K.inv_elt(vnp[idxs[0]])
-
-        def eig(r):
-            img = K.mul(m.lam_np(r), vnp)
-            cand = K.emul(img[idxs[0]], inv0)
-            if K.submul(img, cand, vnp).any():
-                raise ValueError("vector is not a joint Lambda eigenvector")
-            return K.to_ring(cand)
 
     else:
 
@@ -1031,6 +968,17 @@ def ell_weight_decomposition(m, r_window=None):
             }
         )
     return out
+
+
+def common_spectral_character(blocks):
+    """The spectral character shared by every block of an ell-weight
+    decomposition, or None when there are no blocks, a block is opaque or
+    two blocks differ."""
+    if not blocks or any(b["ell_weight"] is None for b in blocks):
+        return None
+    a1 = CartanData("A1")
+    chars = [b["ell_weight"].spectral_character(a1) for b in blocks]
+    return chars[0] if all(c == chars[0] for c in chars) else None
 
 
 def _block_refinement(m, rs):

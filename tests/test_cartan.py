@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from hlx.cartan import CartanData, RootVector, Weight
+from hlx.exactnum import QQ
+from hlx.linalg import Mat, det
 
 
 def test_presets_finite_type():
@@ -28,9 +31,7 @@ def test_invariant_factor_product_is_det():
         prod = 1
         for f in cd.weight_mod_root_lattice():
             prod *= f
-        from hlx.cartan import _fraction_det
-
-        assert prod == abs(int(_fraction_det([list(r) for r in cd.matrix])))
+        assert prod == abs(int(det(Mat(QQ, [list(map(Fraction, r)) for r in cd.matrix]))))
 
 
 def test_projection_kills_roots_and_is_additive():

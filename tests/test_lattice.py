@@ -21,7 +21,10 @@ from hlx.lattice import (
 from hlx.looppbw import LOWER, RAISE
 from hlx.modrep import (
     drinfeld_polynomial,
+    dual,
     eval_weyl_module,
+    frobenius_twist,
+    psi_twist,
     tensor,
     weyl0_from_roots,
 )
@@ -112,6 +115,23 @@ def test_reduction_with_coincident_residues():
     F = PrimeField(3)
     poly, _ = drinfeld_polynomial(red)
     assert poly.polys[0].coeffs == (F(1), F(-2), F(1))
+
+
+def test_modules_built_on_a_reduction_keep_the_dim2_window():
+    # a lattice reduction has no ratio data, and neither has anything built
+    # on it: its tables need not be (q-1)-periodic in r
+    m = tensor(*[eval_weyl_module(QQ, 1, Fraction(a)) for a in (1, 3, 5, 7)])
+    red = reduce_mod_p(lattice_closure(m, m.hw_vector(), 2))
+    F = red.ring
+    assert red.r_window() == red.dim ** 2 == 256
+    built = [
+        dual(red),
+        psi_twist(red, F.one),
+        frobenius_twist(red, 1),
+        tensor(red, eval_weyl_module(F, 1, F.one)),
+    ]
+    for b in built:
+        assert b.r_window() == b.dim ** 2
 
 
 def test_tell_functoriality():

@@ -280,6 +280,12 @@ def test_drinfeld_examples():
     assert poly3.polys[0].degree() == 0
 
 
+def test_drinfeld_over_q_on_an_unlabelled_module():
+    poly, report = drinfeld_polynomial(weyl0_from_roots(QQ, [Fraction(2), Fraction(2)]))
+    assert poly.polys[0].coeffs == (1, -4, 4)
+    assert report["plus_polynomial"] and report["minus_matches"]
+
+
 def test_drinfeld_of_dual_is_star():
     F = PrimeField(3)
     m = irreducible_module(F, 3, F(2))

@@ -3,8 +3,8 @@
 The int64 kernel of every finite field is compared with the boxed Mat
 routines and with scans of the field, and brute-force witnesses with the
 boxed generators; the structural r-window of op_ratios with the periodic
-window it replaces, the ell-weight labels of structural modules with the
-matrix path on independently built Lambda tables, and the norm-based
+window min(dim^2, q - 1), the ell-weight labels of structural modules with
+the matrix path on independently built Lambda tables, and the norm-based
 extension hint with root enumeration in the extension field.
 """
 
@@ -246,6 +246,7 @@ def test_brute_force_witnesses_are_invariant(m):
 
 # ---------------------------------------------------------------------------
 # structural recipes: r-window of op_ratios against the periodic window
+# min(dim^2, q - 1)
 # ---------------------------------------------------------------------------
 
 
@@ -279,7 +280,7 @@ def structural_recipes(draw):
 @given(structural_recipes(), st.data())
 def test_structural_window_keeps_spans(recipe_ring, data):
     m = build_module(*recipe_ring)
-    old = m.periodic_window()
+    old = min(m.dim ** 2, m.ring.card - 1)
     assert m.r_window() <= old
     assert ell_hw_vectors(m) == ell_hw_vectors(m, r_window=old)
     p = m.ring.p
@@ -288,18 +289,19 @@ def test_structural_window_keeps_spans(recipe_ring, data):
     assert _spin_up_np(m, [vec], np_generator_set(m)) == _spin_up_np(m, [vec], np_generator_set(m, old))
     res = is_irreducible(m)
     m_old = build_module(*recipe_ring)
-    m_old.r_window = m_old.periodic_window
+    m_old.r_window = lambda: old
     res_old = is_irreducible(m_old)
     if res.verdict is not None and res_old.verdict is not None:
         assert res.verdict == res_old.verdict
     if res.verdict is False:
-        # chop subquotients inherit the ratios through explicit_module
+        # chop subquotients inherit the ratios of their parent
         rows = [[m.ring.parse(c) for c in row] for row in res.certificate["witness"]]
         if "dual_witness_dim" not in res.certificate:
             for part in _submodule_and_quotient(m, rows):
                 if part.dim:
                     assert part.op_ratios(1) == m.op_ratios(1)
-                    assert ell_hw_vectors(part) == ell_hw_vectors(part, r_window=part.periodic_window())
+                    part_old = min(part.dim ** 2, part.ring.card - 1)
+                    assert ell_hw_vectors(part) == ell_hw_vectors(part, r_window=part_old)
 
 
 @SETTINGS
@@ -349,10 +351,7 @@ def _eval_without_labels(ring, lam, a):
         scal = ring_pow(ring, -a, r) if r > 0 else ring_pow(ring, -ring.inv(a), -r)
         return Mat.diag(ring, [scal * ring.from_int(integer_binomial(w, abs(r))) for w in e.weights])
 
-    return explicit_module(
-        ring, e.weights, {}, {}, e.recipe, hw_index=0, r_period=ring.card - 1,
-        op_fn=e.op, lam_fn=lam_fn, ratio_fn=e.op_ratios,
-    )
+    return explicit_module(ring, e.weights, e.recipe, e.op, lam_fn, hw_index=0, ratio_fn=e.op_ratios)
 
 
 def _build_without_labels(node, ring):
@@ -414,10 +413,7 @@ def test_labels_agree_with_the_matrix_path(recipe_ring):
     # the oracle: m's own operator tables, Lambda computed without labels
     bare = _build_without_labels(recipe, F)
     assert bare.labels() is None
-    oracle = explicit_module(
-        F, m.weights, {}, {}, m.recipe, hw_index=m.hw_index, r_period=F.card - 1,
-        op_fn=m.op, lam_fn=bare.lam, ratio_fn=m.op_ratios,
-    )
+    oracle = explicit_module(F, m.weights, m.recipe, m.op, bare.lam, hw_index=m.hw_index, ratio_fn=m.op_ratios)
     prec = m.lam_precision()
     for r in range(-prec, prec + 1):
         assert m.lam(r) == oracle.lam(r)
