@@ -115,7 +115,7 @@ def _reason(exc):
     return "%s: %s" % (type(exc).__name__, exc)
 
 
-def module_report(m, with_ell=True, r_window=None):
+def module_report(m, r_window=None):
     """JSON report of a module; a field that cannot be computed is replaced
     by the reason, under drinfeld_error or ell_weights_error."""
     report = m.to_json()
@@ -128,11 +128,11 @@ def module_report(m, with_ell=True, r_window=None):
         report["drinfeld_checks"] = checks
     except (ValueError, ArithmeticError, KeyError) as exc:
         report["drinfeld_error"] = _reason(exc)
-    if with_ell and m.ring.card is None:
+    if m.ring.card is None:
         report["ell_weights_error"] = "not computed: the ring is not a finite field"
-    elif with_ell and m.dim > 36:
+    elif m.dim > 36:
         report["ell_weights_error"] = "not computed: dimension %d exceeds 36" % m.dim
-    elif with_ell:
+    else:
         try:
             blocks = modrep.ell_weight_decomposition(m, r_window=r_window)
             report["ell_weights"] = [
@@ -333,7 +333,7 @@ def run_conjecture(p, degmax):
 # ---------------------------------------------------------------------------
 
 
-def run_blocks(report_paths, seed=0):
+def run_blocks(report_paths):
     a1 = CartanData("A1")
     entries = []
     ring = None
@@ -491,7 +491,6 @@ def make_parser():
 
     p_bl = sub.add_parser("blocks", help="group module reports by spectral character")
     p_bl.add_argument("reports", nargs="+")
-    p_bl.add_argument("--seed", type=int, default=0)
     p_bl.add_argument("--out")
     p_bl.add_argument("--json", action="store_true")
 
@@ -550,7 +549,7 @@ def main(argv=None):
         for pat in args.reports:
             hits = sorted(globmod.glob(pat))
             paths.extend(hits if hits else [pat])
-        rep = run_blocks(paths, args.seed)
+        rep = run_blocks(paths)
         _emit(rep, args.out, args.json)
         return 0 if rep["pass"] else 1
     if args.command == "lattice":

@@ -8,18 +8,23 @@ stays p-integral.  Canonical form is a Hermite-style echelon over Z_(p):
 pivots are the entries of minimal valuation, normalized to powers of p, with
 entries above pivots reduced to integer representatives in [0, p^v).
 
-Closure and its invariance check run on integers.  Each operator table and
-the basis are scaled to integer matrices by the least common denominator of
-their entries, a p-unit.  The closure applies a lowering table to the whole
-basis as one integer product; the invariance check inverts the pivot block of
-the canonical basis once and then tests each certified operator with one
-product, a p-power divisibility test and an exact span check.  Python ints
+Closure, its invariance check and reduction mod p run on integers.  Each
+operator table and the basis are scaled to integer matrices by the least
+common denominator of their entries, a p-unit.  The closure applies a
+lowering table to the whole basis as one integer product.  One coordinate
+map (_coordinates) inverts the pivot block of the canonical basis once and
+then takes each operator's images to their coordinates with one product,
+an exact span check and a p-power divisibility test: the invariance check
+needs only that they pass, the reduction takes the residues.  Python ints
 carry every entry, so no size bound applies.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+
+import numpy as np
 
 from . import looppbw, modrep
 from .exactnum import QQ, val_p
@@ -200,15 +205,14 @@ def _table(m, tables, kind, r, k):
     return tables[key]
 
 
-def lattice_closure(m, v, p, max_window=64, kmax=None):
+def lattice_closure(m, v, p, max_window=64):
     """L = U(g~)_A v: iterate lowering divided powers over an expanding loop
     window until the canonical form is stable across two increments, then
     verify invariance under raising and Cartan tables as well."""
     if m.ring != QQ:
         raise LatticeError("ambient module must live over the rationals")
     _check_unit_parameters(m, p)
-    if kmax is None:
-        kmax = max(1, m.max_exponent())
+    kmax = max(1, m.max_exponent())
     lam_top = max((abs(w) for w in m.weights), default=0)
     window = max(1, lam_top)
     prev = None
@@ -243,16 +247,46 @@ def lattice_closure(m, v, p, max_window=64, kmax=None):
     return lat
 
 
-def _verify_invariance(m, lat, kmax, tables=None):
-    """Check that every certified operator maps the lattice into itself.
+def _coordinates(lat):
+    """The coordinates of operator images in the lattice basis, on integers.
 
     Over common denominators the basis B, the inverse T^-1 of its pivot
-    block B[:, P] and each operator table M are integer matrices.  The
-    images of the basis rows are W = B M^T and their coordinates are
-    X = W[:, P] T^-1 (up to the denominators); the lattice is invariant under
-    M when X is p-integral, a p-power divisibility test on integers, and
-    X B = W, so that the images lie in the span.
+    block B[:, P] and an operator table M are integer matrices.  The images
+    of the basis rows are W = B M^T and their coordinates are
+    X = W[:, P] T^-1 (up to the denominators).  Returns a function that maps
+    (d, M), the table M / d, to (X, u): the coordinates of the image of
+    basis row i are row i of X / u, with u a p-unit.  It raises LatticeError
+    when an image leaves the span (X B != W) or a coordinate is not
+    p-integral (a p-power does not divide X).
     """
+    p = lat.p
+    _, basis = _integer_rows(lat.rows)
+    pivots = lat._pivots
+    n = len(basis)
+    # [T | 1] reduces to [1 | T^-1]; T^-1 = inverse / t
+    block = [[b[c] for c in pivots] + [int(i == j) for j in range(n)] for i, b in enumerate(basis)]
+    t, inverse = _integer_rows([r[n:] for r in rref(block, QQ)[0]])
+    inverse_t = list(zip(*inverse))
+    basis_t = list(zip(*basis))
+
+    def coordinates(d, table):
+        images = _images(basis, table)
+        # the coordinates X are coords / (d t)
+        coords = _images([[w[c] for c in pivots] for w in images], inverse_t)
+        if _images(coords, basis_t) != [[t * c for c in w] for w in images]:
+            raise LatticeError("operator leaves the lattice span")
+        power = p ** val_p(d * t, p)
+        if any(x % power for row in coords for x in row):
+            raise LatticeError("operator violates lattice invariance mod %d" % p)
+        return [[x // power for x in row] for row in coords], d * t // power
+
+    return coordinates
+
+
+def _verify_invariance(m, lat, kmax, tables=None):
+    """Check that every certified operator maps the lattice into itself:
+    the coordinates of the images of the basis rows (_coordinates) lie in
+    Z_(p)."""
     if tables is None:
         tables = {}
     window = lat.stable_window
@@ -267,30 +301,18 @@ def _verify_invariance(m, lat, kmax, tables=None):
     for r in range(-prec + 1, prec):
         if r:
             checks.append(_integer_rows(m.lam(r).rows))
-    if not lat.rows:
-        return
-    _, basis = _integer_rows(lat.rows)
-    pivots = lat._pivots
-    n = len(basis)
-    # [T | 1] reduces to [1 | T^-1]; T^-1 = inverse / t
-    block = [[b[c] for c in pivots] + [int(i == j) for j in range(n)] for i, b in enumerate(basis)]
-    t, inverse = _integer_rows([r[n:] for r in rref(block, QQ)[0]])
-    inverse_t = list(zip(*inverse))
-    basis_t = list(zip(*basis))
+    coordinates = _coordinates(lat)
     for d, table in checks:
-        images = _images(basis, table)
-        # the coordinates X are coords / (d t)
-        coords = _images([[w[c] for c in pivots] for w in images], inverse_t)
-        power = lat.p ** val_p(d * t, lat.p)
-        if any(x % power for row in coords for x in row) or _images(coords, basis_t) != [
-            [t * c for c in w] for w in images
-        ]:
-            raise LatticeError("lattice is not invariant under a certified operator")
+        try:
+            coordinates(d, table)
+        except LatticeError:
+            raise LatticeError("lattice is not invariant under a certified operator") from None
 
 
 def reduce_mod_p(lat):
-    """L ⊗ F_p as an explicit module: residues of the ambient operators in
-    the lattice basis, computed on demand.
+    """L ⊗ F_p as an explicit module: the residues of the coordinates of the
+    ambient operators in the lattice basis (_coordinates), each table built
+    when it is first asked for.
 
     The result carries no ratio data, so its r-window is dim^2: expressing
     the ambient tables in the lattice basis can introduce p in denominators
@@ -303,24 +325,19 @@ def reduce_mod_p(lat):
     p = lat.p
     F = PrimeField(p)
 
-    def reduce_matrix(mat):
-        cols = []
-        for row in lat.rows:
-            img = mat.apply(list(row))
-            coords = lat.coords(img)
-            if coords is None:
-                raise LatticeError("operator leaves the lattice span")
-            for c in coords:
-                if val_p(c, p) < 0:
-                    raise LatticeError("operator violates lattice invariance mod %d" % p)
-            cols.append([residue(c, p) for c in coords])
-        return Mat(F, list(zip(*cols)))
+    coordinates = functools.cache(lambda: _coordinates(lat))
+
+    def residues(mat):
+        x, u = coordinates()(*_integer_rows(mat.rows))
+        uinv = pow(u, -1, p)
+        # column j of the table holds the coordinates of the image of row j
+        return np.array([[c * uinv % p for c in col] for col in zip(*x)], dtype=np.int64).reshape(lat.rank, lat.rank)
 
     def op_fn(kind, r, k):
-        return reduce_matrix(m.op(kind, r, k))
+        return residues(m.op(kind, r, k))
 
     def lam_fn(r):
-        return reduce_matrix(m.lam(r))
+        return residues(m.lam(r))
 
     hw = None
     if m.hw_index is not None:
@@ -436,7 +453,7 @@ def tensor_lattice(lat1, lat2, ambient):
 # ---------------------------------------------------------------------------
 
 
-def conjecture_cp0_report(roots, p, max_sweeps=6):
+def conjecture_cp0_report(roots, p):
     """Reduction-mod-p test for the Weyl module dimension conjecture.
 
     roots: distinct units of Z_(p) (as Fractions).  Builds the ambient tensor
@@ -466,7 +483,7 @@ def conjecture_cp0_report(roots, p, max_sweeps=6):
     omega_bar = Poly.const(F, F.one)
     for a in roots:
         omega_bar = omega_bar * Poly(F, [F.one, -residue(a, p)])
-    sat = looppbw.weyl_upper_bound(list(omega_bar.coeffs), F, max_sweeps=max_sweeps)
+    sat = looppbw.weyl_upper_bound(list(omega_bar.coeffs), F, max_sweeps=6)
     upper = sat.dimension_bound
     status = "VERIFIED" if (sat.stabilized and upper == lower) else "OPEN"
     report = {
@@ -498,7 +515,7 @@ def conjecture_cp0_report(roots, p, max_sweeps=6):
     return report
 
 
-def paper_example_report(p, a_str="1", b_str="2", window=4):
+def paper_example_report(p, a_str="1", b_str="2"):
     """The worked example: symbolic unit parameters first, then the numeric
     lattice comparison at the given residues.
 
@@ -514,7 +531,7 @@ def paper_example_report(p, a_str="1", b_str="2", window=4):
     a, b = K.var("a"), K.var("b")
     two = K.from_int(2)
     omega = [K.one, -(two * a), a * a]
-    w4 = modrep.weyl0_module(K, omega, margin=max(5, window + 2))
+    w4 = modrep.weyl0_module(K, omega, margin=6)
     assert w4.basis_monomials == [(), ((0, 1),), ((1, 1),), ((0, 2),)]
     v0 = [K.zero] * 4
     v0[0] = K.one
@@ -533,7 +550,7 @@ def paper_example_report(p, a_str="1", b_str="2", window=4):
 
     # (basicrele1): x-_s v0 = s a^{s-1} v3 - (s-1) a^s v1
     rele1 = True
-    for s in range(-window, window + 2):
+    for s in range(-4, 6):
         img = w4.op(LOWER, s, 1).apply(v0)
         want3 = K.from_int(s) * apow(s - 1)
         want1 = -(K.from_int(s - 1) * apow(s))
@@ -583,7 +600,7 @@ def paper_example_report(p, a_str="1", b_str="2", window=4):
 
     # numeric lattice comparison over Z_(p)
     av, bv = Fraction(a_str), Fraction(b_str)
-    w4n = modrep.weyl0_from_roots(QQ, [av, av], margin=max(8, window + 2))
+    w4n = modrep.weyl0_from_roots(QQ, [av, av], margin=8)
     w2n = modrep.eval_weyl_module(QQ, 1, bv)
     ambn = modrep.tensor(w4n, w2n)
     lat = lattice_closure(ambn, ambn.hw_vector(), p)

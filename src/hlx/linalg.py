@@ -13,11 +13,17 @@ np_nullspace, np_inverse, np_charpoly, np_eigenvalues and NpEchelon are
 written once against that object and take the field where they once took p.
 All arithmetic is integer, so it stays exact below the bound that
 check_int64_bound enforces.
+
+tables(ring) is the one place that decides how a module's operator tables
+are held: the array kernel over a finite field, Mat over the infinite
+rings, with the same operations (zeros, eye, diag, add, neg, mul,
+transpose, scale, kron) on both.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 
 import numpy as np
 
@@ -284,7 +290,44 @@ class Echelon:
 # ---------------------------------------------------------------------------
 
 
-class _FpArrays(_ModP):
+class _Tables:
+    """The operations a module table needs, shared by both array kernels:
+    matrices are reduced int64 arrays with the kernel's element tail."""
+
+    def zeros(self, n):
+        return np.zeros((n, n) + self.tail, dtype=np.int64)
+
+    def eye(self, n):
+        out = self.zeros(n)
+        out[np.arange(n), np.arange(n)] = self.unit
+        return out
+
+    def diag(self, entries):
+        """Diagonal matrix of field elements."""
+        out = self.zeros(len(entries))
+        for i, e in enumerate(entries):
+            out[i, i] = self.from_ring(e)
+        return out
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def transpose(self, a):
+        return np.ascontiguousarray(a.swapaxes(0, 1))
+
+    def scale(self, a, c):
+        """A matrix times the field element c."""
+        return self.emul(a, self.from_ring(c))
+
+    def kron(self, a, b):
+        out = self.emul(a[:, None, :, None], b[None, :, None, :])
+        return out.reshape((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]) + self.tail)
+
+
+class _FpArrays(_Tables, _ModP):
     """F_p: an element is an int64 residue, a matrix a 2-axis array."""
 
     d = 1
@@ -328,9 +371,6 @@ class _FpArrays(_ModP):
     def to_ring(self, x):
         return self.ring(int(x))
 
-    def eye(self, n):
-        return np.eye(n, dtype=np.int64)
-
     def from_ints(self, values):
         """Integers as elements of the prime field."""
         return np.asarray(values, dtype=np.int64) % self.p
@@ -343,7 +383,7 @@ class _FpArrays(_ModP):
         return [[ring(v) for v in row] for row in (arr % self.p).tolist()]
 
 
-class _FqArrays(_Boxed):
+class _FqArrays(_Tables, _Boxed):
     """A FiniteField F_{p^d}: an element carries a trailing axis of d
     coordinates over the defining polynomial f, lowest power first."""
 
@@ -403,11 +443,6 @@ class _FqArrays(_Boxed):
     def scalar_rows(self, arr):
         return self.to_rows(arr)
 
-    def eye(self, n):
-        out = np.zeros((n, n, self.d), dtype=np.int64)
-        out[np.arange(n), np.arange(n), 0] = 1
-        return out
-
     def from_ints(self, values):
         values = np.asarray(values, dtype=np.int64)
         out = np.zeros(values.shape + self.tail, dtype=np.int64)
@@ -433,6 +468,34 @@ def arrays(F):
     return K
 
 
+class _MatTables:
+    """The operations of _Tables on Mat, for the infinite rings."""
+
+    add, neg, mul = operator.add, operator.neg, operator.mul
+    transpose, scale, kron = staticmethod(Mat.transpose), staticmethod(Mat.scale), staticmethod(Mat.kron)
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def zeros(self, n):
+        return Mat.zeros(self.ring, n, n)
+
+    def eye(self, n):
+        return Mat.identity(self.ring, n)
+
+    def diag(self, entries):
+        return Mat.diag(self.ring, entries)
+
+    def from_rows(self, rows, shape):
+        return Mat(self.ring, rows)
+
+
+def tables(ring):
+    """The representation of a module's tables over ring: the array kernel
+    of a finite field, Mat over the infinite rings."""
+    return arrays(ring) if ring.card is not None else _MatTables(ring)
+
+
 def check_int64_bound(F, n):
     """Refuse a field for which the int64 kernel could overflow.  Its longest
     sum is one coordinate of a matrix product with n-term rows: over F_{p^d}
@@ -446,13 +509,6 @@ def check_int64_bound(F, n):
         raise ValueError(
             "int64 arithmetic mod %d needs n*(p-1)^2 < 2^63; here n = %d" % (K.p, terms)
         )
-
-
-def kron(a, b, F):
-    """Kronecker product of two matrices, reduced."""
-    K = arrays(F)
-    out = K.emul(a[:, None, :, None], b[None, :, None, :])
-    return out.reshape((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]) + K.tail)
 
 
 def to_np(mat):

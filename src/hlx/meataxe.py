@@ -15,8 +15,7 @@ Norton's test runs over prime fields.  Over F_{p^d} the verdict comes from
 brute force, spinning up every projective point, when |F|^dim is within the
 bound (HLX_MAX_BRUTE), and is otherwise undecided.  Everything here works on
 the int64 array kernel of linalg, one code path for F_p and F_{p^d}; chop
-cuts subquotient tables out of the parent's arrays and boxes one only when a
-caller asks for it.
+cuts subquotient tables out of the parent's arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .exactnum import PrimeField
-from .linalg import NpEchelon, arrays, from_np
+from .linalg import NpEchelon, arrays
 from .looppbw import LOWER, RAISE
 from .modrep import (
     LoopModule,
@@ -67,20 +66,9 @@ def generator_labels(m, r_window=None):
     return labels
 
 
-def generator_set(m, r_window=None):
-    """Labelled exact matrices for the generator labels (zero tables dropped)."""
-    gens = []
-    for label in generator_labels(m, r_window):
-        kind, r, k = label
-        mat = m.cartan_binom(k) if kind == "h" else m.op(kind, r, k)
-        if not mat.is_zero():
-            name = "h" if kind == "h" else ("x-" if kind == LOWER else "x+")
-            gens.append(((name, r, k), mat))
-    return gens
-
-
 def np_generator_set(m, r_window=None):
-    """The same generators as arrays of the field's int64 kernel."""
+    """The tables of the generator labels as arrays of the field's int64
+    kernel, zero tables dropped."""
     out = []
     for label in generator_labels(m, r_window):
         kind, r, k = label
@@ -102,25 +90,17 @@ def _seed_from(label, seed):
 def spin_up(m, vectors):
     """Smallest generator-invariant subspace containing the vectors, as an
     echelonized list of rows."""
-    return _spin_up_np(m, vectors, np_generator_set(m))
-
-
-def _spin_up_np(m, vectors, np_gens):
     K = arrays(m.ring)
     ech = NpEchelon(m.ring, m.dim)
-    frontier = [v for v in K.from_rows(vectors, (len(vectors), m.dim)) if ech.add(v)]
-    while frontier:
-        fmat = np.stack(frontier)
-        new_frontier = []
-        for g in np_gens:
-            for w in K.mul(fmat, g.swapaxes(0, 1)):
-                if ech.add(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
+    for v in K.from_rows(vectors, (len(vectors), m.dim)):
+        ech.add(v)
+    _spin_np_dim(ech, np_generator_set(m), K, m.dim)
     return K.to_rows(ech.basis_matrix())
 
 
 def _spin_np_dim(ech, np_gens, K, n):
+    """Spin the echelon's span under the generators until it is invariant
+    or reaches dimension n; returns its dimension."""
     frontier = ech.basis_matrix()
     while len(frontier) and ech.dim < n:
         new_frontier = []
@@ -157,25 +137,25 @@ def _projective_points_np(K, n):
 # ---------------------------------------------------------------------------
 
 
-def _random_element_np(np_gens, K, n, rng, max_len=4):
-    acc = np.zeros((n, n) + K.tail, dtype=np.int64)
+def _random_element_np(np_gens, K, n, rng):
+    acc = K.zeros(n)
     words = rng.randint(2, 3)
     for _ in range(words):
         word = K.eye(n)
-        for _ in range(rng.randint(1, max_len)):
+        for _ in range(rng.randint(1, 4)):
             word = K.mul(word, rng.choice(np_gens))
         acc = (acc + rng.randint(1, K.p) * word) % K.p
     return acc
 
 
-def _choose_singular_np(np_gens, F, n, rng, tries=24):
+def _choose_singular_np(np_gens, F, n, rng):
     """A singular element of the image algebra with small positive nullity;
     shifting a random element by an eigenvalue keeps it in the algebra (the
     identity is op(·, ·, 0)).  Eigenvalues come in field-element order from
     the characteristic polynomial, so no field element is tried in vain."""
     K = arrays(F)
     best = None
-    for _ in range(tries):
+    for _ in range(24):
         z = _random_element_np(np_gens, K, n, rng)
         for nu in linalg.np_eigenvalues(z, F):
             shifted = (z - K.emul(K.eye(n), K.coords(nu))) % K.p
@@ -228,8 +208,10 @@ class IrreducibilityResult:
         return self.verdict
 
 
-def is_irreducible(m, seed=0, max_retries=16, enum_cap=4096):
+def is_irreducible(m, seed=0):
     """Norton-style test with certificate; never returns a wrong verdict.
+    Up to 16 singular elements are tried, each with at most 4096 projective
+    points in its nullspace.
 
     Certificate records the seed, the witness subspace for reducible verdicts
     and the spin evidence for irreducible ones.
@@ -257,13 +239,13 @@ def is_irreducible(m, seed=0, max_retries=16, enum_cap=4096):
     dual_gens = None
     rng = random.Random(_seed_from("norton", seed))
 
-    for attempt in range(max_retries):
+    for attempt in range(16):
         picked = _choose_singular_np(np_gens, ring, m.dim, rng)
         if picked is None:
             continue
         z, nullrows, nullity = picked
         npoints = (K.q ** nullity - 1) // (K.q - 1)
-        if npoints > enum_cap:
+        if npoints > 4096:
             continue
         # module side: every projective point of null(z)
         for coeffs in _projective_points_np(K, nullity):
@@ -353,9 +335,8 @@ class _Subquotient(LoopModule):
     """The submodule (part 0) or the quotient (part 1) of a module on a
     graded invariant subspace.  In the basis of the subspace followed by its
     complement, every table of the parent is block triangular; this module's
-    table is a diagonal block, cut on arrays and boxed only when op or lam is
-    asked for.  The tables are linear images of the parent's, so the ratios
-    carry over, and so do the labels."""
+    table is a diagonal block, cut on arrays.  The tables are linear images
+    of the parent's, so the ratios carry over, and so do the labels."""
 
     def __init__(self, parent, weights, recipe, change, part, labels):
         super().__init__(parent.ring, weights, recipe)
@@ -372,22 +353,16 @@ class _Subquotient(LoopModule):
             raise ArithmeticError("claimed subspace is not invariant")
         return full[:s, :s] if self.part == 0 else full[s:, s:]
 
-    def _op_np(self, kind, r, k):
+    def _op(self, kind, r, k):
         if k > self.max_exponent():
-            return np.zeros((self.dim, self.dim) + arrays(self.ring).tail, dtype=np.int64)
+            return arrays(self.ring).zeros(self.dim)
         if self.op_ratios(k) is not None:
             # unit ratios: the tables are (q-1)-periodic in r
             r %= self.ring.card - 1
-        return self._cut(self.parent.op_np(kind, r, k))
-
-    def _op(self, kind, r, k):
-        return from_np(self.op_np(kind, r, k), self.ring)
-
-    def _lam_np(self, r):
-        return self._cut(self.parent.lam_np(r))
+        return self._cut(self.parent.op_table(kind, r, k))
 
     def _lam(self, r):
-        return from_np(self.lam_np(r), self.ring)
+        return self._cut(self.parent.lam_table(r))
 
     def _op_ratios(self, k):
         return self.parent.op_ratios(k)
@@ -542,5 +517,5 @@ def _hom_space_nonzero(m1, m2):
         else:
             a1, a2 = m1.op_np(kind, r, k), m2.op_np(kind, r, k)
         # vec(T g1 - g2 T) = (g1^T ⊗ I - I ⊗ g2) vec(T)
-        blocks.append((linalg.kron(a1.swapaxes(0, 1), eye, ring) - linalg.kron(eye, a2, ring)) % K.p)
+        blocks.append((K.kron(K.transpose(a1), eye) - K.kron(eye, a2)) % K.p)
     return linalg.np_nullspace(np.concatenate(blocks, axis=0), ring).shape[0] > 0

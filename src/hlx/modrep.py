@@ -30,9 +30,11 @@ vector i in the image of basis vector j.  Construction is by recipe: hyper
 evaluation modules, tensor products via the divided-power comultiplication,
 duals via the antipode, Frobenius and parameter twists, straightened Weyl
 modules in characteristic zero, and tables computed on demand (lattice
-reductions).  Over a finite field every table also exists as an array of the
-int64 kernel of linalg (op_np, lam_np, cartan_binom_np); tensor, dual and
-twists build those directly from their factors' arrays.
+reductions).  Every node builds each table once, from its factors' tables,
+in the representation linalg.tables(ring) chooses: an array of the int64
+kernel over a finite field, a Mat over Q, Z_(p) and Q(a, b).  op, lam and
+cartan_binom box a finite field's array on the way out; op_np, lam_np and
+cartan_binom_np hand it over.
 
 Modules are immutable after construction apart from the lazily memoized
 tables; once a table is materialized it is never rewritten, so concurrent
@@ -41,6 +43,7 @@ readers are safe and cross-module operations stay pure.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -48,18 +51,17 @@ import numpy as np
 from . import looppbw
 from .cartan import CartanData
 from .drinfeld import DrinfeldPoly, EllWeight, FieldExtensionNeeded, factor_poly_unit_roots
-from .exactnum import QQ, FiniteField, Poly, integer_binomial, lucas_binom, ring_pow
+from .exactnum import QQ, FiniteField, Poly, integer_binomial, ring_pow
 from .linalg import (
     Mat,
     arrays,
     check_int64_bound,
     from_np,
     kernel,
-    kron,
     np_eigenvalues,
     np_nullspace,
     np_rref,
-    to_np,
+    tables,
 )
 from .looppbw import CARTAN, LOWER, RAISE, HyperElement
 
@@ -113,80 +115,70 @@ class LoopModule:
         self.dim = len(self.weights)
         self.recipe = recipe
         self.hw_index = hw_index
-        self._op_cache = {}
-        self._lam_cache = {}
-        self._np_cache = {}
+        self._tables = {}
         self._ratio_cache = {}
-        self._np_checked = False
         self._label_cache = {}
 
-    # -- operator access ------------------------------------------------------
+    # -- operator tables: one memo, in the representation of linalg.tables ---
 
-    def op(self, kind, r, k):
+    def _memo(self, key, build):
+        if key not in self._tables:
+            if self.ring.card is not None:
+                # the longest int64 sums: matrix products (dim terms) and the
+                # ell-weight denominator solves (below the Lambda precision)
+                check_int64_bound(self.ring, max(self.dim, self.lam_precision()))
+            self._tables[key] = build()
+        return self._tables[key]
+
+    def op_table(self, kind, r, k):
+        """(x±_r)^(k) in the representation of linalg.tables(ring)."""
         if k < 0:
             raise ValueError("negative divided power")
         if k == 0:
-            return Mat.identity(self.ring, self.dim)
-        key = (kind, r, k)
-        if key not in self._op_cache:
-            self._op_cache[key] = self._op(kind, r, k)
-        return self._op_cache[key]
+            return self._memo("eye", lambda: tables(self.ring).eye(self.dim))
+        return self._memo(("op", kind, r, k), lambda: self._op(kind, r, k))
 
-    def lam(self, r):
+    def lam_table(self, r):
+        """Lambda_r in the representation of linalg.tables(ring): read off the
+        labels when the module has them."""
         if r == 0:
-            return Mat.identity(self.ring, self.dim)
-        if r not in self._lam_cache:
-            if self.labels() is None:
-                self._lam_cache[r] = self._lam(r)
-            else:
-                self._lam_cache[r] = Mat.diag(self.ring, self.lam_diagonal(r))
-        return self._lam_cache[r]
+            return self._memo("eye", lambda: tables(self.ring).eye(self.dim))
+        if self.labels() is None:
+            return self._memo(("lam", r), lambda: self._lam(r))
+        return self._memo(("lam", r), lambda: tables(self.ring).diag(self.lam_diagonal(r)))
 
-    def cartan_binom(self, k):
-        return Mat.diag(self.ring, [_binom_in_ring(self.ring, w, k) for w in self.weights])
+    def _cartan_table(self, k):
+        return self._memo(
+            ("h", k), lambda: tables(self.ring).diag([_binom_in_ring(self.ring, w, k) for w in self.weights])
+        )
 
-    # -- array tables (finite fields): the same tables in the int64 kernel ---
+    def _boxed(self, table):
+        return table if self.ring.card is None else from_np(table, self.ring)
 
-    def _check_np(self):
+    def _finite(self):
         if self.ring.card is None:
             raise TypeError("array tables are only kept for finite fields")
-        if not self._np_checked:
-            # the longest int64 sums: matrix products (dim terms) and the
-            # ell-weight denominator solves (below the Lambda precision)
-            check_int64_bound(self.ring, max(self.dim, self.lam_precision()))
-            self._np_checked = True
+
+    def op(self, kind, r, k):
+        return self._boxed(self.op_table(kind, r, k))
+
+    def lam(self, r):
+        return self._boxed(self.lam_table(r))
+
+    def cartan_binom(self, k):
+        return self._boxed(self._cartan_table(k))
 
     def op_np(self, kind, r, k):
-        key = ("op", kind, r, k)
-        if key not in self._np_cache:
-            self._check_np()
-            if k == 0:
-                return arrays(self.ring).eye(self.dim)
-            self._np_cache[key] = self._op_np(kind, r, k)
-        return self._np_cache[key]
+        self._finite()
+        return self.op_table(kind, r, k)
 
     def lam_np(self, r):
-        key = ("lam", r)
-        if key not in self._np_cache:
-            self._check_np()
-            if r == 0:
-                return arrays(self.ring).eye(self.dim)
-            self._np_cache[key] = self._lam_np(r)
-        return self._np_cache[key]
+        self._finite()
+        return self.lam_table(r)
 
     def cartan_binom_np(self, k):
-        self._check_np()
-        K = arrays(self.ring)
-        out = np.zeros((self.dim, self.dim) + K.tail, dtype=np.int64)
-        idx = np.arange(self.dim)
-        out[idx, idx] = K.from_ints([lucas_binom(w, k, K.p) for w in self.weights])
-        return out
-
-    def _op_np(self, kind, r, k):
-        return to_np(self.op(kind, r, k))
-
-    def _lam_np(self, r):
-        return to_np(self.lam(r))
+        self._finite()
+        return self._cartan_table(k)
 
     # -- ell-weight labels -----------------------------------------------------
 
@@ -318,7 +310,7 @@ class _EvalWeyl(LoopModule):
                 i = j - k
                 if i >= 0:
                     rows[i][j] = scal * _binom_in_ring(ring, lam - j + k, k)
-        return Mat(ring, rows)
+        return tables(ring).from_rows(rows, (n, n))
 
     def _labels(self):
         # hev_a(Lambda^+(u)) = (1 - au)^h: v_j carries omega_{a, lambda - 2j}
@@ -358,13 +350,10 @@ class _Tensor(LoopModule):
         return frozenset(out)
 
     def _op(self, kind, r, k):
-        if self.ring.card is not None:
-            return from_np(self.op_np(kind, r, k), self.ring)
-        acc = None
-        for l in range(k + 1):
-            term = self.left.op(kind, r, l).kron(self.right.op(kind, r, k - l))
-            acc = term if acc is None else acc + term
-        return acc
+        # Delta((x±_r)^(k)) = sum_l (x±_r)^(l) (x) (x±_r)^(k-l)
+        T = tables(self.ring)
+        terms = [T.kron(self.left.op_table(kind, r, l), self.right.op_table(kind, r, k - l)) for l in range(k + 1)]
+        return functools.reduce(T.add, terms)
 
     def _labels(self):
         # Delta(Lambda^±(u)) = Lambda^±(u) (x) Lambda^±(u): labels multiply
@@ -375,19 +364,10 @@ class _Tensor(LoopModule):
 
     def _lam(self, r):
         # an unlabelled factor (weyl0, a lattice reduction): the coproduct sum
-        sign = 1 if r > 0 else -1
-        acc = None
-        for l in range(abs(r) + 1):
-            term = self.left.lam(sign * l).kron(self.right.lam(sign * (abs(r) - l)))
-            acc = term if acc is None else acc + term
-        return acc
-
-    def _op_np(self, kind, r, k):
-        K = arrays(self.ring)
-        acc = np.zeros((self.dim, self.dim) + K.tail, dtype=np.int64)
-        for l in range(k + 1):
-            acc += kron(self.left.op_np(kind, r, l), self.right.op_np(kind, r, k - l), self.ring)
-        return acc % K.p
+        T = tables(self.ring)
+        sign, n = (1 if r > 0 else -1), abs(r)
+        terms = [T.kron(self.left.lam_table(sign * l), self.right.lam_table(sign * (n - l))) for l in range(n + 1)]
+        return functools.reduce(T.add, terms)
 
 
 def tensor(*mods):
@@ -418,10 +398,9 @@ class _Dual(LoopModule):
 
     def _op(self, kind, r, k):
         # S((x±_r)^(k)) = (-1)^k (x±_r)^(k)
-        m = self.inner.op(kind, r, k).transpose()
-        if k % 2 == 1:
-            m = -m
-        return m
+        T = tables(self.ring)
+        m = T.transpose(self.inner.op_table(kind, r, k))
+        return T.neg(m) if k % 2 else m
 
     def _labels(self):
         # S(Lambda^±(u)) = Lambda^±(u)^{-1}: the antipode inverts the labels
@@ -429,28 +408,18 @@ class _Dual(LoopModule):
         return None if inner is None else tuple(lab.inverse() for lab in inner)
 
     def _lam(self, r):
-        # unlabelled inner module: invert the matrix series
+        # unlabelled inner module: invert the matrix series, memoized on the
+        # module next to the tables
+        T = tables(self.ring)
         sign = 1 if r > 0 else -1
-        n = abs(r)
-        inv = self._lam_inverse_series(sign, n)
-        return inv[n].transpose()
-
-    def _lam_inverse_series(self, sign, upto):
-        key = ("lamser", sign)
-        cache = self._op_cache.setdefault(key, [Mat.identity(self.ring, self.inner.dim)])
-        while len(cache) <= upto:
-            n = len(cache)
-            acc = Mat.zeros(self.ring, self.inner.dim, self.inner.dim)
+        series = self._tables.setdefault(("lamser", sign), [T.eye(self.dim)])
+        while len(series) <= abs(r):
+            n = len(series)
+            acc = T.zeros(self.dim)
             for j in range(1, n + 1):
-                acc = acc + self.inner.lam(sign * j) * cache[n - j]
-            cache.append(-acc)
-        return cache
-
-    def _op_np(self, kind, r, k):
-        m = self.inner.op_np(kind, r, k).swapaxes(0, 1)
-        if k % 2 == 1:
-            m = -m
-        return m % self.ring.char
+                acc = T.add(acc, T.mul(self.inner.lam_table(sign * j), series[n - j]))
+            series.append(T.neg(acc))
+        return T.transpose(series[abs(r)])
 
 
 def dual(m):
@@ -489,8 +458,8 @@ class _Frobenius(LoopModule):
 
     def _op(self, kind, r, k):
         if k % self.pm != 0:
-            return Mat.zeros(self.ring, self.dim, self.dim)
-        return self.inner.op(kind, r, k // self.pm)
+            return tables(self.ring).zeros(self.dim)
+        return self.inner.op_table(kind, r, k // self.pm)
 
     def _labels(self):
         # Lambda^±(u) -> Lambda^±(u^{p^m}), and 1 - a u^{p^m} = (1 - a^{1/p^m} u)^{p^m}
@@ -513,13 +482,8 @@ class _Frobenius(LoopModule):
 
     def _lam(self, r):
         if r % self.pm != 0:
-            return Mat.zeros(self.ring, self.dim, self.dim)
-        return self.inner.lam(r // self.pm)
-
-    def _op_np(self, kind, r, k):
-        if k % self.pm != 0:
-            return np.zeros((self.dim, self.dim) + arrays(self.ring).tail, dtype=np.int64)
-        return self.inner.op_np(kind, r, k // self.pm)
+            return tables(self.ring).zeros(self.dim)
+        return self.inner.lam_table(r // self.pm)
 
 
 def frobenius_twist(m, steps):
@@ -554,7 +518,7 @@ class _Psi(LoopModule):
         return frozenset(ak * c for c in inner)
 
     def _op(self, kind, r, k):
-        return self.inner.op(kind, r, k).scale(self._scal(r * k))
+        return tables(self.ring).scale(self.inner.op_table(kind, r, k), self._scal(r * k))
 
     def _labels(self):
         # Lambda^±(u) -> Lambda^±(c u): every parameter is multiplied by c
@@ -564,11 +528,7 @@ class _Psi(LoopModule):
         return tuple(EllWeight(self.ring, [(self.a * a, mu) for a, mu in lab.pairs]) for lab in inner)
 
     def _lam(self, r):
-        return self.inner.lam(r).scale(self._scal(r))
-
-    def _op_np(self, kind, r, k):
-        K = arrays(self.ring)
-        return K.emul(self.inner.op_np(kind, r, k), K.from_ring(self._scal(r * k)))
+        return tables(self.ring).scale(self.inner.lam_table(r), self._scal(r))
 
 
 def psi_twist(m, a):
@@ -619,10 +579,10 @@ class _Weyl0(LoopModule):
     operators act by monomial merging plus rewrite rules; everything else is
     evaluated through the symbolic engine against the highest-weight data."""
 
-    def __init__(self, ring, omega_coeffs, margin=6, max_sweeps=6):
+    def __init__(self, ring, omega_coeffs, margin=6):
         if ring.char != 0:
             raise ValueError("straightened Weyl modules are built in characteristic zero")
-        sat = looppbw.weyl_upper_bound(omega_coeffs, ring, max_sweeps=max_sweeps, margin=margin)
+        sat = looppbw.weyl_upper_bound(omega_coeffs, ring, max_sweeps=6, margin=margin)
         if not sat.stabilized:
             raise RuntimeError("straightening did not stabilize; enlarge the windows")
         self.sat = sat
@@ -748,9 +708,10 @@ def weyl0_from_roots(ring, roots, margin=6):
 
 class _Explicit(LoopModule):
     """Module whose tables come from functions: op_fn(kind, r, k) and
-    lam_fn(r) compute them on demand (lattice reductions keep a handle on
-    their ambient module this way); ratio_fn gives op_ratios when the tables
-    are linear images of another module's."""
+    lam_fn(r) compute them on demand, in the representation of
+    linalg.tables(ring) (lattice reductions keep a handle on their ambient
+    module this way); ratio_fn gives op_ratios when the tables are linear
+    images of another module's."""
 
     def __init__(self, ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_fn=None):
         super().__init__(ring, weights, recipe, hw_index=hw_index)
@@ -763,7 +724,7 @@ class _Explicit(LoopModule):
 
     def _op(self, kind, r, k):
         if k > self.max_exponent():
-            return Mat.zeros(self.ring, self.dim, self.dim)
+            return tables(self.ring).zeros(self.dim)
         return self._op_fn(kind, r, k)
 
     def _lam(self, r):
@@ -779,34 +740,19 @@ def explicit_module(ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_f
 # ---------------------------------------------------------------------------
 
 
-def ell_hw_vectors(m, r_window=None, kmax=None):
+def ell_hw_vectors(m, r_window=None):
     """Echelonized basis of the joint kernel of all raising divided powers in
     the certified window; over F_q only p-power exponents are needed."""
     ring = m.ring
     if r_window is None:
         r_window = m.r_window()
-    if kmax is None:
-        kmax = m.max_exponent()
-    ks = generator_exponents(ring.char, kmax)
-    if ring.card is not None:
-        blocks = []
-        for r in range(-r_window, r_window + 1):
-            for k in ks:
-                mat = m.op_np(RAISE, r, k)
-                if mat.any():
-                    blocks.append(mat)
-        if not blocks:
-            return [list(row) for row in Mat.identity(ring, m.dim).rows]
-        return arrays(ring).to_rows(np_nullspace(np.concatenate(blocks, axis=0), ring))
-    rows = []
-    for r in range(-r_window, r_window + 1):
-        for k in ks:
-            mat = m.op(RAISE, r, k)
-            if not mat.is_zero():
-                rows.extend(mat.rows)
-    if not rows:
-        return [list(row) for row in Mat.identity(ring, m.dim).rows]
-    return kernel(Mat(ring, rows))
+    ks = generator_exponents(ring.char, m.max_exponent())
+    rs = range(-r_window, r_window + 1)
+    if ring.card is None:
+        return kernel(Mat(ring, [row for r in rs for k in ks for row in m.op(RAISE, r, k).rows]))
+    K = arrays(ring)
+    blocks = [t for t in (m.op_np(RAISE, r, k) for r in rs for k in ks) if t.any()]
+    return K.to_rows(np_nullspace(np.concatenate(blocks, axis=0), ring) if blocks else K.eye(m.dim))
 
 
 def drinfeld_polynomial(m, v=None, prec=None):

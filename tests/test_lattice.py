@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hlx.exactnum import QQ, PrimeField, val_p
+from hlx.exactnum import QQ, PrimeField, residue, val_p
 from hlx.lattice import (
     LatticeBasis,
     LatticeError,
@@ -18,6 +19,7 @@ from hlx.lattice import (
     reduce_mod_p,
     tensor_lattice,
 )
+from hlx.linalg import Mat, from_np
 from hlx.looppbw import LOWER, RAISE
 from hlx.modrep import (
     drinfeld_polynomial,
@@ -284,3 +286,52 @@ def test_integer_invariance_check_rejects_a_row_times_p():
         bad = LatticeBasis(m, 3, rows, lat.stable_window)
         assert not _integer_invariant(m, bad, kmax)
         assert not _oracle_invariant(m, bad, kmax)
+
+
+def _fraction_reduce_matrix(lat, mat):
+    # the Fraction route: apply the ambient table to each basis row, solve
+    # for the image's coordinates in the basis and take their residues
+    p = lat.p
+    cols = []
+    for row in lat.rows:
+        coords = lat.coords(mat.apply(list(row)))
+        if coords is None:
+            raise LatticeError("operator leaves the lattice span")
+        if any(val_p(c, p) < 0 for c in coords):
+            raise LatticeError("operator violates lattice invariance mod %d" % p)
+        cols.append([residue(c, p) for c in coords])
+    return Mat(PrimeField(p), list(zip(*cols)))
+
+
+def _reduced_tables(m, lat, red):
+    # (reduced table, ambient table) of each operator certified on lat
+    kmax = max(1, m.max_exponent())
+    window = lat.stable_window
+    for kind in (LOWER, RAISE):
+        for r in range(-window, window + 1):
+            for k in range(1, kmax + 1):
+                yield partial(red.op_np, kind, r, k), m.op(kind, r, k)
+    prec = m.lam_precision()
+    for r in range(-prec + 1, prec):
+        yield partial(red.lam_np, r), m.lam(r)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(closure_lattices())
+def test_reduction_agrees_with_the_fraction_route(case):
+    m, lat = case
+    red = reduce_mod_p(lat)
+    for table, ambient in _reduced_tables(m, lat, red):
+        assert from_np(table(), red.ring) == _fraction_reduce_matrix(lat, ambient)
+
+
+def test_reduction_rejects_a_row_times_p():
+    m = tensor(eval_weyl_module(QQ, 1, Fraction(1)), eval_weyl_module(QQ, 2, Fraction(4)))
+    lat = lattice_closure(m, m.hw_vector(), 3)
+    for i in range(lat.rank):
+        rows = [[c * 3 for c in r] if j == i else list(r) for j, r in enumerate(lat.rows)]
+        bad = LatticeBasis(m, 3, rows, lat.stable_window)
+        red = reduce_mod_p(bad)
+        with pytest.raises(LatticeError, match="^operator violates lattice invariance mod 3$"):
+            for table, ambient in _reduced_tables(m, bad, red):
+                table()

@@ -4,10 +4,12 @@ The int64 kernel of every finite field is compared with the boxed Mat
 routines and with scans of the field, and brute-force witnesses with the
 boxed generators; the structural r-window of op_ratios with the periodic
 window min(dim^2, q - 1), the ell-weight labels of structural modules with
-the matrix path on independently built Lambda tables, and the norm-based
-extension hint with root enumeration in the extension field.
+the matrix path on independently built Lambda tables, every recipe node's
+array tables with boxed Mat tables built from the node's formulas, and the
+norm-based extension hint with root enumeration in the extension field.
 """
 
+import functools
 import json
 import time
 from collections import Counter
@@ -30,6 +32,7 @@ from hlx.exactnum import (
 )
 from hlx.linalg import (
     Mat,
+    NpEchelon,
     arrays,
     det,
     from_np,
@@ -45,10 +48,9 @@ from hlx.linalg import (
 from hlx.looppbw import LOWER, RAISE
 from hlx.meataxe import (
     _hom_space_nonzero,
-    brute_force_irreducible,
-    generator_set,
-    _spin_up_np,
+    _spin_np_dim,
     _submodule_and_quotient,
+    brute_force_irreducible,
     chop,
     is_irreducible,
     iso_ell_hw,
@@ -239,9 +241,9 @@ def test_brute_force_witnesses_are_invariant(m):
     if witness is None:
         return
     assert verdict is False and 0 < len(witness) < m.dim
-    for _, g in generator_set(m):
+    for g in np_generator_set(m):
         for row in witness:
-            assert len(rref(witness + [g.apply(row)], F)[0]) == len(witness)
+            assert len(rref(witness + [from_np(g, F).apply(row)], F)[0]) == len(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,13 @@ def test_structural_window_keeps_spans(recipe_ring, data):
     p = m.ring.p
     v = data.draw(st.lists(st.integers(0, p - 1), min_size=m.dim, max_size=m.dim))
     vec = [m.ring(c) for c in v]
-    assert _spin_up_np(m, [vec], np_generator_set(m)) == _spin_up_np(m, [vec], np_generator_set(m, old))
+    spans = []
+    for gens in (np_generator_set(m), np_generator_set(m, old)):
+        ech = NpEchelon(m.ring, m.dim)
+        ech.add(arrays(m.ring).from_rows([vec], (1, m.dim))[0])
+        _spin_np_dim(ech, gens, arrays(m.ring), m.dim)
+        spans.append(ech.basis_matrix().tolist())
+    assert spans[0] == spans[1]
     res = is_irreducible(m)
     m_old = build_module(*recipe_ring)
     m_old.r_window = lambda: old
@@ -349,9 +357,9 @@ def _eval_without_labels(ring, lam, a):
 
     def lam_fn(r):
         scal = ring_pow(ring, -a, r) if r > 0 else ring_pow(ring, -ring.inv(a), -r)
-        return Mat.diag(ring, [scal * ring.from_int(integer_binomial(w, abs(r))) for w in e.weights])
+        return to_np(Mat.diag(ring, [scal * ring.from_int(integer_binomial(w, abs(r))) for w in e.weights]))
 
-    return explicit_module(ring, e.weights, e.recipe, e.op, lam_fn, hw_index=0, ratio_fn=e.op_ratios)
+    return explicit_module(ring, e.weights, e.recipe, e.op_np, lam_fn, hw_index=0, ratio_fn=e.op_ratios)
 
 
 def _build_without_labels(node, ring):
@@ -413,7 +421,7 @@ def test_labels_agree_with_the_matrix_path(recipe_ring):
     # the oracle: m's own operator tables, Lambda computed without labels
     bare = _build_without_labels(recipe, F)
     assert bare.labels() is None
-    oracle = explicit_module(F, m.weights, m.recipe, m.op, bare.lam, hw_index=m.hw_index, ratio_fn=m.op_ratios)
+    oracle = explicit_module(F, m.weights, m.recipe, m.op_np, bare.lam_np, hw_index=m.hw_index, ratio_fn=m.op_ratios)
     prec = m.lam_precision()
     for r in range(-prec, prec + 1):
         assert m.lam(r) == oracle.lam(r)
@@ -429,6 +437,97 @@ def test_labels_agree_with_the_matrix_path(recipe_ring):
 
 # ---------------------------------------------------------------------------
 # the extension hint over F_{p^d}
+# ---------------------------------------------------------------------------
+# every node's tables against boxed Mat references from the node formulas
+# ---------------------------------------------------------------------------
+
+
+def _reference_tables(F):
+    """Memoized boxed tables of a module tree, from the formulas of each
+    node: (op(m, kind, r, k), lam(m, r))."""
+
+    @functools.cache
+    def leaf(m):
+        if isinstance(m, modrep._EvalWeyl):
+            return m.lam_weight, m.a
+        spec = m.recipe["eval_weyl"]
+        return int(spec["lambda"]), F.parse(spec["a"])
+
+    @functools.cache
+    def op(m, kind, r, k):
+        if k == 0:
+            return Mat.identity(F, m.dim)
+        if isinstance(m, modrep._Tensor):
+            terms = [op(m.left, kind, r, l).kron(op(m.right, kind, r, k - l)) for l in range(k + 1)]
+            return functools.reduce(Mat.__add__, terms)
+        if isinstance(m, modrep._Dual):
+            t = op(m.inner, kind, r, k).transpose()
+            return -t if k % 2 else t
+        if isinstance(m, modrep._Frobenius):
+            return op(m.inner, kind, r, k // m.pm) if k % m.pm == 0 else Mat.zeros(F, m.dim, m.dim)
+        if isinstance(m, modrep._Psi):
+            return op(m.inner, kind, r, k).scale(ring_pow(F, m.a, r * k))
+        # W(lambda, a): a^{rk} (x±)^(k)
+        lam, a = leaf(m)
+        rows = [[F.zero] * m.dim for _ in range(m.dim)]
+        for j in range(m.dim):
+            i = j + k if kind == LOWER else j - k
+            if 0 <= i < m.dim:
+                rows[i][j] = ring_pow(F, a, r * k) * F.from_int(integer_binomial(i if kind == LOWER else lam - i, k))
+        return Mat(F, rows)
+
+    @functools.cache
+    def series(m, sign, n):
+        # the inverse of the Lambda^{sign}-series of m, coefficient n
+        if n == 0:
+            return Mat.identity(F, m.dim)
+        acc = functools.reduce(Mat.__add__, [lam(m, sign * j) * series(m, sign, n - j) for j in range(1, n + 1)])
+        return -acc
+
+    @functools.cache
+    def lam(m, r):
+        if r == 0:
+            return Mat.identity(F, m.dim)
+        sign, n = (1 if r > 0 else -1), abs(r)
+        if isinstance(m, modrep._Tensor):
+            terms = [lam(m.left, sign * l).kron(lam(m.right, sign * (n - l))) for l in range(n + 1)]
+            return functools.reduce(Mat.__add__, terms)
+        if isinstance(m, modrep._Dual):
+            return series(m.inner, sign, n).transpose()
+        if isinstance(m, modrep._Frobenius):
+            return lam(m.inner, r // m.pm) if r % m.pm == 0 else Mat.zeros(F, m.dim, m.dim)
+        if isinstance(m, modrep._Psi):
+            return lam(m.inner, r).scale(ring_pow(F, m.a, r))
+        # hev_a(Lambda_r) = (-a)^r binom(h, r) and (-1/a)^{|r|} binom(h, |r|) for r < 0
+        _, a = leaf(m)
+        scal = ring_pow(F, -a, n) if r > 0 else ring_pow(F, -F.inv(a), n)
+        return Mat.diag(F, [scal * F.from_int(integer_binomial(w, n)) for w in m.weights])
+
+    return op, lam
+
+
+def _nodes(m):
+    yield m
+    for child in ("left", "right", "inner"):
+        if hasattr(m, child):
+            yield from _nodes(getattr(m, child))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(labelled_recipes(), st.booleans())
+def test_every_node_matches_the_boxed_formulas(recipe_ring, with_labels):
+    recipe, F = recipe_ring
+    m = build_module(recipe, F) if with_labels else _build_without_labels(recipe, F)
+    op, lam = _reference_tables(F)
+    for node in _nodes(m):
+        for kind in (LOWER, RAISE):
+            for r in range(-2, 3):
+                for k in range(1, node.max_exponent() + 2):
+                    assert from_np(node.op_np(kind, r, k), F) == op(node, kind, r, k)
+        for r in range(-4, 5):
+            assert from_np(node.lam_np(r), F) == lam(node, r)
+
+
 # ---------------------------------------------------------------------------
 
 
