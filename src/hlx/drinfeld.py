@@ -16,7 +16,6 @@ from .cartan import Weight
 from .exactnum import (
     Poly,
     PrimeField,
-    TruncatedSeries,
     field_roots,
     fppoly_splits_over,
     integer_binomial,
@@ -326,11 +325,6 @@ class EllWeight:
         if have is None or len(have) <= n:
             have = self._memo[sign] = self.coefficients(0, max(n, at_least), sign)
         return have
-
-    def series(self, i, prec, sign=1):
-        """Expansion of prod (1 - a u)^{±mu_j(h_i)} to the given precision;
-        sign=-1 expands with the inverted parameters."""
-        return TruncatedSeries(self.ring, self.coefficients(i, prec - 1, sign), prec)
 
     def __eq__(self, other):
         return isinstance(other, EllWeight) and self.ring == other.ring and self.pairs == other.pairs

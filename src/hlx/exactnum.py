@@ -5,8 +5,7 @@ reduction) assumes coefficient arithmetic is exact, so this module provides
 only exact types: arbitrary-precision rationals, prime fields F_p, small
 extensions F_{p^d} with d <= 4, the localization of the integers at p (a
 discrete valuation ring), sparse multivariate polynomials with a fraction
-field on top (for symbolic unit parameters), dense polynomials and truncated
-power series.
+field on top (for symbolic unit parameters) and dense polynomials.
 
 Rings are exposed as descriptor objects (QQ, PrimeField(p), ...) whose
 elements support +, -, * and ==; division goes through ``ring.inv`` so that
@@ -1155,7 +1154,7 @@ def ring_from_json(desc):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials and truncated series over a ring descriptor
+# dense polynomials over a ring descriptor
 # ---------------------------------------------------------------------------
 
 
@@ -1229,103 +1228,3 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%r)" % (self.fmt(),)
-
-
-class TruncatedSeries:
-    """Power series known modulo u^prec; coeffs has exactly prec entries."""
-
-    __slots__ = ("ring", "coeffs", "prec")
-
-    def __init__(self, ring, coeffs, prec):
-        c = list(coeffs)[:prec]
-        c += [ring.zero] * (prec - len(c))
-        self.ring = ring
-        self.coeffs = tuple(c)
-        self.prec = prec
-
-    @classmethod
-    def from_poly(cls, poly, prec):
-        return cls(poly.ring, list(poly.coeffs), prec)
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-    def __add__(self, other):
-        prec = min(self.prec, other.prec)
-        return TruncatedSeries(self.ring, [self[i] + other[i] for i in range(prec)], prec)
-
-    def __neg__(self):
-        return TruncatedSeries(self.ring, [-c for c in self.coeffs], self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        prec = min(self.prec, other.prec)
-        out = [self.ring.zero] * prec
-        for i in range(prec):
-            a = self[i]
-            if self.ring.is_zero(a):
-                continue
-            for j in range(prec - i):
-                out[i + j] = out[i + j] + a * other[j]
-        return TruncatedSeries(self.ring, out, prec)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.ring == other.ring
-            and self.prec == other.prec
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return "TruncatedSeries(%r, prec=%d)" % ([self.ring.fmt(c) for c in self.coeffs], self.prec)
-
-
-def series_inv(s):
-    """Multiplicative inverse; constant term must be a unit."""
-    ring = s.ring
-    if not ring.is_unit(s[0]):
-        raise ValueError("constant term is not a unit")
-    c0inv = ring.inv(s[0])
-    out = [c0inv]
-    for n in range(1, s.prec):
-        acc = ring.zero
-        for j in range(1, n + 1):
-            acc = acc + s[j] * out[n - j]
-        out.append(-(c0inv * acc))
-    return TruncatedSeries(ring, out, s.prec)
-
-
-def series_exp(s):
-    """exp of a series with zero constant term; needs characteristic zero."""
-    ring = s.ring
-    if ring.char != 0:
-        raise ValueError("series_exp needs characteristic zero")
-    if not ring.is_zero(s[0]):
-        raise ValueError("constant term must be zero")
-    out = [ring.one]
-    for n in range(1, s.prec):
-        acc = ring.zero
-        for j in range(1, n + 1):
-            acc = acc + ring.from_int(j) * s[j] * out[n - j]
-        out.append(ring.inv(ring.from_int(n)) * acc)
-    return TruncatedSeries(ring, out, s.prec)
-
-
-def series_log(s):
-    """log of a series with constant term 1; needs characteristic zero."""
-    ring = s.ring
-    if ring.char != 0:
-        raise ValueError("series_log needs characteristic zero")
-    if s[0] != ring.one:
-        raise ValueError("constant term must be one")
-    # log(s)' = s'/s
-    inv = series_inv(s)
-    der = TruncatedSeries(ring, [ring.from_int(n + 1) * s[n + 1] for n in range(s.prec - 1)], s.prec)
-    prod = der * inv
-    out = [ring.zero]
-    for n in range(1, s.prec):
-        out.append(ring.inv(ring.from_int(n)) * prod[n - 1])
-    return TruncatedSeries(ring, out, s.prec)

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import looppbw, modrep
-from .exactnum import QQ, val_p
+from .exactnum import QQ, ring_pow, val_p
 from .linalg import Mat, rref
 from .looppbw import LOWER, RAISE
 
@@ -536,24 +536,12 @@ def paper_example_report(p, a_str="1", b_str="2"):
     v0 = [K.zero] * 4
     v0[0] = K.one
 
-    def apow(e):
-        if e >= 0:
-            out = K.one
-            for _ in range(e):
-                out = out * a
-            return out
-        inv = K.inv(a)
-        out = K.one
-        for _ in range(-e):
-            out = out * inv
-        return out
-
     # (basicrele1): x-_s v0 = s a^{s-1} v3 - (s-1) a^s v1
     rele1 = True
     for s in range(-4, 6):
         img = w4.op(LOWER, s, 1).apply(v0)
-        want3 = K.from_int(s) * apow(s - 1)
-        want1 = -(K.from_int(s - 1) * apow(s))
+        want3 = K.from_int(s) * ring_pow(K, a, s - 1)
+        want1 = -(K.from_int(s - 1) * ring_pow(K, a, s))
         if img[2] != want3 or img[1] != want1 or not K.is_zero(img[0]) or not K.is_zero(img[3]):
             rele1 = False
     # x-_1 x-_0 v0 = 2a (x-_0)^(2) v0

@@ -371,10 +371,6 @@ class _FpArrays(_Tables, _ModP):
     def to_ring(self, x):
         return self.ring(int(x))
 
-    def from_ints(self, values):
-        """Integers as elements of the prime field."""
-        return np.asarray(values, dtype=np.int64) % self.p
-
     def from_rows(self, rows, shape):
         return np.array([[a.v for a in r] for r in rows], dtype=np.int64).reshape(shape)
 
@@ -442,12 +438,6 @@ class _FqArrays(_Tables, _Boxed):
 
     def scalar_rows(self, arr):
         return self.to_rows(arr)
-
-    def from_ints(self, values):
-        values = np.asarray(values, dtype=np.int64)
-        out = np.zeros(values.shape + self.tail, dtype=np.int64)
-        out[..., 0] = values % self.p
-        return out
 
     def from_rows(self, rows, shape):
         return np.array([[a.coeffs for a in r] for r in rows], dtype=np.int64).reshape(shape + self.tail)

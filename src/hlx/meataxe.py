@@ -144,7 +144,7 @@ def _random_element_np(np_gens, K, n, rng):
         word = K.eye(n)
         for _ in range(rng.randint(1, 4)):
             word = K.mul(word, rng.choice(np_gens))
-        acc = (acc + rng.randint(1, K.p) * word) % K.p
+        acc = (acc + rng.randint(1, K.p - 1) * word) % K.p
     return acc
 
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import looppbw
 from .cartan import CartanData
-from .drinfeld import DrinfeldPoly, EllWeight, FieldExtensionNeeded, factor_poly_unit_roots
+from .drinfeld import DrinfeldPoly, EllWeight, factor_poly_unit_roots, minus_involution
 from .exactnum import QQ, FiniteField, Poly, integer_binomial, ring_pow
 from .linalg import (
     Mat,
@@ -812,8 +812,6 @@ def drinfeld_polynomial(m, v=None, prec=None):
     if not ring.is_unit(coeffs[-1]):
         report["plus_polynomial"] = False
     else:
-        from .drinfeld import minus_involution
-
         expected = minus_involution(poly.polys[0])
         for r in range(0, prec):
             want = expected[r] if r <= expected.degree() else ring.zero
@@ -983,7 +981,9 @@ def _block_refinement(m, rs):
 
 
 def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):
-    """Identify the rational series omega/pi with wt = w; None when opaque."""
+    """Identify the rational series omega/pi with wt = w from the plus
+    series, and accept it when its closed-form minus series
+    (EllWeight.coefficients) is series_minus; None when opaque."""
     top = max((abs(x) for x in m.weights), default=0)
     for dpi in range(0, top + 1):
         dom = dpi + w
@@ -997,34 +997,18 @@ def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):
         om = _series_times_poly(ring, series_plus, pi, dom)
         if om is None:
             continue
-        # verify minus side: series_minus must equal om^-(u) / pi^-(u)
-        try:
-            from .drinfeld import minus_involution
-
-            omp = Poly(ring, om)
-            pip = Poly(ring, pi)
-            if omp.degree() != dom or pip.degree() != dpi:
-                continue
-            if not (ring.is_unit(omp.coeffs[-1]) if dom else True):
-                continue
-            if not (ring.is_unit(pip.coeffs[-1]) if dpi else True):
-                continue
-            minus_num = minus_involution(omp) if dom else omp
-            minus_den = minus_involution(pip) if dpi else pip
-            from .exactnum import TruncatedSeries, series_inv
-
-            num_s = TruncatedSeries.from_poly(minus_num, prec)
-            den_s = series_inv(TruncatedSeries.from_poly(minus_den, prec))
-            want = num_s * den_s
-            if any(not ring.is_zero(want[r] - series_minus[r]) for r in range(prec)):
-                continue
-            rootsn = factor_poly_unit_roots(omp)
-            rootsd = factor_poly_unit_roots(pip)
-        except (FieldExtensionNeeded, ValueError):
+        omp, pip = Poly(ring, om), Poly(ring, pi)
+        if omp.degree() != dom or pip.degree() != dpi:
             continue
-        pairs = [(a, mult) for a, mult in rootsn.items()]
-        pairs += [(a, -mult) for a, mult in rootsd.items()]
-        return EllWeight(ring, pairs)
+        try:
+            pairs = list(factor_poly_unit_roots(omp).items())
+            pairs += [(a, -mult) for a, mult in factor_poly_unit_roots(pip).items()]
+        except ValueError:  # FieldExtensionNeeded included
+            continue
+        # the minus side: series_minus must be the expansion of omega^-/pi^-
+        candidate = EllWeight(ring, pairs)
+        if candidate.coefficients(0, prec - 1, -1) == series_minus:
+            return candidate
     return None
 
 

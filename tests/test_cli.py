@@ -259,6 +259,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         (["paper-example", "--json"], "paper_example.json"),
         (["conjecture-cp0", "--p", "3", "--degmax", "3", "--json"], "conjecture_cp0_p3_d3.json"),
         (["verify-identities", "--json"], "verify_identities.json"),
+        (
+            ["lattice", "--recipe", os.path.join(GOLDEN, "lattice_recipe.json"), "--p", "3", "--reduce", "--json"],
+            "lattice_reduce_p3.json",
+        ),
     ],
 )
 def test_golden_outputs(capsys, argv, golden):
@@ -266,7 +270,9 @@ def test_golden_outputs(capsys, argv, golden):
     # stored outputs come from the eigenspace search, which the ell-weight
     # labels must reproduce byte for byte.  The worked example, the
     # conjecture desk test and the identity suite pin the characteristic-zero
-    # layer: the straightening echelon and the integer word rewriting
+    # layer: the straightening echelon and the integer word rewriting.  The
+    # lattice case reduces W(2,1)⊗W(1,4)⊗W(1,2) mod 3, where the roots 1 and
+    # 4 meet: its unlabelled ell-weights come from the matrix path
     code, out = _run(capsys, argv)
     assert code == 0
     with open(os.path.join(GOLDEN, golden), "rb") as fh:

@@ -15,7 +15,7 @@ from hlx.drinfeld import (
     factor,
     minus_involution,
 )
-from hlx.exactnum import QQ, FiniteField, Poly, PrimeField, TruncatedSeries, ring_pow
+from hlx.exactnum import QQ, FiniteField, Poly, PrimeField, ring_pow
 
 
 A1 = CartanData("A1")
@@ -151,9 +151,17 @@ def test_ell_weight_series():
     F = PrimeField(5)
     a = F(2)
     ew = EllWeight(F, [(a, -1)])
-    s = ew.series(0, 4)
     # (1 - a u)^{-1} = sum a^k u^k
-    assert list(s.coeffs) == [F(1), a, a * a, a * a * a]
+    assert ew.coefficients(0, 3) == [F(1), a, a * a, a * a * a]
+
+
+def _truncated_product(ring, f, g, prec):
+    # f * g modulo u^prec, both given as coefficient lists
+    out = [ring.zero] * prec
+    for i, x in enumerate(f[:prec]):
+        for j, y in enumerate(g[: prec - i]):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 @pytest.mark.parametrize("ring", [PrimeField(5), FiniteField(3, 2), QQ])
@@ -166,17 +174,17 @@ def test_ell_weight_coefficients_match_series_products(ring):
         pairs = [(rng.choice(units), rng.randint(-6, 6)) for _ in range(rng.randint(0, 3))]
         ew = EllWeight(ring, pairs)
         for sign in (1, -1):
-            ref = TruncatedSeries(ring, [ring.one], prec)
+            ref = [ring.one] + [ring.zero] * (prec - 1)
             for a, mu in ew.pairs:
                 a = a if sign == 1 else ring.inv(a)
                 m = mu.coords[0]
                 if m > 0:
-                    factor = TruncatedSeries(ring, [ring.one, -a], prec)
+                    factor = [ring.one, -a]
                 else:
-                    factor = TruncatedSeries(ring, [ring_pow(ring, a, k) for k in range(prec)], prec)
+                    factor = [ring_pow(ring, a, k) for k in range(prec)]
                 for _ in range(abs(m)):
-                    ref = ref * factor
-            assert ew.coefficients(0, prec - 1, sign) == [ref[k] for k in range(prec)]
+                    ref = _truncated_product(ring, ref, factor, prec)
+            assert ew.coefficients(0, prec - 1, sign) == ref
 
 
 def test_factor_over_rationals():

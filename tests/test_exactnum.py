@@ -15,16 +15,12 @@ from hlx.exactnum import (
     Poly,
     PrimeField,
     SymField,
-    TruncatedSeries,
     integer_binomial,
     irreducible_mod_p,
     lucas_binom,
     parse_rational,
     rational_str,
     residue,
-    series_exp,
-    series_inv,
-    series_log,
     val_p,
 )
 
@@ -154,41 +150,6 @@ def test_poly_arithmetic():
     assert (f * g).coeffs == (Fraction(1), Fraction(1), Fraction(-6))
     assert f.eval(Fraction(1, 2)) == 0
     assert Poly(QQ, [Fraction(0)]).is_zero()
-
-
-def test_series_inv_geometric():
-    a = Fraction(5)
-    s = TruncatedSeries(QQ, [Fraction(1), -a], 6)
-    inv = series_inv(s)
-    assert list(inv.coeffs) == [a ** k for k in range(6)]
-    assert series_inv(inv) == s
-
-
-def test_series_exp_log_roundtrip():
-    s = TruncatedSeries(QQ, [Fraction(0), Fraction(2), Fraction(-1, 3)], 7)
-    assert series_log(series_exp(s)) == s
-
-
-def test_series_exp_binomial_pattern():
-    # exp(-(h u + h u^2/2)) to order 2 is 1 - h u + (h^2 - h)/2 u^2
-    K = SymField(("h",))
-    h = K.var("h")
-    minus = K.from_int(-1)
-    s = TruncatedSeries(K, [K.zero, minus * h, minus * h * K.inv(K.from_int(2))], 3)
-    e = series_exp(s)
-    half = K.inv(K.from_int(2))
-    assert e.coeffs[0] == K.one
-    assert e.coeffs[1] == minus * h
-    assert e.coeffs[2] == (h * h - h) * half
-
-
-def test_series_preconditions():
-    s = TruncatedSeries(QQ, [Fraction(1), Fraction(1)], 4)
-    with pytest.raises(ValueError):
-        series_exp(s)
-    z = TruncatedSeries(QQ, [Fraction(0), Fraction(1)], 4)
-    with pytest.raises(ValueError):
-        series_inv(z)
 
 
 def test_sym_field_fractions():

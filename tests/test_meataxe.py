@@ -191,3 +191,22 @@ def test_extension_field_brute_force():
     m2 = tensor(eval_weyl_module(F4, 1, a), eval_weyl_module(F4, 1, a))
     res2 = is_irreducible(m2)
     assert res2.verdict is False
+
+
+def test_random_element_weights_are_units():
+    # each word of Norton's random element is weighted by a draw from
+    # 1..p-1.  A weight of p is 0 mod p and drops its word; over F_2 that
+    # made the element 0, whose nullity is the whole space, with probability
+    # at least 1/4.  The rng below takes the largest value of every draw: 3
+    # words, each the identity, so the element is 3(p-1) times the identity
+    from hlx.linalg import arrays
+    from hlx.meataxe import _random_element_np
+
+    class _Top(random.Random):
+        def randint(self, a, b):
+            return b
+
+    for p in (2, 5):
+        K = arrays(PrimeField(p))
+        z = _random_element_np([K.eye(3)], K, 3, _Top(0))
+        assert (z == (3 * (p - 1) % p) * K.eye(3)).all()

@@ -484,7 +484,28 @@ def test_labelled_analysis_is_exact_at_any_prime():
         assert b["ell_weight"] == m.labels()[i]
     top = blocks[0]["ell_weight"]
     assert top.fmt() == [["2", [2]], ["3", [1]]]
-    assert [c.v for c in top.series(0, 4).coeffs] == [1, F(-7).v, 16, F(-12).v]
+    assert [c.v for c in top.coefficients(0, 3)] == [1, F(-7).v, 16, F(-12).v]
     poly, checks = drinfeld_polynomial(m, blocks[0]["rows"][0])
     assert all(checks.values())
     assert [c.v for c in poly.polys[0].coeffs] == [1, F(-7).v, 16, F(-12).v]
+
+
+def test_match_ell_weight_checks_the_minus_series():
+    # the matrix path solves omega/pi from the plus series alone; the minus
+    # series is what tells omega_{g,2} omega_{g+1,-1} from any other
+    # ell-weight whose plus series agrees to this precision
+    from hlx.modrep import _match_ell_weight
+
+    F = FiniteField(3, 2)
+    g = F.gen()
+    m = tensor(eval_weyl_module(F, 2, g), dual(eval_weyl_module(F, 1, g + F.one)))
+    blocks = ell_weight_decomposition(m)
+    assert any(len(b["ell_weight"].pairs) == 2 for b in blocks)
+    for b in blocks:
+        plus, minus = b["series_plus"], b["series_minus"]
+        prec = len(plus)
+        assert _match_ell_weight(F, b["weight"], plus, minus, prec, m) == b["ell_weight"]
+        for r in range(1, prec):
+            bad = list(minus)
+            bad[r] = bad[r] + F.one
+            assert _match_ell_weight(F, b["weight"], plus, bad, prec, m) is None
