@@ -35,8 +35,6 @@ def _emit(report, out=None, force_json=False):
 
 
 def _field(p, ext_degree=1):
-    if not is_prime(p):
-        raise SystemExit(2)
     if ext_degree == 1:
         return PrimeField(p)
     return FiniteField(p, ext_degree)
@@ -510,6 +508,9 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if getattr(args, "p", None) is not None and not is_prime(args.p):
+        print("--p must be a prime, got %d" % args.p, file=sys.stderr)
+        return 2
     if args.command == "verify-identities":
         rep = run_identity_suite(args.kmax, args.smax, args.rmax, args.inject_mutant)
         rep["config"] = {"kmax": args.kmax, "smax": args.smax, "rmax": args.rmax, "seed": args.seed}

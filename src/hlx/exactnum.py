@@ -68,6 +68,8 @@ def lucas_binom(m, k, p):
 
 def val_p(x, p):
     """p-adic valuation of a rational (or DvrElem); val_p(0) = +infinity."""
+    if p < 2:
+        raise ValueError("valuation at %d: p must be at least 2" % p)
     if isinstance(x, DvrElem):
         x = x.q
     x = Fraction(x)
@@ -1045,12 +1047,21 @@ class SymElem:
             den = MPoly(den.names, {e: c * inv for e, c in den.terms.items()})
         return num, den
 
+    # a normal form is a fixed point of _reduce, so an operand returned for
+    # x + 0, 0 + x, x - 0, x * 0 and 0 * x is the generic result
+
     def __add__(self, other):
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
         return SymElem(
             _times(self.num, other.den) + _times(other.num, self.den), _times(self.den, other.den)
         )
 
     def __sub__(self, other):
+        if other.num.is_zero():
+            return self
         return SymElem(
             _times(self.num, other.den) - _times(other.num, self.den), _times(self.den, other.den)
         )
@@ -1059,6 +1070,10 @@ class SymElem:
         return SymElem._normal(-self.num, self.den)
 
     def __mul__(self, other):
+        if self.num.is_zero():
+            return self
+        if other.num.is_zero():
+            return other
         return SymElem(self.num * other.num, _times(self.den, other.den))
 
     def __eq__(self, other):

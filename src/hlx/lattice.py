@@ -53,7 +53,6 @@ def canonicalize(rows, p, weights=None):
     else:
         order = list(range(n))
     done = []
-    done_cols = []
     for col in order:
         best = None
         for i, r in enumerate(work):
@@ -68,11 +67,12 @@ def canonicalize(rows, p, weights=None):
         row = work.pop(i0)
         unit = row[col] / Fraction(p) ** v0
         row = [c / unit for c in row]  # pivot becomes exactly p^v0
+        support = [j for j in range(n) if row[j]]
         for r in work:
             if r[col] != 0:
                 q = r[col] / row[col]
                 assert val_p(q, p) >= 0, "pivot was not minimal valuation"
-                for j in range(n):
+                for j in support:
                     r[j] -= q * row[j]
         for r in done:
             e = r[col]
@@ -80,10 +80,9 @@ def canonicalize(rows, p, weights=None):
                 rep = _canonical_rep(e, p, v0)
                 m = (e - rep) / row[col]  # in Z_(p) by construction
                 if m:
-                    for j in range(n):
+                    for j in support:
                         r[j] -= m * row[j]
         done.append(row)
-        done_cols.append(col)
     work = [r for r in work if any(r)]
     assert not work, "rows left after elimination"
     return done

@@ -1,7 +1,10 @@
 """Exact linear algebra over ring descriptors.
 
 Mat is the boxed matrix of any ring descriptor from exactnum (immutable
-row-tuples); rref, kernel and det on it serve Q, Z_(p) and Q(a, b).
+row-tuples); rref, kernel and det on it serve Q, Z_(p) and Q(a, b).  Its
+kron, sums, differences and apply skip the ring operation when an operand is
+zero (tested with ring.is_zero), since a Fraction or Q(a, b) product costs
+gcds even then; operator tables are mostly zeros.
 
 Every finite field runs on one numpy int64 kernel instead, through the field
 object arrays(F).  An element of F_p is an int64 residue mod p; an element of
@@ -23,6 +26,7 @@ transpose, scale, kron) on both.
 from __future__ import annotations
 
 import bisect
+import functools
 import operator
 
 import numpy as np
@@ -62,10 +66,14 @@ class Mat:
         return self.rows[i][j]
 
     def __add__(self, other):
-        return Mat(self.ring, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        is_zero = self.ring.is_zero
+        rows = zip(self.rows, other.rows)
+        return Mat(self.ring, [[b if is_zero(a) else a if is_zero(b) else a + b for a, b in zip(*rs)] for rs in rows])
 
     def __sub__(self, other):
-        return Mat(self.ring, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        is_zero = self.ring.is_zero
+        rows = zip(self.rows, other.rows)
+        return Mat(self.ring, [[a if is_zero(b) else -b if is_zero(a) else a - b for a, b in zip(*rs)] for rs in rows])
 
     def __neg__(self):
         return Mat(self.ring, [[-a for a in r] for r in self.rows])
@@ -92,28 +100,30 @@ class Mat:
 
     def apply(self, vec):
         """Matrix times column vector (vec given as a flat list)."""
-        z = self.ring.zero
+        is_zero = self.ring.is_zero
+        support = [(j, v) for j, v in enumerate(vec) if not is_zero(v)]
         out = []
         for r in self.rows:
-            acc = z
-            for a, v in zip(r, vec):
-                acc = acc + a * v
-            out.append(acc)
+            terms = [r[j] * v for j, v in support if not is_zero(r[j])]
+            out.append(functools.reduce(operator.add, terms) if terms else self.ring.zero)
         return out
 
     def transpose(self):
         return Mat(self.ring, list(zip(*self.rows)))
 
     def kron(self, other):
-        m, n = self.shape
-        p, q = other.shape
+        is_zero = self.ring.is_zero
+        q = other.shape[1]
+        masks = [[is_zero(b) for b in rb] for rb in other.rows]
         out = []
-        for i in range(m):
-            for k in range(p):
+        for ra in self.rows:
+            for rb, mb in zip(other.rows, masks):
                 row = []
-                for j in range(n):
-                    a = self.rows[i][j]
-                    row.extend(a * b for b in other.rows[k])
+                for a in ra:
+                    if is_zero(a):
+                        row.extend([a] * q)
+                    else:
+                        row.extend([b if zb else a * b for b, zb in zip(rb, mb)])
                 out.append(row)
         return Mat(self.ring, out)
 

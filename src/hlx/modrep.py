@@ -350,9 +350,13 @@ class _Tensor(LoopModule):
         return frozenset(out)
 
     def _op(self, kind, r, k):
-        # Delta((x±_r)^(k)) = sum_l (x±_r)^(l) (x) (x±_r)^(k-l)
+        # Delta((x±_r)^(k)) = sum_l (x±_r)^(l) (x) (x±_r)^(k-l); (x±_r)^(l)
+        # moves weights by 2l, so it vanishes on a factor past its max_exponent
         T = tables(self.ring)
-        terms = [T.kron(self.left.op_table(kind, r, l), self.right.op_table(kind, r, k - l)) for l in range(k + 1)]
+        lo, hi = max(0, k - self.right.max_exponent()), min(k, self.left.max_exponent())
+        if lo > hi:
+            return T.zeros(self.dim)
+        terms = [T.kron(self.left.op_table(kind, r, l), self.right.op_table(kind, r, k - l)) for l in range(lo, hi + 1)]
         return functools.reduce(T.add, terms)
 
     def _labels(self):

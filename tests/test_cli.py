@@ -141,6 +141,27 @@ def test_lattice_cli(tmp_path, capsys):
     assert rep["reduction"]["drinfeld"] == [["1", "1", "1"]]  # (1-u)^2 = 1+u+u^2 mod 3
 
 
+@pytest.mark.parametrize("p", ["1", "4"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "--recipe", os.path.join(os.path.dirname(__file__), "golden", "lattice_recipe.json")],
+        ["paper-example"],
+        ["conjecture-cp0", "--degmax", "1"],
+        ["steinberg"],
+        ["tpd-grid"],
+    ],
+)
+def test_commands_reject_a_non_prime_p(capsys, argv, p):
+    # in the lattice commands p = 1 used to hang in val_p, p = 4 to end in a
+    # traceback or exit 1; steinberg and tpd-grid exited 2 without a message
+    code = main(argv + ["--p", p])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "--p must be a prime, got %s\n" % p
+
+
 def test_blocks_cli(tmp_path, capsys):
     recipes = [
         {"ring": {"kind": "Fp", "p": 3}, "build": {"irreducible": {"lambda": 2, "a": "1"}}},
@@ -263,6 +284,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
             ["lattice", "--recipe", os.path.join(GOLDEN, "lattice_recipe.json"), "--p", "3", "--reduce", "--json"],
             "lattice_reduce_p3.json",
         ),
+        (["paper-example", "--a", "1", "--b", "4", "--json"], "paper_example_a1_b4.json"),
+        (["conjecture-cp0", "--p", "5", "--degmax", "2", "--json"], "conjecture_cp0_p5_d2.json"),
     ],
 )
 def test_golden_outputs(capsys, argv, golden):
@@ -272,7 +295,9 @@ def test_golden_outputs(capsys, argv, golden):
     # conjecture desk test and the identity suite pin the characteristic-zero
     # layer: the straightening echelon and the integer word rewriting.  The
     # lattice case reduces W(2,1)⊗W(1,4)⊗W(1,2) mod 3, where the roots 1 and
-    # 4 meet: its unlabelled ell-weights come from the matrix path
+    # 4 meet: its unlabelled ell-weights come from the matrix path.  The
+    # colength-4 worked example (a, b) = (1, 4) has non-unit Hermite pivots
+    # and a nontrivial Smith form; the desk test at p = 5 checks part (b)
     code, out = _run(capsys, argv)
     assert code == 0
     with open(os.path.join(GOLDEN, golden), "rb") as fh:

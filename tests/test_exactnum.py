@@ -25,6 +25,14 @@ from hlx.exactnum import (
 )
 
 
+def test_val_p_rejects_p_below_two():
+    # n % 1 == 0 for every n, so p = 1 used to loop forever
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            val_p(Fraction(6), p)
+    assert val_p(Fraction(12, 5), 2) == 2
+
+
 def test_rational_roundtrip():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert rational_str(Fraction(-6, 4)) == "-3/2"
@@ -287,3 +295,25 @@ def test_sym_arithmetic_keeps_normal_forms(p1, p2):
         (-x, -x.num, x.den),
     ):
         assert (got.num, got.den) == _reference_reduce(num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_pairs())
+def test_sym_zero_operand_shortcuts_match_the_generic_path(pair):
+    # x + 0, 0 + x, x - 0, x * 0 and 0 * x return an operand; the generic
+    # constructor path gives the same normal form
+    from hlx.exactnum import SymElem
+
+    K = SymField(NAMES)
+    x, z = SymElem(*pair), K.zero
+    for got, num, den in (
+        (x + z, x.num * z.den + z.num * x.den, x.den * z.den),
+        (z + x, z.num * x.den + x.num * z.den, z.den * x.den),
+        (x - z, x.num * z.den - z.num * x.den, x.den * z.den),
+        (x * z, x.num * z.num, x.den * z.den),
+        (z * x, z.num * x.num, z.den * x.den),
+    ):
+        generic = SymElem(num, den)
+        assert got.num.terms == generic.num.terms
+        assert got.den.terms == generic.den.terms
+        assert str(got) == str(generic)

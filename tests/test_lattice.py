@@ -10,6 +10,7 @@ from hlx.exactnum import QQ, PrimeField, residue, val_p
 from hlx.lattice import (
     LatticeBasis,
     LatticeError,
+    _canonical_rep,
     _verify_invariance,
     canonicalize,
     compare_lattices,
@@ -50,6 +51,72 @@ def test_canonicalize_unique_and_integral():
         for c in r:
             if c:
                 assert val_p(c, p) >= 0
+
+
+def _dense_canonicalize(rows, p, weights=None):
+    # the Hermite form with every row operation over every column
+    work = [list(map(Fraction, r)) for r in rows if any(map(Fraction, r))]
+    if not work:
+        return []
+    n = len(work[0])
+    order = sorted(range(n), key=lambda j: (-weights[j], j)) if weights is not None else list(range(n))
+    done = []
+    for col in order:
+        best = None
+        for i, r in enumerate(work):
+            if r[col] != 0:
+                v = val_p(r[col], p)
+                if best is None or v < best[1]:
+                    best = (i, v)
+        if best is None:
+            continue
+        i0, v0 = best
+        row = work.pop(i0)
+        unit = row[col] / Fraction(p) ** v0
+        row = [c / unit for c in row]
+        for r in work:
+            if r[col] != 0:
+                q = r[col] / row[col]
+                for j in range(n):
+                    r[j] -= q * row[j]
+        for r in done:
+            e = r[col]
+            if e != 0:
+                m = (e - _canonical_rep(e, p, v0)) / row[col]
+                for j in range(n):
+                    r[j] -= m * row[j]
+        done.append(row)
+    return done
+
+
+@st.composite
+def _hermite_inputs(draw):
+    # sparse p-integral rows, with zero rows, repeated rows and p-multiples
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    dens = [d for d in (1, 2, 3, 5, 7) if d % p]
+    nonzero = st.builds(
+        lambda c, e, d: Fraction(c * p ** e, d), st.integers(-9, 9), st.integers(0, 2), st.sampled_from(dens)
+    )
+    entry = st.one_of(st.just(Fraction(0)), nonzero)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    for how in draw(st.lists(st.sampled_from(["zero", "repeat", "p-multiple"]), max_size=3)):
+        if how == "zero" or not rows:
+            rows.append([Fraction(0)] * n)
+        else:
+            r = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(list(r) if how == "repeat" else [p * c for c in r])
+    rows = draw(st.permutations(rows))
+    weights = draw(st.one_of(st.none(), st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    return rows, p, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hermite_inputs())
+def test_canonicalize_matches_the_dense_elimination(case):
+    # canonicalize runs its row operations over the pivot row's support only
+    rows, p, weights = case
+    assert canonicalize(rows, p, weights) == _dense_canonicalize(rows, p, weights)
 
 
 def test_closure_rank2_eval():

@@ -5,12 +5,14 @@ routines and with scans of the field, and brute-force witnesses with the
 boxed generators; the structural r-window of op_ratios with the periodic
 window min(dim^2, q - 1), the ell-weight labels of structural modules with
 the matrix path on independently built Lambda tables, every recipe node's
-array tables with boxed Mat tables built from the node's formulas, and the
-norm-based extension hint with root enumeration in the extension field.
+array tables (and, over Q, its boxed tables) with dense Mat tables built
+from the node's formulas, and the norm-based extension hint with root
+enumeration in the extension field.
 """
 
 import functools
 import json
+import operator
 import time
 from collections import Counter
 
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from hlx import modrep
 from hlx.drinfeld import FieldExtensionNeeded, _extension_hint, _roots_in_field, factor_poly_unit_roots
 from hlx.exactnum import (
+    QQ,
     FiniteField,
     Poly,
     PrimeField,
@@ -43,6 +46,7 @@ from hlx.linalg import (
     np_nullspace,
     np_rref,
     rref,
+    tables,
     to_np,
 )
 from hlx.looppbw import LOWER, RAISE
@@ -357,9 +361,9 @@ def _eval_without_labels(ring, lam, a):
 
     def lam_fn(r):
         scal = ring_pow(ring, -a, r) if r > 0 else ring_pow(ring, -ring.inv(a), -r)
-        return to_np(Mat.diag(ring, [scal * ring.from_int(integer_binomial(w, abs(r))) for w in e.weights]))
+        return tables(ring).diag([scal * ring.from_int(integer_binomial(w, abs(r))) for w in e.weights])
 
-    return explicit_module(ring, e.weights, e.recipe, e.op_np, lam_fn, hw_index=0, ratio_fn=e.op_ratios)
+    return explicit_module(ring, e.weights, e.recipe, e.op_table, lam_fn, hw_index=0, ratio_fn=e.op_ratios)
 
 
 def _build_without_labels(node, ring):
@@ -442,9 +446,22 @@ def test_labels_agree_with_the_matrix_path(recipe_ring):
 # ---------------------------------------------------------------------------
 
 
+def _dense_kron(F, a, b):
+    # every product, zeros included, on the row lists
+    return Mat(F, [[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows])
+
+
+def _dense_sum(F, mats):
+    # entrywise ring sums on the row lists
+    return Mat(F, [[functools.reduce(operator.add, xs) for xs in zip(*rows)] for rows in zip(*(m.rows for m in mats))])
+
+
 def _reference_tables(F):
     """Memoized boxed tables of a module tree, from the formulas of each
-    node: (op(m, kind, r, k), lam(m, r))."""
+    node: (op(m, kind, r, k), lam(m, r)).  Tensor sums take every coproduct
+    term, and kron and sums are dense and test-local, so that the oracle
+    shares neither the zero skipping of Mat nor the exponent bounds of
+    _Tensor with the code under test."""
 
     @functools.cache
     def leaf(m):
@@ -458,8 +475,8 @@ def _reference_tables(F):
         if k == 0:
             return Mat.identity(F, m.dim)
         if isinstance(m, modrep._Tensor):
-            terms = [op(m.left, kind, r, l).kron(op(m.right, kind, r, k - l)) for l in range(k + 1)]
-            return functools.reduce(Mat.__add__, terms)
+            terms = [_dense_kron(F, op(m.left, kind, r, l), op(m.right, kind, r, k - l)) for l in range(k + 1)]
+            return _dense_sum(F, terms)
         if isinstance(m, modrep._Dual):
             t = op(m.inner, kind, r, k).transpose()
             return -t if k % 2 else t
@@ -481,8 +498,7 @@ def _reference_tables(F):
         # the inverse of the Lambda^{sign}-series of m, coefficient n
         if n == 0:
             return Mat.identity(F, m.dim)
-        acc = functools.reduce(Mat.__add__, [lam(m, sign * j) * series(m, sign, n - j) for j in range(1, n + 1)])
-        return -acc
+        return -_dense_sum(F, [lam(m, sign * j) * series(m, sign, n - j) for j in range(1, n + 1)])
 
     @functools.cache
     def lam(m, r):
@@ -490,8 +506,8 @@ def _reference_tables(F):
             return Mat.identity(F, m.dim)
         sign, n = (1 if r > 0 else -1), abs(r)
         if isinstance(m, modrep._Tensor):
-            terms = [lam(m.left, sign * l).kron(lam(m.right, sign * (n - l))) for l in range(n + 1)]
-            return functools.reduce(Mat.__add__, terms)
+            terms = [_dense_kron(F, lam(m.left, sign * l), lam(m.right, sign * (n - l))) for l in range(n + 1)]
+            return _dense_sum(F, terms)
         if isinstance(m, modrep._Dual):
             return series(m.inner, sign, n).transpose()
         if isinstance(m, modrep._Frobenius):
@@ -526,6 +542,40 @@ def test_every_node_matches_the_boxed_formulas(recipe_ring, with_labels):
                     assert from_np(node.op_np(kind, r, k), F) == op(node, kind, r, k)
         for r in range(-4, 5):
             assert from_np(node.lam_np(r), F) == lam(node, r)
+
+
+QQ_PARAMETERS = ["1", "-1", "2", "-3", "1/2", "-2/3", "5/4"]
+
+
+def _qq_recipes():
+    params = st.sampled_from(QQ_PARAMETERS)
+    leaf = st.builds(lambda lam, a: {"eval_weyl": {"lambda": lam, "a": a}}, st.integers(0, 3), params)
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda a, b: {"tensor": [a, b]}, children, children),
+            children.map(lambda c: {"dual": c}),
+            st.builds(lambda c, a: {"psi_twist": {"a": a, "of": c}}, children, params),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=3)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(_qq_recipes(), st.booleans())
+def test_every_node_matches_the_boxed_formulas_over_q(recipe, with_labels):
+    # the boxed Mat tables over Q, where the tensor sum is bounded by the
+    # factors' max_exponent and Mat skips zero operands
+    m = build_module(recipe, QQ) if with_labels else _build_without_labels(recipe, QQ)
+    assume(m.dim <= 12)
+    op, lam = _reference_tables(QQ)
+    for node in _nodes(m):
+        for kind in (LOWER, RAISE):
+            for r in range(-2, 3):
+                for k in range(1, node.max_exponent() + 2):
+                    assert node.op(kind, r, k) == op(node, kind, r, k)
+        for r in range(-3, 4):
+            assert node.lam(r) == lam(node, r)
 
 
 # ---------------------------------------------------------------------------
