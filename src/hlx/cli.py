@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from . import lattice as latmod
 from . import looppbw, meataxe, modrep
-from .cartan import CartanData
-from .drinfeld import block_partition
-from .exactnum import FiniteField, PrimeField, is_prime, ring_pow
+from .cartan import base_p_digits
+from .drinfeld import SpectralCharacter, block_partition
+from .exactnum import FiniteField, PrimeField, is_prime, ring_from_json, ring_pow
 
 
 def _emit(report, out=None, force_json=False):
@@ -208,11 +208,7 @@ def run_steinberg(p, lmax, seed=0, ext_degree=1):
     rows = []
     ok = True
     for lam in range(0, lmax + 1):
-        digits = []
-        rest = lam
-        while rest:
-            digits.append(rest % p)
-            rest //= p
+        digits = base_p_digits(lam, p)
         expected_dim = 1
         for d in digits:
             expected_dim *= d + 1
@@ -331,33 +327,50 @@ def run_conjecture(p, degmax):
 # ---------------------------------------------------------------------------
 
 
-def run_blocks(report_paths):
-    a1 = CartanData("A1")
-    entries = []
-    ring = None
-    recipes = []
-    for path in report_paths:
+class BadReport(ValueError):
+    """A module report that `hlx blocks` cannot read."""
+
+
+def _read_report(path):
+    """(ring, spectral character, recipe) of a module report; all three None
+    when the report records no character.  Raises BadReport."""
+    try:
         with open(path) as fh:
             rep = json.load(fh)
-        label = path
-        chi = None
-        if "spectral_character" in rep and "ring" in rep:
-            from .drinfeld import SpectralCharacter
-            from .exactnum import ring_from_json
-            from .cartan import WeightClass
+        if not isinstance(rep, dict):
+            raise ValueError("not a JSON object")
+        if "spectral_character" not in rep or "ring" not in rep:
+            return None, None, None
+        chars = rep["spectral_character"]
+        if not isinstance(chars, dict):
+            raise ValueError("spectral_character is not a JSON object")
+        ring = ring_from_json(rep["ring"])
+        values = []
+        for aa, res in sorted(chars.items()):
+            if res not in ([0], [1]) or type(res[0]) is not int:
+                raise ValueError("residue %r at %s is not [0] or [1]" % (res, aa))
+            a = ring.parse(aa)
+            if not ring.is_unit(a):
+                raise ValueError("parameter %s is not a unit" % aa)
+            if any(a == b for b, _ in values):
+                raise ValueError("parameter %s repeats an earlier one" % aa)
+            values.append((a, res[0]))
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+        raise BadReport("bad report %s: %s" % (path, _reason(exc))) from exc
+    return ring, SpectralCharacter(ring, values), rep.get("recipe")
 
-            ring = ring_from_json(rep["ring"])
-            factors = a1.weight_mod_root_lattice()
-            vals = [
-                (ring.parse(aa), WeightClass(factors, tuple(res)))
-                for aa, res in sorted(rep["spectral_character"].items())
-            ]
-            chi = SpectralCharacter(ring, a1, vals)
-            recipes.append((label, rep.get("recipe"), ring))
-        entries.append((label, chi))
-    if ring is None:
+
+def run_blocks(report_paths):
+    entries = []
+    recipes = []
+    for path in report_paths:
+        ring, chi, recipe = _read_report(path)
+        if ring is not None:
+            recipes.append((path, recipe, ring))
+        entries.append((path, chi))
+    if not recipes:
         return {"suite": "blocks", "groups": [], "flagged": [lab for lab, _ in entries], "pass": False}
-    groups, flagged = block_partition(entries, ring, a1)
+    groups, flagged = block_partition(entries)
     report = {
         "suite": "blocks",
         "groups": [
@@ -371,7 +384,10 @@ def run_blocks(report_paths):
     usable = [(lab, rec, rg) for lab, rec, rg in recipes if rec is not None][:3]
     built = []
     for label, recipe, rg in usable:
-        m = modrep.build_module({"ring": rg.to_json(), "build": recipe})
+        try:
+            m = modrep.build_module({"ring": rg.to_json(), "build": recipe})
+        except (KeyError, ValueError) as exc:
+            raise BadReport("bad report %s: bad recipe: %s" % (label, _reason(exc))) from exc
         chi = _module_character(m)
         if chi is None:
             continue
@@ -550,7 +566,11 @@ def main(argv=None):
         for pat in args.reports:
             hits = sorted(globmod.glob(pat))
             paths.extend(hits if hits else [pat])
-        rep = run_blocks(paths)
+        try:
+            rep = run_blocks(paths)
+        except BadReport as exc:
+            print(exc, file=sys.stderr)
+            return 2
         _emit(rep, args.out, args.json)
         return 0 if rep["pass"] else 1
     if args.command == "lattice":

@@ -1,8 +1,8 @@
-"""Drinfeld polynomials, general ell-weights, spectral characters.
+"""Drinfeld polynomials, general ell-weights, spectral characters of sl2.
 
-A DrinfeldPoly holds one constant-term-1 polynomial per Dynkin node; an
-EllWeight is a canonical multiset of (parameter, weight) pairs with the
-parameter nonzero and the weights allowed to be non-dominant.  Factorization
+A DrinfeldPoly holds one constant-term-1 polynomial; an EllWeight is a
+canonical multiset of (parameter, weight) pairs with the parameter nonzero
+and the int weights allowed to be negative.  Factorization
 is by gcd with x^q - x and Cantor-Zassenhaus splitting over every finite
 field F_q and by rational root search over Q; nothing is ever extended
 silently.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import Weight
 from .exactnum import (
     Poly,
     PrimeField,
@@ -32,29 +31,16 @@ class FieldExtensionNeeded(ValueError):
 
 
 class DrinfeldPoly:
-    """Tuple of constant-term-1 polynomials, one per node."""
+    """A constant-term-1 polynomial, kept as the 1-tuple polys that the JSON
+    form [[...]] prints."""
 
     __slots__ = ("ring", "polys")
 
-    def __init__(self, ring, polys):
-        polys = tuple(polys)
-        for f in polys:
-            if f.is_zero() or not ring.is_zero(f.coeffs[0] - ring.one):
-                raise ValueError("Drinfeld polynomials need constant term 1")
+    def __init__(self, ring, poly):
+        if poly.is_zero() or not ring.is_zero(poly.coeffs[0] - ring.one):
+            raise ValueError("Drinfeld polynomials need constant term 1")
         self.ring = ring
-        self.polys = polys
-
-    @classmethod
-    def sl2(cls, ring, coeffs):
-        return cls(ring, [Poly(ring, coeffs)])
-
-    @property
-    def rank(self):
-        return len(self.polys)
-
-    def __mul__(self, other):
-        assert self.ring == other.ring and self.rank == other.rank
-        return DrinfeldPoly(self.ring, [f * g for f, g in zip(self.polys, other.polys)])
+        self.polys = (poly,)
 
     def __eq__(self, other):
         return (
@@ -215,94 +201,52 @@ def _extension_hint(f):
 
 
 class EllWeight:
-    """Canonical multiset of (parameter, Weight) pairs with integer weights;
-    identified with prod_j omega_{mu_j, a_j}."""
+    """Canonical multiset of (parameter, weight) pairs with nonzero int
+    weights; identified with prod_j omega_{mu_j, a_j}."""
 
-    __slots__ = ("ring", "pairs", "rank", "_memo")
+    __slots__ = ("ring", "pairs", "_memo")
 
-    def __init__(self, ring, pairs, rank=1):
-        merged = []
-        for a, mu in pairs:
-            if not ring.is_unit(a):
-                raise ValueError("parameters must be nonzero")
-            if not isinstance(mu, Weight):
-                mu = Weight([mu] if isinstance(mu, int) else mu)
-            for item in merged:
-                if item[0] == a:
-                    item[1] = item[1] + mu
-                    break
-            else:
-                merged.append([a, mu])
-        merged = [(a, mu) for a, mu in merged if any(mu.coords)]
-        merged.sort(key=lambda t: _param_sort_key(ring, t[0]))
+    def __init__(self, ring, pairs):
+        if not all(ring.is_unit(a) for a, _ in pairs):
+            raise ValueError("parameters must be nonzero")
         self.ring = ring
-        self.pairs = tuple(merged)
-        self.rank = self.pairs[0][1].coords.__len__() if self.pairs else rank
-        self._memo = {}  # {sign: coefficients(0, n, sign)}, the longest n asked for
-
-    @classmethod
-    def one(cls, ring, rank=1):
-        return cls(ring, [], rank=rank)
-
-    @classmethod
-    def fundamental(cls, ring, a, mu):
-        return cls(ring, [(a, mu)])
+        self.pairs = _canonical(ring, pairs)
+        self._memo = {}  # {sign: coefficients(n, sign)}, the longest n asked for
 
     def __mul__(self, other):
         assert self.ring == other.ring
-        return EllWeight(self.ring, list(self.pairs) + list(other.pairs), rank=self.rank)
+        return EllWeight(self.ring, self.pairs + other.pairs)
 
     def inverse(self):
-        return EllWeight(self.ring, [(a, -mu) for a, mu in self.pairs], rank=self.rank)
+        return EllWeight(self.ring, [(a, -mu) for a, mu in self.pairs])
 
     def wt(self):
-        if not self.pairs:
-            return Weight([0] * self.rank)
-        acc = Weight([0] * self.rank)
-        for _, mu in self.pairs:
-            acc = acc + mu
-        return acc
-
-    def is_dominant(self):
-        return all(mu.is_dominant() for _, mu in self.pairs)
-
-    def star(self, cd):
-        """prod omega_{-w0 mu_j, a_j}."""
-        return EllWeight(
-            self.ring,
-            [(a, -cd.longest_element_action(mu)) for a, mu in self.pairs],
-            rank=self.rank,
-        )
+        return sum(mu for _, mu in self.pairs)
 
     def spectral_character(self, cd):
-        out = SpectralCharacter(self.ring, cd)
-        for a, mu in self.pairs:
-            out = out + SpectralCharacter.point(self.ring, cd, a, mu)
-        return out
+        return SpectralCharacter(self.ring, [(a, cd.weight_class(mu)) for a, mu in self.pairs])
 
     def to_drinfeld(self):
         """The DrinfeldPoly when all exponents are dominant."""
-        if not self.is_dominant():
+        if any(mu < 0 for _, mu in self.pairs):
             raise ValueError("not a dominant ell-weight")
         ring = self.ring
-        polys = []
-        for i in range(self.rank):
-            f = Poly.const(ring, ring.one)
-            for a, mu in self.pairs:
-                for _ in range(mu[i]):
-                    f = f * Poly(ring, [ring.one, -a])
-            polys.append(f)
-        return DrinfeldPoly(ring, polys)
+        f = Poly.const(ring, ring.one)
+        for a, mu in self.pairs:
+            for _ in range(mu):
+                f = f * Poly(ring, [ring.one, -a])
+        return DrinfeldPoly(ring, f)
 
-    def coefficients(self, i, n, sign=1):
-        """Coefficients of u^0..u^n in prod (1 - a u)^{mu_j(h_i)}, with the
+    def coefficients(self, n, sign=1):
+        """Coefficients of u^0..u^n in prod (1 - a u)^{mu}, with the
         parameters inverted when sign=-1: the convolution of the closed forms
         binom(mu, s) (-a)^s, binom being the generalized binomial when mu < 0.
         The partial products are kept sparse, as {degree: nonzero coefficient}."""
         ring = self.ring
-        pairs = [(a if sign == 1 else ring.inv(a), mu[i]) for a, mu in self.pairs if mu[i]]
         out = {0: ring.one}
-        for a, m in pairs:
+        for a, m in self.pairs:
+            if sign == -1:
+                a = ring.inv(a)
             top = n if m < 0 else min(n, m)
             prod = {}
             power = ring.one
@@ -318,12 +262,12 @@ class EllWeight:
         return [out.get(t, ring.zero) for t in range(n + 1)]
 
     def memo_coefficients(self, n, sign, at_least):
-        """coefficients(0, m, sign) for some m >= n, memoized on the label,
+        """coefficients(m, sign) for some m >= n, memoized on the label,
         which a module and its subquotients share.  A miss computes
         max(n, at_least) terms, so the longest list per sign is kept."""
         have = self._memo.get(sign)
         if have is None or len(have) <= n:
-            have = self._memo[sign] = self.coefficients(0, max(n, at_least), sign)
+            have = self._memo[sign] = self.coefficients(max(n, at_least), sign)
         return have
 
     def __eq__(self, other):
@@ -333,13 +277,13 @@ class EllWeight:
         return hash((self.ring, self.pairs))
 
     def fmt(self):
-        return [[self.ring.fmt(a), list(mu.coords)] for a, mu in self.pairs]
+        return [[self.ring.fmt(a), [mu]] for a, mu in self.pairs]
 
     def __repr__(self):
         if not self.pairs:
             return "EllWeight(1)"
         return "EllWeight(%s)" % ", ".join(
-            "omega_{%s,%s}" % (list(mu.coords), self.ring.fmt(a)) for a, mu in self.pairs
+            "omega_{%d,%s}" % (mu, self.ring.fmt(a)) for a, mu in self.pairs
         )
 
 
@@ -347,69 +291,50 @@ def _param_sort_key(ring, a):
     return ring.fmt(a)
 
 
-def factor(obj, ring=None):
+def _canonical(ring, pairs):
+    """The (parameter, int) pairs summed over equal parameters, with zero
+    sums dropped, sorted by parameter."""
+    acc = []  # [param, sum] with params pairwise distinct
+    for a, n in pairs:
+        for item in acc:
+            if item[0] == a:
+                item[1] += n
+                break
+        else:
+            acc.append([a, n])
+    return tuple(sorted(((a, n) for a, n in acc if n), key=lambda t: _param_sort_key(ring, t[0])))
+
+
+def factor(obj):
     """Canonical multiset {(a_j, mu_j)} of a DrinfeldPoly (or pass-through of
     an EllWeight's pairs).  Raises FieldExtensionNeeded when roots escape."""
     if isinstance(obj, EllWeight):
         return list(obj.pairs)
-    assert isinstance(obj, DrinfeldPoly)
-    acc = []  # [param, coords] with params pairwise distinct
-    for i, f in enumerate(obj.polys):
-        for a, mult in factor_poly_unit_roots(f).items():
-            for item in acc:
-                if item[0] == a:
-                    item[1][i] += mult
-                    break
-            else:
-                coords = [0] * obj.rank
-                coords[i] = mult
-                acc.append([a, coords])
-    pairs = [(a, Weight(coords)) for a, coords in acc]
+    pairs = list(factor_poly_unit_roots(obj.polys[0]).items())
     pairs.sort(key=lambda t: _param_sort_key(obj.ring, t[0]))
     return pairs
 
 
 def ell_weight_from_poly(poly):
-    return EllWeight(poly.ring, factor(poly), rank=poly.rank)
+    return EllWeight(poly.ring, factor(poly))
 
 
 class SpectralCharacter:
-    """Finitely supported map from nonzero field elements to P/Q."""
+    """Finitely supported map from nonzero field elements to P/Q = Z/2,
+    kept as the (parameter, 1) pairs of its support."""
 
-    __slots__ = ("ring", "cd", "values")
+    __slots__ = ("ring", "values")
 
-    def __init__(self, ring, cd, values=None):
-        vals = []
-        for a, cls_ in (values or []):
-            if cls_.is_zero():
-                continue
-            vals.append((a, cls_))
-        vals.sort(key=lambda t: _param_sort_key(ring, t[0]))
+    def __init__(self, ring, values=()):
         self.ring = ring
-        self.cd = cd
-        self.values = tuple(vals)
-
-    @classmethod
-    def point(cls, ring, cd, a, mu):
-        return cls(ring, cd, [(a, cd.weight_class(mu))])
+        self.values = tuple((a, res % 2) for a, res in _canonical(ring, values) if res % 2)
 
     def __add__(self, other):
         assert self.ring == other.ring
-        acc = []
-        for a, c in list(self.values) + list(other.values):
-            for item in acc:
-                if item[0] == a:
-                    item[1] = item[1] + c
-                    break
-            else:
-                acc.append([a, c])
-        return SpectralCharacter(self.ring, self.cd, [(a, c) for a, c in acc])
+        return SpectralCharacter(self.ring, self.values + other.values)
 
     def __neg__(self):
-        return SpectralCharacter(self.ring, self.cd, [(a, -c) for a, c in self.values])
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self  # -1 = 1 in Z/2
 
     def is_zero(self):
         return not self.values
@@ -425,79 +350,13 @@ class SpectralCharacter:
         return hash((self.ring, self.values))
 
     def fmt(self):
-        return {self.ring.fmt(a): list(c.residues) for a, c in self.values}
+        return {self.ring.fmt(a): [res] for a, res in self.values}
 
     def __repr__(self):
         return "SpectralCharacter(%r)" % (self.fmt(),)
 
 
-def ell_root_lattice_member(varpi, cd):
-    """Whether an EllWeight is a product of ell-simple roots alpha_{i,a} =
-    omega_{alpha_i, a} with integer (possibly negative) exponents: at each
-    parameter the weight must lie in the root lattice Q."""
-    for _, mu in varpi.pairs:
-        if not cd.weight_class(mu).is_zero():
-            return False
-        # solve C x = mu over the integers
-        if _root_coords(cd, mu) is None:
-            return False
-    return True
-
-
-def _root_coords(cd, mu):
-    from fractions import Fraction as F
-
-    n = cd.rank
-    a = [[F(cd.matrix[i][j]) for j in range(n)] for i in range(n)]
-    b = [F(c) for c in mu.coords]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                c = a[i][col] / a[col][col]
-                for j in range(n):
-                    a[i][j] -= c * a[col][j]
-                b[i] -= c * b[col]
-    out = []
-    for i in range(n):
-        x = b[i] / a[i][i]
-        if x.denominator != 1:
-            return None
-        out.append(int(x))
-    return out
-
-
-def wmsc_shadow_check(omega, varpi, cd):
-    """Necessary conditions for varpi to be an ell-weight of a module with
-    ell-highest weight omega: equal spectral characters, the weight sandwich
-    w0 wt(omega) <= wt(varpi) <= wt(omega), and (rank 1 only) the exact
-    monoid condition omega varpi^{-1} in Q+ by exponent bookkeeping."""
-    if omega.ring != varpi.ring:
-        return False
-    if omega.spectral_character(cd) != varpi.spectral_character(cd):
-        return False
-    diff_hi = omega.wt() - varpi.wt()
-    diff_lo = varpi.wt() - cd.longest_element_action(omega.wt())
-    quotient = omega * varpi.inverse()
-    if cd.rank == 1:
-        # Q+_F is generated by omega_{2,a}: all exponents even and >= 0
-        for _, mu in quotient.pairs:
-            if mu[0] < 0 or mu[0] % 2 != 0:
-                return False
-        return True
-    # higher rank: the character and weight shadow only (best effort)
-    return all(c >= 0 for c in diff_hi.coords) and all(c >= 0 for c in diff_lo.coords)
-
-
-def block_partition(entries, ring, cd):
+def block_partition(entries):
     """Group (label, spectral character or None) pairs by character.
 
     Entries with inconsistent or unavailable characters are reported apart.

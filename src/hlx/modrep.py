@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import looppbw
-from .cartan import CartanData
+from .cartan import CartanData, base_p_digits
 from .drinfeld import DrinfeldPoly, EllWeight, factor_poly_unit_roots, minus_involution
 from .exactnum import QQ, FiniteField, Poly, integer_binomial, ring_pow
 from .linalg import (
@@ -480,7 +480,7 @@ class _Frobenius(LoopModule):
             for a, mu in lab.pairs:
                 if a not in root:
                     root[a] = ring_pow(ring, a, ring.char ** e)
-                pairs.append((root[a], mu.scale(self.pm)))
+                pairs.append((root[a], mu * self.pm))
             out.append(EllWeight(ring, pairs))
         return tuple(out)
 
@@ -556,13 +556,8 @@ def irreducible_module(ring, lam, a):
         raise ValueError("parameter must be a unit")
     if lam == 0:
         return eval_weyl_module(ring, 0, a)
-    digits = []
-    rest = lam
-    while rest:
-        digits.append(rest % p)
-        rest //= p
     factors = []
-    for k, dk in enumerate(digits):
+    for k, dk in enumerate(base_p_digits(lam, p)):
         if dk == 0:
             continue
         ak = ring_pow(ring, a, p ** k)
@@ -812,7 +807,7 @@ def drinfeld_polynomial(m, v=None, prec=None):
         if not ring.is_zero(plus[r]):
             report["plus_polynomial"] = False
     coeffs = plus[: lam + 1]
-    poly = DrinfeldPoly.sl2(ring, coeffs)
+    poly = DrinfeldPoly(ring, Poly(ring, coeffs))
     if not ring.is_unit(coeffs[-1]):
         report["plus_polynomial"] = False
     else:
@@ -1011,7 +1006,7 @@ def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):
             continue
         # the minus side: series_minus must be the expansion of omega^-/pi^-
         candidate = EllWeight(ring, pairs)
-        if candidate.coefficients(0, prec - 1, -1) == series_minus:
+        if candidate.coefficients(prec - 1, -1) == series_minus:
             return candidate
     return None
 

@@ -162,15 +162,19 @@ def test_commands_reject_a_non_prime_p(capsys, argv, p):
     assert captured.err == "--p must be a prime, got %s\n" % p
 
 
-def test_blocks_cli(tmp_path, capsys):
-    recipes = [
-        {"ring": {"kind": "Fp", "p": 3}, "build": {"irreducible": {"lambda": 2, "a": "1"}}},
-        {"ring": {"kind": "Fp", "p": 3}, "build": {"eval_weyl": {"lambda": 0, "a": "1"}}},
-        {"ring": {"kind": "Fp", "p": 3}, "build": {"irreducible": {"lambda": 1, "a": "1"}}},
-        {"ring": {"kind": "Fp", "p": 3}, "build": {"irreducible": {"lambda": 1, "a": "2"}}},
-    ]
+BLOCK_RECIPES = [
+    {"ring": {"kind": "Fp", "p": 3}, "build": {"irreducible": {"lambda": 2, "a": "1"}}},
+    {"ring": {"kind": "Fp", "p": 3}, "build": {"eval_weyl": {"lambda": 0, "a": "1"}}},
+    {"ring": {"kind": "Fp", "p": 3}, "build": {"irreducible": {"lambda": 1, "a": "1"}}},
+    {"ring": {"kind": "Fp", "p": 3}, "build": {"irreducible": {"lambda": 1, "a": "2"}}},
+]
+
+
+def _write_block_reports(tmp_path, capsys):
+    """`hlx module build` reports module0.json..module3.json of
+    BLOCK_RECIPES in tmp_path; returns their paths."""
     paths = []
-    for i, rec in enumerate(recipes):
+    for i, rec in enumerate(BLOCK_RECIPES):
         rpath = str(tmp_path / ("recipe%d.json" % i))
         with open(rpath, "w") as fh:
             json.dump(rec, fh)
@@ -178,6 +182,11 @@ def test_blocks_cli(tmp_path, capsys):
         assert main(["module", "build", "--recipe", rpath, "--out", opath]) == 0
         paths.append(opath)
     capsys.readouterr()
+    return paths
+
+
+def test_blocks_cli(tmp_path, capsys):
+    paths = _write_block_reports(tmp_path, capsys)
     code, out = _run(capsys, ["blocks"] + paths)
     assert code == 0
     rep = json.loads(out)
@@ -186,6 +195,41 @@ def test_blocks_cli(tmp_path, capsys):
     sizes = sorted(len(g["members"]) for g in rep["groups"])
     assert sizes == [1, 1, 2]
     assert rep["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (None, "FileNotFoundError"),
+        ("not json", "JSONDecodeError"),
+        ("[1, 2]", "ValueError: not a JSON object"),
+        ('{"ring": {"kind": "Fp", "p": 3}, "spectral_character": {"x": [1]}}', "ValueError"),
+        ('{"ring": {"kind": "Fp", "p": 3}, "spectral_character": {"3": [1]}}', "ValueError: parameter 3"),
+        ('{"ring": {"kind": "Fp", "p": 3}, "spectral_character": {"1": [1], "4": [1]}}', "ValueError: parameter 4"),
+        ('{"ring": {"kind": "Fp", "p": 3}, "spectral_character": {"1": [1, 0]}}', "ValueError: residue [1, 0]"),
+        ('{"ring": {"kind": "Fp", "p": 3}, "spectral_character": {"1": [2]}}', "ValueError: residue [2]"),
+        ('{"ring": {"kind": "Fp", "p": 3}, "spectral_character": {"1": [true]}}', "ValueError: residue [True]"),
+        ('{"ring": {"kind": "Fp", "p": 4}, "spectral_character": {"1": [1]}}', "ValueError"),
+        ('{"ring": {"p": 3}, "spectral_character": {"1": [1]}}', "KeyError"),
+        (
+            '{"ring": {"kind": "Fp", "p": 3}, "spectral_character": {"1": [1]}, "recipe": {"nonsense": {}}}',
+            "bad recipe: ValueError: unknown recipe node",
+        ),
+    ],
+)
+def test_blocks_rejects_a_report_it_cannot_read(tmp_path, capsys, text, reason):
+    # one good report besides the bad one: the bad one alone decides the exit
+    good = _write_block_reports(tmp_path, capsys)[2]
+    bad = str(tmp_path / "bad.json")
+    if text is not None:
+        with open(bad, "w") as fh:
+            fh.write(text)
+    code = main(["blocks", good, bad])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("bad report %s: %s" % (bad, reason))
+    assert captured.err.count("\n") == 1
 
 
 def test_conjecture_cli(capsys):
@@ -286,9 +330,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         ),
         (["paper-example", "--a", "1", "--b", "4", "--json"], "paper_example_a1_b4.json"),
         (["conjecture-cp0", "--p", "5", "--degmax", "2", "--json"], "conjecture_cp0_p5_d2.json"),
+        (["blocks"] + ["module%d.json" % i for i in range(len(BLOCK_RECIPES))], "blocks_f3.json"),
     ],
 )
-def test_golden_outputs(capsys, argv, golden):
+def test_golden_outputs(tmp_path, monkeypatch, capsys, argv, golden):
     # the recipe has a tensor, a dual and a Frobenius twist over F_5; the
     # stored outputs come from the eigenspace search, which the ell-weight
     # labels must reproduce byte for byte.  The worked example, the
@@ -297,7 +342,12 @@ def test_golden_outputs(capsys, argv, golden):
     # lattice case reduces W(2,1)⊗W(1,4)⊗W(1,2) mod 3, where the roots 1 and
     # 4 meet: its unlabelled ell-weights come from the matrix path.  The
     # colength-4 worked example (a, b) = (1, 4) has non-unit Hermite pivots
-    # and a nontrivial Smith form; the desk test at p = 5 checks part (b)
+    # and a nontrivial Smith form; the desk test at p = 5 checks part (b).
+    # The blocks case parses the spectral characters of four F_3 module
+    # reports, named by relative paths so that the member labels are stable.
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "blocks":
+        _write_block_reports(tmp_path, capsys)
     code, out = _run(capsys, argv)
     assert code == 0
     with open(os.path.join(GOLDEN, golden), "rb") as fh:

@@ -3,14 +3,13 @@ import random
 import pytest
 from fractions import Fraction
 
-from hlx.cartan import CartanData, Weight
+from hlx.cartan import CartanData
 from hlx.drinfeld import (
     DrinfeldPoly,
     EllWeight,
     FieldExtensionNeeded,
     SpectralCharacter,
     block_partition,
-    ell_root_lattice_member,
     ell_weight_from_poly,
     factor,
     minus_involution,
@@ -26,22 +25,22 @@ def test_factor_over_f3():
     # (1-u)^2 (1-2u)
     f = Poly(F, [F(1), F(-1)])
     g = Poly(F, [F(1), F(-2)])
-    poly = DrinfeldPoly(F, [f * f * g])
+    poly = DrinfeldPoly(F, f * f * g)
     pairs = factor(poly)
-    as_dict = {F.fmt(a): mu.coords for a, mu in pairs}
-    assert as_dict == {"1": (2,), "2": (1,)}
+    as_dict = {F.fmt(a): mu for a, mu in pairs}
+    assert as_dict == {"1": 2, "2": 1}
 
 
 def test_factor_constant():
     F = PrimeField(3)
-    poly = DrinfeldPoly.sl2(F, [F.one])
+    poly = DrinfeldPoly(F, Poly(F, [F.one]))
     assert factor(poly) == []
 
 
 def test_factor_irreducible_quadratic_raises_with_hint():
     F = PrimeField(3)
     # 1 + u^2 has no roots in F_3 (note 1 + u + u^2 does: u = 1)
-    poly = DrinfeldPoly.sl2(F, [F(1), F(0), F(1)])
+    poly = DrinfeldPoly(F, Poly(F, [F(1), F(0), F(1)]))
     with pytest.raises(FieldExtensionNeeded) as exc:
         factor(poly)
     assert exc.value.suggested_degree == 2
@@ -51,7 +50,7 @@ def test_factor_reconstruct_roundtrip():
     F = PrimeField(5)
     ew = EllWeight(F, [(F(2), 2), (F(3), 1)])
     poly = ew.to_drinfeld()
-    assert ell_weight_from_poly(poly.polys and poly or poly) if False else True
+    assert ell_weight_from_poly(poly) == ew
     back = EllWeight(F, factor(poly))
     assert back == ew
 
@@ -85,27 +84,12 @@ def test_minus_involution_commutes_with_residue():
     assert minus_involution(red).coeffs == tuple(residue(c, p) for c in fm.coeffs)
 
 
-def test_star_sl2_identity():
-    F = PrimeField(3)
-    ew = EllWeight(F, [(F(1), 2), (F(2), 1)])
-    assert ew.star(A1) == ew
-    assert EllWeight.one(F).star(A1) == EllWeight.one(F)
-
-
-def test_star_a2_swaps_nodes():
-    F = PrimeField(5)
-    a2 = CartanData("A2")
-    ew = EllWeight(F, [(F(2), Weight([1, 0]))])
-    starred = ew.star(a2)
-    assert starred.pairs == ((F(2), Weight([0, 1])),)
-
-
 def test_wt():
     F = PrimeField(3)
     ew = EllWeight(F, [(F(2), 3)])
-    assert ew.wt() == Weight([3])
-    assert (ew * ew.inverse()).wt() == Weight([0])
-    assert EllWeight(F, [(F(1), 5)]).wt() == Weight([5])
+    assert ew.wt() == 3
+    assert (ew * ew.inverse()).wt() == 0
+    assert EllWeight(F, [(F(1), 5), (F(2), -2)]).wt() == 3
 
 
 def test_spectral_character():
@@ -126,8 +110,9 @@ def test_spectral_character_kernel_is_ell_root_lattice():
         for m2 in range(-4, 5):
             ew = EllWeight(F, [(F(1), m1), (F(2), m2)])
             chi = ew.spectral_character(A1)
-            member = ell_root_lattice_member(ew, A1)
-            assert member == chi.is_zero()
+            # omega_{mu,a} is in the ell-root lattice (generated by the
+            # alpha_a = omega_{2,a}) exactly when every exponent is even
+            assert chi.is_zero() == (m1 % 2 == 0 and m2 % 2 == 0)
 
 
 def test_block_partition():
@@ -136,15 +121,13 @@ def test_block_partition():
     chi1 = EllWeight(F, [(F(1), 1)]).spectral_character(A1)
     chi2 = EllWeight(F, [(F(2), 1)]).spectral_character(A1)
     groups, flagged = block_partition(
-        [("V(2,1)", chi0), ("V(0)", SpectralCharacter(F, A1)), ("V(1,1)", chi1), ("V(1,2)", chi2)],
-        F,
-        A1,
+        [("V(2,1)", chi0), ("V(0)", SpectralCharacter(F)), ("V(1,1)", chi1), ("V(1,2)", chi2)]
     )
     assert len(groups) == 3
     members = sorted(tuple(sorted(g["members"])) for g in groups)
     assert ("V(0)", "V(2,1)") in members
     assert not flagged
-    assert block_partition([], F, A1) == ([], [])
+    assert block_partition([]) == ([], [])
 
 
 def test_ell_weight_series():
@@ -152,7 +135,7 @@ def test_ell_weight_series():
     a = F(2)
     ew = EllWeight(F, [(a, -1)])
     # (1 - a u)^{-1} = sum a^k u^k
-    assert ew.coefficients(0, 3) == [F(1), a, a * a, a * a * a]
+    assert ew.coefficients(3) == [F(1), a, a * a, a * a * a]
 
 
 def _truncated_product(ring, f, g, prec):
@@ -177,36 +160,20 @@ def test_ell_weight_coefficients_match_series_products(ring):
             ref = [ring.one] + [ring.zero] * (prec - 1)
             for a, mu in ew.pairs:
                 a = a if sign == 1 else ring.inv(a)
-                m = mu.coords[0]
-                if m > 0:
+                if mu > 0:
                     factor = [ring.one, -a]
                 else:
                     factor = [ring_pow(ring, a, k) for k in range(prec)]
-                for _ in range(abs(m)):
+                for _ in range(abs(mu)):
                     ref = _truncated_product(ring, ref, factor, prec)
-            assert ew.coefficients(0, prec - 1, sign) == ref
+            assert ew.coefficients(prec - 1, sign) == ref
 
 
 def test_factor_over_rationals():
     from fractions import Fraction
 
     f = Poly(QQ, [Fraction(1), Fraction(-2)]) * Poly(QQ, [Fraction(1), Fraction(-1, 3)])
-    poly = DrinfeldPoly(QQ, [f])
+    poly = DrinfeldPoly(QQ, f)
     pairs = factor(poly)
-    got = {a: mu.coords[0] for a, mu in pairs}
+    got = dict(pairs)
     assert got == {Fraction(2): 1, Fraction(1, 3): 1}
-
-
-def test_wmsc_shadow_check():
-    from hlx.drinfeld import wmsc_shadow_check
-
-    F = PrimeField(3)
-    omega = EllWeight(F, [(F(1), 2)])
-    # omega_{0,1} = trivial and omega itself both pass; odd drop fails
-    assert wmsc_shadow_check(omega, omega, A1)
-    assert wmsc_shadow_check(omega, EllWeight.one(F), A1)
-    assert not wmsc_shadow_check(omega, EllWeight(F, [(F(1), 1)]), A1)
-    # different parameter: character mismatch
-    assert not wmsc_shadow_check(omega, EllWeight(F, [(F(2), 2)]), A1)
-    # negative exponent quotient fails the monoid condition
-    assert not wmsc_shadow_check(omega, EllWeight(F, [(F(1), 4)]), A1)

@@ -121,7 +121,7 @@ def test_chop_factors_keep_labels():
     for f in factors:
         labels = f.module.labels()
         assert labels is not None
-        assert [b["ell_weight"] for b in f.ell_weights] == sorted(set(labels), key=lambda e: -e.wt()[0])
+        assert [b["ell_weight"] for b in f.ell_weights] == sorted(set(labels), key=lambda e: -e.wt())
     assert [f.drinfeld.fmt() for f in factors] == [[["1"]], [["1", "3", "1"]]]
 
 
