@@ -381,13 +381,17 @@ def run_blocks(report_paths):
     # sampled pair checks: tensor additivity and dual negation of characters
     checks = []
     ok = True
-    usable = [(lab, rec, rg) for lab, rec, rg in recipes if rec is not None][:3]
-    built = []
-    for label, recipe, rg in usable:
+    # every recipe must build; the first three take part in the pair checks
+    modules = []
+    for label, recipe, rg in recipes:
+        if recipe is None:
+            continue
         try:
-            m = modrep.build_module({"ring": rg.to_json(), "build": recipe})
+            modules.append((label, modrep.build_module({"ring": rg.to_json(), "build": recipe})))
         except (KeyError, ValueError) as exc:
             raise BadReport("bad report %s: bad recipe: %s" % (label, _reason(exc))) from exc
+    built = []
+    for label, m in modules[:3]:
         chi = _module_character(m)
         if chi is None:
             continue
@@ -512,7 +516,9 @@ def make_parser():
     p_lat.add_argument("--recipe", required=True)
     p_lat.add_argument("--p", type=int, required=True)
     p_lat.add_argument("--reduce", action="store_true")
-    p_lat.add_argument("--rwindow", type=int)
+    p_lat.add_argument(
+        "--rwindow", type=int, help="cap on the doubling r-window of an ambient without ratio data (default 64)"
+    )
     p_lat.add_argument("--out")
     p_lat.add_argument("--json", action="store_true")
     return ap

@@ -8,6 +8,17 @@ stays p-integral.  Canonical form is a Hermite-style echelon over Z_(p):
 pivots are the entries of minimal valuation, normalized to powers of p, with
 entries above pivots reduced to integer representatives in [0, p^v).
 
+The closure needs finitely many loop degrees r.  When the ambient gives
+ratio data (op_ratios), (x±_r)^(k) = sum_{c in C_k} c^r M_c with every c a
+unit of Z_(p), so the tables of one k satisfy the recurrence of
+P_k(x) = prod_{c in C_k} (x - c): monic in Z_(p)[x] with a unit constant
+term, it runs forwards and backwards over Z_(p), and the |C_k| tables at
+r = 0..|C_k|-1 generate all of them.  Closing v under those windows and
+checking invariance there certifies L = U_A v, since Garland's integral
+form is generated by the divided powers (x±_r)^(k).  Ambients without
+ratio data (weyl0 and what is built on it) double a symmetric window until
+the canonical basis repeats: the one uncertified closure.
+
 Closure, its invariance check and reduction mod p run on integers.  Each
 operator table and the basis are scaled to integer matrices by the least
 common denominator of their entries, a p-unit.  The closure applies a
@@ -100,14 +111,21 @@ def _canonical_rep(e, p, v):
 
 
 class LatticeBasis:
-    """Canonical basis of an A-invariant lattice inside an ambient module."""
+    """Canonical basis of an A-invariant lattice inside an ambient module.
 
-    def __init__(self, ambient, p, rows, stable_window):
+    windows maps each k to the loop degrees r at which lattice_closure
+    applied (x-_r)^(k) and checked (x±_r)^(k); it is None for a lattice that
+    no closure built (tensor_lattice).  stable_window is max n_k for a
+    closure with ratio data and the half-width W of the symmetric window
+    [-W, W] for one without (see lattice_closure)."""
+
+    def __init__(self, ambient, p, rows, stable_window, windows=None):
         self.ambient = ambient
         self.p = p
         self.rows = tuple(tuple(r) for r in rows)
         self.rank = len(self.rows)
         self.stable_window = stable_window
+        self.windows = windows
         self._pivots = []
         order = sorted(range(ambient.dim), key=lambda j: (-ambient.weights[j], j))
         used = set()
@@ -204,44 +222,88 @@ def _table(m, tables, kind, r, k):
     return tables[key]
 
 
+def _ratio_counts(m, p, kmax):
+    """{k: n_k} for k = 1..kmax, n_k the number of ratios of (x±_r)^(k)
+    (op_ratios), or None when the ambient carries no ratio data.  Raises
+    LatticeError when a ratio is not a unit in Z_(p)."""
+    counts = {}
+    for k in range(1, kmax + 1):
+        ratios = m.op_ratios(k)
+        if ratios is None:
+            return None
+        for c in ratios:
+            if val_p(c, p) != 0:
+                raise LatticeError("ratio %s of the degree-%d tables is not a unit in Z_(%d)" % (c, k, p))
+        counts[k] = len(ratios)
+    return counts
+
+
+def _lowering_fixpoint(m, rows, p, windows, tables):
+    """Canonical basis of the smallest lattice that contains rows and is
+    closed under (x-_r)^(k) for every r in windows[k]."""
+    basis = canonicalize(rows, p, m.weights)
+    while True:
+        new_rows = list(basis)
+        e, ints = _integer_rows(basis)
+        for k, rs in windows.items():
+            for r in rs:
+                d, table = _table(m, tables, LOWER, r, k)
+                for img in _images(ints, table):
+                    if any(img):
+                        new_rows.append([Fraction(c, e * d) for c in img])
+        merged = canonicalize(new_rows, p, m.weights)
+        if merged == basis:
+            return basis
+        basis = merged
+
+
 def lattice_closure(m, v, p, max_window=64):
-    """L = U(g~)_A v: iterate lowering divided powers over an expanding loop
-    window until the canonical form is stable across two increments, then
-    verify invariance under raising and Cartan tables as well."""
+    """L = U(g~)_A v: the lattice spanned by v and closed under the lowering
+    divided powers (x-_r)^(k), k = 1..kmax, then checked for invariance
+    under the raising, Cartan and Lambda tables as well.
+
+    With ratio data (op_ratios), (x±_r)^(k) = sum_{c in C_k} c^r M_c for
+    every r in Z, and every c is a unit of Z_(p) (LatticeError otherwise).
+    P_k(x) = prod_{c in C_k} (x - c) is then monic in Z_(p)[x] with a unit
+    constant term, and the tables satisfy its recurrence in r: forwards, and
+    backwards after dividing by the constant term.  So the n_k = |C_k|
+    tables at r = 0..n_k-1 generate every table of that k over Z_(p), for
+    negative r as well, and a lattice closed under them is closed under all
+    of them.  The closure is one fixpoint over those windows (no table of a
+    k with C_k empty is built), the check covers the same windows, and
+    stable_window is max n_k.  The result is certified: it lies in U_A v,
+    being spanned by lowering images of v, and it contains U_A v once the
+    check passes, because the divided powers (x±_r)^(k) generate Garland's
+    integral form.
+
+    Without ratio data (weyl0 and what is built on it) the closure is the
+    only uncertified one: it doubles a symmetric window [-W, W] from
+    max|weight| until the canonical basis repeats, raises LatticeError when
+    W passes max_window, and the check covers [-W, W]."""
     if m.ring != QQ:
         raise LatticeError("ambient module must live over the rationals")
     _check_unit_parameters(m, p)
     kmax = max(1, m.max_exponent())
-    lam_top = max((abs(w) for w in m.weights), default=0)
-    window = max(1, lam_top)
-    prev = None
-    rows = [list(map(Fraction, v))]
     tables = {}
-    while True:
-        basis = canonicalize(rows, p, m.weights)
-        changed = True
-        while changed:
-            changed = False
-            new_rows = list(basis)
-            e, ints = _integer_rows(basis)
-            for r in range(-window, window + 1):
-                for k in range(1, kmax + 1):
-                    d, table = _table(m, tables, LOWER, r, k)
-                    for img in _images(ints, table):
-                        if any(img):
-                            new_rows.append([Fraction(c, e * d) for c in img])
-            merged = canonicalize(new_rows, p, m.weights)
-            if merged != basis:
-                basis = merged
-                changed = True
-        if prev is not None and basis == prev:
-            break
-        prev = basis
-        window *= 2
-        if window > max_window:
-            raise LatticeError("closure did not stabilize within window %d" % max_window)
-        rows = basis
-    lat = LatticeBasis(m, p, prev, window)
+    rows = [list(map(Fraction, v))]
+    counts = _ratio_counts(m, p, kmax)
+    if counts is not None:
+        windows = {k: range(n) for k, n in counts.items()}
+        basis = _lowering_fixpoint(m, rows, p, windows, tables)
+        lat = LatticeBasis(m, p, basis, max(counts.values()), windows)
+    else:
+        window = max(1, max((abs(w) for w in m.weights), default=0))
+        prev = None
+        while True:
+            windows = {k: range(-window, window + 1) for k in range(1, kmax + 1)}
+            basis = _lowering_fixpoint(m, rows, p, windows, tables)
+            if basis == prev:
+                break
+            prev = rows = basis
+            window *= 2
+            if window > max_window:
+                raise LatticeError("closure did not stabilize within window %d" % max_window)
+        lat = LatticeBasis(m, p, basis, window, windows)
     _verify_invariance(m, lat, kmax, tables)
     return lat
 
@@ -285,14 +347,16 @@ def _coordinates(lat):
 def _verify_invariance(m, lat, kmax, tables=None):
     """Check that every certified operator maps the lattice into itself:
     the coordinates of the images of the basis rows (_coordinates) lie in
-    Z_(p)."""
+    Z_(p).  The lowering and raising tables are those of the closure's
+    windows, which generate every table of their k when it had ratio data;
+    the Cartan binomials and the Lambda tables below the Lambda precision
+    are checked in full."""
     if tables is None:
         tables = {}
-    window = lat.stable_window
     checks = []
     for kind in (LOWER, RAISE):
-        for r in range(-window, window + 1):
-            for k in range(1, kmax + 1):
+        for k, rs in lat.windows.items():
+            for r in rs:
                 checks.append(_table(m, tables, kind, r, k))
     for k in range(1, kmax + 1):
         checks.append(_integer_rows(m.cartan_binom(k).rows))

@@ -232,6 +232,20 @@ def test_blocks_rejects_a_report_it_cannot_read(tmp_path, capsys, text, reason):
     assert captured.err.count("\n") == 1
 
 
+def test_blocks_builds_every_recipe(tmp_path, capsys):
+    # the pair checks use the first three reports, but every recipe must build
+    paths = _write_block_reports(tmp_path, capsys)[:3]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        fh.write('{"ring": {"kind": "Fp", "p": 3}, "spectral_character": {"1": [1]}, "recipe": {"nonsense": {}}}')
+    code = main(["blocks"] + paths + [bad])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("bad report %s: bad recipe: ValueError: unknown recipe node" % bad)
+    assert captured.err.count("\n") == 1
+
+
 def test_conjecture_cli(capsys):
     code, out = _run(capsys, ["conjecture-cp0", "--p", "3", "--degmax", "1"])
     assert code == 0

@@ -26,6 +26,7 @@ from hlx.modrep import (
     drinfeld_polynomial,
     dual,
     eval_weyl_module,
+    explicit_module,
     frobenius_twist,
     psi_twist,
     tensor,
@@ -310,8 +311,16 @@ def _integer_invariant(m, lat, kmax):
     return True
 
 
+def _top_vector(m):
+    # the basis vector of the highest weight: a dual has no hw_index
+    top = m.weights.index(max(m.weights))
+    return [Fraction(int(i == top)) for i in range(m.dim)]
+
+
 @st.composite
 def closure_lattices(draw):
+    # evaluation modules and their tensor products, with roots that may share
+    # a residue (part (a) of the conjecture), maybe dualized or psi-twisted
     p = draw(st.sampled_from([2, 3, 5, 7]))
     units = st.builds(
         Fraction,
@@ -319,9 +328,80 @@ def closure_lattices(draw):
         st.integers(1, 2 * p).filter(lambda n: n % p),
     )
     lams = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
-    factors = [eval_weyl_module(QQ, lam, draw(units)) for lam in lams]
+    roots = [draw(units) for _ in lams]
+    if len(roots) == 2 and draw(st.booleans()):
+        roots[1] = roots[0] + p * draw(st.integers(1, 3))
+    factors = [eval_weyl_module(QQ, lam, a) for lam, a in zip(lams, roots)]
     m = factors[0] if len(factors) == 1 else tensor(*factors)
-    return m, lattice_closure(m, m.hw_vector(), p)
+    twist = draw(st.sampled_from([None, "dual", "psi"]))
+    if twist == "dual":
+        m = dual(m)
+    elif twist == "psi":
+        m = psi_twist(m, draw(units))
+    return m, lattice_closure(m, _top_vector(m), p)
+
+
+def _reference_closure(m, v, p):
+    # the lowering fixpoint over every r in [-2 dim, 2 dim], on Fractions
+    kmax = max(1, m.max_exponent())
+    ops = [m.op(LOWER, r, k) for r in range(-2 * m.dim, 2 * m.dim + 1) for k in range(1, kmax + 1)]
+    basis = canonicalize([v], p, m.weights)
+    while True:
+        merged = canonicalize(basis + [op.apply(list(row)) for op in ops for row in basis], p, m.weights)
+        if merged == basis:
+            return basis
+        basis = merged
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(closure_lattices())
+def test_closure_matches_a_wide_window_reference(case):
+    # the closure runs over r in [0, n_k) only, by the ratio recurrence
+    m, lat = case
+    assert max(rs.stop for rs in lat.windows.values()) == lat.stable_window
+    assert [list(r) for r in lat.rows] == _reference_closure(m, _top_vector(m), lat.p)
+
+
+def test_closure_requests_only_the_recurrence_windows():
+    # W(1,1)⊗W(1,4)⊗W(1,7) at p = 3: the ratios of degree k = 1, 2, 3 are
+    # {1, 4, 7}, {4, 7, 28} and {28}, so n = 3, 3, 1
+    m = tensor(*[eval_weyl_module(QQ, 1, Fraction(a)) for a in (1, 4, 7)])
+    requests = []
+    op = m.op
+
+    def counted(kind, r, k):
+        requests.append((kind, r, k))
+        return op(kind, r, k)
+
+    m.op = counted
+    lat = lattice_closure(m, m.hw_vector(), 3)
+    windows = {1: 3, 2: 3, 3: 1}
+    assert lat.stable_window == 3
+    assert lat.windows == {k: range(n) for k, n in windows.items()}
+    want = [(kind, r, k) for kind in (LOWER, RAISE) for k, n in windows.items() for r in range(n)]
+    assert sorted(requests) == sorted(want)
+    assert sum(kind == LOWER for kind, _, _ in requests) == sum(kind == RAISE for kind, _, _ in requests) == 7
+
+
+def test_max_window_caps_only_the_doubling_search():
+    # weyl0 has no ratio data: its window doubles from max|weight| = 2 and
+    # stabilizes at W = 4; an evaluation tensor needs no search
+    w0 = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)], margin=10)
+    lat = lattice_closure(w0, w0.hw_vector(), 3)
+    assert lat.stable_window == 4 and lat.windows == {1: range(-4, 5), 2: range(-4, 5)}
+    with pytest.raises(LatticeError, match="^closure did not stabilize within window 2$"):
+        lattice_closure(w0, w0.hw_vector(), 3, max_window=2)
+    m = tensor(eval_weyl_module(QQ, 1, Fraction(1)), eval_weyl_module(QQ, 1, Fraction(4)))
+    assert lattice_closure(m, m.hw_vector(), 3, max_window=1).stable_window == 2
+
+
+def test_closure_rejects_a_ratio_that_is_not_a_unit():
+    # the recipe names no parameter, so only the ratio data shows that 3 is
+    # not a unit in Z_(3)
+    w = eval_weyl_module(QQ, 1, Fraction(3))
+    m = explicit_module(QQ, w.weights, {"explicit": {}}, w.op, w.lam, hw_index=0, ratio_fn=w.op_ratios)
+    with pytest.raises(LatticeError, match="^ratio 3 of the degree-1 tables is not a unit in Z_\\(3\\)$"):
+        lattice_closure(m, m.hw_vector(), 3)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -340,7 +420,7 @@ def test_integer_invariance_check_agrees_with_fraction_check(case, data):
     swapped[i] = data.draw(st.lists(entries, min_size=m.dim, max_size=m.dim))
     swapped = canonicalize(swapped, p, m.weights)
     for perturbed in (scaled, swapped):
-        bad = LatticeBasis(m, p, perturbed, lat.stable_window)
+        bad = LatticeBasis(m, p, perturbed, lat.stable_window, lat.windows)
         assert _integer_invariant(m, bad, kmax) == _oracle_invariant(m, bad, kmax)
 
 
@@ -350,7 +430,7 @@ def test_integer_invariance_check_rejects_a_row_times_p():
     kmax = m.max_exponent()
     for i in range(lat.rank):
         rows = [[c * 3 for c in r] if j == i else list(r) for j, r in enumerate(lat.rows)]
-        bad = LatticeBasis(m, 3, rows, lat.stable_window)
+        bad = LatticeBasis(m, 3, rows, lat.stable_window, lat.windows)
         assert not _integer_invariant(m, bad, kmax)
         assert not _oracle_invariant(m, bad, kmax)
 
@@ -397,7 +477,7 @@ def test_reduction_rejects_a_row_times_p():
     lat = lattice_closure(m, m.hw_vector(), 3)
     for i in range(lat.rank):
         rows = [[c * 3 for c in r] if j == i else list(r) for j, r in enumerate(lat.rows)]
-        bad = LatticeBasis(m, 3, rows, lat.stable_window)
+        bad = LatticeBasis(m, 3, rows, lat.stable_window, lat.windows)
         red = reduce_mod_p(bad)
         with pytest.raises(LatticeError, match="^operator violates lattice invariance mod 3$"):
             for table, ambient in _reduced_tables(m, bad, red):
