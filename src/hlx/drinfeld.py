@@ -10,7 +10,6 @@ silently.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 
 from .exactnum import (
@@ -201,17 +200,6 @@ def _extension_hint(f):
     )
 
 
-class _Series(dict):
-    """{sign: coefficients(n, sign)} of one ell-weight value, the longest n
-    asked for; a dict subclass, so that _SERIES can hold it weakly."""
-
-
-# (ring, pairs) -> the _Series of every live label with that value: equal
-# labels built separately (a module and its subquotients, tensor factors)
-# share one memo, and the entry goes with the last label holding it
-_SERIES = weakref.WeakValueDictionary()
-
-
 class EllWeight:
     """Canonical multiset of (parameter, weight) pairs with nonzero int
     weights; identified with prod_j omega_{mu_j, a_j}."""
@@ -223,7 +211,7 @@ class EllWeight:
             raise ValueError("parameters must be nonzero")
         self.ring = ring
         self.pairs = _canonical(ring, pairs)
-        self._memo = None  # this value's _Series, looked up when first asked for
+        self._memo = {}  # {sign: coefficients(n, sign)}, the longest n asked for
 
     def __mul__(self, other):
         assert self.ring == other.ring
@@ -274,12 +262,9 @@ class EllWeight:
         return [out.get(t, ring.zero) for t in range(n + 1)]
 
     def memo_coefficients(self, n, sign, at_least):
-        """coefficients(m, sign) for some m >= n, memoized on the label's
-        value (ring, pairs), which equal labels share (_SERIES).  A miss
-        computes max(n, at_least) terms, so the longest list per sign is
-        kept."""
-        if self._memo is None:
-            self._memo = _SERIES.setdefault((self.ring, self.pairs), _Series())
+        """coefficients(m, sign) for some m >= n, memoized on the label,
+        which a module and its subquotients share.  A miss computes
+        max(n, at_least) terms, so the longest list per sign is kept."""
         have = self._memo.get(sign)
         if have is None or len(have) <= n:
             have = self._memo[sign] = self.coefficients(max(n, at_least), sign)

@@ -113,19 +113,16 @@ def _canonical_rep(e, p, v):
 class LatticeBasis:
     """Canonical basis of an A-invariant lattice inside an ambient module.
 
-    windows maps each k to the loop degrees r at which lattice_closure
-    applied (x-_r)^(k) and checked (x±_r)^(k); it is None for a lattice that
-    no closure built (tensor_lattice).  stable_window is max n_k for a
-    closure with ratio data and the half-width W of the symmetric window
-    [-W, W] for one without (see lattice_closure)."""
+    stable_window is max n_k for a closure with ratio data and the
+    half-width W of the symmetric window [-W, W] for one without (see
+    lattice_closure)."""
 
-    def __init__(self, ambient, p, rows, stable_window, windows=None):
+    def __init__(self, ambient, p, rows, stable_window):
         self.ambient = ambient
         self.p = p
         self.rows = tuple(tuple(r) for r in rows)
         self.rank = len(self.rows)
         self.stable_window = stable_window
-        self.windows = windows
         self._pivots = []
         order = sorted(range(ambient.dim), key=lambda j: (-ambient.weights[j], j))
         used = set()
@@ -222,11 +219,11 @@ def _table(m, tables, kind, r, k):
     return tables[key]
 
 
-def _ratio_counts(m, p, kmax):
-    """{k: n_k} for k = 1..kmax, n_k the number of ratios of (x±_r)^(k)
-    (op_ratios), or None when the ambient carries no ratio data.  Raises
-    LatticeError when a ratio is not a unit in Z_(p)."""
-    counts = {}
+def _recurrence_windows(m, p, kmax):
+    """{k: range(n_k)} for k = 1..kmax, n_k the number of ratios of
+    (x±_r)^(k) (op_ratios), or None when the ambient carries no ratio data.
+    Raises LatticeError when a ratio is not a unit in Z_(p)."""
+    windows = {}
     for k in range(1, kmax + 1):
         ratios = m.op_ratios(k)
         if ratios is None:
@@ -234,8 +231,8 @@ def _ratio_counts(m, p, kmax):
         for c in ratios:
             if val_p(c, p) != 0:
                 raise LatticeError("ratio %s of the degree-%d tables is not a unit in Z_(%d)" % (c, k, p))
-        counts[k] = len(ratios)
-    return counts
+        windows[k] = range(len(ratios))
+    return windows
 
 
 def _lowering_fixpoint(m, rows, p, windows, tables):
@@ -286,11 +283,10 @@ def lattice_closure(m, v, p, max_window=64):
     kmax = max(1, m.max_exponent())
     tables = {}
     rows = [list(map(Fraction, v))]
-    counts = _ratio_counts(m, p, kmax)
-    if counts is not None:
-        windows = {k: range(n) for k, n in counts.items()}
+    windows = _recurrence_windows(m, p, kmax)
+    if windows is not None:
         basis = _lowering_fixpoint(m, rows, p, windows, tables)
-        lat = LatticeBasis(m, p, basis, max(counts.values()), windows)
+        lat = LatticeBasis(m, p, basis, max(len(rs) for rs in windows.values()))
     else:
         window = max(1, max((abs(w) for w in m.weights), default=0))
         prev = None
@@ -303,8 +299,8 @@ def lattice_closure(m, v, p, max_window=64):
             window *= 2
             if window > max_window:
                 raise LatticeError("closure did not stabilize within window %d" % max_window)
-        lat = LatticeBasis(m, p, basis, window, windows)
-    _verify_invariance(m, lat, kmax, tables)
+        lat = LatticeBasis(m, p, basis, window)
+    _verify_invariance(m, lat, kmax, windows, tables)
     return lat
 
 
@@ -344,18 +340,18 @@ def _coordinates(lat):
     return coordinates
 
 
-def _verify_invariance(m, lat, kmax, tables=None):
+def _verify_invariance(m, lat, kmax, windows, tables=None):
     """Check that every certified operator maps the lattice into itself:
     the coordinates of the images of the basis rows (_coordinates) lie in
-    Z_(p).  The lowering and raising tables are those of the closure's
-    windows, which generate every table of their k when it had ratio data;
-    the Cartan binomials and the Lambda tables below the Lambda precision
-    are checked in full."""
+    Z_(p).  The lowering and raising tables are those at r in windows[k]
+    (the closure's windows, which generate every table of their k when the
+    ambient has ratio data); the Cartan binomials and the Lambda tables
+    below the Lambda precision are checked in full."""
     if tables is None:
         tables = {}
     checks = []
     for kind in (LOWER, RAISE):
-        for k, rs in lat.windows.items():
+        for k, rs in windows.items():
             for r in rs:
                 checks.append(_table(m, tables, kind, r, k))
     for k in range(1, kmax + 1):

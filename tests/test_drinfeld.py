@@ -138,27 +138,6 @@ def test_ell_weight_series():
     assert ew.coefficients(3) == [F(1), a, a * a, a * a * a]
 
 
-def test_equal_labels_share_their_series(monkeypatch):
-    # the memo is keyed by the label's value: two labels built separately
-    # compute each sign's series once between them
-    F = PrimeField(101)
-    calls = []
-    coefficients = EllWeight.coefficients
-
-    def counted(self, n, sign=1):
-        calls.append(sign)
-        return coefficients(self, n, sign)
-
-    monkeypatch.setattr(EllWeight, "coefficients", counted)
-    first = EllWeight(F, [(F(37), 5), (F(59), -2)])
-    second = EllWeight(F, [(F(59), -1), (F(37), 5), (F(59), -1)])
-    assert first == second and first is not second
-    for sign in (1, -1):
-        assert first.memo_coefficients(4, sign, 9) == second.memo_coefficients(6, sign, 9)
-        assert second.memo_coefficients(9, sign, 9) == coefficients(first, 9, sign)
-    assert calls == [1, -1]
-
-
 def _truncated_product(ring, f, g, prec):
     # f * g modulo u^prec, both given as coefficient lists
     out = [ring.zero] * prec

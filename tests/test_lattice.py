@@ -11,6 +11,7 @@ from hlx.lattice import (
     LatticeBasis,
     LatticeError,
     _canonical_rep,
+    _recurrence_windows,
     _verify_invariance,
     canonicalize,
     compare_lattices,
@@ -284,13 +285,16 @@ def test_rank_equality_higher_weight_tensor():
     assert lat.rank == m.dim == 6
 
 
+def _wide_window(m):
+    # every loop degree r in [-2 dim, 2 dim]: far wider than any recurrence
+    # window, and independent of how the lattice was built
+    return range(-2 * m.dim, 2 * m.dim + 1)
+
+
 def _oracle_invariant(m, lat, kmax):
     # the row-by-row check on Fractions: every image of a basis row under a
     # certified operator has p-integral coordinates in the basis
-    window = lat.stable_window
-    checks = [
-        m.op(kind, r, k) for kind in (LOWER, RAISE) for r in range(-window, window + 1) for k in range(1, kmax + 1)
-    ]
+    checks = [m.op(kind, r, k) for kind in (LOWER, RAISE) for r in _wide_window(m) for k in range(1, kmax + 1)]
     checks += [m.cartan_binom(k) for k in range(1, kmax + 1)]
     prec = m.lam_precision()
     checks += [m.lam(r) for r in range(-prec + 1, prec) if r]
@@ -304,7 +308,7 @@ def _oracle_invariant(m, lat, kmax):
 
 def _integer_invariant(m, lat, kmax):
     try:
-        _verify_invariance(m, lat, kmax)
+        _verify_invariance(m, lat, kmax, _recurrence_windows(m, lat.p, kmax))
     except LatticeError as exc:
         assert str(exc) == "lattice is not invariant under a certified operator"
         return False
@@ -344,7 +348,7 @@ def closure_lattices(draw):
 def _reference_closure(m, v, p):
     # the lowering fixpoint over every r in [-2 dim, 2 dim], on Fractions
     kmax = max(1, m.max_exponent())
-    ops = [m.op(LOWER, r, k) for r in range(-2 * m.dim, 2 * m.dim + 1) for k in range(1, kmax + 1)]
+    ops = [m.op(LOWER, r, k) for r in _wide_window(m) for k in range(1, kmax + 1)]
     basis = canonicalize([v], p, m.weights)
     while True:
         merged = canonicalize(basis + [op.apply(list(row)) for op in ops for row in basis], p, m.weights)
@@ -358,7 +362,8 @@ def _reference_closure(m, v, p):
 def test_closure_matches_a_wide_window_reference(case):
     # the closure runs over r in [0, n_k) only, by the ratio recurrence
     m, lat = case
-    assert max(rs.stop for rs in lat.windows.values()) == lat.stable_window
+    windows = _recurrence_windows(m, lat.p, max(1, m.max_exponent()))
+    assert lat.stable_window == max(len(rs) for rs in windows.values())
     assert [list(r) for r in lat.rows] == _reference_closure(m, _top_vector(m), lat.p)
 
 
@@ -377,7 +382,6 @@ def test_closure_requests_only_the_recurrence_windows():
     lat = lattice_closure(m, m.hw_vector(), 3)
     windows = {1: 3, 2: 3, 3: 1}
     assert lat.stable_window == 3
-    assert lat.windows == {k: range(n) for k, n in windows.items()}
     want = [(kind, r, k) for kind in (LOWER, RAISE) for k, n in windows.items() for r in range(n)]
     assert sorted(requests) == sorted(want)
     assert sum(kind == LOWER for kind, _, _ in requests) == sum(kind == RAISE for kind, _, _ in requests) == 7
@@ -388,7 +392,7 @@ def test_max_window_caps_only_the_doubling_search():
     # stabilizes at W = 4; an evaluation tensor needs no search
     w0 = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)], margin=10)
     lat = lattice_closure(w0, w0.hw_vector(), 3)
-    assert lat.stable_window == 4 and lat.windows == {1: range(-4, 5), 2: range(-4, 5)}
+    assert lat.stable_window == 4
     with pytest.raises(LatticeError, match="^closure did not stabilize within window 2$"):
         lattice_closure(w0, w0.hw_vector(), 3, max_window=2)
     m = tensor(eval_weyl_module(QQ, 1, Fraction(1)), eval_weyl_module(QQ, 1, Fraction(4)))
@@ -420,7 +424,7 @@ def test_integer_invariance_check_agrees_with_fraction_check(case, data):
     swapped[i] = data.draw(st.lists(entries, min_size=m.dim, max_size=m.dim))
     swapped = canonicalize(swapped, p, m.weights)
     for perturbed in (scaled, swapped):
-        bad = LatticeBasis(m, p, perturbed, lat.stable_window, lat.windows)
+        bad = LatticeBasis(m, p, perturbed, lat.stable_window)
         assert _integer_invariant(m, bad, kmax) == _oracle_invariant(m, bad, kmax)
 
 
@@ -430,7 +434,7 @@ def test_integer_invariance_check_rejects_a_row_times_p():
     kmax = m.max_exponent()
     for i in range(lat.rank):
         rows = [[c * 3 for c in r] if j == i else list(r) for j, r in enumerate(lat.rows)]
-        bad = LatticeBasis(m, 3, rows, lat.stable_window, lat.windows)
+        bad = LatticeBasis(m, 3, rows, lat.stable_window)
         assert not _integer_invariant(m, bad, kmax)
         assert not _oracle_invariant(m, bad, kmax)
 
@@ -453,9 +457,8 @@ def _fraction_reduce_matrix(lat, mat):
 def _reduced_tables(m, lat, red):
     # (reduced table, ambient table) of each operator certified on lat
     kmax = max(1, m.max_exponent())
-    window = lat.stable_window
     for kind in (LOWER, RAISE):
-        for r in range(-window, window + 1):
+        for r in _wide_window(m):
             for k in range(1, kmax + 1):
                 yield partial(red.op_np, kind, r, k), m.op(kind, r, k)
     prec = m.lam_precision()
@@ -477,7 +480,7 @@ def test_reduction_rejects_a_row_times_p():
     lat = lattice_closure(m, m.hw_vector(), 3)
     for i in range(lat.rank):
         rows = [[c * 3 for c in r] if j == i else list(r) for j, r in enumerate(lat.rows)]
-        bad = LatticeBasis(m, 3, rows, lat.stable_window, lat.windows)
+        bad = LatticeBasis(m, 3, rows, lat.stable_window)
         red = reduce_mod_p(bad)
         with pytest.raises(LatticeError, match="^operator violates lattice invariance mod 3$"):
             for table, ambient in _reduced_tables(m, bad, red):
