@@ -214,9 +214,11 @@ def run_steinberg(p, lmax, seed=0, ext_degree=1):
             expected_dim *= d + 1
         m = modrep.irreducible_module(F, lam, F.one)
         res = meataxe.is_irreducible(m, seed=seed)
-        agree = None
-        if F.card ** m.dim <= meataxe.brute_bound():
+        try:
             bf, _ = meataxe.brute_force_irreducible(m)
+        except ValueError:
+            agree = None
+        else:
             agree = bf == res.verdict
         entry = {
             "lambda": lam,

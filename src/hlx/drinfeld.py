@@ -10,6 +10,7 @@ silently.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .exactnum import (
@@ -19,6 +20,7 @@ from .exactnum import (
     fppoly_splits_over,
     integer_binomial,
     ring_pow,
+    scalars,
 )
 
 
@@ -241,24 +243,15 @@ class EllWeight:
         """Coefficients of u^0..u^n in prod (1 - a u)^{mu}, with the
         parameters inverted when sign=-1: the convolution of the closed forms
         binom(mu, s) (-a)^s, binom being the generalized binomial when mu < 0.
-        The partial products are kept sparse, as {degree: nonzero coefficient}."""
+        Over F_p it runs on int residues (exactnum.scalars) and boxes once at
+        the end; other rings compute on their own elements."""
         ring = self.ring
-        out = {0: ring.one}
-        for a, m in self.pairs:
-            if sign == -1:
-                a = ring.inv(a)
-            top = n if m < 0 else min(n, m)
-            prod = {}
-            power = ring.one
-            for s in range(top + 1):
-                c = ring.from_int(integer_binomial(m, s)) * power
-                power = power * -a
-                if ring.is_zero(c):
-                    continue
-                for t, x in out.items():
-                    if t + s <= n:
-                        prod[t + s] = prod[t + s] + c * x if t + s in prod else c * x
-            out = {t: x for t, x in prod.items() if not ring.is_zero(x)}
+        if isinstance(ring, PrimeField):
+            k = scalars(ring)
+            pairs = [(k.lift(a), mu) for a, mu in self.pairs]
+            out = _binomial_convolution(pairs, n, sign, k.one, k.red, k.inv, k.red, operator.not_)
+            return [k.box(out.get(t, k.zero)) for t in range(n + 1)]
+        out = _binomial_convolution(self.pairs, n, sign, ring.one, ring.from_int, ring.inv, _same, ring.is_zero)
         return [out.get(t, ring.zero) for t in range(n + 1)]
 
     def memo_coefficients(self, n, sign, at_least):
@@ -285,6 +278,37 @@ class EllWeight:
         return "EllWeight(%s)" % ", ".join(
             "omega_{%d,%s}" % (mu, self.ring.fmt(a)) for a, mu in self.pairs
         )
+
+
+def _same(x):
+    return x
+
+
+def _binomial_convolution(pairs, n, sign, one, from_int, inv, red, is_zero):
+    """prod (1 - a u)^{mu} to u^n as {degree: nonzero coefficient}, on the
+    scalars the callables act on (red reduces a sum or product).  The
+    partial products are kept sparse."""
+    out = {0: one}
+    for a, mu in pairs:
+        if sign == -1:
+            a = inv(a)
+        top = n if mu < 0 else min(n, mu)
+        prod = {}
+        power = one
+        for s in range(top + 1):
+            c = red(from_int(integer_binomial(mu, s)) * power)
+            power = red(power * -a)
+            if is_zero(c):
+                continue
+            for t, x in out.items():
+                if t + s <= n:
+                    prod[t + s] = prod[t + s] + c * x if t + s in prod else c * x
+        out = {}
+        for t, x in prod.items():
+            x = red(x)
+            if not is_zero(x):
+                out[t] = x
+    return out
 
 
 def _param_sort_key(ring, a):

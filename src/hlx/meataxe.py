@@ -12,10 +12,11 @@ choices only affect how fast a useful z is found, never the verdict; the
 escalation order on failure is retry, brute force when feasible, undecided.
 
 Norton's test runs over prime fields.  Over F_{p^d} the verdict comes from
-brute force, spinning up every projective point, when |F|^dim is within the
-bound (HLX_MAX_BRUTE), and is otherwise undecided.  Everything here works on
-the int64 array kernel of linalg, one code path for F_p and F_{p^d}; chop
-cuts subquotient tables out of the parent's arrays.
+brute force, spinning up every projective point of every weight space (every
+submodule is the sum of its weight spaces), when |F|^dim is within the bound
+(HLX_MAX_BRUTE), and is otherwise undecided.  Everything here works on the
+int64 array kernel of linalg, one code path for F_p and F_{p^d}; chop cuts
+subquotient tables out of the parent's arrays.
 """
 
 from __future__ import annotations
@@ -114,20 +115,24 @@ def _spin_np_dim(ech, np_gens, K, n):
     return ech.dim
 
 
-def _projective_points_np(K, n):
-    # one representative per line: first nonzero coordinate equals 1, the
-    # later ones run over the field in index order, the first of them fastest
+def _projective_points_np(K, grades):
+    # one representative per line spanned by a vector supported on one grade
+    # (grades: a label per coordinate): the first nonzero coordinate equals
+    # 1, the later ones of its grade run over the field in index order, the
+    # first of them fastest.  Restricted to graded lines this is the order
+    # of all lines, so with one grade it enumerates every line.
+    n = len(grades)
     table = None
     for lead in range(n):
-        tail = n - lead - 1
+        tail = [j for j in range(lead + 1, n) if grades[j] == grades[lead]]
         if tail and table is None:
             table = K.from_rows([K.ring.elements()], (1, K.q))[0]
-        for code in range(K.q ** tail):
+        for code in range(K.q ** len(tail)):
             v = np.zeros((n,) + K.tail, dtype=np.int64)
             v[lead] = K.unit
             c = code
-            for i in range(tail):
-                v[lead + 1 + i] = table[c % K.q]
+            for j in tail:
+                v[j] = table[c % K.q]
                 c //= K.q
             yield v
 
@@ -175,21 +180,30 @@ def _choose_singular_np(np_gens, F, n, rng):
 
 
 def brute_force_irreducible(m, bound=None):
-    """Spin up every 1-dimensional subspace; irreducible iff all closures are
-    the whole module.  Only feasible when |F|^dim is under the bound, which is
-    checked before any table is built."""
+    """Spin up every projective point of every weight space; irreducible iff
+    all closures are the whole module.  That is enough: the binom(h, k) lie
+    in the hyperalgebra, act diagonally on the basis and separate distinct
+    weights, so every submodule is the sum of its weight spaces, and a
+    proper nonzero one contains a line of one weight whose spin stays
+    proper.  The witness is the one a search over every line finds first:
+    the first line there whose spin is proper is a weight vector, since the
+    component of its leading coordinate's weight lies in its spin and comes
+    no later in that order.  The cost is sum_w (q^{m_w} - 1)/(q - 1) spins
+    for weight multiplicities m_w, but feasibility is still |F|^dim within
+    the bound, checked before any table is built.  The zero module is not
+    irreducible."""
     ring = m.ring
     if ring.card is None:
         raise ValueError("brute force needs a finite field")
     if bound is None:
         bound = brute_bound()
     if m.dim == 0:
-        return True, None
+        return False, None
     if ring.card ** m.dim > bound:
         raise ValueError("brute-force bound exceeded: %d^%d > %d" % (ring.card, m.dim, bound))
     K = arrays(ring)
     np_gens = np_generator_set(m)
-    for v in _projective_points_np(K, m.dim):
+    for v in _projective_points_np(K, m.weights):
         ech = NpEchelon(ring, m.dim)
         ech.add(v)
         if _spin_np_dim(ech, np_gens, K, m.dim) < m.dim:
@@ -248,7 +262,7 @@ def is_irreducible(m, seed=0):
         if npoints > 4096:
             continue
         # module side: every projective point of null(z)
-        for coeffs in _projective_points_np(K, nullity):
+        for coeffs in _projective_points_np(K, (0,) * nullity):
             ech = NpEchelon(ring, m.dim)
             ech.add(K.mul(coeffs, nullrows))
             if _spin_np_dim(ech, np_gens, K, m.dim) < m.dim:

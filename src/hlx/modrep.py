@@ -113,6 +113,7 @@ class LoopModule:
         self.ring = ring
         self.weights = tuple(int(w) for w in weights)
         self.dim = len(self.weights)
+        self._lam_precision = 2 * max((abs(w) for w in self.weights), default=0) + 2
         self.recipe = recipe
         self.hw_index = hw_index
         self._tables = {}
@@ -236,8 +237,9 @@ class LoopModule:
         return ratio_window(self)
 
     def lam_precision(self):
-        top = max((abs(w) for w in self.weights), default=0)
-        return 2 * top + 2
+        """Number of Lambda-series terms kept: 2 max|weight| + 2, fixed with
+        the weights."""
+        return self._lam_precision
 
     def max_exponent(self):
         if not self.weights:

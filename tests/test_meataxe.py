@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from hlx import meataxe
 from hlx.exactnum import FiniteField, PrimeField
 from hlx.meataxe import (
+    _submodule_and_quotient,
     brute_force_irreducible,
     chop,
     generator_labels,
@@ -54,6 +56,33 @@ def test_brute_force_small():
     m2 = tensor(eval_weyl_module(F, 1, F(1)), eval_weyl_module(F, 1, F(1)))
     verdict, witness = brute_force_irreducible(m2)
     assert verdict is False and witness
+    # W(2) over F_2: the only proper submodule is the trivial line f v_0 of
+    # weight 0, so no spin from another weight space finds it
+    F2 = PrimeField(2)
+    w2 = eval_weyl_module(F2, 2, F2(1))
+    assert brute_force_irreducible(w2) == (False, [[F2.zero, F2.one, F2.zero]])
+
+
+def test_brute_force_zero_module_is_not_irreducible():
+    F = PrimeField(3)
+    m = eval_weyl_module(F, 1, F(1))
+    _, quot = _submodule_and_quotient(m, [_unit(m, 0), _unit(m, 1)])
+    assert quot.dim == 0
+    assert brute_force_irreducible(quot) == (False, None)
+    assert is_irreducible(quot).verdict is False
+
+
+def test_brute_force_spins_one_line_per_weight_space(monkeypatch):
+    # L(3) over F_4 has the four weights 3, 1, -1, -3 once each: 4 spins,
+    # not one for each of the (4^4 - 1)/3 = 85 lines of the module
+    F4 = FiniteField(2, 2)
+    m = irreducible_module(F4, 3, F4.one)
+    assert sorted(m.weights) == [-3, -1, 1, 3]
+    spins = []
+    spin = meataxe._spin_np_dim
+    monkeypatch.setattr(meataxe, "_spin_np_dim", lambda *args: spins.append(args) or spin(*args))
+    assert brute_force_irreducible(m) == (True, None)
+    assert len(spins) == 4
 
 
 def test_brute_force_bound():

@@ -11,13 +11,14 @@ enumeration in the extension field.
 """
 
 import functools
+import itertools
 import json
 import operator
 import time
 from collections import Counter
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hlx import modrep
@@ -59,6 +60,7 @@ from hlx.meataxe import (
     is_irreducible,
     iso_ell_hw,
     np_generator_set,
+    spin_up,
 )
 from hlx.modrep import (
     build_module,
@@ -223,31 +225,64 @@ def test_roots_match_a_scan_in_index_order(F, data):
 
 
 @st.composite
-def brute_force_modules(draw):
-    F = draw(st.sampled_from(KERNEL_FIELDS[4:]))
+def brute_force_modules(draw, fields=KERNEL_FIELDS[4:], bound=7000):
+    F = draw(st.sampled_from(fields))
     if draw(st.booleans()):
         # W(l, a) (x) W(l', b) is reducible when a = b
-        a = F.element(draw(st.integers(1, F.card - 1)))
-        b = draw(st.sampled_from([a, F.element(draw(st.integers(1, F.card - 1)))]))
+        a = _element(F, draw(st.integers(1, F.card - 1)))
+        b = draw(st.sampled_from([a, _element(F, draw(st.integers(1, F.card - 1)))]))
         lams = draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
         m = tensor(eval_weyl_module(F, lams[0], a), eval_weyl_module(F, lams[1], b))
     else:
         m = build_module(draw(_recipes(F)), F)
-    assume(2 <= m.dim and F.card ** m.dim <= 7000)
+    assume(2 <= m.dim and F.card ** m.dim <= bound)
     return m
+
+
+def _assert_witness_invariant(m, witness):
+    F = m.ring
+    assert 0 < len(witness) < m.dim
+    for g in np_generator_set(m):
+        for row in witness:
+            assert len(rref(witness + [from_np(g, F).apply(row)], F)[0]) == len(witness)
 
 
 @settings(SETTINGS, max_examples=30)
 @given(brute_force_modules())
 def test_brute_force_witnesses_are_invariant(m):
-    F = m.ring
     verdict, witness = brute_force_irreducible(m)
     if witness is None:
         return
-    assert verdict is False and 0 < len(witness) < m.dim
-    for g in np_generator_set(m):
-        for row in witness:
-            assert len(rref(witness + [from_np(g, F).apply(row)], F)[0]) == len(witness)
+    assert verdict is False
+    _assert_witness_invariant(m, witness)
+
+
+def _first_proper_spin_over_all_lines(m):
+    # reference oracle: spin every line of the module, whatever its weights,
+    # in the order of brute force (the first nonzero coordinate is 1, the
+    # later ones run over the field, the first of them fastest)
+    F = m.ring
+    for lead in range(m.dim):
+        for tail in itertools.product(F.elements(), repeat=m.dim - lead - 1):
+            spin = spin_up(m, [[F.zero] * lead + [F.one] + list(reversed(tail))])
+            if len(spin) < m.dim:
+                return spin
+    return None
+
+
+@settings(SETTINGS, max_examples=30)
+@given(brute_force_modules(fields=KERNEL_FIELDS[:3] + KERNEL_FIELDS[4:7], bound=2000))
+@example(eval_weyl_module(PrimeField(2), 2, PrimeField(2)(1)))  # reducible at weight 0 alone
+@example(tensor(modrep.dual(eval_weyl_module(PrimeField(3), 1, PrimeField(3)(1))),
+                eval_weyl_module(PrimeField(3), 1, PrimeField(3)(1))))  # weights not in descending order
+def test_brute_force_over_weight_spaces_matches_every_line(m):
+    # every submodule is the sum of its weight spaces, so spinning the lines
+    # of each weight space finds what spinning every line finds first
+    verdict, witness = brute_force_irreducible(m)
+    assert witness == _first_proper_spin_over_all_lines(m)
+    assert verdict is (witness is None)
+    if witness is not None:
+        _assert_witness_invariant(m, witness)
 
 
 # ---------------------------------------------------------------------------
