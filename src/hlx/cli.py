@@ -535,6 +535,15 @@ def main(argv=None):
     if getattr(args, "p", None) is not None and not is_prime(args.p):
         print("--p must be a prime, got %d" % args.p, file=sys.stderr)
         return 2
+    # a suite with no cases would pass vacuously, and a negative --max-pairs
+    # would drop cases from the end
+    least = {"steinberg": ("lmax", 0), "conjecture-cp0": ("degmax", 1), "tpd-grid": ("max_pairs", 1)}
+    if args.command in least:
+        dest, low = least[args.command]
+        value = getattr(args, dest)
+        if value is not None and value < low:
+            print("--%s must be at least %d, got %d" % (dest.replace("_", "-"), low, value), file=sys.stderr)
+            return 2
     if args.command == "verify-identities":
         rep = run_identity_suite(args.kmax, args.smax, args.rmax, args.inject_mutant)
         rep["config"] = {"kmax": args.kmax, "smax": args.smax, "rmax": args.rmax, "seed": args.seed}

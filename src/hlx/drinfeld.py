@@ -10,7 +10,6 @@ silently.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .exactnum import (
@@ -243,16 +242,11 @@ class EllWeight:
         """Coefficients of u^0..u^n in prod (1 - a u)^{mu}, with the
         parameters inverted when sign=-1: the convolution of the closed forms
         binom(mu, s) (-a)^s, binom being the generalized binomial when mu < 0.
-        Over F_p it runs on int residues (exactnum.scalars) and boxes once at
+        It runs on exactnum.scalars: over F_p on int residues, boxed once at
         the end; other rings compute on their own elements."""
-        ring = self.ring
-        if isinstance(ring, PrimeField):
-            k = scalars(ring)
-            pairs = [(k.lift(a), mu) for a, mu in self.pairs]
-            out = _binomial_convolution(pairs, n, sign, k.one, k.red, k.inv, k.red, operator.not_)
-            return [k.box(out.get(t, k.zero)) for t in range(n + 1)]
-        out = _binomial_convolution(self.pairs, n, sign, ring.one, ring.from_int, ring.inv, _same, ring.is_zero)
-        return [out.get(t, ring.zero) for t in range(n + 1)]
+        k = scalars(self.ring)
+        out = _binomial_convolution([(k.lift(a), mu) for a, mu in self.pairs], n, sign, k)
+        return [k.box(out.get(t, k.zero)) for t in range(n + 1)]
 
     def memo_coefficients(self, n, sign, at_least):
         """coefficients(m, sign) for some m >= n, memoized on the label,
@@ -280,14 +274,11 @@ class EllWeight:
         )
 
 
-def _same(x):
-    return x
-
-
-def _binomial_convolution(pairs, n, sign, one, from_int, inv, red, is_zero):
+def _binomial_convolution(pairs, n, sign, k):
     """prod (1 - a u)^{mu} to u^n as {degree: nonzero coefficient}, on the
-    scalars the callables act on (red reduces a sum or product).  The
-    partial products are kept sparse."""
+    scalars of k = exactnum.scalars(ring) (red reduces a sum or product).
+    The partial products are kept sparse."""
+    one, from_int, inv, red, is_zero = k.one, k.from_int, k.inv, k.red, k.is_zero
     out = {0: one}
     for a, mu in pairs:
         if sign == -1:

@@ -16,6 +16,7 @@ the same ring.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -278,9 +279,12 @@ class PrimeField:
 
 
 class _ModP:
-    """F_p for the polynomial kernels below (and linalg's array kernel): the
-    scalars are Python ints, reduced mod p only where a kernel calls red, so
-    sums of products stay exact whatever p is."""
+    """F_p for the polynomial kernels below, linalg's array kernel and the
+    straightening echelon: the scalars are Python ints, reduced mod p only
+    where a kernel calls red, so sums of products stay exact whatever p is.
+    A reduced scalar is zero exactly when it is falsy."""
+
+    is_zero = staticmethod(operator.not_)
 
     def __init__(self, ring):
         self.ring = ring
@@ -289,6 +293,8 @@ class _ModP:
 
     def red(self, x):
         return x % self.p
+
+    from_int = red
 
     def inv(self, x):
         return pow(x, -1, self.p)
@@ -310,14 +316,14 @@ class _ModP:
 
 
 class _Boxed:
-    """Any other finite field for the same kernels: the scalars are the
-    field's own (always reduced) elements."""
+    """Any other field for the same kernels: the scalars are the field's own
+    (always reduced) elements.  Only a finite field has element and key."""
 
     def __init__(self, ring):
         self.ring = ring
         self.p, self.q = ring.char, ring.card
         self.zero, self.one = ring.zero, ring.one
-        self.inv, self.element, self.key = ring.inv, ring.element, ring.index
+        self.inv, self.from_int, self.is_zero = ring.inv, ring.from_int, ring.is_zero
 
     @staticmethod
     def red(x):
@@ -325,9 +331,16 @@ class _Boxed:
 
     lift = box = red
 
+    def element(self, n):
+        return self.ring.element(n)
+
+    def key(self, x):
+        return self.ring.index(x)
+
 
 def scalars(ring):
-    """The scalar arithmetic of a finite field for the polynomial kernels."""
+    """The scalar arithmetic of a field for the kernels that run on one code
+    path: int residues over F_p, the field's own elements otherwise."""
     return _ModP(ring) if isinstance(ring, PrimeField) else _Boxed(ring)
 
 

@@ -19,11 +19,12 @@ of basis into the divided-power integral form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from .exactnum import integer_binomial
+from .exactnum import integer_binomial, scalars
 
 LOWER, CARTAN, RAISE = 0, 1, 2
 
@@ -608,20 +609,28 @@ def koslem_rhs(k, l):
 # ---------------------------------------------------------------------------
 
 
-def _merge_lower(m1, m2, ring):
+def _merge(m1, m2):
     """Product of two commutative divided-power lowering monomials.
 
-    Monomials are tuples of (s, k) sorted by s; returns (monomial, coeff).
+    Monomials are tuples of (s, k) sorted by s; returns (monomial, integer
+    coefficient).
     """
     counts = dict(m1)
     coeff = 1
     for s, k in m2:
-        if s in counts:
-            coeff *= integer_binomial(counts[s] + k, k)
-            counts[s] += k
-        else:
+        c = counts.get(s)
+        if c is None:
             counts[s] = k
-    return tuple(sorted(counts.items())), ring.one if coeff == 1 else ring.from_int(coeff)
+        else:
+            counts[s] = c + k
+            coeff *= math.comb(c + k, k)
+    return tuple(sorted(counts.items())), coeff
+
+
+def _merge_lower(m1, m2, ring):
+    """_merge with the coefficient in ring."""
+    mono, coeff = _merge(m1, m2)
+    return mono, ring.one if coeff == 1 else ring.from_int(coeff)
 
 
 def _lower_monomials(slots, maxdeg):
@@ -638,16 +647,18 @@ def _lower_monomials(slots, maxdeg):
 
 def _relation_instance(k, l, shift, omega, ring):
     """((X-_{shift,+}(u))^(k-l) Λ+(u))_k v as {lower monomial: coefficient},
-    using Λ_j v = omega_j v (zero beyond the degree)."""
+    using Λ_j v = omega_j v (zero beyond the degree); l < k.  ring is a
+    field with omega in it, or exactnum.scalars of one with omega in its
+    scalars.
+
+    The u^m coefficient of the series power is a sum of distinct monomials
+    of slot sum m + shift (k - l), so no two terms meet and every
+    coefficient is an entry of omega."""
     lam = len(omega) - 1
     out = {}
-    for m in range(k + 1):
-        scal = omega[k - m] if k - m <= lam else ring.zero
+    for m in range(max(0, k - lam), k + 1):
+        scal = omega[k - m]
         if ring.is_zero(scal):
-            continue
-        if k - l == 0:
-            if m == 0:
-                out[()] = out.get((), ring.zero) + scal
             continue
         for parts in _partitions(m):
             if len(parts) != k - l:
@@ -655,9 +666,8 @@ def _relation_instance(k, l, shift, omega, ring):
             counts = {}
             for r in parts:
                 counts[r] = counts.get(r, 0) + 1
-            mono = tuple(sorted((r + shift, mult) for r, mult in counts.items()))
-            out[mono] = out.get(mono, ring.zero) + scal
-    return {m: c for m, c in out.items() if not ring.is_zero(c)}
+            out[tuple(sorted((r + shift, mult) for r, mult in counts.items()))] = scal
+    return out
 
 
 class SaturationResult:
@@ -702,21 +712,108 @@ class SaturationResult:
         return [coords[m] for m in self.basis]
 
 
-def _relation_instances(lam, shifts, smin, smax, omega, ring):
-    """The distinct Garland relation instances inside the slot window, in
-    first-seen order, keyed by exact value.
-
-    Many (k, l, shift) give one instance: the reldeg-1 instance (k, k-1) at
-    shift s is (k-1, k-2) at shift s+1.  The key compares coefficients with
-    ==, which is exact in every ring (Q(a, b) hashes all its elements alike)."""
-    out = {}
+def _relation_bases(lam, omega, sc):
+    """The nonzero Garland relation instances (k, l, 0) for k beyond the
+    weight, in (k, l) order, each with its least and greatest slot; omega
+    is in the scalars of sc = exactnum.scalars(ring)."""
+    out = []
     for k in range(lam + 1, 2 * lam + 1):
         for l in range(max(1, k - lam), k):
-            for shift in shifts:
-                rel = _relation_instance(k, l, shift, omega, ring)
-                if rel and all(smin <= s <= smax for m in rel for s, _ in m):
-                    out.setdefault(frozenset(rel.items()), rel)
+            rel = _relation_instance(k, l, 0, omega, sc)
+            if rel:
+                slots = [s for m in rel for s, _ in m]
+                out.append((rel, min(slots), max(slots)))
     return out
+
+
+def _relation_instances(bases, shifts, smin, smax):
+    """The distinct Garland relation instances inside the slot window, in
+    first-seen order over (k, l, shift), keyed by exact value.
+
+    Instance (k, l, shift) is its base (k, l, 0) with every slot moved by
+    shift, so each base is built once and translated.  Many (k, l, shift)
+    give one instance: the reldeg-1 instance (k, k-1) at shift s is
+    (k-1, k-2) at shift s+1.  The key compares coefficients with ==, which
+    is exact in every ring (Q(a, b) hashes all its elements alike)."""
+    out = {}
+    for rel, lo, hi in bases:
+        for shift in shifts:
+            if smin <= lo + shift and hi + shift <= smax:
+                moved = {tuple((s + shift, e) for s, e in m): c for m, c in rel.items()}
+                out.setdefault(frozenset(moved.items()), moved)
+    return out
+
+
+def _badness(lam):
+    """Sort key of the column order for weight lam: out-of-range distance
+    first, then degree, then total slot value, so that low loop degrees
+    survive as the quotient basis.  The key does not depend on the window
+    or on omega."""
+
+    def badness(mono):
+        dist = sum(k * (max(0, -s) + max(0, s - (lam - 1))) for s, k in mono)
+        slotsum = sum(abs(s) * k for s, k in mono)
+        return (dist, sum(k for _, k in mono), slotsum, mono)
+
+    return badness
+
+
+@functools.lru_cache(maxsize=16)
+def _columns(lam, smin, smax):
+    """The straightening echelon's columns on the slot window [smin, smax],
+    worst first so that they pick up the pivots, and the index of each.
+    Shared by calls; read only."""
+    columns = sorted(_lower_monomials(range(smin, smax + 1), lam), key=_badness(lam), reverse=True)
+    return columns, {m: i for i, m in enumerate(columns)}
+
+
+@functools.lru_cache(maxsize=16)
+def _multipliers(lam, smin, smax, old):
+    """The multiplier monomials of degree < lam on the slot window
+    [smin, smax], best first in the column order, as (monomial, degree,
+    whether it touches a slot outside the previous window old; never when
+    old is None).  Shared by calls; read only."""
+    out = []
+    for m in sorted(_lower_monomials(range(smin, smax + 1), lam - 1), key=_badness(lam)):
+        fresh = old is not None and any(s < old[0] or s > old[1] for s, _ in m)
+        out.append((m, sum(k for _, k in m), fresh))
+    return out
+
+
+def _relation_rows(lam, instances, old_instances, window, old, col_index, sc):
+    """A sweep's rows as a stream of {column: nonzero scalar}: each relation
+    instance left multiplied by the window's multipliers of degree up to
+    lam minus its own, or only by those touching a new slot when the last
+    sweep had the instance.
+
+    The rows come multiplier by multiplier, best multiplier first, so the
+    pivots of good columns tend to come before the rows that would carry
+    those columns into the echelon; later pivot rows are then short, and
+    fewer stored rows need a back substitution.  The echelon does not
+    depend on the order: a fully reduced echelon is unique."""
+    red, from_int, is_zero = sc.red, sc.from_int, sc.is_zero
+    every = [[] for _ in range(lam)]  # by the largest multiplier degree
+    new = [[] for _ in range(lam)]
+    for key, rel in instances.items():
+        room = lam - sum(k for _, k in next(iter(rel)))
+        every[room].append(rel)
+        if key not in old_instances:
+            new[room].append(rel)
+    for mul, deg, fresh in _multipliers(lam, window[0], window[1], old):
+        groups = every if fresh else new
+        for room in range(deg, lam):
+            for rel in groups[room]:
+                row = {}
+                for mono, c in rel.items():
+                    # merging with mul is injective, so no two terms collide
+                    merged, extra = _merge(mul, mono)
+                    if extra != 1:
+                        c = red(c * from_int(extra))
+                        if is_zero(c):
+                            continue
+                    row[col_index[merged]] = c
+                if row:
+                    yield row
 
 
 def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
@@ -734,9 +831,20 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     rows that sweep lacked: those of a relation instance it did not have, and
     those whose multiplier touches a new slot.  This is exact: the windows
     only grow, so every row of a sweep is a row of the next; the column order
-    (`badness`) does not depend on the window; and a fully reduced echelon is
-    unique for its row space and column order.  Equal relation instances
+    (`_badness`) does not depend on the window; and a fully reduced echelon
+    is unique for its row space and column order.  Equal relation instances
     give equal rows, so each is built once per sweep.
+
+    The work that does not depend on omega is done once: instance
+    (k, l, shift) is instance (k, l, 0) with every slot moved by shift, so
+    each (k, l) is built once per call and translated; the columns and the
+    multiplier monomials are functions of the weight and the window alone,
+    shared by calls.  The scalars are those of exactnum.scalars(ring): over
+    F_p every coefficient, row entry and echelon entry is an int in [0, p),
+    and other fields compute on their own elements.  They are boxed into
+    ring elements only in `rules` and `relations`.  Each sweep's rows are
+    streamed into the echelon, so a sweep holds no row list; their order
+    (`_relation_rows`) keeps the pivot rows short.
     """
     lam = len(omega) - 1
     if lam < 0 or not ring.is_zero(omega[0] - ring.one):
@@ -745,14 +853,8 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
         return SaturationResult(ring, 0, [()], {}, (0, 0), 1, [], True, 0)
     if not ring.is_unit(omega[-1]):
         raise ValueError("leading coefficient of omega must be a unit")
-
-    def badness(mono):
-        # out-of-range distance first, then degree, then total slot value
-        # so that low loop degrees survive as the quotient basis; the key
-        # does not depend on the window
-        dist = sum(k * (max(0, -s) + max(0, s - (lam - 1))) for s, k in mono)
-        slotsum = sum(abs(s) * k for s, k in mono)
-        return (dist, sum(k for _, k in mono), slotsum, mono)
+    sc = scalars(ring)
+    bases = _relation_bases(lam, [sc.lift(c) for c in omega], sc)
 
     def in_xi(mono):
         return all(0 <= s < lam for s, _ in mono)
@@ -766,43 +868,19 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
         shifts = range(-lam - grow, lam + 1 + grow)
         smin = min(min(shifts) + 1, 0)
         smax = max(max(shifts) + 2 * lam, lam - 1)
-        slots = list(range(smin, smax + 1))
 
-        # column order: worst monomials first so they pick up the pivots;
         # the carried echelon moves to the wider window's column indices
-        old_columns, columns = columns, sorted(_lower_monomials(slots, lam), key=badness, reverse=True)
-        col_index = {m: i for i, m in enumerate(columns)}
+        old_columns, (columns, col_index) = columns, _columns(lam, smin, smax)
         move = [col_index[m] for m in old_columns]
         echelon = {move[lead]: {move[j]: c for j, c in row.items()} for lead, row in echelon.items()}
 
-        def new_slot(mono):
-            # window is still the last sweep's
-            return window is not None and any(s < window[0] or s > window[1] for s, _ in mono)
-
         old_instances = instances
-        instances = _relation_instances(lam, shifts, smin, smax, omega, ring)
-        multipliers = {}  # maxmul -> (all multipliers, those touching a new slot)
-        rows = []
-        for key, rel in instances.items():
-            maxmul = lam - sum(k for _, k in next(iter(rel)))
-            if maxmul not in multipliers:
-                muls = _lower_monomials(slots, maxmul)
-                multipliers[maxmul] = (muls, [m for m in muls if new_slot(m)])
-            muls, fresh = multipliers[maxmul]
-            for mul in (fresh if key in old_instances else muls):
-                row = {}
-                for mono, c in rel.items():
-                    # merging with mul is injective, so no two terms collide
-                    merged, extra = _merge_lower(mul, mono, ring)
-                    cc = c * extra
-                    if not ring.is_zero(cc):
-                        row[merged] = cc
-                if row:
-                    rows.append(row)
+        instances = _relation_instances(bases, shifts, smin, smax)
+        rows = _relation_rows(lam, instances, old_instances, (smin, smax), window, col_index, sc)
         window = (smin, smax)
 
-        _sparse_echelon(rows, col_index, ring, echelon)
-        basis, rules, relations = _read_echelon(echelon, columns, ring, in_xi)
+        _sparse_echelon(rows, sc, echelon)
+        basis, rules, relations = _read_echelon(echelon, columns, sc, in_xi)
         bound = len(basis)
         stabilized = prev_bound is not None and bound == prev_bound
         result = SaturationResult(
@@ -816,33 +894,36 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     return result
 
 
-def _read_echelon(echelon, columns, ring, in_xi):
+def _read_echelon(echelon, columns, sc, in_xi):
     """Basis monomials, rewrite rules for pivot monomials and pure-Xi'
-    relations of a fully reduced echelon.
+    relations of a fully reduced echelon, with every coefficient boxed into
+    the ring of sc = exactnum.scalars(ring).
 
     A pivot on an out-of-range monomial yields a rewrite rule; a pivot inside
     Xi' cuts the dimension, and because out-of-range columns all precede Xi'
     columns, its row is supported on Xi' alone.
     """
+    box, red = sc.box, sc.red
     basis = [m for i, m in enumerate(columns) if i not in echelon and in_xi(m)]
     rules = {}
     relations = []
     for lead in sorted(echelon):
         row = echelon[lead]
         mono = columns[lead]
-        rules[mono] = {columns[j]: -c for j, c in row.items() if j != lead}
+        rules[mono] = {columns[j]: box(red(-c)) for j, c in row.items() if j != lead}
         if in_xi(mono):
-            rel = {mono: ring.one}
+            rel = {mono: box(sc.one)}
             for j, c in row.items():
                 if j != lead:
-                    rel[columns[j]] = c
+                    rel[columns[j]] = box(c)
             relations.append(rel)
     return basis, rules, relations
 
 
-def _subtract(row, j, c, prow, ring):
+def _subtract(row, j, c, prow, sc):
     """row -= c * prow, skipping prow's pivot column j; returns the columns
     that entered row."""
+    red, is_zero = sc.red, sc.is_zero
     entered = []
     nc = -c
     for j2, v in prow.items():
@@ -850,50 +931,60 @@ def _subtract(row, j, c, prow, ring):
             continue
         old = row.get(j2)
         if old is None:
-            row[j2] = nc * v
+            row[j2] = red(nc * v)
             entered.append(j2)
         else:
-            nv = old + nc * v
-            if ring.is_zero(nv):
+            nv = red(old + nc * v)
+            if is_zero(nv):
                 del row[j2]
             else:
                 row[j2] = nv
     return entered
 
 
-def _sparse_echelon(rows, col_index, ring, echelon):
-    """Add rows to a fully reduced sparse echelon {pivot column: row dict}:
-    pivot entry 1, the pivot the row's least column, and no other pivot
-    column in any stored row.
+def _sparse_echelon(rows, sc, echelon):
+    """Add rows, {column: nonzero scalar} dicts from any iterable, to a fully
+    reduced sparse echelon {pivot column: row dict}: pivot entry 1, the
+    pivot the row's least column, and no other pivot column in any stored
+    row.
 
-    A new row takes one subtraction per pivot column it holds, and each
-    brings in non-pivot columns only.  A new pivot changes only the stored
-    rows that hold its column; `holders` indexes them, so no step scans
-    every stored row."""
+    The scalars are those of sc = exactnum.scalars(ring): over F_p ints in
+    [0, p), kept reduced by sc.red, and a field's own elements otherwise;
+    one code path serves both.  Rows are consumed one at a time, so a
+    generator keeps only the echelon in memory; each row is reduced in
+    place and kept if it is new.
+
+    A new row takes one subtraction per pivot column it holds, in any
+    order, and each brings in non-pivot columns only.  A new pivot changes
+    only the stored rows that hold its column; `holders` indexes them, so no
+    step scans every stored row.  It may list a row for a column the row
+    has lost since, or twice when the column came back; both are skipped."""
+    red, inv, one = sc.red, sc.inv, sc.one
     holders = {}  # column -> pivots whose rows held it (possibly stale)
     for lead, row in echelon.items():
         for j in row:
             if j != lead:
-                holders.setdefault(j, set()).add(lead)
-    for row in rows:
-        srow = {col_index[m]: c for m, c in row.items()}
-        for j in sorted(j for j in srow if j in echelon):
-            _subtract(srow, j, srow.pop(j), echelon[j], ring)
+                holders.setdefault(j, []).append(lead)
+    for srow in rows:
+        for j in [j for j in srow if j in echelon]:
+            c = srow.pop(j)
+            if len(echelon[j]) > 1:  # a lone pivot entry only clears j
+                _subtract(srow, j, c, echelon[j], sc)
         if not srow:
             continue
         lead = min(srow)
-        inv = ring.inv(srow[lead])
-        srow = {j: inv * c for j, c in srow.items()}
-        srow[lead] = ring.one
+        f = inv(srow[lead])
+        srow = {j: red(f * c) for j, c in srow.items()}
+        srow[lead] = one
         for plead in holders.pop(lead, ()):
             prow = echelon[plead]
             c = prow.pop(lead, None)
             if c is None:
                 continue  # the entry has cancelled since
-            for j in _subtract(prow, lead, c, srow, ring):
-                holders.setdefault(j, set()).add(plead)
+            for j in _subtract(prow, lead, c, srow, sc):
+                holders.setdefault(j, []).append(plead)
         for j in srow:
             if j != lead:
-                holders.setdefault(j, set()).add(lead)
+                holders.setdefault(j, []).append(lead)
         echelon[lead] = srow
     return echelon

@@ -162,6 +162,26 @@ def test_commands_reject_a_non_prime_p(capsys, argv, p):
     assert captured.err == "--p must be a prime, got %s\n" % p
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conjecture-cp0", "--p", "2", "--degmax", "0"], "--degmax must be at least 1, got 0"),
+        (["conjecture-cp0", "--p", "2", "--degmax", "-1"], "--degmax must be at least 1, got -1"),
+        (["steinberg", "--p", "3", "--lmax", "-1"], "--lmax must be at least 0, got -1"),
+        (["tpd-grid", "--p", "3", "--max-pairs", "0"], "--max-pairs must be at least 1, got 0"),
+        (["tpd-grid", "--p", "3", "--max-pairs", "-1"], "--max-pairs must be at least 1, got -1"),
+    ],
+)
+def test_empty_suites_are_rejected(capsys, argv, message):
+    # these printed an empty report list with "pass": true and exited 0;
+    # --max-pairs -1 ran every case but the last
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 BLOCK_RECIPES = [
     {"ring": {"kind": "Fp", "p": 3}, "build": {"irreducible": {"lambda": 2, "a": "1"}}},
     {"ring": {"kind": "Fp", "p": 3}, "build": {"eval_weyl": {"lambda": 0, "a": "1"}}},
@@ -344,6 +364,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         ),
         (["paper-example", "--a", "1", "--b", "4", "--json"], "paper_example_a1_b4.json"),
         (["conjecture-cp0", "--p", "5", "--degmax", "2", "--json"], "conjecture_cp0_p5_d2.json"),
+        (["conjecture-cp0", "--p", "2", "--degmax", "4", "--json"], "conjecture_cp0_p2_d4.json"),
         (["blocks"] + ["module%d.json" % i for i in range(len(BLOCK_RECIPES))], "blocks_f3.json"),
     ],
 )
@@ -357,6 +378,8 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys, argv, golden):
     # 4 meet: its unlabelled ell-weights come from the matrix path.  The
     # colength-4 worked example (a, b) = (1, 4) has non-unit Hermite pivots
     # and a nontrivial Smith form; the desk test at p = 5 checks part (b).
+    # At p = 2 every root is 1 mod p, so the saturation over F_2 meets the
+    # most equal relation instances.
     # The blocks case parses the spectral characters of four F_3 module
     # reports, named by relative paths so that the member labels are stable.
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hlx.exactnum import QQ, PrimeField
+from hlx.exactnum import QQ, FpElem, PrimeField, SymElem, SymField, scalars
 from hlx.linalg import np_rref, rref
 from hlx.looppbw import (
     CARTAN,
@@ -15,7 +15,9 @@ from hlx.looppbw import (
     HyperElement,
     _lower_monomials,
     _merge_lower,
+    _relation_bases,
     _relation_instance,
+    _relation_instances,
     cartan_to_lambda_monomials,
     ev_lambda_expected,
     formal_ev,
@@ -346,9 +348,9 @@ def _reference_saturation(omega, ring, max_sweeps=5, margin=0):
 
 
 @st.composite
-def weights(draw):
+def weights(draw, qdeg=2):
     """(omega, ring): constant term 1 and a unit leading coefficient, over
-    F_2..F_7 up to degree 3 and over Q up to degree 2 (a dense RREF over
+    F_2..F_7 up to degree 3 and over Q up to degree qdeg (a dense RREF over
     Fractions at degree 3 takes minutes)."""
     p = draw(st.sampled_from([0, 2, 3, 5, 7]))
     if p:
@@ -358,7 +360,7 @@ def weights(draw):
         ring = QQ
         coeff = st.fractions(-3, 3, max_denominator=3)
         lead = coeff.filter(bool)
-    deg = draw(st.integers(1, 3 if p else 2))
+    deg = draw(st.integers(1, 3 if p else qdeg))
     cs = [1] + [draw(coeff) for _ in range(deg - 1)] + [draw(lead)]
     return [ring(c) if p else Fraction(c) for c in cs], ring
 
@@ -372,6 +374,63 @@ def test_weyl_upper_bound_matches_dense_reference(case):
     res = weyl_upper_bound(omega, ring)
     got = (res.basis, res._rules, res.relations, res.window, res.dimension_bound, res.stabilized, res.sweeps)
     assert got == _reference_saturation(omega, ring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights(qdeg=3), st.data())
+def test_relation_instances_translate_the_shift_zero_instance(case, data):
+    # building each (k, l) once at shift 0 and moving its slots gives the
+    # instances of building every (k, l, shift), deduplicated by value in
+    # first-seen order, on every window
+    omega, ring = case
+    lam = len(omega) - 1
+    sc = scalars(ring)
+    omega = [sc.lift(c) for c in omega]
+    lo, hi = data.draw(st.integers(-lam - 3, 0)), data.draw(st.integers(0, lam + 3))
+    shifts = range(lo, hi + 1)
+    smin = data.draw(st.integers(lo - 1, 1))
+    smax = data.draw(st.integers(lam - 1, hi + 2 * lam + 1))
+    expected = {}
+    for k in range(lam + 1, 2 * lam + 1):
+        for l in range(max(1, k - lam), k):
+            for shift in shifts:
+                rel = _relation_instance(k, l, shift, omega, sc)
+                if rel and all(smin <= s <= smax for m in rel for s, _ in m):
+                    expected.setdefault(frozenset(rel.items()), rel)
+    got = _relation_instances(_relation_bases(lam, omega, sc), shifts, smin, smax)
+    assert list(got) == list(expected)
+    assert list(got.values()) == list(expected.values())
+
+
+@pytest.mark.parametrize(
+    "ring, omega, kind",
+    [
+        (PrimeField(2), (1, 0, 1), FpElem),
+        (PrimeField(3), (1, 1, 1), FpElem),
+        (PrimeField(5), (1, -6, 13, -12, 4), FpElem),
+        (QQ, (1, -6, 9), Fraction),
+        (SymField(("a",)), None, SymElem),
+    ],
+    ids=["f2", "f3", "f5", "q", "qa"],
+)
+def test_saturation_results_are_ring_elements(ring, omega, kind):
+    # the echelon runs on int residues over F_p; rules, relations and
+    # reduced coordinates are boxed back into the ring
+    if omega is None:
+        a = ring.var("a")
+        omega = [ring.one, -(a + a), a * a]
+    else:
+        omega = [ring.from_int(c) for c in omega]
+    res = weyl_upper_bound(omega, ring)
+    values = [c for rule in res._rules.values() for c in rule.values()]
+    values += [c for rel in res.relations for c in rel.values()]
+    assert res.relations and values
+    assert all(type(c) is kind for c in values)
+    if kind is FpElem:
+        assert all(c.p == ring.p for c in values)
+    pivots = [m for m in res._rules if sum(k for _, k in m) <= res.lam]
+    coords = [res.reduce({m: ring.one}) for m in pivots[:20]]
+    assert coords and all(type(c) is kind for row in coords for c in row)
 
 
 def test_weyl_upper_bound_rejects_bad_input():
