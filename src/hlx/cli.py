@@ -174,6 +174,9 @@ def cmd_module(args):
             rep["pass"] = False
             _emit(rep, args.out, args.json)
             return 1
+        except modrep.WindowError as exc:
+            print("weyl0 error: %s" % exc, file=sys.stderr)
+            return 1
         rep["factors"] = [f.to_json() for f in factors]
         _emit(rep, args.out, args.json)
         return 0
@@ -441,7 +444,7 @@ def cmd_lattice(args):
     try:
         kwargs = {"max_window": args.rwindow} if args.rwindow else {}
         lat = latmod.lattice_closure(m, m.hw_vector(), args.p, **kwargs)
-    except latmod.LatticeError as exc:
+    except (latmod.LatticeError, modrep.WindowError) as exc:
         print("lattice error: %s" % exc, file=sys.stderr)
         return 1
     rep = lat.to_json()

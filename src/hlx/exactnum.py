@@ -22,8 +22,6 @@ from fractions import Fraction
 
 INFINITY = math.inf
 
-Rational = Fraction
-
 
 def parse_rational(s):
     """Parse "num/den" or "num" into a Fraction."""

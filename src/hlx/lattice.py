@@ -590,7 +590,7 @@ def paper_example_report(p, a_str="1", b_str="2"):
     a, b = K.var("a"), K.var("b")
     two = K.from_int(2)
     omega = [K.one, -(two * a), a * a]
-    w4 = modrep.weyl0_module(K, omega, margin=6)
+    w4 = modrep.weyl0_module(K, omega)
     assert w4.basis_monomials == [(), ((0, 1),), ((1, 1),), ((0, 2),)]
     v0 = [K.zero] * 4
     v0[0] = K.one
@@ -647,7 +647,7 @@ def paper_example_report(p, a_str="1", b_str="2"):
 
     # numeric lattice comparison over Z_(p)
     av, bv = Fraction(a_str), Fraction(b_str)
-    w4n = modrep.weyl0_from_roots(QQ, [av, av], margin=8)
+    w4n = modrep.weyl0_from_roots(QQ, [av, av])
     w2n = modrep.eval_weyl_module(QQ, 1, bv)
     ambn = modrep.tensor(w4n, w2n)
     lat = lattice_closure(ambn, ambn.hw_vector(), p)

@@ -473,8 +473,16 @@ def chop(m, seed=0, analyze=True):
         sub, quot = _submodule_and_quotient(cur, rows)
         stack.append(sub)
         stack.append(quot)
-    factors.sort(key=lambda f: (f.dim, f.weights))
+    factors.sort(key=_factor_order)
     return factors
+
+
+def _factor_order(f):
+    """Sort key of chop's factors: dimension, weights, then the Drinfeld
+    polynomial, so that the order does not depend on which witness a search
+    finds first; factors without one come before those with one."""
+    dim, weights, drinfeld = f.signature()
+    return dim, weights, drinfeld is not None, drinfeld or ()
 
 
 def _annihilator(m, dual_rows):

@@ -30,15 +30,21 @@ vector i in the image of basis vector j.  Construction is by recipe: hyper
 evaluation modules, tensor products via the divided-power comultiplication,
 duals via the antipode, Frobenius and parameter twists, straightened Weyl
 modules in characteristic zero, and tables computed on demand (lattice
-reductions).  Every node builds each table once, from its factors' tables,
-in the representation linalg.tables(ring) chooses: an array of the int64
-kernel over a finite field, a Mat over Q, Z_(p) and Q(a, b).  op, lam and
+reductions).  A straightened Weyl module works out its own straightening
+window: it is certified by dim W0(omega) = 2^deg omega in characteristic
+zero (Chari-Pressley) and widened when a table needs a wider one, which
+never changes the basis or a coordinate (_Weyl0).
+
+Every node builds each table once, from its factors' tables, in the
+representation linalg.tables(ring) chooses: an array of the int64 kernel
+over a finite field, a Mat over Q, Z_(p) and Q(a, b).  op, lam and
 cartan_binom box a finite field's array on the way out; op_np, lam_np and
 cartan_binom_np hand it over.
 
 Modules are immutable after construction apart from the lazily memoized
-tables; once a table is materialized it is never rewritten, so concurrent
-readers are safe and cross-module operations stay pure.
+tables and weyl0's straightening window; once a table is materialized it is
+never rewritten, so concurrent readers are safe and cross-module operations
+stay pure.
 """
 
 from __future__ import annotations
@@ -574,23 +580,42 @@ def irreducible_module(ring, lam, a):
 # ---------------------------------------------------------------------------
 
 
+# The widest straightening margin weyl0 tries: the cap of the lattice
+# closure's own r-window (lattice.lattice_closure's max_window).
+_MARGIN_CAP = 64
+
+
+class WindowError(ValueError):
+    """weyl0 found no certified straightening window: the bound is not
+    2^lambda, or the window needs a margin past _MARGIN_CAP."""
+
+
 class _Weyl0(LoopModule):
     """W0(omega) over a characteristic-zero field, with basis the surviving
     straightening monomials applied to the highest vector.  Lowering
     operators act by monomial merging plus rewrite rules; everything else is
-    evaluated through the symbolic engine against the highest-weight data."""
+    evaluated through the symbolic engine against the highest-weight data.
 
-    def __init__(self, ring, omega_coeffs, margin=6):
+    The straightening window is worked out, not chosen.  The first
+    saturation (looppbw.weyl_upper_bound) is at margin 0 and is accepted
+    only when its bound is 2^lambda = dim W0(omega), the dimension in
+    characteristic zero (Chari-Pressley).  The bound is >= dim W0 on every
+    window, and a wider window only adds rows, hence pivots, in the same
+    column order; so every wider window has the same basis and gives every
+    vector the same coordinates.  A table that meets a monomial the window
+    cannot rewrite re-saturates on a window that covers its slots and at
+    least doubles the margin, and checks that the basis stayed put:
+    memoized tables never go stale.  A bound other than 2^lambda, or a
+    margin past _MARGIN_CAP, raises WindowError."""
+
+    def __init__(self, ring, omega_coeffs):
         if ring.char != 0:
             raise ValueError("straightened Weyl modules are built in characteristic zero")
-        sat = looppbw.weyl_upper_bound(omega_coeffs, ring, max_sweeps=6, margin=margin)
-        if not sat.stabilized:
-            raise RuntimeError("straightening did not stabilize; enlarge the windows")
-        self.sat = sat
         self.omega = list(omega_coeffs)
-        lam = sat.lam
+        self.sat, self._margin = self._saturate(ring, 0), 0
+        lam = self.sat.lam
         self.lam_weight = lam
-        self.basis_monomials = list(sat.basis)
+        self.basis_monomials = list(self.sat.basis)
         self._hs_cache = {}
         weights = [lam - 2 * sum(k for _, k in m) for m in self.basis_monomials]
         recipe = {"weyl0": {"omega": [ring.fmt(c) for c in omega_coeffs]}}
@@ -635,12 +660,26 @@ class _Weyl0(LoopModule):
                     out = out * v
         return out
 
+    def _saturate(self, ring, margin):
+        if margin > _MARGIN_CAP:
+            raise WindowError("the straightening window needs margin %d, past the cap %d" % (margin, _MARGIN_CAP))
+        sat = looppbw.weyl_upper_bound(self.omega, ring, max_sweeps=1, margin=margin)
+        if sat.dimension_bound != 2 ** sat.lam:
+            raise WindowError("the straightening bound is %d, not 2^%d" % (sat.dimension_bound, sat.lam))
+        return sat
+
     def _reduce_or_raise(self, vec):
         coords = self.sat.reduce(vec)
-        if coords is None:
-            raise RuntimeError(
-                "monomial left the straightening window; rebuild with a larger margin"
-            )
+        while coords is None:
+            # a margin step widens the window by one slot on either side
+            lo, hi = self.sat.window
+            slots = [s for mono in vec if sum(k for _, k in mono) <= self.lam_weight for s, _ in mono]
+            step = max(self._margin, 1, lo - min(slots, default=lo), max(slots, default=hi) - hi)
+            sat = self._saturate(self.ring, self._margin + step)
+            if sat.basis != self.basis_monomials:
+                raise RuntimeError("a wider straightening window changed the certified basis")
+            self.sat, self._margin = sat, self._margin + step
+            coords = sat.reduce(vec)
         return coords
 
     def _op(self, kind, r, k):
@@ -691,15 +730,18 @@ def _minus_coeffs(omega, ring):
     return [inv * c for c in reversed(omega)]
 
 
-def weyl0_module(ring, omega_coeffs, margin=6):
-    return _Weyl0(ring, omega_coeffs, margin=margin)
+def weyl0_module(ring, omega_coeffs):
+    """The Weyl module W0(omega) over a field of characteristic zero, omega
+    given by its coefficients (constant term 1).  The straightening window
+    is certified by dim W0 = 2^deg omega and widened on demand (_Weyl0)."""
+    return _Weyl0(ring, omega_coeffs)
 
 
-def weyl0_from_roots(ring, roots, margin=6):
+def weyl0_from_roots(ring, roots):
     f = Poly.const(ring, ring.one)
     for a in roots:
         f = f * Poly(ring, [ring.one, -a])
-    return _Weyl0(ring, list(f.coeffs), margin=margin)
+    return _Weyl0(ring, list(f.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +798,7 @@ def ell_hw_vectors(m, r_window=None):
     return K.to_rows(np_nullspace(np.concatenate(blocks, axis=0), ring) if blocks else K.eye(m.dim))
 
 
-def drinfeld_polynomial(m, v=None, prec=None):
+def drinfeld_polynomial(m, v=None):
     """Drinfeld data on an ell-highest-weight vector.
 
     Returns (DrinfeldPoly, report) where the report records the eigenvalue
@@ -773,8 +815,7 @@ def drinfeld_polynomial(m, v=None, prec=None):
             if len(vs) != 1:
                 raise ValueError("ell-highest-weight space has dimension %d" % len(vs))
             v = vs[0]
-    if prec is None:
-        prec = m.lam_precision()
+    prec = m.lam_precision()
     # weight of v
     idxs = [i for i, c in enumerate(v) if not ring.is_zero(c)]
     wts = {m.weights[i] for i in idxs}
@@ -1085,9 +1126,9 @@ def build_module(recipe, ring=None):
         spec = node["weyl0"]
         if "roots" in spec:
             roots = [ring.parse(s) for s in spec["roots"]]
-            return weyl0_from_roots(ring, roots, margin=int(spec.get("margin", 6)))
+            return weyl0_from_roots(ring, roots)
         coeffs = [ring.parse(s) for s in spec["omega"]]
-        return weyl0_module(ring, coeffs, margin=int(spec.get("margin", 6)))
+        return weyl0_module(ring, coeffs)
     if "from_lattice" in node:
         from . import lattice as _lattice
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from hlx import modrep
 from hlx.cli import main, run_steinberg, run_tpd_grid
 
 
@@ -346,6 +347,89 @@ def test_module_drinfeld_reports_a_plane_ell_highest_weight_space(tmp_path, caps
     assert rep == {"recipe": recipe, "drinfeld_error": "ValueError: ell-highest-weight space has dimension 2"}
 
 
+W0_SQUARE = {"weyl0": {"roots": ["1", "1"]}}  # W0((1-u)^2)
+
+
+@pytest.mark.parametrize(
+    "p, dims, drinfeld",
+    [(3, [1, 3], [[["1"]], [["1", "1", "1"]]]), (2, [1, 1, 2], [[["1"]], [["1"]], [["1", "0", "1"]]])],
+)
+def test_module_chop_of_a_weyl0_reduction(tmp_path, capsys, p, dims, drinfeld):
+    # the dim^2 r-window of the reduction asks weyl0 for slots past its
+    # first straightening window, which it widens on demand
+    recipe = {"ring": {"kind": "Fp", "p": p}, "build": {"from_lattice": {"p": p, "ambient": W0_SQUARE}}}
+    code, out = _run(capsys, ["module", "chop", "--recipe", _write_recipe(tmp_path, recipe)])
+    assert code == 0
+    factors = json.loads(out)["factors"]
+    assert [f["dim"] for f in factors] == dims
+    assert [f["drinfeld"] for f in factors] == drinfeld
+
+
+def test_module_dual_of_weyl0(tmp_path, capsys):
+    # the recipe's "margin" field is ignored like any other unknown key
+    reports = []
+    for node in (W0_SQUARE, {"weyl0": {"roots": ["1", "1"], "margin": 14}}):
+        rpath = _write_recipe(tmp_path, {"ring": {"kind": "Q"}, "build": node})
+        code, out = _run(capsys, ["module", "dual", "--recipe", rpath])
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["drinfeld"] == [["1", "-2", "1"]]
+    assert reports[0]["drinfeld_checks"] == {"degree": 2, "minus_matches": True, "plus_polynomial": True}
+    assert reports[0]["weights"] == [-2, 0, 0, 2]
+
+
+@pytest.mark.parametrize("roots", [["1", "1", "1"], ["1", "1", "4"]])
+def test_lattice_of_a_cubic_weyl0(tmp_path, capsys, roots):
+    code, out = _run(capsys, ["lattice", "--recipe", _write_recipe(tmp_path, {"weyl0": {"roots": roots}}), "--p", "3"])
+    assert code == 0
+    assert json.loads(out)["rank"] == 8
+
+
+def _weyl0_failure(tmp_path, capsys, argv):
+    """Exit code and stderr of argv on W0((1-u)^2), or on its F_3
+    reduction for chop."""
+    if argv[0] == "lattice":
+        recipe = W0_SQUARE
+    elif argv[1] == "chop":
+        recipe = {"ring": {"kind": "Fp", "p": 3}, "build": {"from_lattice": {"p": 3, "ambient": W0_SQUARE}}}
+    else:
+        recipe = {"ring": {"kind": "Q"}, "build": W0_SQUARE}
+    code = main(argv + ["--recipe", _write_recipe(tmp_path, recipe)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize(
+    "cap, argv, code, err",
+    [
+        # the first window, at margin 0, is past the cap
+        (-1, ["module", "build"], 2, "bad recipe: the straightening window needs margin 0, past the cap -1\n"),
+        (-1, ["lattice", "--p", "3"], 2, "bad recipe: the straightening window needs margin 0, past the cap -1\n"),
+        # a table needs a window past the cap
+        (2, ["lattice", "--p", "3"], 1, "lattice error: the straightening window needs margin 3, past the cap 2\n"),
+        (8, ["module", "chop"], 1, "weyl0 error: the straightening window needs margin 15, past the cap 8\n"),
+    ],
+)
+def test_weyl0_window_past_the_cap_is_reported(tmp_path, monkeypatch, capsys, cap, argv, code, err):
+    monkeypatch.setattr(modrep, "_MARGIN_CAP", cap)
+    assert _weyl0_failure(tmp_path, capsys, argv) == (code, err)
+
+
+@pytest.mark.parametrize("argv", [["module", "build"], ["lattice", "--p", "3"]])
+def test_weyl0_bound_off_2_to_the_lambda_is_reported(tmp_path, monkeypatch, capsys, argv):
+    saturate = modrep.looppbw.weyl_upper_bound
+
+    def inflated(*args, **kwargs):
+        sat = saturate(*args, **kwargs)
+        sat.dimension_bound += 1
+        return sat
+
+    monkeypatch.setattr(modrep.looppbw, "weyl_upper_bound", inflated)
+    assert _weyl0_failure(tmp_path, capsys, argv) == (2, "bad recipe: the straightening bound is 5, not 2^2\n")
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -363,6 +447,11 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
             "lattice_reduce_p3.json",
         ),
         (["paper-example", "--a", "1", "--b", "4", "--json"], "paper_example_a1_b4.json"),
+        (
+            ["lattice", "--recipe", os.path.join(GOLDEN, "lattice_weyl0_recipe.json")]
+            + ["--p", "3", "--reduce", "--json"],
+            "lattice_weyl0_p3.json",
+        ),
         (["conjecture-cp0", "--p", "5", "--degmax", "2", "--json"], "conjecture_cp0_p5_d2.json"),
         (["conjecture-cp0", "--p", "2", "--degmax", "4", "--json"], "conjecture_cp0_p2_d4.json"),
         (["blocks"] + ["module%d.json" % i for i in range(len(BLOCK_RECIPES))], "blocks_f3.json"),
@@ -380,6 +469,8 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys, argv, golden):
     # and a nontrivial Smith form; the desk test at p = 5 checks part (b).
     # At p = 2 every root is 1 mod p, so the saturation over F_2 meets the
     # most equal relation instances.
+    # The weyl0 lattice case reduces W0((1-u)^2) mod 3, the repeated-root
+    # ambient whose straightening window is widened on demand.
     # The blocks case parses the spectral characters of four F_3 module
     # reports, named by relative paths so that the member labels are stable.
     monkeypatch.chdir(tmp_path)

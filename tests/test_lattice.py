@@ -132,7 +132,7 @@ def test_closure_rank2_eval():
 def test_closure_weyl0_repeated_root():
     # L1 = A-span of {v0, v1, v2, v3} in W0((1-au)^2)
     a = Fraction(1)
-    m = weyl0_from_roots(QQ, [a, a], margin=10)
+    m = weyl0_from_roots(QQ, [a, a])
     lat = lattice_closure(m, m.hw_vector(), 3)
     assert lat.rank == 4
     assert sorted(lat.weights, reverse=True) == [2, 0, 0, -2]
@@ -225,7 +225,7 @@ def test_tell_functoriality():
 def test_compare_lattices_equal_and_strict():
     # residues distinct: L = L'; val(a-b) = 1: colength 4
     for b, expect_total in ((Fraction(2), 0), (Fraction(4), 4)):
-        w4 = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)], margin=10)
+        w4 = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)])
         w2 = eval_weyl_module(QQ, 1, b)
         amb = tensor(w4, w2)
         lat = lattice_closure(amb, amb.hw_vector(), 3)
@@ -390,7 +390,7 @@ def test_closure_requests_only_the_recurrence_windows():
 def test_max_window_caps_only_the_doubling_search():
     # weyl0 has no ratio data: its window doubles from max|weight| = 2 and
     # stabilizes at W = 4; an evaluation tensor needs no search
-    w0 = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)], margin=10)
+    w0 = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)])
     lat = lattice_closure(w0, w0.hw_vector(), 3)
     assert lat.stable_window == 4
     with pytest.raises(LatticeError, match="^closure did not stabilize within window 2$"):

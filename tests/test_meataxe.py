@@ -179,6 +179,24 @@ def test_chop_order_invariance():
     assert len(sigs) == 1
 
 
+def test_chop_breaks_ties_by_drinfeld_polynomial():
+    # the dual of W(2, 1) ⊗ W(2, g) over F_4 has two factors of dimension 2
+    # and weights [2, -2]; they come in the order of their Drinfeld
+    # polynomials (1 + u^2 before 1 + (1 + g) u^2), whichever witness splits
+    # them off first, and without analysis the factors still sort
+    F = FiniteField(2, 2)
+    m = dual(tensor(eval_weyl_module(F, 2, F.parse("[1,0]")), eval_weyl_module(F, 2, F.parse("[0,1]"))))
+    factors = chop(m)
+    assert [(f.dim, list(f.weights)) for f in factors] == [(1, [0]), (2, [2, -2]), (2, [2, -2]), (4, [4, 0, 0, -4])]
+    assert [f.drinfeld.fmt() for f in factors[1:3]] == [
+        [["[1,0]", "[0,0]", "[1,0]"]],
+        [["[1,0]", "[0,0]", "[1,1]"]],
+    ]
+    bare = chop(m, analyze=False)
+    assert [f.dim for f in bare] == [1, 2, 2, 4]
+    assert all(f.drinfeld is None for f in bare)
+
+
 def test_iso_ell_hw():
     F = PrimeField(3)
     # same omega via digits vs psi twist route

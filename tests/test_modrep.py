@@ -153,7 +153,7 @@ def test_weyl0_matches_eval_for_simple_roots():
 def test_weyl0_basicrele1():
     # x-_s v0 = s a^{s-1} v3 - (s-1) a^s v1
     a = Fraction(4)
-    w = weyl0_from_roots(QQ, [a, a], margin=8)
+    w = weyl0_from_roots(QQ, [a, a])
     v0 = _basis_vec(w, 0)
     for s in range(-4, 6):
         img = w.op(LOWER, s, 1).apply(v0)
@@ -165,13 +165,34 @@ def test_weyl0_basicrele1():
 def test_weyl0_basicrele2():
     # x-_r x-_s v0 = 2 a^{r+s} (x-_0)^(2) v0
     a = Fraction(3)
-    w = weyl0_from_roots(QQ, [a, a], margin=8)
+    w = weyl0_from_roots(QQ, [a, a])
     v0 = _basis_vec(w, 0)
     for r in (-2, 0, 1, 3):
         for s in (-1, 0, 2):
             img = w.op(LOWER, r, 1).apply(w.op(LOWER, s, 1).apply(v0))
             assert img[3] == 2 * a ** (r + s)
             assert img[0] == img[1] == img[2] == 0
+
+
+def test_weyl0_widening_keeps_the_certified_basis(monkeypatch):
+    # the first window is certified at margin 0; a far table widens it on
+    # demand, and a wider saturation whose basis moved would be refused
+    from hlx import looppbw
+
+    w = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)])
+    assert w.sat.dimension_bound == 4 and w.sat.window == (-1, 6)
+    w.op(LOWER, 8, 1)
+    assert w.sat.window[1] >= 8
+    saturate = looppbw.weyl_upper_bound
+
+    def moved(*args, **kwargs):
+        sat = saturate(*args, **kwargs)
+        sat.basis = sat.basis[::-1]
+        return sat
+
+    monkeypatch.setattr(looppbw, "weyl_upper_bound", moved)
+    with pytest.raises(RuntimeError, match="^a wider straightening window changed the certified basis$"):
+        w.op(LOWER, -20, 1)
 
 
 def test_dual_properties():
@@ -395,7 +416,7 @@ def test_reduction_of_repeated_root_weyl_ell_weights():
     # {2, 0, -2}
     from hlx import lattice as latmod
 
-    w = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)], margin=8)
+    w = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)])
     lat = latmod.lattice_closure(w, w.hw_vector(), 3)
     red = latmod.reduce_mod_p(lat)
     assert red.dim == 4

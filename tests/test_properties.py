@@ -16,6 +16,7 @@ import json
 import operator
 import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -659,3 +660,44 @@ def test_extension_hint_over_f_31_squared_is_fast():
     else:
         raise AssertionError("a non-split polynomial was factored")
     assert time.perf_counter() - start < 1.0
+
+
+def _power_traces(mat):
+    """tr(M), tr(M^2), ..., tr(M^n) of an n x n Mat: over Q they fix the
+    characteristic polynomial, so conjugate tables have equal lists."""
+    out, power = [], mat
+    for _ in range(len(mat.rows)):
+        out.append(sum(power.rows[i][i] for i in range(len(mat.rows))))
+        power = power * mat
+    return out
+
+
+@settings(SETTINGS, max_examples=5)
+@given(st.lists(st.sampled_from([1, 2, 4, 5, -1, -2]), min_size=1, max_size=3, unique=True), st.data())
+def test_weyl0_far_tables_match_the_evaluation_tensor(roots, data):
+    # for distinct roots W0(prod (1 - a_i u)) is the tensor of the W(1, a_i)
+    # (the roots are small 3-units); x+_s x-_r and Lambda_r for r, s in
+    # [-2 dim, 2 dim] take weyl0 past its first straightening window, so
+    # their traces check the widened tables.  A weyl0 whose first request
+    # is the farthest r builds the same tables as one widened step by step.
+    roots = [Fraction(a) for a in roots]
+    near = modrep.weyl0_from_roots(QQ, roots)
+    far = modrep.weyl0_from_roots(QQ, roots)
+    ev = modrep.tensor(*[modrep.eval_weyl_module(QQ, 1, a) for a in roots])
+    top = 2 * near.dim
+    end = data.draw(st.sampled_from([-top, top]))
+    far.op(LOWER, end, 1)
+    window = st.integers(-top, top)
+    rs = [0] + data.draw(st.lists(window, min_size=1, max_size=3)) + [end]
+    ss = data.draw(st.lists(window, min_size=1, max_size=3)) + [-end]
+    for r in rs:
+        for s in ss:
+            prods = [m.op(RAISE, s, 1) * m.op(LOWER, r, 1) for m in (near, ev)]
+            assert _power_traces(prods[0]) == _power_traces(prods[1]), (r, s)
+    for r in data.draw(st.lists(window, min_size=1, max_size=2)):
+        assert _power_traces(near.lam(r)) == _power_traces(ev.lam(r)), r
+    assert far.basis_monomials == near.basis_monomials
+    for r in rs:
+        assert far.op(LOWER, r, 1) == near.op(LOWER, r, 1), r
+    for s in ss:
+        assert far.op(RAISE, s, 1) == near.op(RAISE, s, 1), s
