@@ -174,9 +174,6 @@ def cmd_module(args):
             rep["pass"] = False
             _emit(rep, args.out, args.json)
             return 1
-        except modrep.WindowError as exc:
-            print("weyl0 error: %s" % exc, file=sys.stderr)
-            return 1
         rep["factors"] = [f.to_json() for f in factors]
         _emit(rep, args.out, args.json)
         return 0
@@ -231,6 +228,8 @@ def run_steinberg(p, lmax, seed=0, ext_degree=1):
             "irreducible": res.verdict,
             "brute_force_agrees": agree,
         }
+        if res.verdict is None:
+            entry["reason"] = res.certificate["reason"]
         if m.dim != expected_dim or res.verdict is not True or agree is False:
             ok = False
         rows.append(entry)
@@ -243,7 +242,10 @@ def run_steinberg(p, lmax, seed=0, ext_degree=1):
                 modrep.eval_weyl_module(F, lam, F.one), modrep.eval_weyl_module(F, mu, F.one)
             )
             res = meataxe.is_irreducible(m, seed=seed)
-            negative.append({"lambda": lam, "mu": mu, "reducible": res.verdict is False})
+            entry = {"lambda": lam, "mu": mu, "reducible": None if res.verdict is None else not res.verdict}
+            if res.verdict is None:
+                entry["reason"] = res.certificate["reason"]
+            negative.append(entry)
             if res.verdict is not False:
                 ok = False
     return {"suite": "steinberg", "p": p, "rows": rows, "same_level_reducible": negative, "pass": ok}
@@ -442,8 +444,7 @@ def cmd_lattice(args):
         print("bad recipe: %s" % exc, file=sys.stderr)
         return 2
     try:
-        kwargs = {"max_window": args.rwindow} if args.rwindow else {}
-        lat = latmod.lattice_closure(m, m.hw_vector(), args.p, **kwargs)
+        lat = latmod.lattice_closure(m, m.hw_vector(), args.p)
     except (latmod.LatticeError, modrep.WindowError) as exc:
         print("lattice error: %s" % exc, file=sys.stderr)
         return 1
@@ -521,9 +522,6 @@ def make_parser():
     p_lat.add_argument("--recipe", required=True)
     p_lat.add_argument("--p", type=int, required=True)
     p_lat.add_argument("--reduce", action="store_true")
-    p_lat.add_argument(
-        "--rwindow", type=int, help="cap on the doubling r-window of an ambient without ratio data (default 64)"
-    )
     p_lat.add_argument("--out")
     p_lat.add_argument("--json", action="store_true")
     return ap

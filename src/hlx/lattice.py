@@ -8,16 +8,14 @@ stays p-integral.  Canonical form is a Hermite-style echelon over Z_(p):
 pivots are the entries of minimal valuation, normalized to powers of p, with
 entries above pivots reduced to integer representatives in [0, p^v).
 
-The closure needs finitely many loop degrees r.  When the ambient gives
-ratio data (op_ratios), (x±_r)^(k) = sum_{c in C_k} c^r M_c with every c a
-unit of Z_(p), so the tables of one k satisfy the recurrence of
-P_k(x) = prod_{c in C_k} (x - c): monic in Z_(p)[x] with a unit constant
-term, it runs forwards and backwards over Z_(p), and the |C_k| tables at
-r = 0..|C_k|-1 generate all of them.  Closing v under those windows and
+The closure needs finitely many loop degrees r.  Every ambient gives a
+recurrence order n_k per divided power (modrep recurrence_order): the
+tables of (x±_r)^(k) satisfy a linear recurrence in r whose polynomial
+P_k of degree n_k is monic in Z_(p)[x] with a unit constant term, so it
+runs forwards and backwards over Z_(p), and the n_k tables at
+r = 0..n_k-1 generate all of them.  Closing v under those windows and
 checking invariance there certifies L = U_A v, since Garland's integral
-form is generated by the divided powers (x±_r)^(k).  Ambients without
-ratio data (weyl0 and what is built on it) double a symmetric window until
-the canonical basis repeats: the one uncertified closure.
+form is generated by the divided powers (x±_r)^(k).
 
 Closure, its invariance check and reduction mod p run on integers.  Each
 operator table and the basis are scaled to integer matrices by the least
@@ -113,9 +111,8 @@ def _canonical_rep(e, p, v):
 class LatticeBasis:
     """Canonical basis of an A-invariant lattice inside an ambient module.
 
-    stable_window is max n_k for a closure with ratio data and the
-    half-width W of the symmetric window [-W, W] for one without (see
-    lattice_closure)."""
+    stable_window is max n_k, the widest recurrence window of the closure
+    (see lattice_closure)."""
 
     def __init__(self, ambient, p, rows, stable_window):
         self.ambient = ambient
@@ -220,18 +217,18 @@ def _table(m, tables, kind, r, k):
 
 
 def _recurrence_windows(m, p, kmax):
-    """{k: range(n_k)} for k = 1..kmax, n_k the number of ratios of
-    (x±_r)^(k) (op_ratios), or None when the ambient carries no ratio data.
-    Raises LatticeError when a ratio is not a unit in Z_(p)."""
+    """{k: range(n_k)} for k = 1..kmax, n_k the recurrence order of
+    (x±_r)^(k) (recurrence_order).  Raises LatticeError when the ambient
+    gives no order, or when one of its ratios is not a unit in Z_(p)."""
     windows = {}
     for k in range(1, kmax + 1):
-        ratios = m.op_ratios(k)
-        if ratios is None:
-            return None
-        for c in ratios:
+        for c in m.op_ratios(k) or ():
             if val_p(c, p) != 0:
                 raise LatticeError("ratio %s of the degree-%d tables is not a unit in Z_(%d)" % (c, k, p))
-        windows[k] = range(len(ratios))
+        order = m.recurrence_order(k)
+        if order is None:
+            raise LatticeError("the ambient gives no recurrence order for its degree-%d tables" % k)
+        windows[k] = range(order)
     return windows
 
 
@@ -254,52 +251,41 @@ def _lowering_fixpoint(m, rows, p, windows, tables):
         basis = merged
 
 
-def lattice_closure(m, v, p, max_window=64):
+def lattice_closure(m, v, p):
     """L = U(g~)_A v: the lattice spanned by v and closed under the lowering
     divided powers (x-_r)^(k), k = 1..kmax, then checked for invariance
     under the raising, Cartan and Lambda tables as well.
 
-    With ratio data (op_ratios), (x±_r)^(k) = sum_{c in C_k} c^r M_c for
-    every r in Z, and every c is a unit of Z_(p) (LatticeError otherwise).
-    P_k(x) = prod_{c in C_k} (x - c) is then monic in Z_(p)[x] with a unit
-    constant term, and the tables satisfy its recurrence in r: forwards, and
-    backwards after dividing by the constant term.  So the n_k = |C_k|
-    tables at r = 0..n_k-1 generate every table of that k over Z_(p), for
-    negative r as well, and a lattice closed under them is closed under all
-    of them.  The closure is one fixpoint over those windows (no table of a
-    k with C_k empty is built), the check covers the same windows, and
-    stable_window is max n_k.  The result is certified: it lies in U_A v,
-    being spanned by lowering images of v, and it contains U_A v once the
-    check passes, because the divided powers (x±_r)^(k) generate Garland's
-    integral form.
-
-    Without ratio data (weyl0 and what is built on it) the closure is the
-    only uncertified one: it doubles a symmetric window [-W, W] from
-    max|weight| until the canonical basis repeats, raises LatticeError when
-    W passes max_window, and the check covers [-W, W]."""
+    The tables of (x±_r)^(k) satisfy a linear recurrence in r of order n_k
+    (recurrence_order) whose polynomial P_k is monic in Z_(p)[x] with a unit
+    constant term, so it runs forwards, and backwards after dividing by the
+    constant term: the n_k tables at r = 0..n_k-1 generate every table of
+    that k over Z_(p), for negative r as well, and a lattice closed under
+    them is closed under all of them.  P_k is monic with a unit constant
+    term for every ambient:
+    - with ratio data (op_ratios), P_k = prod_{c in C_k} (x - c), and every
+      c is checked to be a unit of Z_(p) (LatticeError otherwise);
+    - weyl0 gives the characteristic polynomial of Sym^k of the companion
+      matrix of omega~(t) = t^lambda omega(1/t), monic with constant term
+      a power of ±omega_lambda, a unit once the recipe passes
+      _check_unit_parameters;
+    - a tensor gives composed products of its factors' polynomials, whose
+      constant terms are products of theirs, and a dual or a twist its
+      inner module's polynomial up to unit rescaling of the roots.
+    So the closure is one fixpoint over those windows (no table of a k with
+    n_k = 0 is built), the check covers the same windows, and stable_window
+    is max n_k.  The result is certified: it lies in U_A v, being spanned by
+    lowering images of v, and it contains U_A v once the check passes,
+    because the divided powers (x±_r)^(k) generate Garland's integral
+    form."""
     if m.ring != QQ:
         raise LatticeError("ambient module must live over the rationals")
     _check_unit_parameters(m, p)
     kmax = max(1, m.max_exponent())
     tables = {}
-    rows = [list(map(Fraction, v))]
     windows = _recurrence_windows(m, p, kmax)
-    if windows is not None:
-        basis = _lowering_fixpoint(m, rows, p, windows, tables)
-        lat = LatticeBasis(m, p, basis, max(len(rs) for rs in windows.values()))
-    else:
-        window = max(1, max((abs(w) for w in m.weights), default=0))
-        prev = None
-        while True:
-            windows = {k: range(-window, window + 1) for k in range(1, kmax + 1)}
-            basis = _lowering_fixpoint(m, rows, p, windows, tables)
-            if basis == prev:
-                break
-            prev = rows = basis
-            window *= 2
-            if window > max_window:
-                raise LatticeError("closure did not stabilize within window %d" % max_window)
-        lat = LatticeBasis(m, p, basis, window)
+    basis = _lowering_fixpoint(m, [list(map(Fraction, v))], p, windows, tables)
+    lat = LatticeBasis(m, p, basis, max(len(rs) for rs in windows.values()))
     _verify_invariance(m, lat, kmax, windows, tables)
     return lat
 
@@ -344,9 +330,9 @@ def _verify_invariance(m, lat, kmax, windows, tables=None):
     """Check that every certified operator maps the lattice into itself:
     the coordinates of the images of the basis rows (_coordinates) lie in
     Z_(p).  The lowering and raising tables are those at r in windows[k]
-    (the closure's windows, which generate every table of their k when the
-    ambient has ratio data); the Cartan binomials and the Lambda tables
-    below the Lambda precision are checked in full."""
+    (the closure's windows, which generate every table of their k); the
+    Cartan binomials and the Lambda tables below the Lambda precision are
+    checked in full."""
     if tables is None:
         tables = {}
     checks = []
@@ -373,10 +359,11 @@ def reduce_mod_p(lat):
     ambient operators in the lattice basis (_coordinates), each table built
     when it is first asked for.
 
-    The result carries no ratio data, so its r-window is dim^2: expressing
-    the ambient tables in the lattice basis can introduce p in denominators
-    of the geometric-sequence coefficients, so the residue tables are only
-    linearly recurrent in r, not (p-1)-periodic.
+    The result carries the ambient's recurrence orders, never its ratios:
+    P_k reduced mod p is monic and annihilates the residue tables, so n_k
+    consecutive of them span all; but expressing the ambient tables in the
+    lattice basis can introduce p in denominators of the geometric-sequence
+    coefficients, so the residue tables need not be (p-1)-periodic.
     """
     from .exactnum import PrimeField, residue
 
@@ -406,9 +393,8 @@ def reduce_mod_p(lat):
             nz = [i for i, c in enumerate(res) if not F.is_zero(c)]
             if len(nz) == 1:
                 hw = nz[0]
-    return modrep.explicit_module(
-        F, list(lat.weights), {"from_lattice": {"ambient": m.recipe, "p": p}}, op_fn, lam_fn, hw_index=hw
-    )
+    recipe = {"from_lattice": {"ambient": m.recipe, "p": p}}
+    return modrep.explicit_module(F, list(lat.weights), recipe, op_fn, lam_fn, hw_index=hw, order_fn=m.recurrence_order)
 
 
 class ElementaryDivisors:

@@ -40,7 +40,7 @@ from .modrep import (
     ell_weight_decomposition,
     generator_exponents,
     label_classes,
-    ratio_window,
+    recurrence_window,
 )
 
 DEFAULT_BRUTE_BOUND = 300000
@@ -350,7 +350,8 @@ class _Subquotient(LoopModule):
     graded invariant subspace.  In the basis of the subspace followed by its
     complement, every table of the parent is block triangular; this module's
     table is a diagonal block, cut on arrays.  The tables are linear images
-    of the parent's, so the ratios carry over, and so do the labels."""
+    of the parent's, so the ratios and recurrence orders carry over, and so
+    do the labels."""
 
     def __init__(self, parent, weights, recipe, change, part, labels):
         super().__init__(parent.ring, weights, recipe)
@@ -380,6 +381,9 @@ class _Subquotient(LoopModule):
 
     def _op_ratios(self, k):
         return self.parent.op_ratios(k)
+
+    def _recurrence_order(self, k):
+        return self.parent.recurrence_order(k)
 
     def _labels(self):
         return self.given_labels
@@ -533,7 +537,7 @@ def _hom_space_nonzero(m1, m2):
     K = arrays(ring)
     eye = K.eye(m1.dim)
     blocks = []
-    for kind, r, k in generator_labels(m1, ratio_window(m1, m2)):
+    for kind, r, k in generator_labels(m1, recurrence_window(m1, m2)):
         if kind == "h":
             a1, a2 = m1.cartan_binom_np(k), m2.cartan_binom_np(k)
         else:

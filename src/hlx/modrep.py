@@ -20,20 +20,21 @@ lattice reductions have none and take the matrix path.
 ell_weight_decomposition refuses an r-window below the Lambda precision with
 a ValueError.
 
-The same recipes give the ratios of the tables in r (op_ratios), which set
-the r-window: the loop degrees whose tables span those of every degree.
-weyl0, lattice reductions and modules built on them have no ratio data and
-use the dim^2 window (ratio_window).
+The same recipes give the ratios of the tables in r (op_ratios), and every
+module a recurrence order per divided power (recurrence_order): the tables
+of (x±_r)^(k) satisfy a linear recurrence in r of that order, whose
+polynomial is monic with a unit constant term.  The orders set the r-window:
+the loop degrees whose tables span those of every degree.
 
 Matrices act on column vectors; entry (i, j) is the coefficient of basis
 vector i in the image of basis vector j.  Construction is by recipe: hyper
 evaluation modules, tensor products via the divided-power comultiplication,
 duals via the antipode, Frobenius and parameter twists, straightened Weyl
 modules in characteristic zero, and tables computed on demand (lattice
-reductions).  A straightened Weyl module works out its own straightening
-window: it is certified by dim W0(omega) = 2^deg omega in characteristic
-zero (Chari-Pressley) and widened when a table needs a wider one, which
-never changes the basis or a coordinate (_Weyl0).
+reductions).  A straightened Weyl module straightens only x±_r and h_r at
+0 <= r < deg omega, on a window certified by dim W0(omega) = 2^deg omega
+(Chari-Pressley); every other table follows from the recurrence that the
+ideal sl2 ⊗ omega~(t) C[t, t^-1] gives (_Weyl0).
 
 Every node builds each table once, from its factors' tables, in the
 representation linalg.tables(ring) chooses: an array of the int64 kernel
@@ -42,9 +43,8 @@ cartan_binom box a finite field's array on the way out; op_np, lam_np and
 cartan_binom_np hand it over.
 
 Modules are immutable after construction apart from the lazily memoized
-tables and weyl0's straightening window; once a table is materialized it is
-never rewritten, so concurrent readers are safe and cross-module operations
-stay pure.
+tables; once a table is materialized it is never rewritten, so concurrent
+readers are safe and cross-module operations stay pure.
 """
 
 from __future__ import annotations
@@ -89,28 +89,33 @@ def generator_exponents(p, kmax):
     return ks
 
 
-def ratio_window(*mods):
+def recurrence_window(*mods):
     """r-window for the tables of modules over one ring taken together (two
-    of them in the intertwiner equations T op1(r) = op2(r) T): the largest
-    number of their joint ratios over the generator exponents, capped by
-    dim^2, which alone applies when a module has no ratio data.
+    of them in the intertwiner equations T op1(r) = op2(r) T): for each
+    generator exponent k, the number of joint ratios when every module has
+    ratio data, else the sum of the recurrence orders, which bounds the
+    order of the joint sequence; the largest over k, capped by dim^2, which
+    alone applies when a module has no order.
 
-    Structurally built modules give their ratios (op_ratios): their tables
-    are combinations of geometric sequences c^r with c a unit, so over F_q
-    the count is at most q - 1 and the tables are (q-1)-periodic in r.
-    weyl0, lattice reductions and what is built on them give none.  The
-    entries of a lattice reduction's tables still satisfy a linear
-    recurrence in r of order at most dim^2, but need not be (q-1)-periodic:
-    expressing the ambient tables in the lattice basis can put p in the
-    denominators of the geometric-sequence coefficients.
+    Ratio data (op_ratios) also means that the tables are combinations of
+    geometric sequences c^r with c a unit, so over F_q the count is at most
+    q - 1 and the tables are (q-1)-periodic in r.  A lattice reduction has
+    orders but no ratios: expressing the ambient tables in the lattice basis
+    can put p in the denominators of the geometric-sequence coefficients,
+    so its residue tables satisfy the ambient's recurrence without being
+    periodic.
     """
     bound = max(m.dim for m in mods) ** 2
     count = 0
     for k in generator_exponents(mods[0].ring.char, max(m.max_exponent() for m in mods)):
         sets = [m.op_ratios(k) for m in mods]
         if None in sets:
-            return bound
-        count = max(count, len(frozenset().union(*sets)))
+            orders = [m.recurrence_order(k) for m in mods]
+            if None in orders:
+                return bound
+            count = max(count, sum(orders))
+        else:
+            count = max(count, len(frozenset().union(*sets)))
     return min(bound, count)
 
 
@@ -227,20 +232,31 @@ class LoopModule:
     def _op_ratios(self, k):
         return None
 
+    def recurrence_order(self, k):
+        """n_k: the tables of (x±_r)^(k), both kinds, satisfy a linear
+        recurrence in r of order n_k whose polynomial is monic with a unit
+        constant term (over Z_(p) when the module is a lattice ambient), or
+        None when the module carries no such data.  With ratios C_k it is
+        |C_k|, the polynomial prod_{c in C_k} (x - c)."""
+        ratios = self.op_ratios(k)
+        return self._recurrence_order(k) if ratios is None else len(ratios)
+
+    def _recurrence_order(self, k):
+        return None
+
     def r_window(self):
         """Window of loop degrees whose tables determine every operator.
 
-        If (x±_r)^(k) = sum_c c^r M_c over N distinct ratios c, the tables
-        at any N consecutive r determine every M_c: the system is a
-        Vandermonde matrix in the c scaled by the unit c^{r_0}, hence
-        invertible.  So the span of the tables over the window equals their
-        span over all r in Z, and spin-up, Norton's test and ell_hw_vectors,
-        which depend on that span alone, need no more.  N is the largest
-        ratio count over the generator exponents when the module's structure
-        gives it (op_ratios), and dim^2 bounds it in every case (see
-        ratio_window).
+        If the tables of (x±_r)^(k) satisfy a linear recurrence of order N
+        with a unit constant term, the tables at any N consecutive r give
+        every other one, forwards and backwards.  So the span of the tables
+        over the window equals their span over all r in Z, and spin-up,
+        Norton's test and ell_hw_vectors, which depend on that span alone,
+        need no more.  N is the largest recurrence order over the generator
+        exponents (recurrence_order), and dim^2 is used when the module has
+        none (see recurrence_window).
         """
-        return ratio_window(self)
+        return recurrence_window(self)
 
     def lam_precision(self):
         """Number of Lambda-series terms kept: 2 max|weight| + 2, fixed with
@@ -357,6 +373,15 @@ class _Tensor(LoopModule):
             out.update(a * b for a in left for b in right)
         return frozenset(out)
 
+    def _recurrence_order(self, k):
+        # left(l) (x) right(k - l) is recurrent with the composed product of
+        # the two polynomials (its roots multiply), of degree n_L(l) n_R(k - l),
+        # monic with a unit constant term; the sum is recurrent with their lcm
+        orders = [(self.left.recurrence_order(l), self.right.recurrence_order(k - l)) for l in range(k + 1)]
+        if any(a is None or b is None for a, b in orders):
+            return None
+        return sum(a * b for a, b in orders)
+
     def _op(self, kind, r, k):
         # Delta((x±_r)^(k)) = sum_l (x±_r)^(l) (x) (x±_r)^(k-l); (x±_r)^(l)
         # moves weights by 2l, so it vanishes on a factor past its max_exponent
@@ -407,6 +432,9 @@ class _Dual(LoopModule):
 
     def _op_ratios(self, k):
         return self.inner.op_ratios(k)
+
+    def _recurrence_order(self, k):
+        return self.inner.recurrence_order(k)
 
     def _op(self, kind, r, k):
         # S((x±_r)^(k)) = (-1)^k (x±_r)^(k)
@@ -467,6 +495,9 @@ class _Frobenius(LoopModule):
         if k % self.pm != 0:
             return frozenset()
         return self.inner.op_ratios(k // self.pm)
+
+    def _recurrence_order(self, k):
+        return self.inner.recurrence_order(k // self.pm)
 
     def _op(self, kind, r, k):
         if k % self.pm != 0:
@@ -529,6 +560,10 @@ class _Psi(LoopModule):
         ak = self._scal(k)
         return frozenset(ak * c for c in inner)
 
+    def _recurrence_order(self, k):
+        # a^{rk} T_r is recurrent with the roots multiplied by a^k
+        return self.inner.recurrence_order(k)
+
     def _op(self, kind, r, k):
         return tables(self.ring).scale(self.inner.op_table(kind, r, k), self._scal(r * k))
 
@@ -580,39 +615,54 @@ def irreducible_module(ring, lam, a):
 # ---------------------------------------------------------------------------
 
 
-# The widest straightening margin weyl0 tries: the cap of the lattice
-# closure's own r-window (lattice.lattice_closure's max_window).
-_MARGIN_CAP = 64
-
-
 class WindowError(ValueError):
     """weyl0 found no certified straightening window: the bound is not
-    2^lambda, or the window needs a margin past _MARGIN_CAP."""
+    2^lambda, or a table meets a monomial that the window cannot rewrite."""
 
 
 class _Weyl0(LoopModule):
     """W0(omega) over a characteristic-zero field, with basis the surviving
-    straightening monomials applied to the highest vector.  Lowering
-    operators act by monomial merging plus rewrite rules; everything else is
-    evaluated through the symbolic engine against the highest-weight data.
+    straightening monomials applied to the highest vector.
 
-    The straightening window is worked out, not chosen.  The first
-    saturation (looppbw.weyl_upper_bound) is at margin 0 and is accepted
-    only when its bound is 2^lambda = dim W0(omega), the dimension in
-    characteristic zero (Chari-Pressley).  The bound is >= dim W0 on every
-    window, and a wider window only adds rows, hence pivots, in the same
-    column order; so every wider window has the same basis and gives every
-    vector the same coordinates.  A table that meets a monomial the window
-    cannot rewrite re-saturates on a window that covers its slots and at
-    least doubles the margin, and checks that the basis stayed put:
-    memoized tables never go stale.  A bound other than 2^lambda, or a
-    margin past _MARGIN_CAP, raises WindowError."""
+    The straightening window is worked out, not chosen.  The saturation
+    (looppbw.weyl_upper_bound) is at margin 0 and is accepted only when its
+    bound is 2^lambda = dim W0(omega), the dimension in characteristic zero
+    (Chari-Pressley); the bound is >= dim W0 on every window.  Only the
+    k = 1 tables at 0 <= r < lambda are straightened: x-_r by monomial
+    merging plus rewrite rules, x+_r and h_r through the symbolic engine
+    against the highest-weight data.  A monomial that the window cannot
+    rewrite raises WindowError.
+
+    Every other table comes from the reversed polynomial
+    omega~(t) = t^lambda omega(1/t) = t^lambda + omega_1 t^{lambda-1} + ...
+    + omega_lambda.  J = sl2 ⊗ omega~(t) C[t, t^-1] is a Lie ideal of the
+    loop algebra, since [x ⊗ f, y ⊗ g] = [x, y] ⊗ fg.  It kills the highest
+    vector v: x+ ⊗ J does; h ⊗ t^s omega~(t) acts by
+    sum_i a_i^s omega~(a_i) = 0 over the roots of omega = prod(1 - a_i u);
+    and x- ⊗ t^s omega~(t) v = 0 is the Garland relation (k, l) =
+    (lambda + 1, lambda) at shift s, (X-(u) Lambda+(u))_{lambda+1} v = 0
+    with Lambda_j v = omega_j v (Chari-Pressley 2001).  W0 = U v, so
+    J W0 = U J v = 0, and x±_r, h_r act through C[t^±]/(omega~): every
+    table T_r of them satisfies
+
+        T_{r+lambda} = -sum_{i=1..lambda} omega_i T_{r+lambda-i}
+
+    forwards, and backwards after dividing by the unit omega_lambda.  In
+    characteristic zero (x±_r)^(k) = (x±_r)^k / k!, and the x±_r commute
+    among themselves, so the tables of k are recurrent with the
+    characteristic polynomial of Sym^k of the companion matrix of omega~:
+    order binom(lambda + k - 1, k), monic, with constant term a power of
+    ±omega_lambda (recurrence_order).  Lambda_r follows from the commuting
+    h tables by Newton's recursion
+    Lambda_{±n} = -(1/n) sum_{j=1..n} h_{±j} Lambda_{±(n-j)}."""
 
     def __init__(self, ring, omega_coeffs):
         if ring.char != 0:
             raise ValueError("straightened Weyl modules are built in characteristic zero")
         self.omega = list(omega_coeffs)
-        self.sat, self._margin = self._saturate(ring, 0), 0
+        self.sat = looppbw.weyl_upper_bound(self.omega, ring, max_sweeps=1)
+        if self.sat.dimension_bound != 2 ** self.sat.lam:
+            raise WindowError("the straightening bound is %d, not 2^%d" % (self.sat.dimension_bound, self.sat.lam))
         lam = self.sat.lam
         self.lam_weight = lam
         self.basis_monomials = list(self.sat.basis)
@@ -620,6 +670,9 @@ class _Weyl0(LoopModule):
         weights = [lam - 2 * sum(k for _, k in m) for m in self.basis_monomials]
         recipe = {"weyl0": {"omega": [ring.fmt(c) for c in omega_coeffs]}}
         super().__init__(ring, weights, recipe, hw_index=self.basis_monomials.index(()))
+
+    def _recurrence_order(self, k):
+        return 0 if k > self.lam_weight else integer_binomial(self.lam_weight + k - 1, k)
 
     # h_{s} eigenvalue on the highest vector: Newton power sums of the roots,
     # from e_i = (-1)^i omega_i without factoring
@@ -660,48 +713,70 @@ class _Weyl0(LoopModule):
                     out = out * v
         return out
 
-    def _saturate(self, ring, margin):
-        if margin > _MARGIN_CAP:
-            raise WindowError("the straightening window needs margin %d, past the cap %d" % (margin, _MARGIN_CAP))
-        sat = looppbw.weyl_upper_bound(self.omega, ring, max_sweeps=1, margin=margin)
-        if sat.dimension_bound != 2 ** sat.lam:
-            raise WindowError("the straightening bound is %d, not 2^%d" % (sat.dimension_bound, sat.lam))
-        return sat
-
-    def _reduce_or_raise(self, vec):
+    def _reduce(self, vec):
         coords = self.sat.reduce(vec)
-        while coords is None:
-            # a margin step widens the window by one slot on either side
-            lo, hi = self.sat.window
-            slots = [s for mono in vec if sum(k for _, k in mono) <= self.lam_weight for s, _ in mono]
-            step = max(self._margin, 1, lo - min(slots, default=lo), max(slots, default=hi) - hi)
-            sat = self._saturate(self.ring, self._margin + step)
-            if sat.basis != self.basis_monomials:
-                raise RuntimeError("a wider straightening window changed the certified basis")
-            self.sat, self._margin = sat, self._margin + step
-            coords = sat.reduce(vec)
+        if coords is None:
+            raise WindowError("a table leaves the margin-0 straightening window")
         return coords
+
+    def _recur(self, table, r):
+        """The table at r from table(s), s in [0, lambda), by the omega~
+        recurrence sum_{i=0..lambda} omega_i T_{s+lambda-i} = 0, solved for
+        its first term (r >= lambda) or its last (r < 0).  table memoizes,
+        and the tables between are asked for in order first, so no call
+        recurses more than one step."""
+        lam, w, ring = self.lam_weight, self.omega, self.ring
+        if r >= lam:
+            for s in range(lam, r):
+                table(s)
+            lead, rest = ring.one, [(i, r - i) for i in range(1, lam + 1)]
+        else:
+            for s in range(-1, r, -1):
+                table(s)
+            lead, rest = w[lam], [(i, r + lam - i) for i in range(lam)]
+        terms = [table(s).scale(w[i]) for i, s in rest if not ring.is_zero(w[i])]
+        return functools.reduce(Mat.__add__, terms).scale(-ring.inv(lead))
 
     def _op(self, kind, r, k):
         ring = self.ring
+        if k > self.lam_weight:
+            return Mat.zeros(ring, self.dim, self.dim)
+        if k > 1:
+            # (x±_r)^(k) = (x±_r)^(k-1) x±_r / k in characteristic zero
+            return (self.op_table(kind, r, k - 1) * self.op_table(kind, r, 1)).scale(ring.inv(ring.from_int(k)))
+        if not 0 <= r < self.lam_weight:
+            return self._recur(lambda s: self.op_table(kind, s, 1), r)
+        if kind == RAISE:
+            return self._symbolic_table(HyperElement.gen(RAISE, r, 1))
         cols = []
-        if kind == LOWER:
-            for mono in self.basis_monomials:
-                if sum(kk for _, kk in mono) + k > self.lam_weight:
-                    cols.append([ring.zero] * self.dim)
-                    continue
-                merged, coeff = looppbw._merge_lower(mono, ((r, k),), ring)
-                cols.append([coeff * c for c in self._reduce_or_raise({merged: ring.one})])
-        else:
-            elem = HyperElement.gen(RAISE, r, k)
-            for mono in self.basis_monomials:
-                cols.append(self._apply_symbolic(elem, mono))
+        for mono in self.basis_monomials:
+            if sum(kk for _, kk in mono) >= self.lam_weight:
+                cols.append([ring.zero] * self.dim)
+                continue
+            merged, coeff = looppbw._merge_lower(mono, ((r, 1),), ring)
+            cols.append([coeff * c for c in self._reduce({merged: ring.one})])
         return Mat(ring, list(zip(*cols)))
 
+    def _h_table(self, r):
+        """h_r, straightened at 0 <= r < lambda and recurrent elsewhere."""
+
+        def build():
+            if not 0 <= r < self.lam_weight:
+                return self._recur(self._h_table, r)
+            return self._symbolic_table(HyperElement.h(r))
+
+        return self._memo(("h_r", r), build)
+
     def _lam(self, r):
-        elem = looppbw.lambda_element(r)
-        cols = [self._apply_symbolic(elem, mono) for mono in self.basis_monomials]
-        return Mat(self.ring, list(zip(*cols)))
+        # Newton's recursion on the h tables, the lower Lambda's first
+        sign, n = (1 if r > 0 else -1), abs(r)
+        for j in range(1, n):
+            self.lam_table(sign * j)
+        terms = [self._h_table(sign * j) * self.lam_table(sign * (n - j)) for j in range(1, n + 1)]
+        return functools.reduce(Mat.__add__, terms).scale(-self.ring.inv(self.ring.from_int(n)))
+
+    def _symbolic_table(self, elem):
+        return Mat(self.ring, list(zip(*[self._apply_symbolic(elem, mono) for mono in self.basis_monomials])))
 
     def _apply_symbolic(self, elem, mono):
         """Coordinates of elem . (monomial v) via normal ordering."""
@@ -720,8 +795,7 @@ class _Weyl0(LoopModule):
             scal = scal * self._cartan_value(cart)
             if not ring.is_zero(scal):
                 vec[lower] = vec.get(lower, ring.zero) + scal
-        coords = self._reduce_or_raise(vec)
-        return coords
+        return self._reduce(vec)
 
 
 def _minus_coeffs(omega, ring):
@@ -733,7 +807,8 @@ def _minus_coeffs(omega, ring):
 def weyl0_module(ring, omega_coeffs):
     """The Weyl module W0(omega) over a field of characteristic zero, omega
     given by its coefficients (constant term 1).  The straightening window
-    is certified by dim W0 = 2^deg omega and widened on demand (_Weyl0)."""
+    is certified by dim W0 = 2^deg omega, and the tables away from
+    0 <= r < deg omega follow from the omega~ recurrence (_Weyl0)."""
     return _Weyl0(ring, omega_coeffs)
 
 
@@ -754,16 +829,21 @@ class _Explicit(LoopModule):
     lam_fn(r) compute them on demand, in the representation of
     linalg.tables(ring) (lattice reductions keep a handle on their ambient
     module this way); ratio_fn gives op_ratios when the tables are linear
-    images of another module's."""
+    images of another module's, order_fn gives recurrence_order when they
+    are images of another module's under a ring map (a reduction mod p)."""
 
-    def __init__(self, ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_fn=None):
+    def __init__(self, ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_fn=None, order_fn=None):
         super().__init__(ring, weights, recipe, hw_index=hw_index)
         self._op_fn = op_fn
         self._lam_fn = lam_fn
         self._ratio_fn = ratio_fn
+        self._order_fn = order_fn
 
     def _op_ratios(self, k):
         return None if self._ratio_fn is None else self._ratio_fn(k)
+
+    def _recurrence_order(self, k):
+        return None if self._order_fn is None else self._order_fn(k)
 
     def _op(self, kind, r, k):
         if k > self.max_exponent():
@@ -774,8 +854,8 @@ class _Explicit(LoopModule):
         return self._lam_fn(r)
 
 
-def explicit_module(ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_fn=None):
-    return _Explicit(ring, weights, recipe, op_fn, lam_fn, hw_index=hw_index, ratio_fn=ratio_fn)
+def explicit_module(ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_fn=None, order_fn=None):
+    return _Explicit(ring, weights, recipe, op_fn, lam_fn, hw_index=hw_index, ratio_fn=ratio_fn, order_fn=order_fn)
 
 
 # ---------------------------------------------------------------------------

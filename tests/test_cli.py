@@ -283,6 +283,28 @@ def test_ext_degree_grids():
     assert rep2["pass"]
 
 
+def test_steinberg_reports_undecided_same_level_tensors():
+    # over F_9 the same-level tensors are reducible, but no test may decide
+    # them: an undecided verdict is null with the certificate's reason,
+    # never false, and so is an undecided row
+    from hlx.exactnum import FiniteField
+    from hlx.meataxe import is_irreducible
+    from hlx.modrep import eval_weyl_module, tensor
+
+    rep = run_steinberg(3, 4, ext_degree=2)
+    F = FiniteField(3, 2)
+    for entry in rep["same_level_reducible"]:
+        m = tensor(eval_weyl_module(F, entry["lambda"], F.one), eval_weyl_module(F, entry["mu"], F.one))
+        res = is_irreducible(m)
+        if res.verdict is None:
+            assert entry["reducible"] is None and entry["reason"] == res.certificate["reason"]
+            assert not rep["pass"]
+        else:
+            assert entry["reducible"] is (not res.verdict) and "reason" not in entry
+    for row in rep["rows"]:
+        assert (row["irreducible"] is None) == ("reason" in row)
+
+
 def test_json_and_out_flag_interaction(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     code = main(["verify-identities", "--kmax", "1", "--smax", "0", "--rmax", "1", "--out", out])
@@ -402,18 +424,17 @@ def _weyl0_failure(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "cap, argv, code, err",
+    "argv, code, err",
     [
-        # the first window, at margin 0, is past the cap
-        (-1, ["module", "build"], 2, "bad recipe: the straightening window needs margin 0, past the cap -1\n"),
-        (-1, ["lattice", "--p", "3"], 2, "bad recipe: the straightening window needs margin 0, past the cap -1\n"),
-        # a table needs a window past the cap
-        (2, ["lattice", "--p", "3"], 1, "lattice error: the straightening window needs margin 3, past the cap 2\n"),
-        (8, ["module", "chop"], 1, "weyl0 error: the straightening window needs margin 15, past the cap 8\n"),
+        (["lattice", "--p", "3"], 1, "lattice error: a table leaves the margin-0 straightening window\n"),
+        # the reduction's recipe closes the lattice as it is built
+        (["module", "chop"], 2, "bad recipe: a table leaves the margin-0 straightening window\n"),
     ],
 )
-def test_weyl0_window_past_the_cap_is_reported(tmp_path, monkeypatch, capsys, cap, argv, code, err):
-    monkeypatch.setattr(modrep, "_MARGIN_CAP", cap)
+def test_weyl0_window_that_cannot_rewrite_is_reported(tmp_path, monkeypatch, capsys, argv, code, err):
+    # a monomial that the certified margin-0 window cannot rewrite is an
+    # error, never a wider window
+    monkeypatch.setattr(modrep.looppbw.SaturationResult, "reduce", lambda self, vec: None)
     assert _weyl0_failure(tmp_path, capsys, argv) == (code, err)
 
 
@@ -470,7 +491,7 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys, argv, golden):
     # At p = 2 every root is 1 mod p, so the saturation over F_2 meets the
     # most equal relation instances.
     # The weyl0 lattice case reduces W0((1-u)^2) mod 3, the repeated-root
-    # ambient whose straightening window is widened on demand.
+    # ambient whose closure runs on the omega~ recurrence windows.
     # The blocks case parses the spectral characters of four F_3 module
     # reports, named by relative paths so that the member labels are stable.
     monkeypatch.chdir(tmp_path)

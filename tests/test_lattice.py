@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,14 +22,16 @@ from hlx.lattice import (
     reduce_mod_p,
     tensor_lattice,
 )
-from hlx.linalg import Mat, from_np
+from hlx.linalg import Mat, from_np, np_rref
 from hlx.looppbw import LOWER, RAISE
 from hlx.modrep import (
     drinfeld_polynomial,
     dual,
+    ell_hw_vectors,
     eval_weyl_module,
     explicit_module,
     frobenius_twist,
+    generator_exponents,
     psi_twist,
     tensor,
     weyl0_from_roots,
@@ -188,21 +191,28 @@ def test_reduction_with_coincident_residues():
     assert poly.polys[0].coeffs == (F(1), F(-2), F(1))
 
 
-def test_modules_built_on_a_reduction_keep_the_dim2_window():
-    # a lattice reduction has no ratio data, and neither has anything built
-    # on it: its tables need not be (q-1)-periodic in r
+def test_modules_built_on_a_reduction_keep_the_recurrence_orders():
+    # a lattice reduction carries the ambient's recurrence orders, never its
+    # ratios: the residues 1, 3, 5, 7 all meet mod 2, so its tables are not
+    # (q-1)-periodic in r.  The ratio counts of degree k = 1, 2, 4 are 4, 6
+    # and 1, so the window is 6, not dim^2 = 256, and so it stays on every
+    # module built on the reduction
     m = tensor(*[eval_weyl_module(QQ, 1, Fraction(a)) for a in (1, 3, 5, 7)])
     red = reduce_mod_p(lattice_closure(m, m.hw_vector(), 2))
     F = red.ring
-    assert red.r_window() == red.dim ** 2 == 256
-    built = [
-        dual(red),
-        psi_twist(red, F.one),
-        frobenius_twist(red, 1),
-        tensor(red, eval_weyl_module(F, 1, F.one)),
-    ]
-    for b in built:
-        assert b.r_window() == b.dim ** 2
+    assert red.dim == 16 and red.op_ratios(1) is None
+    assert [red.recurrence_order(k) for k in (1, 2, 4)] == [4, 6, 1]
+    assert red.r_window() == 6
+    built = {
+        dual(red): 6,
+        psi_twist(red, F.one): 6,
+        frobenius_twist(red, 1): 6,
+        # k = 1, 2, 4: 4 + 1, 6 + 4, 1 + 4 (tensor orders sum n_L(l) n_R(k - l))
+        tensor(red, eval_weyl_module(F, 1, F.one)): 10,
+    }
+    for b, window in built.items():
+        assert b.op_ratios(2) is None
+        assert b.r_window() == window
 
 
 def test_tell_functoriality():
@@ -367,6 +377,28 @@ def test_closure_matches_a_wide_window_reference(case):
     assert [list(r) for r in lat.rows] == _reference_closure(m, _top_vector(m), lat.p)
 
 
+def _table_span(m, kind, k, rs):
+    # row space of the flattened tables at every r in rs
+    flat = np.stack([m.op_np(kind, r, k).reshape(-1) for r in rs])
+    return np_rref(flat, m.ring)[0].tolist()
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(closure_lattices())
+def test_reduction_window_spans_like_the_dim2_window(case):
+    # the tables of a reduction over its recurrence window span what they
+    # span over [-dim^2, dim^2], the window without orders
+    _, lat = case
+    red = reduce_mod_p(lat)
+    window, wide = red.r_window(), red.dim ** 2
+    assert window <= wide
+    for k in generator_exponents(red.ring.char, red.max_exponent()):
+        for kind in (LOWER, RAISE):
+            near = _table_span(red, kind, k, range(-window, window + 1))
+            assert near == _table_span(red, kind, k, range(-wide, wide + 1))
+    assert ell_hw_vectors(red) == ell_hw_vectors(red, r_window=wide)
+
+
 def test_closure_requests_only_the_recurrence_windows():
     # W(1,1)⊗W(1,4)⊗W(1,7) at p = 3: the ratios of degree k = 1, 2, 3 are
     # {1, 4, 7}, {4, 7, 28} and {28}, so n = 3, 3, 1
@@ -387,16 +419,32 @@ def test_closure_requests_only_the_recurrence_windows():
     assert sum(kind == LOWER for kind, _, _ in requests) == sum(kind == RAISE for kind, _, _ in requests) == 7
 
 
-def test_max_window_caps_only_the_doubling_search():
-    # weyl0 has no ratio data: its window doubles from max|weight| = 2 and
-    # stabilizes at W = 4; an evaluation tensor needs no search
+def test_weyl0_closure_runs_on_its_recurrence_windows():
+    # W0((1-u)^2): no ratio data, but the omega~ recurrence gives n_k =
+    # binom(lambda + k - 1, k) = 2, 3 for k = 1, 2; the closure requests
+    # exactly those windows, and stable_window is max n_k
     w0 = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)])
+    requests = []
+    op = w0.op
+
+    def counted(kind, r, k):
+        requests.append((kind, r, k))
+        return op(kind, r, k)
+
+    w0.op = counted
     lat = lattice_closure(w0, w0.hw_vector(), 3)
-    assert lat.stable_window == 4
-    with pytest.raises(LatticeError, match="^closure did not stabilize within window 2$"):
-        lattice_closure(w0, w0.hw_vector(), 3, max_window=2)
-    m = tensor(eval_weyl_module(QQ, 1, Fraction(1)), eval_weyl_module(QQ, 1, Fraction(4)))
-    assert lattice_closure(m, m.hw_vector(), 3, max_window=1).stable_window == 2
+    assert lat.rank == 4 and lat.stable_window == 3
+    want = [(kind, r, k) for kind in (LOWER, RAISE) for k, n in {1: 2, 2: 3}.items() for r in range(n)]
+    assert sorted(requests) == sorted(want)
+
+
+def test_closure_needs_a_recurrence_order():
+    # an explicit ambient that gives neither ratios nor orders has no
+    # certified window
+    w = eval_weyl_module(QQ, 1, Fraction(2))
+    m = explicit_module(QQ, w.weights, {"explicit": {}}, w.op, w.lam, hw_index=0)
+    with pytest.raises(LatticeError, match="^the ambient gives no recurrence order for its degree-1 tables$"):
+        lattice_closure(m, m.hw_vector(), 3)
 
 
 def test_closure_rejects_a_ratio_that_is_not_a_unit():

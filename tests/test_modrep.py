@@ -1,10 +1,15 @@
+import functools
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hlx import looppbw
 from hlx.exactnum import QQ, FiniteField, PrimeField
 from hlx.linalg import Mat, arrays, from_np, to_np
-from hlx.looppbw import LOWER, RAISE
+from hlx.looppbw import CARTAN, LOWER, RAISE, HyperElement
 from hlx.meataxe import is_irreducible
 from hlx.modrep import (
     build_module,
@@ -18,6 +23,7 @@ from hlx.modrep import (
     psi_twist,
     tensor,
     weyl0_from_roots,
+    weyl0_module,
 )
 
 
@@ -174,25 +180,101 @@ def test_weyl0_basicrele2():
             assert img[0] == img[1] == img[2] == 0
 
 
-def test_weyl0_widening_keeps_the_certified_basis(monkeypatch):
-    # the first window is certified at margin 0; a far table widens it on
-    # demand, and a wider saturation whose basis moved would be refused
-    from hlx import looppbw
+def _normal_ordered_table(w, elem, sat):
+    # elem on every basis monomial of w by normal ordering, each image
+    # rewritten in the basis by the saturation sat; h_s eigenvalues on the
+    # highest vector are power sums of the roots (w._cartan_value)
+    cols = []
+    for mono in w.basis_monomials:
+        prod = elem * HyperElement({tuple((LOWER, s, k) for s, k in mono): Fraction(1)})
+        vec = {}
+        for pbw, c in prod.coeffs.items():
+            lower = tuple((s, k) for kind, s, k in pbw if kind == LOWER)
+            if any(kind == RAISE for kind, _, _ in pbw) or sum(k for _, k in lower) > w.lam_weight:
+                continue
+            scal = c * w._cartan_value(tuple(t for t in pbw if t[0] == CARTAN))
+            if scal:
+                vec[lower] = vec.get(lower, 0) + scal
+        coords = sat.reduce(vec)
+        assert coords is not None, "the oracle's window is too narrow"
+        cols.append(coords)
+    return Mat(QQ, list(zip(*cols)))
 
-    w = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)])
-    assert w.sat.dimension_bound == 4 and w.sat.window == (-1, 6)
-    w.op(LOWER, 8, 1)
-    assert w.sat.window[1] >= 8
+
+@functools.lru_cache(maxsize=8)
+def _wide_saturation(omega):
+    # margin 4 lambda + 2 covers every slot that normal ordering reaches for
+    # |r| <= 2 lambda + 2 and k <= lambda
+    return looppbw.weyl_upper_bound(list(omega), QQ, max_sweeps=1, margin=4 * (len(omega) - 1) + 2)
+
+
+@st.composite
+def _omegas(draw):
+    # omega over Q with constant term 1 and a nonzero top coefficient; most
+    # draws do not split over Q
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    lam = draw(st.integers(1, 3))
+    middle = [draw(coeff) for _ in range(lam - 1)]
+    top = draw(coeff.filter(bool))
+    return tuple([Fraction(1)] + middle + [top])
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_omegas())
+def test_weyl0_recurrence_tables_match_normal_ordering(omega):
+    # weyl0 straightens only k = 1 at 0 <= r < lambda; every other table
+    # comes from the omega~ recurrence, (x±_r)^(k) = (x±_r)^k / k! and
+    # Newton's recursion for Lambda_r
+    w = weyl0_module(QQ, list(omega))
+    lam = w.lam_weight
+    sat = _wide_saturation(omega)
+    assert sat.basis == w.basis_monomials
+    for r in range(-2 * lam - 2, 2 * lam + 3):
+        for kind in (LOWER, RAISE):
+            for k in range(1, lam + 1):
+                assert w.op(kind, r, k) == _normal_ordered_table(w, HyperElement.gen(kind, r, k), sat)
+        assert w.lam(r) == _normal_ordered_table(w, looppbw.lambda_element(r), sat)
+
+
+def test_weyl0_recurrence_orders():
+    # binom(lambda + k - 1, k) for k <= lambda: the degree of the
+    # characteristic polynomial of Sym^k of the companion matrix of omega~
+    w = weyl0_from_roots(QQ, [Fraction(1), Fraction(2), Fraction(4)])
+    assert [w.recurrence_order(k) for k in range(5)] == [1, 3, 6, 10, 0]
+    assert w.op_ratios(1) is None and w.r_window() == 3
+    e = eval_weyl_module(QQ, 1, Fraction(3))
+    # tensor: sum_l n_L(l) n_R(k - l); dual: the inner orders
+    assert [tensor(w, e).recurrence_order(k) for k in range(5)] == [1, 4, 9, 16, 10]
+    assert [dual(w).recurrence_order(k) for k in range(5)] == [1, 3, 6, 10, 0]
+
+
+@pytest.mark.parametrize("action", ["lattice closure", "module dual", "ell_hw_vectors"])
+def test_weyl0_saturates_once(tmp_path, monkeypatch, capsys, action):
+    # the straightening runs once, at margin 0: no table widens it
+    from hlx import lattice
+    from hlx.cli import main
+
+    calls = []
     saturate = looppbw.weyl_upper_bound
 
-    def moved(*args, **kwargs):
-        sat = saturate(*args, **kwargs)
-        sat.basis = sat.basis[::-1]
-        return sat
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("margin", 0))
+        return saturate(*args, **kwargs)
 
-    monkeypatch.setattr(looppbw, "weyl_upper_bound", moved)
-    with pytest.raises(RuntimeError, match="^a wider straightening window changed the certified basis$"):
-        w.op(LOWER, -20, 1)
+    monkeypatch.setattr(looppbw, "weyl_upper_bound", counted)
+    roots = ["1", "2", "4"]
+    if action == "module dual":
+        path = tmp_path / "w0.json"
+        path.write_text(json.dumps({"ring": {"kind": "Q"}, "build": {"weyl0": {"roots": roots}}}))
+        assert main(["module", "dual", "--recipe", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["drinfeld_checks"]["plus_polynomial"]
+    else:
+        w = weyl0_from_roots(QQ, [Fraction(a) for a in roots])
+        if action == "lattice closure":
+            assert lattice.lattice_closure(w, w.hw_vector(), 3).rank == 8
+        else:
+            assert ell_hw_vectors(w) == [w.hw_vector()]
+    assert calls == [0]
 
 
 def test_dual_properties():

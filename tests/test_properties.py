@@ -71,7 +71,7 @@ from hlx.modrep import (
     eval_weyl_module,
     explicit_module,
     generator_exponents,
-    ratio_window,
+    recurrence_window,
     tensor,
 )
 
@@ -380,7 +380,7 @@ def test_hom_window_uses_the_union_of_ratios():
     assert m1.r_window() == 2
     assert iso_ell_hw(m1, m2)
     assert not iso_ell_hw(m1, m3)
-    assert ratio_window(m1, m3) == 3
+    assert recurrence_window(m1, m3) == 3
     assert _hom_space_nonzero(m1, m2)
     assert not _hom_space_nonzero(m1, m3)
 
