@@ -536,11 +536,15 @@ def main(argv=None):
     if getattr(args, "p", None) is not None and not is_prime(args.p):
         print("--p must be a prime, got %d" % args.p, file=sys.stderr)
         return 2
-    # a suite with no cases would pass vacuously, and a negative --max-pairs
-    # would drop cases from the end
-    least = {"steinberg": ("lmax", 0), "conjecture-cp0": ("degmax", 1), "tpd-grid": ("max_pairs", 1)}
-    if args.command in least:
-        dest, low = least[args.command]
+    # a suite with no cases would pass vacuously, a negative --max-pairs
+    # would drop cases from the end and a negative --smax every Garland case
+    least = {
+        "steinberg": [("lmax", 0)],
+        "conjecture-cp0": [("degmax", 1)],
+        "tpd-grid": [("max_pairs", 1)],
+        "verify-identities": [("kmax", 1), ("smax", 0), ("rmax", 0)],
+    }
+    for dest, low in least.get(args.command, ()):
         value = getattr(args, dest)
         if value is not None and value < low:
             print("--%s must be at least %d, got %d" % (dest.replace("_", "-"), low, value), file=sys.stderr)

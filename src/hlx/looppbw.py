@@ -8,13 +8,19 @@ exponent.  For x-generators k is a divided-power exponent; for the Cartan
 entry with r = 0 it is a binomial exponent (the entry stands for binom(h,k)),
 and for r != 0 it is a plain power of h_r.
 
-Products are normal ordered by word rewriting with the sl2 loop brackets
-    [x+_r, x-_s] = h_{r+s},   [h_r, x±_s] = ±2 x±_{r+s},
-which terminates because each swap either removes an inversion or shortens
-the word.  The structure constants are integers, so word rewriting runs on
-Python ints; PBW coefficients are exact rationals, because divided powers
-divide.  Integrality questions are settled afterwards by a triangular change
-of basis into the divided-power integral form.
+Products are normal ordered by inserting letters, right to left, into a
+sorted word, with the sl2 loop brackets
+    [x+_r, x-_s] = h_{r+s},   [h_r, x±_s] = ±2 x±_{r+s}.
+A letter a at most the word's first letter b is prepended; otherwise
+a·b·rest = b·(a·rest) + [a, b]·rest, and each call acts on a sorted word.
+This terminates by induction on the length of the word: every full-length
+word of a·rest has the letters {a} ∪ rest, all at least b, so putting b in
+front of it is a prepend, and every bracket term is shorter.  The structure
+constants are integers, so word rewriting runs on Python ints; a PBW
+monomial is an integer word sum over prod k!, because divided powers
+divide, and a product of elements builds one exact rational per output
+monomial.  Integrality questions are settled afterwards by a triangular
+change of basis into the divided-power integral form.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ _KIND_NAME = {LOWER: "x-", CARTAN: "h", RAISE: "x+"}
 # word rewriting
 # ---------------------------------------------------------------------------
 
-_straighten_cache = {}
+_insert_cache = {}
+_pbw_cache = {}
+_mono_product_cache = {}
 
 
 def _bracket(a, b):
@@ -53,31 +61,57 @@ def _bracket(a, b):
     return None
 
 
+def _add_into(acc, terms, c):
+    """acc += c * terms on {key: int} maps."""
+    for w, t in terms.items():
+        acc[w] = acc.get(w, 0) + c * t
+
+
+def _insert(letter, word):
+    """letter · word normal ordered, for a sorted word: {sorted word: int}.
+
+    A letter at most word[0] is prepended.  Otherwise, with word = b·rest
+    and letter > b,
+        letter·b·rest = b·(letter·rest) + [letter, b]·rest,
+    and every call acts on a sorted word.  Termination, by induction on
+    len(word): letter·rest and [letter, b]·rest insert into the shorter
+    rest.  A swap keeps the letters and a bracket drops one, so every word
+    of letter·rest as long as word has the letters {letter} ∪ rest, all at
+    least b: inserting b into it is a prepend.  Every other word of it is
+    shorter than word.  Memoised on (letter, word), prepends aside."""
+    if not word or letter <= word[0]:
+        return {(letter,) + word: 1}
+    key = (letter, word)
+    cached = _insert_cache.get(key)
+    if cached is not None:
+        return cached
+    b, rest = word[0], word[1:]
+    out = {}
+    for u, c in _insert(letter, rest).items():
+        _add_into(out, _insert(b, u), c)
+    br = _bracket(letter, b)
+    if br is not None:
+        _add_into(out, _insert(br[0], rest), br[1])
+    out = {w: c for w, c in out.items() if c}
+    _insert_cache[key] = out
+    return out
+
+
 def _straighten(word):
     """Normal order a word of letters; returns {sorted word: integer coefficient}.
 
-    Letters (kind, r) sort exactly the way the PBW order wants."""
-    cached = _straighten_cache.get(word)
-    if cached is not None:
-        return cached
-    for pos in range(len(word) - 1):
-        if word[pos] > word[pos + 1]:
-            break
-    else:
-        out = {word: 1}
-        _straighten_cache[word] = out
-        return out
-    a, b = word[pos], word[pos + 1]
-    swapped = word[:pos] + (b, a) + word[pos + 2 :]
-    out = dict(_straighten(swapped))
-    br = _bracket(a, b)
-    if br is not None:
-        letter, coeff = br
-        shorter = word[:pos] + (letter,) + word[pos + 2 :]
-        for w, c in _straighten(shorter).items():
-            out[w] = out.get(w, 0) + coeff * c
-    out = {w: c for w, c in out.items() if c}
-    _straighten_cache[word] = out
+    Letters (kind, r) sort exactly the way the PBW order wants.  The letters
+    in front of the longest sorted suffix are inserted into it right to
+    left (`_insert`)."""
+    i = len(word) - 1
+    while i > 0 and word[i - 1] <= word[i]:
+        i -= 1
+    out = {word[i:]: 1}
+    for letter in reversed(word[:i]):
+        acc = {}
+        for u, c in out.items():
+            _add_into(acc, _insert(letter, u), c)
+        out = {w: c for w, c in acc.items() if c}
     return out
 
 
@@ -113,74 +147,76 @@ def _falling(k):
     return _FALLING[k]
 
 
-def _collect(word, coeff, acc):
-    """Fold a sorted word into PBW monomials, accumulating into acc."""
-    runs = []
-    for letter, group in itertools.groupby(word):
-        runs.append((letter, len(list(group))))
-    # expand h_0 runs through the binomial basis; everything else is direct
-    parts = [()]
-    coeffs = [coeff]
-    for (kind, r), m in runs:
+def _pbw(word):
+    """A sorted word on the PBW basis: {monomial: int}, memoised.
+
+    A run x^m is m! x^(m), h_r^m (r != 0) is itself, and h_0^m goes to the
+    binomial basis.  Distinct parts stay distinct when an entry is appended,
+    so no two terms meet."""
+    cached = _pbw_cache.get(word)
+    if cached is not None:
+        return cached
+    out = {(): 1}
+    for (kind, r), group in itertools.groupby(word):
+        m = len(list(group))
         if kind == CARTAN and r == 0:
             table = _h_to_binom(m)
-            new_parts, new_coeffs = [], []
-            for part, c in zip(parts, coeffs):
-                for j, t in table.items():
-                    entry = ((CARTAN, 0, j),) if j else ()
-                    new_parts.append(part + entry)
-                    new_coeffs.append(c * t)
-            parts, coeffs = new_parts, new_coeffs
+            out = {
+                part + (((CARTAN, 0, j),) if j else ()): c * t for part, c in out.items() for j, t in table.items()
+            }
         elif kind == CARTAN:
-            parts = [part + ((CARTAN, r, m),) for part in parts]
+            out = {part + ((CARTAN, r, m),): c for part, c in out.items()}
         else:
-            # x^m = m! x^(m)
-            parts = [part + ((kind, r, m),) for part in parts]
-            coeffs = [c * math.factorial(m) for c in coeffs]
-    for part, c in zip(parts, coeffs):
-        if c:
-            acc[part] = acc.get(part, Fraction(0)) + c
+            f = math.factorial(m)
+            out = {part + ((kind, r, m),): c * f for part, c in out.items()}
+    _pbw_cache[word] = out
+    return out
 
 
 def _expand(mono):
-    """PBW monomial -> {word: coefficient}."""
-    words = {(): Fraction(1)}
+    """PBW monomial -> (denominator, {sorted word: int}): the monomial is the
+    word sum over the denominator, prod k! over its divided powers and
+    binomials.  Distinct words stay distinct when a block is appended: a
+    monomial has one binom(h,.) entry, and no h_0 precedes it."""
+    den = 1
+    words = {(): 1}
     for kind, r, k in mono:
         if kind == CARTAN and r == 0:
             table = _falling(k)
-            fk = math.factorial(k)
-            new = {}
-            for w, c in words.items():
-                for j, t in table.items():
-                    nw = w + ((CARTAN, 0),) * j
-                    new[nw] = new.get(nw, Fraction(0)) + c * Fraction(t, fk)
-            words = new
+            den *= math.factorial(k)
+            words = {w + ((CARTAN, 0),) * j: c * t for w, c in words.items() for j, t in table.items()}
         elif kind == CARTAN:
             words = {w + ((CARTAN, r),) * k: c for w, c in words.items()}
         else:
-            fk = math.factorial(k)
-            words = {w + ((kind, r),) * k: c / fk for w, c in words.items()}
-    return words
+            den *= math.factorial(k)
+            words = {w + ((kind, r),) * k: c for w, c in words.items()}
+    return den, words
 
 
-_mono_product_cache = {}
+def _word_sum(words):
+    """{word: int} normal ordered onto the PBW basis: {monomial: int}."""
+    acc = {}
+    for word, c in words.items():
+        for w, c2 in _straighten(word).items():
+            _add_into(acc, _pbw(w), c * c2)
+    return acc
 
 
 def _mono_product(m1, m2):
+    """m1 · m2 on the PBW basis as (denominator, {monomial: int}), memoised."""
     key = (m1, m2)
     cached = _mono_product_cache.get(key)
     if cached is not None:
         return cached
-    acc = {}
-    w2 = _expand(m2)
-    for word1, c1 in _expand(m1).items():
-        for word2, c2 in w2.items():
-            c12 = c1 * c2
-            for w, c in _straighten(word1 + word2).items():
-                _collect(w, c12 * c, acc)
-    acc = {m: c for m, c in acc.items() if c}
-    _mono_product_cache[key] = acc
-    return acc
+    d1, e1 = _expand(m1)
+    d2, e2 = _expand(m2)
+    words = {}
+    for w1, c1 in e1.items():
+        for w2, c2 in e2.items():
+            words[w1 + w2] = words.get(w1 + w2, 0) + c1 * c2
+    out = d1 * d2, {m: n for m, n in _word_sum(words).items() if n}
+    _mono_product_cache[key] = out
+    return out
 
 
 class HyperElement:
@@ -239,10 +275,10 @@ class HyperElement:
 
     @classmethod
     def from_word(cls, letters):
-        acc = {}
-        for w, c in _straighten(tuple(letters)).items():
-            _collect(w, c, acc)
-        return cls(acc)
+        """The product of the letters (kind, r) in the given order, x±_r or
+        h_r.  The public entry to normal ordering of a raw word; the
+        straightening's oracle test goes through it."""
+        return cls({m: Fraction(c) for m, c in _word_sum({tuple(letters): 1}).items()})
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -266,12 +302,17 @@ class HyperElement:
         return HyperElement({m: c * x for m, x in self.coeffs.items()})
 
     def __mul__(self, other):
-        out = {}
+        # every pair's product on int numerators over one common denominator
+        terms = []
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                for m, c in _mono_product(m1, m2).items():
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2 * c
-        return HyperElement(out)
+                den, prod = _mono_product(m1, m2)
+                terms.append((c1.numerator * c2.numerator, c1.denominator * c2.denominator * den, prod))
+        common = math.lcm(*(d for _, d, _ in terms))
+        out = {}
+        for n, d, prod in terms:
+            _add_into(out, prod, n * (common // d))
+        return HyperElement({m: Fraction(n, common) for m, n in out.items() if n})
 
     def __eq__(self, other):
         return isinstance(other, HyperElement) and self.coeffs == other.coeffs
@@ -525,15 +566,17 @@ def formal_ev(e):
     """
     out = {}
     for mono, c0 in e.coeffs.items():
-        for word, c1 in _expand(mono).items():
+        den, words = _expand(mono)
+        by_degree = {}
+        for word, c in words.items():
             tdeg = sum(r for _, r in word)
+            finite = by_degree.setdefault(tdeg, {})
             finite_word = tuple((kind, 0) for kind, _ in word)
-            acc = {}
-            for w, c in _straighten(finite_word).items():
-                _collect(w, c, acc)
-            for m, c in acc.items():
+            finite[finite_word] = finite.get(finite_word, 0) + c
+        for tdeg, finite in by_degree.items():
+            for m, n in _word_sum(finite).items():
                 key = (m, tdeg)
-                out[key] = out.get(key, Fraction(0)) + c0 * c1 * c
+                out[key] = out.get(key, Fraction(0)) + c0 * Fraction(n, den)
     return {k: v for k, v in out.items() if v}
 
 

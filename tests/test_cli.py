@@ -171,11 +171,16 @@ def test_commands_reject_a_non_prime_p(capsys, argv, p):
         (["steinberg", "--p", "3", "--lmax", "-1"], "--lmax must be at least 0, got -1"),
         (["tpd-grid", "--p", "3", "--max-pairs", "0"], "--max-pairs must be at least 1, got 0"),
         (["tpd-grid", "--p", "3", "--max-pairs", "-1"], "--max-pairs must be at least 1, got -1"),
+        (["verify-identities", "--kmax", "0"], "--kmax must be at least 1, got 0"),
+        (["verify-identities", "--kmax", "-1", "--smax", "0", "--rmax", "-1"], "--kmax must be at least 1, got -1"),
+        (["verify-identities", "--smax", "-1"], "--smax must be at least 0, got -1"),
+        (["verify-identities", "--rmax", "-1"], "--rmax must be at least 0, got -1"),
     ],
 )
 def test_empty_suites_are_rejected(capsys, argv, message):
     # these printed an empty report list with "pass": true and exited 0;
-    # --max-pairs -1 ran every case but the last
+    # --max-pairs -1 ran every case but the last, --smax -1 dropped every
+    # Garland case
     code = main(argv + ["--json"])
     captured = capsys.readouterr()
     assert code == 2
@@ -476,6 +481,15 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         (["conjecture-cp0", "--p", "5", "--degmax", "2", "--json"], "conjecture_cp0_p5_d2.json"),
         (["conjecture-cp0", "--p", "2", "--degmax", "4", "--json"], "conjecture_cp0_p2_d4.json"),
         (["blocks"] + ["module%d.json" % i for i in range(len(BLOCK_RECIPES))], "blocks_f3.json"),
+        (["verify-identities", "--kmax", "5", "--smax", "2", "--rmax", "6", "--json"], "verify_identities_k5.json"),
+        (
+            ["module", "build", "--recipe", os.path.join(GOLDEN, "weyl0_sym_recipe.json"), "--json"],
+            "module_build_weyl0_sym.json",
+        ),
+        (
+            ["module", "dual", "--recipe", os.path.join(GOLDEN, "weyl0_sym_recipe.json"), "--json"],
+            "module_dual_weyl0_sym.json",
+        ),
     ],
 )
 def test_golden_outputs(tmp_path, monkeypatch, capsys, argv, golden):
@@ -494,6 +508,9 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys, argv, golden):
     # ambient whose closure runs on the omega~ recurrence windows.
     # The blocks case parses the spectral characters of four F_3 module
     # reports, named by relative paths so that the member labels are stable.
+    # The identity suite at kmax 5 is the benchmark's; the Q(a, b) weyl0
+    # reports pin values whose printed form follows the order in which the
+    # normal-ordered products were summed.
     monkeypatch.chdir(tmp_path)
     if argv[0] == "blocks":
         _write_block_reports(tmp_path, capsys)

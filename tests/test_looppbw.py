@@ -13,11 +13,13 @@ from hlx.looppbw import (
     LOWER,
     RAISE,
     HyperElement,
+    _bracket,
     _lower_monomials,
     _merge_lower,
     _relation_bases,
     _relation_instance,
     _relation_instances,
+    _straighten,
     cartan_to_lambda_monomials,
     ev_lambda_expected,
     formal_ev,
@@ -92,6 +94,70 @@ def test_normal_order_multiplicative_consistency():
         assert (a * b) * rng.choice([H.one()]) == a * b  # normalized already
         c = rng.choice(gens)
         assert (a * b) * c == a * (b * c)
+
+
+_bubble_cache = {}
+
+
+def _bubble_straighten(word):
+    """Normal ordering by bubble sort, an oracle for looppbw._straighten:
+    swap the first inversion, adding the bracket term, and memoise every
+    half-sorted word."""
+    cached = _bubble_cache.get(word)
+    if cached is not None:
+        return cached
+    for pos in range(len(word) - 1):
+        if word[pos] > word[pos + 1]:
+            break
+    else:
+        _bubble_cache[word] = {word: 1}
+        return _bubble_cache[word]
+    a, b = word[pos], word[pos + 1]
+    out = dict(_bubble_straighten(word[:pos] + (b, a) + word[pos + 2 :]))
+    br = _bracket(a, b)
+    if br is not None:
+        letter, coeff = br
+        for w, c in _bubble_straighten(word[:pos] + (letter,) + word[pos + 2 :]).items():
+            out[w] = out.get(w, 0) + coeff * c
+    out = {w: c for w, c in out.items() if c}
+    _bubble_cache[word] = out
+    return out
+
+
+LETTERS = st.tuples(st.sampled_from([LOWER, CARTAN, RAISE]), st.integers(-2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LETTERS, max_size=7).map(tuple))
+def test_straightening_matches_bubble_sort(word):
+    want = _bubble_straighten(word)
+    assert _straighten(word) == want
+    # from_word, the raw-word entry, agrees with the oracle's sorted words
+    # and with the product of the letters
+    acc = H.zero()
+    for w, c in want.items():
+        acc = acc + H.from_word(w).scale(c)
+    assert H.from_word(word) == acc
+    prod = H.one()
+    for kind, r in word:
+        prod = prod * H.gen(kind, r)
+    assert H.from_word(word) == prod
+
+
+@st.composite
+def pbw_monomials(draw):
+    """A divided-power PBW monomial of one or two factors with exponents
+    <= 3: (x-_r)^(k), binom(h, k), h_r^k and (x+_r)^(k) at r in [-2, 2].
+    (Three factors of exponent 3 each make a triple product of degree 27,
+    minutes of normal ordering.)"""
+    letters = draw(st.lists(LETTERS, min_size=1, max_size=2, unique=True))
+    return H({tuple(sorted((kind, r, draw(st.integers(1, 3))) for kind, r in letters)): Fraction(1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(pbw_monomials(), pbw_monomials(), pbw_monomials())
+def test_normal_order_is_associative_on_divided_powers(a, b, c):
+    assert (a * b) * c == a * (b * c)
 
 
 def test_ppowerx_divisible_by_p():
