@@ -16,7 +16,7 @@ from . import lattice as latmod
 from . import looppbw, meataxe, modrep
 from .cartan import base_p_digits
 from .drinfeld import SpectralCharacter, block_partition
-from .exactnum import FiniteField, PrimeField, is_prime, ring_from_json, ring_pow
+from .exactnum import FiniteField, PrimeField, is_prime, ring_from_json, ring_pow, val_p
 
 
 def _emit(report, out=None, force_json=False):
@@ -166,6 +166,9 @@ def cmd_module(args):
         _emit({"recipe": recipe, "drinfeld": poly.fmt(), "checks": checks}, args.out, args.json)
         return 0 if all(checks.values()) else 1
     if args.action == "chop":
+        if m.ring.card is None:
+            print("chop needs a finite field", file=sys.stderr)
+            return 2
         rep = {"recipe": recipe, "dim": m.dim}
         try:
             factors = meataxe.chop(m, seed=args.seed)
@@ -180,12 +183,16 @@ def cmd_module(args):
     if args.action == "dual":
         m = modrep.dual(m)
     elif args.action == "twist":
-        if args.twist_a is not None:
-            m = modrep.psi_twist(m, m.ring.parse(args.twist_a))
-        elif args.frobenius is not None:
-            m = modrep.frobenius_twist(m, args.frobenius)
-        else:
+        if args.twist_a is None and args.frobenius is None:
             print("twist needs --twist-a or --frobenius", file=sys.stderr)
+            return 2
+        try:
+            if args.twist_a is not None:
+                m = modrep.psi_twist(m, m.ring.parse(args.twist_a))
+            else:
+                m = modrep.frobenius_twist(m, args.frobenius)
+        except ValueError as exc:
+            print("bad twist: %s" % exc, file=sys.stderr)
             return 2
     if args.rwindow is not None and args.rwindow < m.lam_precision() - 1:
         print(
@@ -549,6 +556,18 @@ def main(argv=None):
         if value is not None and value < low:
             print("--%s must be at least %d, got %d" % (dest.replace("_", "-"), low, value), file=sys.stderr)
             return 2
+    if getattr(args, "ext_degree", 1) not in range(1, 5):
+        print("--ext-degree must be in [1, 4], got %d" % args.ext_degree, file=sys.stderr)
+        return 2
+    if args.command == "paper-example":
+        for flag, text in (("a", args.a), ("b", args.b)):
+            try:
+                unit = val_p(Fraction(text), args.p) == 0
+            except (ValueError, ZeroDivisionError):
+                unit = False
+            if not unit:
+                print("--%s must be a unit of Z_(%d), got %s" % (flag, args.p, text), file=sys.stderr)
+                return 2
     if args.command == "verify-identities":
         rep = run_identity_suite(args.kmax, args.smax, args.rmax, args.inject_mutant)
         rep["config"] = {"kmax": args.kmax, "smax": args.smax, "rmax": args.rmax, "seed": args.seed}

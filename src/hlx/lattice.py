@@ -217,18 +217,17 @@ def _table(m, tables, kind, r, k):
 
 
 def _recurrence_windows(m, p, kmax):
-    """{k: range(n_k)} for k = 1..kmax, n_k the recurrence order of
-    (x±_r)^(k) (recurrence_order).  Raises LatticeError when the ambient
-    gives no order, or when one of its ratios is not a unit in Z_(p)."""
+    """{k: m.window(k)} for k = 1..kmax, each range(n_k) for the recurrence
+    order n_k of (x±_r)^(k).  Raises LatticeError when the ambient gives no
+    order, or when one of its ratios is not a unit in Z_(p)."""
     windows = {}
     for k in range(1, kmax + 1):
         for c in m.op_ratios(k) or ():
             if val_p(c, p) != 0:
                 raise LatticeError("ratio %s of the degree-%d tables is not a unit in Z_(%d)" % (c, k, p))
-        order = m.recurrence_order(k)
-        if order is None:
+        if m.recurrence_order(k) is None:
             raise LatticeError("the ambient gives no recurrence order for its degree-%d tables" % k)
-        windows[k] = range(order)
+        windows[k] = m.window(k)
     return windows
 
 

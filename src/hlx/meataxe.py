@@ -17,6 +17,11 @@ submodule is the sum of its weight spaces), when |F|^dim is within the bound
 (HLX_MAX_BRUTE), and is otherwise undecided.  Everything here works on the
 int64 array kernel of linalg, one code path for F_p and F_{p^d}; chop cuts
 subquotient tables out of the parent's arrays.
+
+Spin-up and Norton's test need only a generating set of the image algebra
+(Holt & Rees 1994, "Testing modules for irreducibility"): the divided
+powers (x±_r)^(k) at p-power k and r in LoopModule.window(k) = range(n_k),
+whose tables span those at every r, and the binom(h, p^j).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .modrep import (
     ell_weight_decomposition,
     generator_exponents,
     label_classes,
-    recurrence_window,
+    order_window,
 )
 
 DEFAULT_BRUTE_BOUND = 300000
@@ -50,28 +55,20 @@ def brute_bound():
     return int(os.environ.get("HLX_MAX_BRUTE", DEFAULT_BRUTE_BOUND))
 
 
-def generator_labels(m, r_window=None):
-    """Labels for the image-algebra generators: divided powers of the raising
-    and lowering generators at p-power exponents across the certified window,
-    plus the binom(h, p^j) diagonals."""
-    if r_window is None:
-        r_window = m.r_window()
+def generator_labels(m):
+    """Labels for the image-algebra generators: the raising and lowering
+    divided powers (x±_r)^(k) at p-power exponents k and r in m.window(k),
+    whose tables span those at every r, plus the binom(h, p^j) diagonals."""
     ks = generator_exponents(m.ring.char, m.max_exponent())
-    labels = []
-    for kind in (LOWER, RAISE):
-        for r in range(-r_window, r_window + 1):
-            for k in ks:
-                labels.append((kind, r, k))
-    for k in ks:
-        labels.append(("h", 0, k))
-    return labels
+    labels = [(kind, r, k) for kind in (LOWER, RAISE) for k in ks for r in m.window(k)]
+    return labels + [("h", 0, k) for k in ks]
 
 
-def np_generator_set(m, r_window=None):
+def np_generator_set(m):
     """The tables of the generator labels as arrays of the field's int64
     kernel, zero tables dropped."""
     out = []
-    for label in generator_labels(m, r_window):
+    for label in generator_labels(m):
         kind, r, k = label
         arr = m.cartan_binom_np(k) if kind == "h" else m.op_np(kind, r, k)
         if arr.any():
@@ -350,8 +347,8 @@ class _Subquotient(LoopModule):
     graded invariant subspace.  In the basis of the subspace followed by its
     complement, every table of the parent is block triangular; this module's
     table is a diagonal block, cut on arrays.  The tables are linear images
-    of the parent's, so the ratios and recurrence orders carry over, and so
-    do the labels."""
+    of the parent's, so they satisfy its recurrences: the recurrence orders,
+    hence the windows, carry over, and so do the labels."""
 
     def __init__(self, parent, weights, recipe, change, part, labels):
         super().__init__(parent.ring, weights, recipe)
@@ -371,16 +368,10 @@ class _Subquotient(LoopModule):
     def _op(self, kind, r, k):
         if k > self.max_exponent():
             return arrays(self.ring).zeros(self.dim)
-        if self.op_ratios(k) is not None:
-            # unit ratios: the tables are (q-1)-periodic in r
-            r %= self.ring.card - 1
         return self._cut(self.parent.op_table(kind, r, k))
 
     def _lam(self, r):
         return self._cut(self.parent.lam_table(r))
-
-    def _op_ratios(self, k):
-        return self.parent.op_ratios(k)
 
     def _recurrence_order(self, k):
         return self.parent.recurrence_order(k)
@@ -530,18 +521,20 @@ def iso_ell_hw(m1, m2, seed=0):
 
 def _hom_space_nonzero(m1, m2):
     """Solve T op1(g) = op2(g) T for all generators; nonzero solution plus
-    irreducibility implies isomorphism (Schur)."""
+    irreducibility implies isomorphism (Schur).  P1 P2, the product of the
+    two recurrence polynomials, annihilates both tables of (x±_r)^(k), so
+    the equations at r < n1_k + n2_k give those at every r."""
     ring = m1.ring
     if ring.card is None:
         raise ValueError("the intertwiner search needs a finite field")
     K = arrays(ring)
     eye = K.eye(m1.dim)
-    blocks = []
-    for kind, r, k in generator_labels(m1, recurrence_window(m1, m2)):
-        if kind == "h":
-            a1, a2 = m1.cartan_binom_np(k), m2.cartan_binom_np(k)
-        else:
-            a1, a2 = m1.op_np(kind, r, k), m2.op_np(kind, r, k)
-        # vec(T g1 - g2 T) = (g1^T ⊗ I - I ⊗ g2) vec(T)
-        blocks.append((K.kron(K.transpose(a1), eye) - K.kron(eye, a2)) % K.p)
+    ks = generator_exponents(ring.char, max(m1.max_exponent(), m2.max_exponent()))
+    pairs = [(m1.cartan_binom_np(k), m2.cartan_binom_np(k)) for k in ks]
+    for k in ks:
+        n1, n2 = m1.recurrence_order(k), m2.recurrence_order(k)
+        for r in order_window(None if None in (n1, n2) else n1 + n2, m1.dim):
+            pairs += [(m1.op_np(kind, r, k), m2.op_np(kind, r, k)) for kind in (LOWER, RAISE)]
+    # vec(T g1 - g2 T) = (g1^T ⊗ I - I ⊗ g2) vec(T)
+    blocks = [(K.kron(K.transpose(a1), eye) - K.kron(eye, a2)) % K.p for a1, a2 in pairs]
     return linalg.np_nullspace(np.concatenate(blocks, axis=0), ring).shape[0] > 0

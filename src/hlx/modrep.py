@@ -23,8 +23,10 @@ a ValueError.
 The same recipes give the ratios of the tables in r (op_ratios), and every
 module a recurrence order per divided power (recurrence_order): the tables
 of (x±_r)^(k) satisfy a linear recurrence in r of that order, whose
-polynomial is monic with a unit constant term.  The orders set the r-window:
-the loop degrees whose tables span those of every degree.
+polynomial is monic with a unit constant term.  So the tables at
+r = 0..n_k-1 span those at every r (LoopModule.window), and they are the
+only loop degrees that spin-up, Norton's test, ell_hw_vectors, the
+intertwiner search and the lattice closure read.
 
 Matrices act on column vectors; entry (i, j) is the coefficient of basis
 vector i in the image of basis vector j.  Construction is by recipe: hyper
@@ -89,34 +91,16 @@ def generator_exponents(p, kmax):
     return ks
 
 
-def recurrence_window(*mods):
-    """r-window for the tables of modules over one ring taken together (two
-    of them in the intertwiner equations T op1(r) = op2(r) T): for each
-    generator exponent k, the number of joint ratios when every module has
-    ratio data, else the sum of the recurrence orders, which bounds the
-    order of the joint sequence; the largest over k, capped by dim^2, which
-    alone applies when a module has no order.
-
-    Ratio data (op_ratios) also means that the tables are combinations of
-    geometric sequences c^r with c a unit, so over F_q the count is at most
-    q - 1 and the tables are (q-1)-periodic in r.  A lattice reduction has
-    orders but no ratios: expressing the ambient tables in the lattice basis
-    can put p in the denominators of the geometric-sequence coefficients,
-    so its residue tables satisfy the ambient's recurrence without being
-    periodic.
-    """
-    bound = max(m.dim for m in mods) ** 2
-    count = 0
-    for k in generator_exponents(mods[0].ring.char, max(m.max_exponent() for m in mods)):
-        sets = [m.op_ratios(k) for m in mods]
-        if None in sets:
-            orders = [m.recurrence_order(k) for m in mods]
-            if None in orders:
-                return bound
-            count = max(count, sum(orders))
-        else:
-            count = max(count, len(frozenset().union(*sets)))
-    return min(bound, count)
+def order_window(order, dim):
+    """The loop degrees r whose tables of one divided power span its tables
+    at every r in Z.  When they satisfy a linear recurrence of order n whose
+    polynomial is monic with a unit constant term, it runs forwards, and
+    backwards after dividing by the constant term, so the n tables at
+    r = 0..n-1 give every other one: the window is range(n).  Without an
+    order (None) it is the uncertified [-dim^2, dim^2]."""
+    if order is None:
+        return range(-dim * dim, dim * dim + 1)
+    return range(order)
 
 
 class LoopModule:
@@ -244,19 +228,10 @@ class LoopModule:
     def _recurrence_order(self, k):
         return None
 
-    def r_window(self):
-        """Window of loop degrees whose tables determine every operator.
-
-        If the tables of (x±_r)^(k) satisfy a linear recurrence of order N
-        with a unit constant term, the tables at any N consecutive r give
-        every other one, forwards and backwards.  So the span of the tables
-        over the window equals their span over all r in Z, and spin-up,
-        Norton's test and ell_hw_vectors, which depend on that span alone,
-        need no more.  N is the largest recurrence order over the generator
-        exponents (recurrence_order), and dim^2 is used when the module has
-        none (see recurrence_window).
-        """
-        return recurrence_window(self)
+    def window(self, k):
+        """range(n_k) for the recurrence order n_k: the loop degrees r whose
+        tables of (x±_r)^(k) span those at every r (order_window)."""
+        return order_window(self.recurrence_order(k), self.dim)
 
     def lam_precision(self):
         """Number of Lambda-series terms kept: 2 max|weight| + 2, fixed with
@@ -735,6 +710,9 @@ class _Weyl0(LoopModule):
                 table(s)
             lead, rest = w[lam], [(i, r + lam - i) for i in range(lam)]
         terms = [table(s).scale(w[i]) for i, s in rest if not ring.is_zero(w[i])]
+        if not terms:
+            # lambda = 0: the recurrence reads T_r = 0
+            return Mat.zeros(ring, self.dim, self.dim)
         return functools.reduce(Mat.__add__, terms).scale(-ring.inv(lead))
 
     def _op(self, kind, r, k):
@@ -813,8 +791,11 @@ def weyl0_module(ring, omega_coeffs):
 
 
 def weyl0_from_roots(ring, roots):
+    """W0(prod (1 - a u)) over the roots a, each a unit."""
     f = Poly.const(ring, ring.one)
     for a in roots:
+        if not ring.is_unit(a):
+            raise ValueError("root must be a unit")
         f = f * Poly(ring, [ring.one, -a])
     return _Weyl0(ring, list(f.coeffs))
 
@@ -863,18 +844,17 @@ def explicit_module(ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_f
 # ---------------------------------------------------------------------------
 
 
-def ell_hw_vectors(m, r_window=None):
-    """Echelonized basis of the joint kernel of all raising divided powers in
-    the certified window; over F_q only p-power exponents are needed."""
+def ell_hw_vectors(m):
+    """Echelonized basis of the joint kernel of the raising divided powers
+    (x+_r)^(k): over F_q only p-power exponents k are needed, and for each
+    k only r in m.window(k), whose tables span those of every r."""
     ring = m.ring
-    if r_window is None:
-        r_window = m.r_window()
-    ks = generator_exponents(ring.char, m.max_exponent())
-    rs = range(-r_window, r_window + 1)
+    labels = [(r, k) for k in generator_exponents(ring.char, m.max_exponent()) for r in m.window(k)]
     if ring.card is None:
-        return kernel(Mat(ring, [row for r in rs for k in ks for row in m.op(RAISE, r, k).rows]))
+        rows = [row for r, k in labels for row in m.op(RAISE, r, k).rows]
+        return kernel(Mat(ring, rows or [[ring.zero] * m.dim]))
     K = arrays(ring)
-    blocks = [t for t in (m.op_np(RAISE, r, k) for r in rs for k in ks) if t.any()]
+    blocks = [t for t in (m.op_np(RAISE, r, k) for r, k in labels) if t.any()]
     return K.to_rows(np_nullspace(np.concatenate(blocks, axis=0), ring) if blocks else K.eye(m.dim))
 
 

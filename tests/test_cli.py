@@ -188,6 +188,46 @@ def test_empty_suites_are_rejected(capsys, argv, message):
     assert captured.err == message + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["steinberg", "--p", "3", "--ext-degree", "5"], "--ext-degree must be in [1, 4], got 5"),
+        (["steinberg", "--p", "3", "--ext-degree", "0"], "--ext-degree must be in [1, 4], got 0"),
+        (["tpd-grid", "--p", "3", "--ext-degree", "5"], "--ext-degree must be in [1, 4], got 5"),
+        (["paper-example", "--a", "0"], "--a must be a unit of Z_(3), got 0"),
+        (["paper-example", "--a", "x"], "--a must be a unit of Z_(3), got x"),
+        (["paper-example", "--p", "3", "--a", "3"], "--a must be a unit of Z_(3), got 3"),
+        (["paper-example", "--p", "5", "--b", "1/0"], "--b must be a unit of Z_(5), got 1/0"),
+    ],
+)
+def test_suite_usage_errors(capsys, argv, message):
+    # each of these ended in a traceback with exit 1
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "ring, argv, message",
+    [
+        ({"kind": "Fp", "p": 3}, ["twist", "--frobenius", "-1"], "bad twist: twist exponent must be nonnegative"),
+        ({"kind": "Fp", "p": 3}, ["twist", "--twist-a", "0"], "bad twist: twist parameter must be a unit"),
+        ({"kind": "Q"}, ["twist", "--frobenius", "1"], "bad twist: Frobenius twist needs positive characteristic"),
+        ({"kind": "Q"}, ["chop"], "chop needs a finite field"),
+    ],
+)
+def test_module_usage_errors(tmp_path, capsys, ring, argv, message):
+    # each of these ended in a traceback with exit 1
+    rpath = _write_recipe(tmp_path, {"ring": ring, "build": {"eval_weyl": {"lambda": 1, "a": "1"}}})
+    code = main(["module"] + argv + ["--recipe", rpath, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 BLOCK_RECIPES = [
     {"ring": {"kind": "Fp", "p": 3}, "build": {"irreducible": {"lambda": 2, "a": "1"}}},
     {"ring": {"kind": "Fp", "p": 3}, "build": {"eval_weyl": {"lambda": 0, "a": "1"}}},
@@ -382,8 +422,8 @@ W0_SQUARE = {"weyl0": {"roots": ["1", "1"]}}  # W0((1-u)^2)
     [(3, [1, 3], [[["1"]], [["1", "1", "1"]]]), (2, [1, 1, 2], [[["1"]], [["1"]], [["1", "0", "1"]]])],
 )
 def test_module_chop_of_a_weyl0_reduction(tmp_path, capsys, p, dims, drinfeld):
-    # the dim^2 r-window of the reduction asks weyl0 for slots past its
-    # first straightening window, which it widens on demand
+    # the reduction's windows r in [0, n_k), n_k = 2, 3 for k = 1, 2, ask
+    # weyl0 for tables past 0 <= r < 2, which come from its recurrence
     recipe = {"ring": {"kind": "Fp", "p": p}, "build": {"from_lattice": {"p": p, "ambient": W0_SQUARE}}}
     code, out = _run(capsys, ["module", "chop", "--recipe", _write_recipe(tmp_path, recipe)])
     assert code == 0
@@ -411,6 +451,21 @@ def test_lattice_of_a_cubic_weyl0(tmp_path, capsys, roots):
     code, out = _run(capsys, ["lattice", "--recipe", _write_recipe(tmp_path, {"weyl0": {"roots": roots}}), "--p", "3"])
     assert code == 0
     assert json.loads(out)["rank"] == 8
+
+
+@pytest.mark.parametrize("argv", [["module", "build"], ["lattice", "--p", "3", "--reduce"]])
+def test_weyl0_of_degree_0(tmp_path, capsys, argv):
+    # W0(1) is the trivial module; its Lambda tables ended in a TypeError
+    node = {"weyl0": {"omega": ["1"]}}
+    recipe = node if argv[0] == "lattice" else {"ring": {"kind": "Q"}, "build": node}
+    code, out = _run(capsys, argv + ["--recipe", _write_recipe(tmp_path, recipe)])
+    assert code == 0
+    rep = json.loads(out)
+    if argv[0] == "lattice":
+        assert rep["rank"] == 1
+        rep = rep["reduction"]
+    assert rep["weights"] == [0]
+    assert rep["drinfeld"] == [["1"]]
 
 
 def _weyl0_failure(tmp_path, capsys, argv):

@@ -22,7 +22,7 @@ from hlx.lattice import (
     reduce_mod_p,
     tensor_lattice,
 )
-from hlx.linalg import Mat, from_np, np_rref
+from hlx.linalg import Mat, arrays, from_np, np_nullspace, np_rref
 from hlx.looppbw import LOWER, RAISE
 from hlx.modrep import (
     drinfeld_polynomial,
@@ -195,24 +195,30 @@ def test_modules_built_on_a_reduction_keep_the_recurrence_orders():
     # a lattice reduction carries the ambient's recurrence orders, never its
     # ratios: the residues 1, 3, 5, 7 all meet mod 2, so its tables are not
     # (q-1)-periodic in r.  The ratio counts of degree k = 1, 2, 4 are 4, 6
-    # and 1, so the window is 6, not dim^2 = 256, and so it stays on every
-    # module built on the reduction
+    # and 1, so those are its windows where [-dim^2, dim^2] would take 513
+    # loop degrees, and so they stay on every module built on the reduction;
+    # on each, the tables of the windows span those at r in [-12, 12]
     m = tensor(*[eval_weyl_module(QQ, 1, Fraction(a)) for a in (1, 3, 5, 7)])
     red = reduce_mod_p(lattice_closure(m, m.hw_vector(), 2))
     F = red.ring
     assert red.dim == 16 and red.op_ratios(1) is None
     assert [red.recurrence_order(k) for k in (1, 2, 4)] == [4, 6, 1]
-    assert red.r_window() == 6
     built = {
-        dual(red): 6,
-        psi_twist(red, F.one): 6,
-        frobenius_twist(red, 1): 6,
-        # k = 1, 2, 4: 4 + 1, 6 + 4, 1 + 4 (tensor orders sum n_L(l) n_R(k - l))
-        tensor(red, eval_weyl_module(F, 1, F.one)): 10,
+        red: {1: 4, 2: 6, 4: 1},
+        dual(red): {1: 4, 2: 6, 4: 1},
+        psi_twist(red, F.one): {1: 4, 2: 6, 4: 1},
+        # a twisted degree k is the inner degree k / 2, and zero for odd k
+        frobenius_twist(red, 1): {1: 0, 2: 4, 4: 6, 8: 1},
+        # 4 + 1, 6 + 4, 1 + 4 (tensor orders sum n_L(l) n_R(k - l))
+        tensor(red, eval_weyl_module(F, 1, F.one)): {1: 5, 2: 10, 4: 5},
     }
-    for b, window in built.items():
+    for b, orders in built.items():
         assert b.op_ratios(2) is None
-        assert b.r_window() == window
+        ks = generator_exponents(F.char, b.max_exponent())
+        assert {k: b.window(k) for k in ks} == {k: range(n) for k, n in orders.items()}
+        for k in ks:
+            for kind in (LOWER, RAISE):
+                assert _table_span(b, kind, k, b.window(k)) == _table_span(b, kind, k, range(-12, 13))
 
 
 def test_tell_functoriality():
@@ -379,24 +385,26 @@ def test_closure_matches_a_wide_window_reference(case):
 
 def _table_span(m, kind, k, rs):
     # row space of the flattened tables at every r in rs
-    flat = np.stack([m.op_np(kind, r, k).reshape(-1) for r in rs])
-    return np_rref(flat, m.ring)[0].tolist()
+    flat = [m.op_np(kind, r, k).reshape(-1) for r in rs]
+    return np_rref(np.stack(flat), m.ring)[0].tolist() if flat else []
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(closure_lattices())
 def test_reduction_window_spans_like_the_dim2_window(case):
-    # the tables of a reduction over its recurrence window span what they
-    # span over [-dim^2, dim^2], the window without orders
+    # the tables of a reduction at r in [0, n_k) span what they span over
+    # [-dim^2, dim^2], the window without orders
     _, lat = case
     red = reduce_mod_p(lat)
-    window, wide = red.r_window(), red.dim ** 2
-    assert window <= wide
-    for k in generator_exponents(red.ring.char, red.max_exponent()):
+    wide = range(-red.dim**2, red.dim**2 + 1)
+    ks = generator_exponents(red.ring.char, red.max_exponent())
+    for k in ks:
+        assert red.window(k) == range(red.recurrence_order(k))
         for kind in (LOWER, RAISE):
-            near = _table_span(red, kind, k, range(-window, window + 1))
-            assert near == _table_span(red, kind, k, range(-wide, wide + 1))
-    assert ell_hw_vectors(red) == ell_hw_vectors(red, r_window=wide)
+            assert _table_span(red, kind, k, red.window(k)) == _table_span(red, kind, k, wide)
+    # ell_hw_vectors against the joint kernel over the wide window
+    raising = np.concatenate([red.op_np(RAISE, r, k) for k in ks for r in wide])
+    assert ell_hw_vectors(red) == arrays(red.ring).to_rows(np_nullspace(raising, red.ring))
 
 
 def test_closure_requests_only_the_recurrence_windows():

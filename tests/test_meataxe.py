@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from hlx import meataxe
 from hlx.exactnum import FiniteField, PrimeField
+from hlx.linalg import np_rref
+from hlx.looppbw import LOWER, RAISE
 from hlx.meataxe import (
     _submodule_and_quotient,
     brute_force_irreducible,
@@ -211,22 +214,33 @@ def test_iso_ell_hw():
 
 
 def test_generator_set_windows():
+    # W(2,2) over F_3: the generator exponents are k = 1 alone, with the
+    # single ratio 2, so one loop degree
     F = PrimeField(3)
     m = eval_weyl_module(F, 2, F(2))
-    rs = {r for _, r, _ in generator_labels(m)}
-    assert rs <= set(range(-2, 3))
+    assert generator_labels(m) == [(LOWER, 0, 1), (RAISE, 0, 1), ("h", 0, 1)]
+
+
+def _table_span(m, kind, k, rs):
+    # row space of the flattened tables at every r in rs
+    flat = np.stack([m.op_np(kind, r, k).reshape(-1) for r in rs])
+    return np_rref(flat, m.ring)[0].tolist()
 
 
 def test_generator_count_independent_of_p():
     # W(2,2) (x) W(1,3) has the ratios {2, 3} in r at every p >= 5, so its
-    # window is 2 where min(dim^2, p-1) would give 4 at p=5 and 36 beyond
+    # window is r in {0, 1} where [-dim^2, dim^2] takes 73 loop degrees, and
+    # the two tables span what the 73 span
     counts = set()
     for p in (5, 101, 10007):
         F = PrimeField(p)
         m = tensor(eval_weyl_module(F, 2, F(2)), eval_weyl_module(F, 1, F(3)))
-        assert m.r_window() == 2
+        assert m.window(1) == range(2)
+        wide = range(-m.dim**2, m.dim**2 + 1)
+        for kind in (LOWER, RAISE):
+            assert _table_span(m, kind, 1, m.window(1)) == _table_span(m, kind, 1, wide)
         counts.add(len(generator_labels(m)))
-    assert len(counts) == 1
+    assert counts == {5}
 
 
 def test_extension_field_brute_force():

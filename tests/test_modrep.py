@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hlx import looppbw
 from hlx.exactnum import QQ, FiniteField, PrimeField
-from hlx.linalg import Mat, arrays, from_np, to_np
+from hlx.linalg import Mat, arrays, from_np, rref, to_np
 from hlx.looppbw import CARTAN, LOWER, RAISE, HyperElement
 from hlx.meataxe import is_irreducible
 from hlx.modrep import (
@@ -236,16 +236,44 @@ def test_weyl0_recurrence_tables_match_normal_ordering(omega):
         assert w.lam(r) == _normal_ordered_table(w, looppbw.lambda_element(r), sat)
 
 
+def _rational_span(m, kind, k, rs):
+    # row space of the flattened tables at every r in rs
+    return rref([[c for row in m.op(kind, r, k).rows for c in row] for r in rs], m.ring)[0]
+
+
 def test_weyl0_recurrence_orders():
     # binom(lambda + k - 1, k) for k <= lambda: the degree of the
     # characteristic polynomial of Sym^k of the companion matrix of omega~
     w = weyl0_from_roots(QQ, [Fraction(1), Fraction(2), Fraction(4)])
     assert [w.recurrence_order(k) for k in range(5)] == [1, 3, 6, 10, 0]
-    assert w.op_ratios(1) is None and w.r_window() == 3
+    assert w.op_ratios(1) is None
+    assert [w.window(k) for k in range(1, 5)] == [range(3), range(6), range(10), range(0)]
+    # the tables at r in [0, n_k) span those at r in [-8, 8]
+    for kind in (LOWER, RAISE):
+        for k in (1, 2):
+            assert _rational_span(w, kind, k, w.window(k)) == _rational_span(w, kind, k, range(-8, 9))
     e = eval_weyl_module(QQ, 1, Fraction(3))
     # tensor: sum_l n_L(l) n_R(k - l); dual: the inner orders
     assert [tensor(w, e).recurrence_order(k) for k in range(5)] == [1, 4, 9, 16, 10]
     assert [dual(w).recurrence_order(k) for k in range(5)] == [1, 3, 6, 10, 0]
+
+
+def test_weyl0_of_degree_0_is_the_trivial_module():
+    # omega = 1: the recurrence T_r = 0 has no terms, and every table is 0
+    w = weyl0_module(QQ, [Fraction(1)])
+    assert w.dim == 1 and w.weights == (0,)
+    zero = Mat.zeros(QQ, 1, 1)
+    for r in range(-3, 4):
+        assert w.op(LOWER, r, 1) == w.op(RAISE, r, 1) == zero
+        assert w.lam(r) == (Mat.identity(QQ, 1) if r == 0 else zero)
+    assert ell_hw_vectors(w) == [[Fraction(1)]]
+
+
+@pytest.mark.parametrize("roots", [[0], [1, 0], [2, 0, 3]])
+def test_weyl0_from_roots_rejects_a_root_that_is_not_a_unit(roots):
+    # a zero root used to be dropped: [0] built W0(1)
+    with pytest.raises(ValueError, match="^root must be a unit$"):
+        weyl0_from_roots(QQ, [Fraction(a) for a in roots])
 
 
 @pytest.mark.parametrize("action", ["lattice closure", "module dual", "ell_hw_vectors"])

@@ -71,7 +71,6 @@ from hlx.modrep import (
     eval_weyl_module,
     explicit_module,
     generator_exponents,
-    recurrence_window,
     tensor,
 )
 
@@ -287,8 +286,7 @@ def test_brute_force_over_weight_spaces_matches_every_line(m):
 
 
 # ---------------------------------------------------------------------------
-# structural recipes: r-window of op_ratios against the periodic window
-# min(dim^2, q - 1)
+# structural recipes: the windows m.window(k) = range(n_k) against wider ones
 # ---------------------------------------------------------------------------
 
 
@@ -318,38 +316,87 @@ def structural_recipes(draw):
     return recipe, F
 
 
+def _wide_labels(m, w):
+    # every generator label at r in [-w, w], the binom(h, k) last
+    ks = generator_exponents(m.ring.char, m.max_exponent())
+    return [(kind, r, k) for kind in (LOWER, RAISE) for k in ks for r in range(-w, w + 1)] + [("h", 0, k) for k in ks]
+
+
+def _wide_generator_set(m, w):
+    tables = [m.cartan_binom_np(k) if kind == "h" else m.op_np(kind, r, k) for kind, r, k in _wide_labels(m, w)]
+    return [t for t in tables if t.any()]
+
+
+def _wide_ell_hw_vectors(m, w):
+    # the joint kernel of the raising tables at r in [-w, w]
+    raising = [m.op_np(kind, r, k) for kind, r, k in _wide_labels(m, w) if kind == RAISE]
+    return arrays(m.ring).to_rows(np_nullspace(np.concatenate(raising), m.ring))
+
+
+def _spin_span(m, gens, rows):
+    K = arrays(m.ring)
+    ech = NpEchelon(m.ring, m.dim)
+    for v in K.from_rows(rows, (len(rows), m.dim)):
+        ech.add(v)
+    _spin_np_dim(ech, gens, K, m.dim)
+    return ech.basis_matrix().tolist()
+
+
 @settings(SETTINGS, max_examples=60)
 @given(structural_recipes(), st.data())
 def test_structural_window_keeps_spans(recipe_ring, data):
+    # unit ratios make the tables (q-1)-periodic in r, so the wide oracles
+    # at r in [-(q-1), q-1] read the tables at every r
     m = build_module(*recipe_ring)
-    old = min(m.dim ** 2, m.ring.card - 1)
-    assert m.r_window() <= old
-    assert ell_hw_vectors(m) == ell_hw_vectors(m, r_window=old)
+    wide = m.ring.card - 1
+    assert all(len(m.window(k)) <= wide for k in generator_exponents(m.ring.char, m.max_exponent()))
+    assert ell_hw_vectors(m) == _wide_ell_hw_vectors(m, wide)
     p = m.ring.p
-    v = data.draw(st.lists(st.integers(0, p - 1), min_size=m.dim, max_size=m.dim))
-    vec = [m.ring(c) for c in v]
-    spans = []
-    for gens in (np_generator_set(m), np_generator_set(m, old)):
-        ech = NpEchelon(m.ring, m.dim)
-        ech.add(arrays(m.ring).from_rows([vec], (1, m.dim))[0])
-        _spin_np_dim(ech, gens, arrays(m.ring), m.dim)
-        spans.append(ech.basis_matrix().tolist())
-    assert spans[0] == spans[1]
+    vec = [m.ring(c) for c in data.draw(st.lists(st.integers(0, p - 1), min_size=m.dim, max_size=m.dim))]
+    wide_gens = _wide_generator_set(m, wide)
+    assert _spin_span(m, np_generator_set(m), [vec]) == _spin_span(m, wide_gens, [vec])
     res = is_irreducible(m)
-    m_old = build_module(*recipe_ring)
-    m_old.r_window = lambda: old
-    res_old = is_irreducible(m_old)
-    if res.verdict is not None and res_old.verdict is not None:
-        assert res.verdict == res_old.verdict
+    if res.verdict is True and not all(m.ring.is_zero(c) for c in vec):
+        assert len(_spin_span(m, wide_gens, [vec])) == m.dim
     if res.verdict is False:
-        # chop subquotients inherit the ratios of their parent
         rows = [[m.ring.parse(c) for c in row] for row in res.certificate["witness"]]
         if "dual_witness_dim" not in res.certificate:
+            # the witness is invariant under every table, not only the window's
+            assert len(_spin_span(m, wide_gens, rows)) == len(rows) < m.dim
+            # chop subquotients keep the recurrence orders of their parent
             for part in _submodule_and_quotient(m, rows):
                 if part.dim:
-                    assert part.op_ratios(1) == m.op_ratios(1)
-                    part_old = min(part.dim ** 2, part.ring.card - 1)
-                    assert ell_hw_vectors(part) == ell_hw_vectors(part, r_window=part_old)
+                    ks = generator_exponents(p, m.max_exponent())
+                    assert [part.recurrence_order(k) for k in ks] == [m.recurrence_order(k) for k in ks]
+                    assert ell_hw_vectors(part) == _wide_ell_hw_vectors(part, wide)
+
+
+def _table_span(m, kind, k, rs):
+    # row space of the flattened tables at every r in rs
+    tail = arrays(m.ring).tail
+    flat = [m.op_np(kind, r, k).reshape((-1,) + tail) for r in rs]
+    return np_rref(np.stack(flat), m.ring)[0].tolist() if flat else []
+
+
+@st.composite
+def structural_recipes_with_extensions(draw):
+    F = draw(st.sampled_from([PrimeField(p) for p in SMALL_PRIMES] + [FiniteField(2, 2), FiniteField(3, 2)]))
+    recipe = draw(_recipes(F))
+    assume(1 <= build_module(recipe, F).dim <= 8)
+    return recipe, F
+
+
+@settings(SETTINGS, max_examples=40)
+@given(structural_recipes_with_extensions())
+def test_structural_windows_span_every_loop_degree(recipe_ring):
+    # for each generator exponent k, the tables at r in [0, n_k) span those
+    # at r in [-dim^2, dim^2], which meets every class of r mod q - 1
+    m = build_module(*recipe_ring)
+    wide = range(-m.dim**2, m.dim**2 + 1)
+    for k in generator_exponents(m.ring.char, m.max_exponent()):
+        assert m.window(k) == range(m.recurrence_order(k))
+        for kind in (LOWER, RAISE):
+            assert _table_span(m, kind, k, m.window(k)) == _table_span(m, kind, k, wide)
 
 
 @SETTINGS
@@ -373,16 +420,27 @@ def test_op_ratios_decompose_the_tables(recipe_ring):
                 assert ((powers @ parts - table) % p == 0).all()
 
 
-def test_hom_window_uses_the_union_of_ratios():
+def test_hom_window_is_the_joint_order():
+    # the intertwiner search reads the two modules' tables at r in
+    # [0, n1 + n2): their recurrence polynomials multiply
     F = PrimeField(7)
     w = [eval_weyl_module(F, 1, F(a)) for a in (2, 3, 5)]
     m1, m2, m3 = tensor(w[0], w[1]), tensor(w[1], w[0]), tensor(w[0], w[2])
-    assert m1.r_window() == 2
+    assert [m.recurrence_order(1) for m in (m1, m2, m3)] == [2, 2, 2]
     assert iso_ell_hw(m1, m2)
     assert not iso_ell_hw(m1, m3)
-    assert recurrence_window(m1, m3) == 3
-    assert _hom_space_nonzero(m1, m2)
-    assert not _hom_space_nonzero(m1, m3)
+    requests = []
+    op_np = m1.op_np
+
+    def counted(kind, r, k):
+        requests.append((kind, r, k))
+        return op_np(kind, r, k)
+
+    m1.op_np = counted
+    for other, iso in ((m2, True), (m3, False)):
+        requests.clear()
+        assert _hom_space_nonzero(m1, other) is iso
+        assert sorted(requests) == sorted((kind, r, 1) for kind in (LOWER, RAISE) for r in range(4))
 
 
 # ---------------------------------------------------------------------------
