@@ -10,6 +10,7 @@ silently.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exactnum import (
@@ -18,6 +19,7 @@ from .exactnum import (
     field_roots,
     fppoly_splits_over,
     integer_binomial,
+    lucas_binom,
     ring_pow,
     scalars,
 )
@@ -277,8 +279,10 @@ class EllWeight:
 def _binomial_convolution(pairs, n, sign, k):
     """prod (1 - a u)^{mu} to u^n as {degree: nonzero coefficient}, on the
     scalars of k = exactnum.scalars(ring) (red reduces a sum or product).
-    The partial products are kept sparse."""
+    The partial products are kept sparse.  In characteristic p the
+    binomials come mod p from Lucas's theorem, never as big integers."""
     one, from_int, inv, red, is_zero = k.one, k.from_int, k.inv, k.red, k.is_zero
+    binom = functools.partial(lucas_binom, p=k.p) if k.p else integer_binomial
     out = {0: one}
     for a, mu in pairs:
         if sign == -1:
@@ -287,7 +291,7 @@ def _binomial_convolution(pairs, n, sign, k):
         prod = {}
         power = one
         for s in range(top + 1):
-            c = red(from_int(integer_binomial(mu, s)) * power)
+            c = red(from_int(binom(mu, s)) * power)
             power = red(power * -a)
             if is_zero(c):
                 continue

@@ -48,13 +48,13 @@ def integer_binomial(m, k):
 def lucas_binom(m, k, p):
     """binom(m, k) mod p, as an integer in [0, p).
 
-    Nonnegative m uses the Lucas digit product; negative m falls back on the
-    integer extension and reduces.
+    Nonnegative m uses the Lucas digit product; negative m the same on
+    binom(m, k) = (-1)^k binom(k - m - 1, k).
     """
     if k < 0:
         return 0
     if m < 0:
-        return integer_binomial(m, k) % p
+        return (-1) ** (k & 1) * lucas_binom(k - m - 1, k, p) % p
     out = 1
     while k:
         out = out * math.comb(m % p, k % p) % p

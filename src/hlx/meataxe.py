@@ -1,24 +1,38 @@
 """Submodule spin-up, irreducibility testing and composition series over
 finite fields.
 
-The irreducibility test is Norton's criterion: pick an algebra element z with
-nonzero nullspace, spin up every projective point of null(z) in the module
-and one nullvector of z^T in the antipode dual.  If a spin closes on a proper
-subspace the module is reducible with an explicit witness; if all module-side
-points and the dual-side point spin to everything, irreducibility is
-certified (if a proper submodule W existed, either null(z) meets W, or z is
-invertible on W and then W = zW forces null(z^T) = (zM)° inside W°).  Random
-choices only affect how fast a useful z is found, never the verdict; the
-escalation order on failure is retry, brute force when feasible, undecided.
+Over a prime field the irreducibility test escalates: the highest-weight
+test, Norton's criterion, brute force when feasible, undecided.
 
-Norton's test runs over prime fields.  Over F_{p^d} the verdict comes from
-brute force, spinning up every projective point of every weight space (every
-submodule is the sum of its weight spaces), when |F|^dim is within the bound
-(HLX_MAX_BRUTE), and is otherwise undecided.  Everything here works on the
-int64 array kernel of linalg, one code path for F_p and F_{p^d}; chop cuts
-subquotient tables out of the parent's arrays.
+The highest-weight test reads K, the joint kernel of the raising generator
+tables (modrep.raising_kernel_np, the space ell_hw_vectors returns).  Every
+nonzero submodule W is weight graded, since the binom(h, k) lie in the image
+algebra and separate weights.  A nonzero vector of W's highest weight is
+killed by every (x+_r)^(k) with k >= 1, so it lies in K.  The test spins one
+weight vector v of K, taken from K's lowest weight: a proper spin is a
+submodule, the witness of a reducible verdict; if K = <v> and the spin is
+everything, then v lies in every nonzero submodule W, so W contains
+U v = M and the module is irreducible.  When dim K >= 2 and v spins to
+everything, the test decides nothing and Norton's runs.
 
-Spin-up and Norton's test need only a generating set of the image algebra
+Norton's criterion: pick an algebra element z with nonzero nullspace, spin
+up every projective point of null(z) in the module and one nullvector of
+z^T in the antipode dual.  If a spin closes on a proper subspace the module
+is reducible with an explicit witness; if all module-side points and the
+dual-side point spin to everything, irreducibility is certified (if a
+proper submodule W existed, either null(z) meets W, or z is invertible on W
+and then W = zW forces null(z^T) = (zM)° inside W°).  Random choices only
+affect how fast a useful z is found, never the verdict; on failure it
+retries, then falls to brute force.
+
+Over F_{p^d} the verdict comes from brute force, spinning up every
+projective point of every weight space (every submodule is the sum of its
+weight spaces), when |F|^dim is within the bound (HLX_MAX_BRUTE), and is
+otherwise undecided.  Everything here works on the int64 array kernel of
+linalg, one code path for F_p and F_{p^d}; chop cuts subquotient tables out
+of the parent's arrays.
+
+Spin-up and both tests need only a generating set of the image algebra
 (Holt & Rees 1994, "Testing modules for irreducibility"): the divided
 powers (x±_r)^(k) at p-power k and r in LoopModule.window(k) = range(n_k),
 whose tables span those at every r, and the binom(h, p^j).
@@ -46,6 +60,7 @@ from .modrep import (
     generator_exponents,
     label_classes,
     order_window,
+    raising_kernel_np,
 )
 
 DEFAULT_BRUTE_BOUND = 300000
@@ -220,12 +235,14 @@ class IrreducibilityResult:
 
 
 def is_irreducible(m, seed=0):
-    """Norton-style test with certificate; never returns a wrong verdict.
-    Up to 16 singular elements are tried, each with at most 4096 projective
-    points in its nullspace.
+    """Irreducibility with a certificate; never returns a wrong verdict.
+    Over a prime field the highest-weight test runs first; when it decides
+    nothing, Norton's test tries up to 16 singular elements, each with at
+    most 4096 projective points in its nullspace, then brute force runs
+    when feasible, and the verdict is otherwise undecided.
 
-    Certificate records the seed, the witness subspace for reducible verdicts
-    and the spin evidence for irreducible ones.
+    The certificate records the method or the seed, the witness subspace
+    for reducible verdicts and the spin evidence for irreducible ones.
     """
     ring = m.ring
     if ring.card is None:
@@ -246,7 +263,9 @@ def is_irreducible(m, seed=0):
         return IrreducibilityResult(
             False, {"reason": "zero action", "witness": _fmt_rows(witness, ring), "witness_dim": 1}
         )
-    d = dual(m)
+    res = _highest_weight_result(m, np_gens, K)
+    if res is not None:
+        return res
     dual_gens = None
     rng = random.Random(_seed_from("norton", seed))
 
@@ -273,7 +292,7 @@ def is_irreducible(m, seed=0):
         if ns_t.shape[0] == 0:
             continue
         if dual_gens is None:
-            dual_gens = np_generator_set(d)
+            dual_gens = np_generator_set(dual(m))
         ech = NpEchelon(ring, m.dim)
         ech.add(ns_t[0])
         if _spin_np_dim(ech, dual_gens, K, m.dim) < m.dim:
@@ -288,6 +307,26 @@ def is_irreducible(m, seed=0):
         )
     # escalation: brute force if feasible, else undecided
     return _brute_force_result(m, "norton retries exhausted, brute force infeasible")
+
+
+def _highest_weight_result(m, np_gens, K):
+    """The highest-weight test of the module docstring: spin the first row
+    of raising_kernel_np(m) among those of the lowest weight.  Returns None
+    when it decides nothing (the kernel has dimension >= 2 and that row
+    spins to everything)."""
+    top = raising_kernel_np(m)
+    weights = [m.weights[int(K.nz(row).nonzero()[0][0])] for row in top]
+    ech = NpEchelon(m.ring, m.dim)
+    ech.add(top[weights.index(min(weights))])
+    if _spin_np_dim(ech, np_gens, K, m.dim) < m.dim:
+        witness = K.to_rows(ech.basis_matrix())
+        return IrreducibilityResult(
+            False,
+            {"method": "highest weight", "witness_dim": ech.dim, "witness": _fmt_rows(witness, m.ring)},
+        )
+    if len(top) == 1:
+        return IrreducibilityResult(True, {"method": "highest weight"})
+    return None
 
 
 def _brute_force_result(m, infeasible_reason):

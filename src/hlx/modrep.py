@@ -844,18 +844,30 @@ def explicit_module(ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_f
 # ---------------------------------------------------------------------------
 
 
+def _raising_labels(m):
+    # over F_q only p-power exponents k are needed, and for each k only r in
+    # m.window(k), whose tables span those of every r
+    return [(r, k) for k in generator_exponents(m.ring.char, m.max_exponent()) for r in m.window(k)]
+
+
+def raising_kernel_np(m):
+    """The joint kernel of the raising divided powers (x+_r)^(k) over a
+    finite field, as the rows of np_nullspace (one per free column, an
+    array of the int64 kernel).  Every raising table sends weight w to
+    w + 2, so the stacked tables' reduced echelon rows, and with them these
+    rows, are weight vectors."""
+    blocks = [t for t in (m.op_np(RAISE, r, k) for r, k in _raising_labels(m)) if t.any()]
+    return np_nullspace(np.concatenate(blocks, axis=0), m.ring) if blocks else arrays(m.ring).eye(m.dim)
+
+
 def ell_hw_vectors(m):
     """Echelonized basis of the joint kernel of the raising divided powers
-    (x+_r)^(k): over F_q only p-power exponents k are needed, and for each
-    k only r in m.window(k), whose tables span those of every r."""
+    (x+_r)^(k)."""
     ring = m.ring
-    labels = [(r, k) for k in generator_exponents(ring.char, m.max_exponent()) for r in m.window(k)]
     if ring.card is None:
-        rows = [row for r, k in labels for row in m.op(RAISE, r, k).rows]
+        rows = [row for r, k in _raising_labels(m) for row in m.op(RAISE, r, k).rows]
         return kernel(Mat(ring, rows or [[ring.zero] * m.dim]))
-    K = arrays(ring)
-    blocks = [t for t in (m.op_np(RAISE, r, k) for r, k in labels) if t.any()]
-    return K.to_rows(np_nullspace(np.concatenate(blocks, axis=0), ring) if blocks else K.eye(m.dim))
+    return arrays(ring).to_rows(raising_kernel_np(m))
 
 
 def drinfeld_polynomial(m, v=None):

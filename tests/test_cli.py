@@ -545,6 +545,11 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
             ["module", "dual", "--recipe", os.path.join(GOLDEN, "weyl0_sym_recipe.json"), "--json"],
             "module_dual_weyl0_sym.json",
         ),
+        (["steinberg", "--p", "5", "--lmax", "12", "--json"], "steinberg_p5.json"),
+        (
+            ["module", "chop", "--recipe", os.path.join(GOLDEN, "reduction_f2_recipe.json")],
+            "module_chop_reduction_f2.json",
+        ),
     ],
 )
 def test_golden_outputs(tmp_path, monkeypatch, capsys, argv, golden):
@@ -566,6 +571,9 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys, argv, golden):
     # The identity suite at kmax 5 is the benchmark's; the Q(a, b) weyl0
     # reports pin values whose printed form follows the order in which the
     # normal-ordered products were summed.
+    # The Steinberg suite over F_5 and the chop of the F_2 reduction of
+    # W(1,1)⊗W(1,3)⊗W(1,5)⊗W(1,7), a module without labels, pin the
+    # verdicts and witnesses of the highest-weight irreducibility test.
     monkeypatch.chdir(tmp_path)
     if argv[0] == "blocks":
         _write_block_reports(tmp_path, capsys)

@@ -94,6 +94,16 @@ def test_lucas_exhaustive_matches_integer_binomial():
                 assert lucas_binom(m, k, p) == integer_binomial(m, k) % p
 
 
+def test_lucas_matches_integer_binomial_far_out():
+    # both signs of m, far past one base-p digit; a negative m takes Lucas
+    # on binom(m, k) = (-1)^k binom(k - m - 1, k), never the big integer
+    rng = random.Random(11)
+    for p in (2, 3, 7, 101):
+        for _ in range(200):
+            m, k = rng.randint(-5000, 5000), rng.randint(0, 3000)
+            assert lucas_binom(m, k, p) == integer_binomial(m, k) % p
+
+
 def test_prime_field_axioms():
     rng = random.Random(3)
     for p in (2, 3, 5, 7):

@@ -5,22 +5,26 @@ import pytest
 
 from hlx import meataxe
 from hlx.exactnum import FiniteField, PrimeField
-from hlx.linalg import np_rref
+from hlx.linalg import arrays, np_inverse, np_rref
 from hlx.looppbw import LOWER, RAISE
 from hlx.meataxe import (
+    _highest_weight_result,
     _submodule_and_quotient,
     brute_force_irreducible,
     chop,
     generator_labels,
     is_irreducible,
     iso_ell_hw,
+    np_generator_set,
     spin_up,
 )
 from hlx.modrep import (
     dual,
     eval_weyl_module,
+    explicit_module,
     irreducible_module,
     psi_twist,
+    raising_kernel_np,
     tensor,
 )
 
@@ -112,6 +116,83 @@ def test_is_irreducible_examples():
     w2 = eval_weyl_module(F2, 2, F2(1))
     res3 = is_irreducible(w2)
     assert res3.verdict is False
+
+
+def test_highest_weight_test_decides_with_a_line_or_a_proper_spin():
+    # L(3) over F_2: the raising kernel is the top line, which spins to all
+    F2 = PrimeField(2)
+    res = is_irreducible(irreducible_module(F2, 3, F2(1)))
+    assert (res.verdict, res.certificate) == (True, {"method": "highest weight"})
+    # W(1,1) ⊗ W(1,1) over F_3: the raising kernel has the top vector and
+    # v1 ⊗ w0 - v0 ⊗ w1 at weight 0, the lowest, which spans a trivial line
+    F3 = PrimeField(3)
+    res = is_irreducible(tensor(eval_weyl_module(F3, 1, F3(1)), eval_weyl_module(F3, 1, F3(1))))
+    assert res.verdict is False
+    assert res.certificate == {"method": "highest weight", "witness_dim": 1, "witness": [["0", "1", "2", "0"]]}
+
+
+def _restrict(arr, F):
+    # an (n, n) table over F_{p^2} = F_p + F_p g as a (2n, 2n) table over
+    # F_p on the basis v_0, g v_0, v_1, g v_1, ...: the entry c = a + b g
+    # becomes the matrix of multiplication by c, where g^2 = -c0 - c1 g
+    c0, c1 = F.poly[0], F.poly[1]
+    a, b = arr[..., 0], arr[..., 1]
+    out = np.zeros((2 * arr.shape[0], 2 * arr.shape[1]), dtype=np.int64)
+    out[0::2, 0::2], out[1::2, 0::2] = a, b
+    out[0::2, 1::2], out[1::2, 1::2] = -c0 * b, a - c1 * b
+    return out % F.p
+
+
+def test_highest_weight_test_falls_through_on_a_plane_of_highest_weight_vectors():
+    # W(1, g) over F_9 seen over F_3 is irreducible, but its raising kernel
+    # is the whole top weight space, a plane: the test decides nothing and
+    # Norton's certifies the verdict that brute force (3^4 points) gives.
+    # Over F_3 the tables satisfy the F_9 recurrence times its conjugate.
+    F9 = FiniteField(3, 2)
+    F3 = PrimeField(3)
+    m9 = eval_weyl_module(F9, 1, F9.gen())
+    m = explicit_module(
+        F3, [w for w in m9.weights for _ in range(2)], {"restriction_of_scalars": m9.recipe},
+        lambda kind, r, k: _restrict(m9.op_np(kind, r, k), F9),
+        lambda r: _restrict(m9.lam_np(r), F9),
+        order_fn=lambda k: 2 * m9.recurrence_order(k),
+    )
+    assert len(raising_kernel_np(m)) == 2
+    assert _highest_weight_result(m, np_generator_set(m), arrays(F3)) is None
+    res = is_irreducible(m)
+    assert res.verdict is True and "attempt" in res.certificate
+    assert brute_force_irreducible(m) == (True, None)
+
+
+def test_highest_weight_test_falls_through_when_its_vector_spins_to_everything():
+    # W(1,1) ⊕ W(1,2) over F_5 on the basis v0 + w0, v1 + w1, w0, w1: the
+    # raising kernel is the plane of v0 and w0, its first row is v0 + w0,
+    # and the parameters differ, so v0 + w0 spins to everything although
+    # the module is reducible.  Only dim K = 1 licenses an irreducible
+    # verdict; here Norton's test finds a submodule.
+    F = PrimeField(5)
+    parts = [eval_weyl_module(F, 1, F(a)) for a in (1, 2)]
+    change = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.int64)
+    inverse = np_inverse(change, F)
+
+    def direct_sum(tables):
+        out = np.zeros((4, 4), dtype=np.int64)
+        out[:2, :2], out[2:, 2:] = tables
+        return inverse @ out @ change % 5
+
+    m = explicit_module(
+        F, [1, -1, 1, -1], {"direct_sum": [n.recipe for n in parts]},
+        lambda kind, r, k: direct_sum([n.op_np(kind, r, k) for n in parts]),
+        lambda r: direct_sum([n.lam_np(r) for n in parts]),
+        order_fn=lambda k: 2,
+    )
+    top = raising_kernel_np(m)
+    assert top.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0]]
+    assert len(spin_up(m, [[F(1), F(0), F(0), F(0)]])) == 4
+    assert _highest_weight_result(m, np_generator_set(m), arrays(F)) is None
+    res = is_irreducible(m)
+    assert res.verdict is False and "attempt" in res.certificate
+    assert brute_force_irreducible(m)[0] is False
 
 
 def test_is_irreducible_agrees_with_brute_force_grid():

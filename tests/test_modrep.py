@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -639,3 +640,22 @@ def test_match_ell_weight_checks_the_minus_series():
             bad = list(minus)
             bad[r] = bad[r] + F.one
             assert _match_ell_weight(F, b["weight"], plus, bad, prec, m) is None
+
+
+def test_nested_frobenius_twists_keep_the_closed_form_drinfeld_polynomial():
+    # L(11, 6) over F_7 twisted three times has weights up to 11 * 7^3 and
+    # Drinfeld polynomial (1 - 6 u^343)^11; the ell-weight series reach
+    # u^7548, whose binomials come mod 7 from Lucas's theorem
+    F = PrimeField(7)
+    node = {"irreducible": {"lambda": 11, "a": "6"}}
+    for _ in range(3):
+        node = {"frobenius_twist": {"m": 1, "of": node}}
+    m = build_module(node, F)
+    coeffs = [0] * (11 * 343 + 1)
+    for j in range(12):
+        coeffs[343 * j] = math.comb(11, j) * (-6) ** j
+    poly, checks = drinfeld_polynomial(m)
+    assert all(checks.values())
+    assert poly.fmt() == [[str(c % 7) for c in coeffs]]
+    blocks = ell_weight_decomposition(m)
+    assert sum(b["dim"] for b in blocks) == m.dim

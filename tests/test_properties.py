@@ -53,6 +53,7 @@ from hlx.linalg import (
 )
 from hlx.looppbw import LOWER, RAISE
 from hlx.meataxe import (
+    _annihilator,
     _hom_space_nonzero,
     _spin_np_dim,
     _submodule_and_quotient,
@@ -282,6 +283,21 @@ def test_brute_force_over_weight_spaces_matches_every_line(m):
     assert witness == _first_proper_spin_over_all_lines(m)
     assert verdict is (witness is None)
     if witness is not None:
+        _assert_witness_invariant(m, witness)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(brute_force_modules(fields=KERNEL_FIELDS[:3]))
+def test_irreducibility_verdicts_match_brute_force(m):
+    # over F_2, F_3 and F_5 the highest-weight test, Norton's and brute force
+    # give one verdict, and every reducible witness (a dual one through its
+    # annihilator) is a proper invariant subspace
+    res = is_irreducible(m)
+    assert res.verdict is brute_force_irreducible(m)[0]
+    if res.verdict is False:
+        witness = [[m.ring.parse(c) for c in row] for row in res.certificate["witness"]]
+        if "dual_witness_dim" in res.certificate:
+            witness = _annihilator(m, witness)
         _assert_witness_invariant(m, witness)
 
 
