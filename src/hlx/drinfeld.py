@@ -5,12 +5,20 @@ canonical multiset of (parameter, weight) pairs with the parameter nonzero
 and the int weights allowed to be negative.  Factorization
 is by gcd with x^q - x and Cantor-Zassenhaus splitting over every finite
 field F_q and by rational root search over Q; nothing is ever extended
-silently.
+silently.  Over F_q a root's multiplicity is divided out by the binomials
+(u - x)^{p^i} = u^{p^i} - x^{p^i}, one per unit of each base-p digit.
+
+The series of an ell-weight is P/Q for P, Q the products of its positive
+and negative pairs.  In characteristic p each factor (1 - a u)^mu is
+sparse: a product over the base-p digits of mu of binomials in u^{p^i}, so
+a Frobenius twist omega_{a,mu} -> omega_{a^{1/p^m}, p^m mu} costs no more
+terms than the label it twists.  The coefficients come from Q g = P by a
+division-free recurrence (EllWeight.coefficients).
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from fractions import Fraction
 
 from .exactnum import (
@@ -18,8 +26,6 @@ from .exactnum import (
     PrimeField,
     field_roots,
     fppoly_splits_over,
-    integer_binomial,
-    lucas_binom,
     ring_pow,
     scalars,
 )
@@ -82,15 +88,17 @@ def _roots_in_field(f):
     nonsplit residual polynomial (constant when f splits)."""
     ring = f.ring
     roots = []
-    g = f
     if ring.card is not None:
-        # deflating in field-element order lists the roots exactly as a
-        # scan of the field would
+        # the distinct roots come in field-element order, so the list reads
+        # as a scan of the field would; each one's multiplicity is divided out
+        # on scalars by Frobenius binomials
+        k = scalars(ring)
+        g = [k.lift(c) for c in f.coeffs]
         for x in field_roots(ring, f.coeffs):
-            while g.degree() >= 1 and ring.is_zero(g.eval(x)):
-                g = _deflate(g, x)
-                roots.append(x)
-        return roots, g
+            mult, g = _divide_out_root(g, k.lift(x), k)
+            roots += [x] * mult
+        return roots, Poly(ring, [k.box(c) for c in g])
+    g = f
     while g.degree() >= 1:
         found = _rational_root(g)
         if found is None:
@@ -98,6 +106,44 @@ def _roots_in_field(f):
         g = _deflate(g, found)
         roots.append(found)
     return roots, g
+
+
+def _divide_out_root(g, x, k):
+    """(m, g / (u - x)^m) for the multiplicity m of x as a root of g, on the
+    reduced scalars of k = exactnum.scalars(F_q), F_q of characteristic p.
+
+    As (u - x)^{p^i} = u^{p^i} - x^{p^i}, g is divided by these binomials
+    greedily, the largest p^i <= deg g first: each p^i divides out as many
+    times as the base-p digit of m at i, so the cost is the digit sum of m
+    divisions of O(deg g) each."""
+    steps = []  # (p^i, x^{p^i}) for p^i <= deg g
+    e = 1
+    while e < len(g):
+        steps.append((e, x))
+        e *= k.p
+        if k.q != k.p:
+            x = ring_pow(k.ring, x, k.p)
+    mult = 0
+    for e, c in reversed(steps):
+        while len(g) > e:
+            quotient = _divide_binomial(g, e, c, k)
+            if quotient is None:
+                break
+            g = quotient
+            mult += e
+    return mult, g
+
+
+def _divide_binomial(g, e, c, k):
+    """g / (u^e - c) on reduced scalars of k, or None if it leaves a
+    remainder: from g = (u^e - c) q + r, q_j = g_{j+e} + c q_{j+e} and
+    r_j = g_j + c q_j for j < e."""
+    q = [k.zero] * len(g)
+    for j in range(len(g) - 1 - e, -1, -1):
+        q[j] = k.red(g[j + e] + c * q[j + e])
+    if any(not k.is_zero(k.red(g[j] + c * q[j])) for j in range(e)):
+        return None
+    return q[: len(g) - e]
 
 
 def _deflate(f, root):
@@ -242,13 +288,27 @@ class EllWeight:
 
     def coefficients(self, n, sign=1):
         """Coefficients of u^0..u^n in prod (1 - a u)^{mu}, with the
-        parameters inverted when sign=-1: the convolution of the closed forms
-        binom(mu, s) (-a)^s, binom being the generalized binomial when mu < 0.
-        It runs on exactnum.scalars: over F_p on int residues, boxed once at
-        the end; other rings compute on their own elements."""
+        parameters inverted when sign=-1.
+
+        The product is P/Q with P = prod_{mu>0} (1 - a u)^mu and
+        Q = prod_{mu<0} (1 - a u)^{-mu}, both truncated at u^n.  In
+        characteristic p the Frobenius x -> x^p is additive, so
+        (1 - a u)^{p^i} = 1 - a^{p^i} u^{p^i}, and for m = sum_i d_i p^i in
+        base p, (1 - a u)^m = prod_i (1 - a^{p^i} u^{p^i})^{d_i}: each factor
+        has the d_i + 1 terms binom(d_i, j) (-a^{p^i})^j u^{j p^i}, and only
+        the digits with p^i <= n reach u^n.  This is how the Frobenius twist
+        omega_{a,mu} -> omega_{a^{1/p^m}, p^m mu} keeps a series sparse.  Over
+        F_p, a^{p^i} = a.  In characteristic 0 the factor is the binomial
+        expansion.  Q has constant term 1, so g = P/Q comes division-free
+        from Q g = P: g_s = P_s - sum_{j>=1} Q_j g_{s-j}, in O(n nnz(Q)).
+        It runs on exactnum.scalars: over F_p on int residues, boxed into
+        the field's shared elements; other rings compute on their own."""
         k = scalars(self.ring)
-        out = _binomial_convolution([(k.lift(a), mu) for a, mu in self.pairs], n, sign, k)
-        return [k.box(out.get(t, k.zero)) for t in range(n + 1)]
+        num, den = [], []
+        for a, mu in self.pairs:
+            a = k.lift(a) if sign == 1 else k.inv(k.lift(a))
+            (num if mu > 0 else den).extend(_binomial_factors(a, abs(mu), n, k))
+        return [k.box(x) for x in _series_quotient(_sparse_product(num, n, k), _sparse_product(den, n, k), n, k)]
 
     def memo_coefficients(self, n, sign, at_least):
         """coefficients(m, sign) for some m >= n, memoized on the label,
@@ -276,34 +336,70 @@ class EllWeight:
         )
 
 
-def _binomial_convolution(pairs, n, sign, k):
-    """prod (1 - a u)^{mu} to u^n as {degree: nonzero coefficient}, on the
-    scalars of k = exactnum.scalars(ring) (red reduces a sum or product).
-    The partial products are kept sparse.  In characteristic p the
-    binomials come mod p from Lucas's theorem, never as big integers."""
-    one, from_int, inv, red, is_zero = k.one, k.from_int, k.inv, k.red, k.is_zero
-    binom = functools.partial(lucas_binom, p=k.p) if k.p else integer_binomial
-    out = {0: one}
-    for a, mu in pairs:
-        if sign == -1:
-            a = inv(a)
-        top = n if mu < 0 else min(n, mu)
+def _binomial_factors(a, m, n, k):
+    """(1 - a u)^m, m > 0, to u^n as a list of sparse factors, each a list
+    of (degree, scalar) terms on k = exactnum.scalars(ring): one binomial
+    expansion in characteristic 0, one factor (1 - a^{p^i} u^{p^i})^{d_i}
+    per nonzero base-p digit d_i of m with p^i <= n in characteristic p."""
+    b = k.red(-a)
+    if not k.p:
+        return [_binomial_terms(b, m, 1, n, k)]
+    out = []
+    e = 1
+    while m and e <= n:
+        m, d = divmod(m, k.p)
+        if d:
+            out.append(_binomial_terms(b, d, e, n, k))
+        e *= k.p
+        if k.q != k.p:
+            b = ring_pow(k.ring, b, k.p)  # (-a)^p = -(a^p) in characteristic p
+    return out
+
+
+def _binomial_terms(b, d, e, n, k):
+    # (1 + b u^e)^d to u^n: binom(d, j) b^j u^{j e}
+    out = []
+    power = k.one
+    for j in range(min(d, n // e) + 1):
+        out.append((j * e, k.red(k.from_int(math.comb(d, j)) * power)))
+        power = k.red(power * b)
+    return out
+
+
+def _sparse_product(factors, n, k):
+    """The product of sparse factors to u^n, as {degree: nonzero scalar}."""
+    out = {0: k.one}
+    for terms in factors:
         prod = {}
-        power = one
-        for s in range(top + 1):
-            c = red(from_int(binom(mu, s)) * power)
-            power = red(power * -a)
-            if is_zero(c):
-                continue
+        for s, c in terms:
             for t, x in out.items():
                 if t + s <= n:
                     prod[t + s] = prod[t + s] + c * x if t + s in prod else c * x
         out = {}
         for t, x in prod.items():
-            x = red(x)
-            if not is_zero(x):
+            x = k.red(x)
+            if not k.is_zero(x):
                 out[t] = x
     return out
+
+
+def _series_quotient(num, den, n, k):
+    """u^0..u^n of num/den for sparse num, den with den_0 = 1, by
+    g_s = num_s - sum_{j>=1} den_j g_{s-j}."""
+    g = [k.zero] * (n + 1)
+    for t, x in num.items():
+        g[t] = x
+    tail = sorted(den.items())[1:]
+    if tail:
+        red = k.red
+        for s in range(1, n + 1):
+            acc = g[s]
+            for j, c in tail:
+                if j > s:
+                    break
+                acc = acc - c * g[s - j]
+            g[s] = red(acc)
+    return g
 
 
 def _param_sort_key(ring, a):

@@ -182,6 +182,21 @@ class FpElem:
         return "FpElem(%d, %d)" % (self.p, self.v)
 
 
+class _Residues(dict):
+    """{residue: FpElem} for one F_p, each element made on first lookup.
+    An FpElem is never mutated, so one per residue can be shared."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, v):
+        e = self[v] = FpElem(self.p, int(v))
+        return e
+
+
 def is_prime(n):
     if n < 2:
         return False
@@ -202,6 +217,7 @@ class PrimeField:
                 raise ValueError("%d is not prime" % p)
             inst = object.__new__(cls)
             inst.p = p
+            inst.boxed = _Residues(p)
             cls._instances[p] = inst
         return cls._instances[p]
 
@@ -288,6 +304,8 @@ class _ModP:
         self.ring = ring
         self.p = self.q = ring.p
         self.zero, self.one = 0, 1
+        # box: reduced scalar to ring element, shared per residue
+        self.box = ring.boxed.__getitem__
 
     def red(self, x):
         return x % self.p
@@ -307,10 +325,6 @@ class _ModP:
     def lift(self, e):
         """Ring element to scalar."""
         return e.v
-
-    def box(self, x):
-        """Scalar to ring element."""
-        return self.ring(x)
 
 
 class _Boxed:

@@ -1,7 +1,10 @@
 import random
+import time
 
 import pytest
 from fractions import Fraction
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hlx.cartan import CartanData
 from hlx.drinfeld import (
@@ -9,12 +12,25 @@ from hlx.drinfeld import (
     EllWeight,
     FieldExtensionNeeded,
     SpectralCharacter,
+    _deflate,
+    _roots_in_field,
     block_partition,
     ell_weight_from_poly,
     factor,
+    factor_poly_unit_roots,
     minus_involution,
 )
-from hlx.exactnum import QQ, FiniteField, Poly, PrimeField, ring_pow
+from hlx.exactnum import (
+    QQ,
+    FiniteField,
+    Poly,
+    PrimeField,
+    SymField,
+    field_roots,
+    integer_binomial,
+    lucas_binom,
+    ring_pow,
+)
 
 
 A1 = CartanData("A1")
@@ -177,3 +193,105 @@ def test_factor_over_rationals():
     pairs = factor(poly)
     got = dict(pairs)
     assert got == {Fraction(2): 1, Fraction(1, 3): 1}
+
+
+# ---------------------------------------------------------------------------
+# the P/Q series kernel against the closed-form binomial convolution
+# ---------------------------------------------------------------------------
+
+SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+SYM = SymField(("a", "b"))
+SERIES_RINGS = [PrimeField(p) for p in (2, 3, 5, 7)] + [
+    FiniteField(2, 2), FiniteField(2, 3), FiniteField(3, 2), FiniteField(5, 2), QQ, SYM
+]
+
+
+def _binomial_convolution(ring, pairs, n, sign):
+    """prod (1 - a u)^{mu} to u^n as the product of the closed forms
+    binom(mu, s) (-a)^s, s <= n, binom being the generalized binomial when
+    mu < 0, taken mod p by Lucas's theorem in characteristic p."""
+    out = [ring.one] + [ring.zero] * n
+    for a, mu in pairs:
+        if sign == -1:
+            a = ring.inv(a)
+        top = n if mu < 0 else min(n, mu)
+        closed = [
+            ring.from_int(lucas_binom(mu, s, ring.char) if ring.char else integer_binomial(mu, s))
+            * ring_pow(ring, -a, s)
+            for s in range(top + 1)
+        ]
+        out = [sum((closed[s] * out[t - s] for s in range(min(t, top) + 1)), ring.zero) for t in range(n + 1)]
+    return out
+
+
+@st.composite
+def series_labels(draw):
+    """(ring, pairs, n): weights past n, and in characteristic p weights
+    c p^N + r with p^N up to past n, so every base-p digit position shows."""
+    ring = draw(st.sampled_from(SERIES_RINGS))
+    if ring == SYM:
+        a, b = ring.var("a"), ring.var("b")
+        params = [a, b, a + b, a * b, ring.from_int(2)]
+        n, top = draw(st.integers(0, 4)), 3
+    elif ring == QQ:
+        params = [Fraction(c, d) for c in (-3, -1, 2, 5) for d in (1, 2)]
+        n, top = draw(st.integers(0, 12)), 16
+    else:
+        params = ring.units()
+        n, top = draw(st.integers(0, 30)), 40
+    weight = st.integers(1, top)
+    if ring.char:
+        p = ring.char
+        weight |= st.builds(lambda N, c, r: c * p**N + r, st.integers(1, 5), st.integers(1, p), st.integers(0, p - 1))
+    signed = st.tuples(st.sampled_from(params), st.builds(lambda m, neg: -m if neg else m, weight, st.booleans()))
+    return ring, draw(st.lists(signed, max_size=3)), n
+
+
+@SETTINGS
+@given(series_labels(), st.sampled_from([1, -1]))
+def test_series_match_the_binomial_convolution(label, sign):
+    ring, pairs, n = label
+    ew = EllWeight(ring, pairs)
+    assert ew.coefficients(n, sign) == _binomial_convolution(ring, ew.pairs, n, sign)
+
+
+# ---------------------------------------------------------------------------
+# root multiplicities by Frobenius binomials against one-root deflation
+# ---------------------------------------------------------------------------
+
+
+def _roots_by_deflation(f):
+    ring = f.ring
+    roots, g = [], f
+    for x in field_roots(ring, f.coeffs):
+        while g.degree() >= 1 and ring.is_zero(g.eval(x)):
+            g = _deflate(g, x)
+            roots.append(x)
+    return roots, g
+
+
+@SETTINGS
+@given(
+    st.sampled_from([PrimeField(p) for p in (2, 3, 5, 7)] + [FiniteField(2, 2), FiniteField(3, 2)]),
+    st.data(),
+)
+def test_root_multiplicities_match_deflation(F, data):
+    elements = F.elements()
+    f = Poly(F, [data.draw(st.sampled_from(elements[1:]))])
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = data.draw(st.sampled_from(elements))
+        for _ in range(data.draw(st.integers(1, 2 * F.char**2 + 3))):
+            f = f * Poly(F, [-x, F.one])
+    # a cofactor that may have roots of its own, or none in F
+    f = f * Poly(F, data.draw(st.lists(st.sampled_from(elements), max_size=4)) + [F.one])
+    assert _roots_in_field(f) == _roots_by_deflation(f)
+
+
+def test_triple_frobenius_twist_factors_fast():
+    # (1 - 6u)^3773 = (1 - 6u^343)^11 over F_7, the Drinfeld polynomial of the
+    # triple Frobenius twist of L(11, 6): one deflation per root took minutes
+    F = PrimeField(7)
+    f = Poly(F, [F(lucas_binom(3773, j, 7) * pow(-6, j, 7)) for j in range(3774)])
+    start = time.perf_counter()
+    assert factor_poly_unit_roots(f) == {F(6): 3773}
+    assert time.perf_counter() - start < 1.0
