@@ -17,9 +17,11 @@ r = 0..n_k-1 generate all of them.  Closing v under those windows and
 checking invariance there certifies L = U_A v, since Garland's integral
 form is generated by the divided powers (x±_r)^(k).
 
-Closure, its invariance check and reduction mod p run on integers.  Each
-operator table and the basis are scaled to integer matrices by the least
-common denominator of their entries, a p-unit.  The closure applies a
+Closure, its invariance check and reduction mod p run on integers.  An
+operator table over Q already is an integer matrix over one denominator
+(linalg._QTables: the least common denominator of its entries, a p-unit),
+and the lattice reads it as modrep builds it, with no boxing; the basis is
+scaled to integers the same way (_integer_rows).  The closure applies a
 lowering table to the whole basis as one integer product.  One coordinate
 map (_coordinates) inverts the pivot block of the canonical basis once and
 then takes each operator's images to their coordinates with one product,
@@ -203,16 +205,27 @@ def _integer_rows(rows):
 
 
 def _images(rows, table):
-    """Row i is the image of rows[i] under the matrix table, on integers."""
-    from operator import mul
-
-    return [[sum(map(mul, t, row)) for t in table] for row in rows]
+    """Row i is the image of rows[i] under the matrix table, on integers.
+    A zero entry of a row or of the table costs nothing: operator tables
+    and lattice bases are mostly zeros."""
+    columns = [[(i, x) for i, x in enumerate(c) if x] for c in zip(*table)]
+    out = []
+    for row in rows:
+        img = [0] * len(table)
+        for column, y in zip(columns, row):
+            if y:
+                for i, x in column:
+                    img[i] += x * y
+        out.append(img)
+    return out
 
 
 def _table(m, tables, kind, r, k):
+    """(x±_r)^(k) of m as the pair (d, integer rows) of linalg._QTables,
+    requested from m once per closure."""
     key = (kind, r, k)
     if key not in tables:
-        tables[key] = _integer_rows(m.op(kind, r, k).rows)
+        tables[key] = m.op_table(kind, r, k)
     return tables[key]
 
 
@@ -340,11 +353,11 @@ def _verify_invariance(m, lat, kmax, windows, tables=None):
             for r in rs:
                 checks.append(_table(m, tables, kind, r, k))
     for k in range(1, kmax + 1):
-        checks.append(_integer_rows(m.cartan_binom(k).rows))
+        checks.append(m._cartan_table(k))
     prec = m.lam_precision()
     for r in range(-prec + 1, prec):
         if r:
-            checks.append(_integer_rows(m.lam(r).rows))
+            checks.append(m.lam_table(r))
     coordinates = _coordinates(lat)
     for d, table in checks:
         try:
@@ -372,17 +385,17 @@ def reduce_mod_p(lat):
 
     coordinates = functools.cache(lambda: _coordinates(lat))
 
-    def residues(mat):
-        x, u = coordinates()(*_integer_rows(mat.rows))
+    def residues(table):
+        x, u = coordinates()(*table)
         uinv = pow(u, -1, p)
         # column j of the table holds the coordinates of the image of row j
         return np.array([[c * uinv % p for c in col] for col in zip(*x)], dtype=np.int64).reshape(lat.rank, lat.rank)
 
     def op_fn(kind, r, k):
-        return residues(m.op(kind, r, k))
+        return residues(m.op_table(kind, r, k))
 
     def lam_fn(r):
-        return residues(m.lam(r))
+        return residues(m.lam_table(r))
 
     hw = None
     if m.hw_index is not None:

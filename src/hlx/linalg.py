@@ -2,9 +2,9 @@
 
 Mat is the boxed matrix of any ring descriptor from exactnum (immutable
 row-tuples); rref, kernel and det on it serve Q, Z_(p) and Q(a, b).  Its
-kron, sums, differences and apply skip the ring operation when an operand is
-zero (tested with ring.is_zero), since a Fraction or Q(a, b) product costs
-gcds even then; operator tables are mostly zeros.
+products, kron, sums, differences and apply skip the ring operation when an
+operand is zero (tested with ring.is_zero), since a Fraction or Q(a, b)
+product costs gcds even then; operator tables are mostly zeros.
 
 Every finite field runs on one numpy int64 kernel instead, through the field
 object arrays(F).  An element of F_p is an int64 residue mod p; an element of
@@ -18,20 +18,27 @@ All arithmetic is integer, so it stays exact below the bound that
 check_int64_bound enforces.
 
 tables(ring) is the one place that decides how a module's operator tables
-are held: the array kernel over a finite field, Mat over the infinite
-rings, with the same operations (zeros, eye, diag, add, neg, mul,
-transpose, scale, kron) on both.
+are held, in one of three representations with the same operations (zeros,
+eye, diag, from_rows, add, neg, mul, transpose, scale, kron):
+- the array kernel over a finite field;
+- over Q, a denominator and integer rows (_QTables): the pair (d, rows) is
+  the matrix rows / d, with gcd(d, every entry) = 1, so table arithmetic
+  runs on Python ints and the lattice reads a table without unboxing it;
+- Mat over Z_(p) and Q(a, b).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
+import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import FqElem, PrimeField, _Boxed, _ModP, poly_roots
+from .exactnum import QQ, FqElem, PrimeField, _Boxed, _ModP, poly_roots
 
 
 class Mat:
@@ -82,16 +89,19 @@ class Mat:
         m, k = self.shape
         k2, n = other.shape
         assert k == k2, "shape mismatch"
+        is_zero = self.ring.is_zero
         z = self.ring.zero
-        bt = list(zip(*other.rows))
+        # the nonzero entries of each row of other, so that a zero operand
+        # costs no ring operation; each entry still adds its terms in the
+        # order of the inner index
+        sparse = [[(j, b) for j, b in enumerate(rb) if not is_zero(b)] for rb in other.rows]
         out = []
         for r in self.rows:
-            row = []
-            for c in bt:
-                acc = z
-                for a, b in zip(r, c):
-                    acc = acc + a * b
-                row.append(acc)
+            row = [z] * n
+            for a, sb in zip(r, sparse):
+                if sb and not is_zero(a):
+                    for j, b in sb:
+                        row[j] = row[j] + a * b
             out.append(row)
         return Mat(self.ring, out)
 
@@ -379,14 +389,14 @@ class _FpArrays(_Tables, _ModP):
         return e.v
 
     def to_ring(self, x):
-        return self.ring(int(x))
+        return self.box(int(x) % self.p)
 
     def from_rows(self, rows, shape):
         return np.array([[a.v for a in r] for r in rows], dtype=np.int64).reshape(shape)
 
     def to_rows(self, arr):
-        ring = self.ring
-        return [[ring(v) for v in row] for row in (arr % self.p).tolist()]
+        box = self.box
+        return [[box(v) for v in row] for row in (arr % self.p).tolist()]
 
 
 class _FqArrays(_Tables, _Boxed):
@@ -489,11 +499,105 @@ class _MatTables:
     def from_rows(self, rows, shape):
         return Mat(self.ring, rows)
 
+    @staticmethod
+    def to_mat(table):
+        return table
+
+
+class _QTables:
+    """The operations of _Tables over Q, on integer numerators.  A table is a
+    pair (d, rows): the matrix rows / d, with rows lists of Python ints and
+    d > 0, normalised so that gcd(d, every entry) = 1.  So the lattice reads
+    a table as it is, and two tables are equal exactly when their pairs
+    are.  Products and kron skip zero entries; operator tables are mostly
+    zeros."""
+
+    def _normal(self, d, rows):
+        if d > 1:
+            g = math.gcd(d, *itertools.chain.from_iterable(rows))
+            if g > 1:
+                return d // g, [[x // g for x in r] for r in rows]
+        return d, rows
+
+    def from_rows(self, rows, shape=None):
+        """The table of a matrix of Fractions: d is the least common
+        denominator of the entries, which makes the pair normal."""
+        d = math.lcm(*(c.denominator for r in rows for c in r))
+        return d, [[c.numerator * (d // c.denominator) for c in r] for r in rows]
+
+    def to_mat(self, table):
+        d, rows = table
+        zero = Fraction(0)
+        return Mat(QQ, [[Fraction(x, d) if x else zero for x in r] for r in rows])
+
+    def zeros(self, n):
+        return 1, [[0] * n for _ in range(n)]
+
+    def eye(self, n):
+        return 1, [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def diag(self, entries):
+        return self.from_rows(Mat.diag(QQ, entries).rows)
+
+    def add(self, a, b):
+        (da, ra), (db, rb) = a, b
+        d = math.lcm(da, db)
+        sa, sb = d // da, d // db
+        return self._normal(d, [[x * sa + y * sb for x, y in zip(u, v)] for u, v in zip(ra, rb)])
+
+    def neg(self, a):
+        d, rows = a
+        return d, [[-x for x in r] for r in rows]
+
+    def transpose(self, a):
+        d, rows = a
+        return d, [list(c) for c in zip(*rows)]
+
+    def scale(self, a, c):
+        """A table times the rational c."""
+        d, rows = a
+        if not c:
+            return 1, [[0] * len(r) for r in rows]
+        return self._normal(d * c.denominator, [[x * c.numerator for x in r] for r in rows])
+
+    def mul(self, a, b):
+        (da, ra), (db, rb) = a, b
+        n = len(rb[0]) if rb else 0
+        # the nonzero entries of each row of b
+        sparse = [[(j, y) for j, y in enumerate(r) if y] for r in rb]
+        out = []
+        for u in ra:
+            row = [0] * n
+            for x, sv in zip(u, sparse):
+                if x:
+                    for j, y in sv:
+                        row[j] += x * y
+            out.append(row)
+        return self._normal(da * db, out)
+
+    def kron(self, a, b):
+        (da, ra), (db, rb) = a, b
+        zero = [0] * (len(rb[0]) if rb else 0)
+        out = []
+        for u in ra:
+            for v in rb:
+                row = []
+                for x in u:
+                    row.extend([x * y for y in v] if x else zero)
+                out.append(row)
+        return self._normal(da * db, out)
+
+
+_QTABLES = _QTables()
+
 
 def tables(ring):
     """The representation of a module's tables over ring: the array kernel
-    of a finite field, Mat over the infinite rings."""
-    return arrays(ring) if ring.card is not None else _MatTables(ring)
+    of a finite field, integer numerators over one denominator over Q
+    (_QTables), Mat over Z_(p) and Q(a, b)."""
+    if ring.card is not None:
+        return arrays(ring)
+    return _QTABLES if ring == QQ else _MatTables(ring)
 
 
 def check_int64_bound(F, n):

@@ -40,9 +40,11 @@ ideal sl2 ⊗ omega~(t) C[t, t^-1] gives (_Weyl0).
 
 Every node builds each table once, from its factors' tables, in the
 representation linalg.tables(ring) chooses: an array of the int64 kernel
-over a finite field, a Mat over Q, Z_(p) and Q(a, b).  op, lam and
-cartan_binom box a finite field's array on the way out; op_np, lam_np and
-cartan_binom_np hand it over.
+over a finite field, a denominator and integer rows over Q, a Mat over
+Z_(p) and Q(a, b).  op, lam and cartan_binom box a finite field's array or
+a Q table into a Mat on the way out; op_np, lam_np and cartan_binom_np hand
+an array over, and op_table, lam_table and _cartan_table any table (the
+lattice reads Q tables so).
 
 Modules are immutable after construction apart from the lazily memoized
 tables; once a table is materialized it is never rewritten, so concurrent
@@ -149,7 +151,9 @@ class LoopModule:
         )
 
     def _boxed(self, table):
-        return table if self.ring.card is None else from_np(table, self.ring)
+        if self.ring.card is not None:
+            return from_np(table, self.ring)
+        return tables(self.ring).to_mat(table)
 
     def _finite(self):
         if self.ring.card is None:
@@ -701,6 +705,7 @@ class _Weyl0(LoopModule):
         and the tables between are asked for in order first, so no call
         recurses more than one step."""
         lam, w, ring = self.lam_weight, self.omega, self.ring
+        T = tables(ring)
         if r >= lam:
             for s in range(lam, r):
                 table(s)
@@ -709,19 +714,20 @@ class _Weyl0(LoopModule):
             for s in range(-1, r, -1):
                 table(s)
             lead, rest = w[lam], [(i, r + lam - i) for i in range(lam)]
-        terms = [table(s).scale(w[i]) for i, s in rest if not ring.is_zero(w[i])]
+        terms = [T.scale(table(s), w[i]) for i, s in rest if not ring.is_zero(w[i])]
         if not terms:
             # lambda = 0: the recurrence reads T_r = 0
-            return Mat.zeros(ring, self.dim, self.dim)
-        return functools.reduce(Mat.__add__, terms).scale(-ring.inv(lead))
+            return T.zeros(self.dim)
+        return T.scale(functools.reduce(T.add, terms), -ring.inv(lead))
 
     def _op(self, kind, r, k):
         ring = self.ring
+        T = tables(ring)
         if k > self.lam_weight:
-            return Mat.zeros(ring, self.dim, self.dim)
+            return T.zeros(self.dim)
         if k > 1:
             # (x±_r)^(k) = (x±_r)^(k-1) x±_r / k in characteristic zero
-            return (self.op_table(kind, r, k - 1) * self.op_table(kind, r, 1)).scale(ring.inv(ring.from_int(k)))
+            return T.scale(T.mul(self.op_table(kind, r, k - 1), self.op_table(kind, r, 1)), ring.inv(ring.from_int(k)))
         if not 0 <= r < self.lam_weight:
             return self._recur(lambda s: self.op_table(kind, s, 1), r)
         if kind == RAISE:
@@ -733,7 +739,7 @@ class _Weyl0(LoopModule):
                 continue
             merged, coeff = looppbw._merge_lower(mono, ((r, 1),), ring)
             cols.append([coeff * c for c in self._reduce({merged: ring.one})])
-        return Mat(ring, list(zip(*cols)))
+        return T.from_rows(list(zip(*cols)), (self.dim, self.dim))
 
     def _h_table(self, r):
         """h_r, straightened at 0 <= r < lambda and recurrent elsewhere."""
@@ -747,14 +753,16 @@ class _Weyl0(LoopModule):
 
     def _lam(self, r):
         # Newton's recursion on the h tables, the lower Lambda's first
+        T = tables(self.ring)
         sign, n = (1 if r > 0 else -1), abs(r)
         for j in range(1, n):
             self.lam_table(sign * j)
-        terms = [self._h_table(sign * j) * self.lam_table(sign * (n - j)) for j in range(1, n + 1)]
-        return functools.reduce(Mat.__add__, terms).scale(-self.ring.inv(self.ring.from_int(n)))
+        terms = [T.mul(self._h_table(sign * j), self.lam_table(sign * (n - j))) for j in range(1, n + 1)]
+        return T.scale(functools.reduce(T.add, terms), -self.ring.inv(self.ring.from_int(n)))
 
     def _symbolic_table(self, elem):
-        return Mat(self.ring, list(zip(*[self._apply_symbolic(elem, mono) for mono in self.basis_monomials])))
+        cols = [self._apply_symbolic(elem, mono) for mono in self.basis_monomials]
+        return tables(self.ring).from_rows(list(zip(*cols)), (self.dim, self.dim))
 
     def _apply_symbolic(self, elem, mono):
         """Coordinates of elem . (monomial v) via normal ordering."""

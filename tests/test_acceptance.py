@@ -280,3 +280,28 @@ def test_criterion_8_block_consistency():
         % (checked_modules, checked_factors, elapsed),
         ok,
     )
+
+
+def test_criterion_9_degree_four_weyl_lattices(tmp_path, capsys):
+    # `hlx lattice --p 3 --reduce --json` on W0(omega) for two lifts of degree
+    # 4, each within 5 s: the lattice U_A v has rank 2^4, its reduction has
+    # dimension 2^4, and the reduction's Drinfeld polynomial is omega mod 3
+    # (the same coefficients, each in {0, 1, 2})
+    import json
+
+    from hlx.cli import main
+
+    ok = True
+    times = []
+    for omega in (["1", "0", "0", "0", "1"], ["1", "1", "0", "1", "1"]):
+        path = tmp_path / "weyl0.json"
+        path.write_text(json.dumps({"weyl0": {"omega": omega}}))
+        t0 = time.time()
+        code = main(["lattice", "--recipe", str(path), "--p", "3", "--reduce", "--json"])
+        times.append(time.time() - t0)
+        rep = json.loads(capsys.readouterr().out)
+        red = rep["reduction"]
+        ok = ok and code == 0 and rep["rank"] == 16 and red["dim"] == 16 and red["drinfeld"] == [omega]
+        ok = ok and red["drinfeld_checks"] == {"degree": 4, "minus_matches": True, "plus_polynomial": True}
+        ok = ok and times[-1] < 5
+    _report(9, "degree-4 Weyl lattices reduced mod 3 in %s" % ", ".join("%.1fs" % t for t in times), ok)

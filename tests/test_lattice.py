@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hlx import lattice
 from hlx.exactnum import QQ, PrimeField, residue, val_p
 from hlx.lattice import (
     LatticeBasis,
@@ -407,18 +408,27 @@ def test_reduction_window_spans_like_the_dim2_window(case):
     assert ell_hw_vectors(red) == arrays(red.ring).to_rows(np_nullspace(raising, red.ring))
 
 
-def test_closure_requests_only_the_recurrence_windows():
+def _count_table_requests(monkeypatch):
+    # the tables the lattice requests from its ambient, each recorded on its
+    # first request; the module's own recursion (weyl0 builds (x±_r)^(k)
+    # from (x±_r)^(k-1) and the omega~ recurrence) is not a request
+    requests = []
+    table = lattice._table
+
+    def counted(m, tables, kind, r, k):
+        if (kind, r, k) not in tables:
+            requests.append((kind, r, k))
+        return table(m, tables, kind, r, k)
+
+    monkeypatch.setattr(lattice, "_table", counted)
+    return requests
+
+
+def test_closure_requests_only_the_recurrence_windows(monkeypatch):
     # W(1,1)⊗W(1,4)⊗W(1,7) at p = 3: the ratios of degree k = 1, 2, 3 are
     # {1, 4, 7}, {4, 7, 28} and {28}, so n = 3, 3, 1
     m = tensor(*[eval_weyl_module(QQ, 1, Fraction(a)) for a in (1, 4, 7)])
-    requests = []
-    op = m.op
-
-    def counted(kind, r, k):
-        requests.append((kind, r, k))
-        return op(kind, r, k)
-
-    m.op = counted
+    requests = _count_table_requests(monkeypatch)
     lat = lattice_closure(m, m.hw_vector(), 3)
     windows = {1: 3, 2: 3, 3: 1}
     assert lat.stable_window == 3
@@ -427,19 +437,12 @@ def test_closure_requests_only_the_recurrence_windows():
     assert sum(kind == LOWER for kind, _, _ in requests) == sum(kind == RAISE for kind, _, _ in requests) == 7
 
 
-def test_weyl0_closure_runs_on_its_recurrence_windows():
+def test_weyl0_closure_runs_on_its_recurrence_windows(monkeypatch):
     # W0((1-u)^2): no ratio data, but the omega~ recurrence gives n_k =
     # binom(lambda + k - 1, k) = 2, 3 for k = 1, 2; the closure requests
     # exactly those windows, and stable_window is max n_k
     w0 = weyl0_from_roots(QQ, [Fraction(1), Fraction(1)])
-    requests = []
-    op = w0.op
-
-    def counted(kind, r, k):
-        requests.append((kind, r, k))
-        return op(kind, r, k)
-
-    w0.op = counted
+    requests = _count_table_requests(monkeypatch)
     lat = lattice_closure(w0, w0.hw_vector(), 3)
     assert lat.rank == 4 and lat.stable_window == 3
     want = [(kind, r, k) for kind in (LOWER, RAISE) for k, n in {1: 2, 2: 3}.items() for r in range(n)]
@@ -450,7 +453,7 @@ def test_closure_needs_a_recurrence_order():
     # an explicit ambient that gives neither ratios nor orders has no
     # certified window
     w = eval_weyl_module(QQ, 1, Fraction(2))
-    m = explicit_module(QQ, w.weights, {"explicit": {}}, w.op, w.lam, hw_index=0)
+    m = explicit_module(QQ, w.weights, {"explicit": {}}, w.op_table, w.lam_table, hw_index=0)
     with pytest.raises(LatticeError, match="^the ambient gives no recurrence order for its degree-1 tables$"):
         lattice_closure(m, m.hw_vector(), 3)
 
@@ -459,7 +462,7 @@ def test_closure_rejects_a_ratio_that_is_not_a_unit():
     # the recipe names no parameter, so only the ratio data shows that 3 is
     # not a unit in Z_(3)
     w = eval_weyl_module(QQ, 1, Fraction(3))
-    m = explicit_module(QQ, w.weights, {"explicit": {}}, w.op, w.lam, hw_index=0, ratio_fn=w.op_ratios)
+    m = explicit_module(QQ, w.weights, {"explicit": {}}, w.op_table, w.lam_table, hw_index=0, ratio_fn=w.op_ratios)
     with pytest.raises(LatticeError, match="^ratio 3 of the degree-1 tables is not a unit in Z_\\(3\\)$"):
         lattice_closure(m, m.hw_vector(), 3)
 

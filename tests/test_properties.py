@@ -1,8 +1,9 @@
 """Generated-input cross-checks of the q-independent paths.
 
 The int64 kernel of every finite field is compared with the boxed Mat
-routines and with scans of the field, and brute-force witnesses with the
-boxed generators; the structural r-window of op_ratios with the periodic
+routines and with scans of the field, the integer-numerator tables over Q
+with Mat of Fractions, and brute-force witnesses with the boxed
+generators; the structural r-window of op_ratios with the periodic
 window min(dim^2, q - 1), the ell-weight labels of structural modules with
 the matrix path on independently built Lambda tables, every recipe node's
 array tables (and, over Q, its boxed tables) with dense Mat tables built
@@ -35,6 +36,7 @@ from hlx.exactnum import (
     is_prime,
     ring_pow,
 )
+from hlx.lattice import _integer_rows
 from hlx.linalg import (
     Mat,
     NpEchelon,
@@ -299,6 +301,59 @@ def test_irreducibility_verdicts_match_brute_force(m):
         if "dual_witness_dim" in res.certificate:
             witness = _annihilator(m, witness)
         _assert_witness_invariant(m, witness)
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator tables over Q against Mat of Fractions
+# ---------------------------------------------------------------------------
+
+QT = tables(QQ)
+rationals = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)))
+
+
+@st.composite
+def q_matrices(draw, m=None, n=None):
+    """(rows, pair): a matrix of Fractions (a zero matrix one time in four)
+    and its table, unreduced three times in five: numerators and
+    denominator multiplied by a common factor."""
+    m = draw(st.integers(1, 4)) if m is None else m
+    n = draw(st.integers(1, 4)) if n is None else n
+    entries = st.just(Fraction(0)) if draw(st.integers(0, 3)) == 0 else rationals
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    d, ints = QT.from_rows(rows)
+    g = draw(st.sampled_from([1, 1, 2, 6, 35]))
+    return rows, (d * g, [[x * g for x in r] for r in ints])
+
+
+def _assert_table(table, mat):
+    # the table boxes to mat and is normal: gcd(d, every entry) = 1 exactly
+    # when the pair is the least-common-denominator form of its boxed rows
+    assert QT.to_mat(table) == mat
+    assert table == _integer_rows(QT.to_mat(table).rows)
+
+
+@SETTINGS
+@given(st.data())
+def test_q_tables_match_fraction_mats(data):
+    m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+    rows, a = data.draw(q_matrices(m, k))
+    rows2, b = data.draw(q_matrices(m, k))
+    rows3, c = data.draw(q_matrices(k, n))
+    rows4, e = data.draw(q_matrices())
+    A, B, C, E = (Mat(QQ, r) for r in (rows, rows2, rows3, rows4))
+    scalar = data.draw(rationals)
+    _assert_table(QT.from_rows(rows), A)
+    _assert_table(QT.zeros(n), Mat.zeros(QQ, n, n))
+    _assert_table(QT.eye(n), Mat.identity(QQ, n))
+    _assert_table(QT.diag(rows[0]), Mat.diag(QQ, rows[0]))
+    _assert_table(QT.add(a, b), A + B)
+    _assert_table(QT.scale(a, scalar), A.scale(scalar))
+    _assert_table(QT.mul(a, c), A * C)
+    _assert_table(QT.kron(a, e), A.kron(E))
+    # neg and transpose keep the form of their input, a normal one here
+    normal = QT.from_rows(rows)
+    _assert_table(QT.neg(normal), -A)
+    _assert_table(QT.transpose(normal), A.transpose())
 
 
 # ---------------------------------------------------------------------------
