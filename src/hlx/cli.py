@@ -113,7 +113,7 @@ def _reason(exc):
     return "%s: %s" % (type(exc).__name__, exc)
 
 
-def module_report(m, r_window=None):
+def module_report(m):
     """JSON report of a module; a field that cannot be computed is replaced
     by the reason, under drinfeld_error or ell_weights_error."""
     report = m.to_json()
@@ -132,7 +132,7 @@ def module_report(m, r_window=None):
         report["ell_weights_error"] = "not computed: dimension %d exceeds 36" % m.dim
     else:
         try:
-            blocks = modrep.ell_weight_decomposition(m, r_window=r_window)
+            blocks = modrep.ell_weight_decomposition(m)
             report["ell_weights"] = [
                 {
                     "weight": b["weight"],
@@ -194,14 +194,7 @@ def cmd_module(args):
         except ValueError as exc:
             print("bad twist: %s" % exc, file=sys.stderr)
             return 2
-    if args.rwindow is not None and args.rwindow < m.lam_precision() - 1:
-        print(
-            "bad --rwindow: the ell-weight series need Lambda_r for |r| <= %d, got %d"
-            % (m.lam_precision() - 1, args.rwindow),
-            file=sys.stderr,
-        )
-        return 2
-    _emit(module_report(m, r_window=args.rwindow), args.out, args.json)
+    _emit(module_report(m), args.out, args.json)
     return 0
 
 
@@ -452,7 +445,7 @@ def cmd_lattice(args):
         return 2
     try:
         lat = latmod.lattice_closure(m, m.hw_vector(), args.p)
-    except (latmod.LatticeError, modrep.WindowError) as exc:
+    except ValueError as exc:  # LatticeError, WindowError, or no highest vector
         print("lattice error: %s" % exc, file=sys.stderr)
         return 1
     rep = lat.to_json()
@@ -487,7 +480,6 @@ def make_parser():
     p_mod.add_argument("--seed", type=int, default=0)
     p_mod.add_argument("--twist-a")
     p_mod.add_argument("--frobenius", type=int)
-    p_mod.add_argument("--rwindow", type=int)
     p_mod.add_argument("--out")
     p_mod.add_argument("--json", action="store_true")
 

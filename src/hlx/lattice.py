@@ -21,7 +21,7 @@ Closure, its invariance check and reduction mod p run on integers.  An
 operator table over Q already is an integer matrix over one denominator
 (linalg._QTables: the least common denominator of its entries, a p-unit),
 and the lattice reads it as modrep builds it, with no boxing; the basis is
-scaled to integers the same way (_integer_rows).  The closure applies a
+scaled to integers the same way (_QTables.from_rows).  The closure applies a
 lowering table to the whole basis as one integer product.  One coordinate
 map (_coordinates) inverts the pivot block of the canonical basis once and
 then takes each operator's images to their coordinates with one product,
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import looppbw, modrep
+from . import linalg, looppbw, modrep
 from .exactnum import QQ, ring_pow, val_p
 from .linalg import Mat, rref
 from .looppbw import LOWER, RAISE
@@ -195,15 +195,6 @@ def _check_unit_parameters(m, p):
     walk(m.recipe)
 
 
-def _integer_rows(rows):
-    """(d, integer rows) with rows = integer rows / d, where d is the least
-    common denominator of the entries: a p-unit when they are p-integral."""
-    from math import lcm
-
-    d = lcm(*(c.denominator for r in rows for c in r))
-    return d, [[c.numerator * (d // c.denominator) for c in r] for r in rows]
-
-
 def _images(rows, table):
     """Row i is the image of rows[i] under the matrix table, on integers.
     A zero entry of a row or of the table costs nothing: operator tables
@@ -250,7 +241,7 @@ def _lowering_fixpoint(m, rows, p, windows, tables):
     basis = canonicalize(rows, p, m.weights)
     while True:
         new_rows = list(basis)
-        e, ints = _integer_rows(basis)
+        e, ints = linalg.tables(QQ).from_rows(basis)
         for k, rs in windows.items():
             for r in rs:
                 d, table = _table(m, tables, LOWER, r, k)
@@ -315,12 +306,12 @@ def _coordinates(lat):
     p-integral (a p-power does not divide X).
     """
     p = lat.p
-    _, basis = _integer_rows(lat.rows)
+    _, basis = linalg.tables(QQ).from_rows(lat.rows)
     pivots = lat._pivots
     n = len(basis)
     # [T | 1] reduces to [1 | T^-1]; T^-1 = inverse / t
     block = [[b[c] for c in pivots] + [int(i == j) for j in range(n)] for i, b in enumerate(basis)]
-    t, inverse = _integer_rows([r[n:] for r in rref(block, QQ)[0]])
+    t, inverse = linalg.tables(QQ).from_rows([r[n:] for r in rref(block, QQ)[0]])
     inverse_t = list(zip(*inverse))
     basis_t = list(zip(*basis))
 

@@ -16,9 +16,8 @@ For them lam(r) is a diagonal read off the labels in closed form, and
 ell_weight_decomposition and drinfeld_polynomial group the basis by label
 instead of searching eigenspaces, so their cost does not grow with the
 field.  Composition factors from meataxe.chop keep the labels; weyl0 and
-lattice reductions have none and take the matrix path.
-ell_weight_decomposition refuses an r-window below the Lambda precision with
-a ValueError.
+lattice reductions have none and take the matrix path, which reads each
+block's ell-weight off its Lambda series by one Berlekamp-Massey pass.
 
 The same recipes give the ratios of the tables in r (op_ratios), and every
 module a recurrence order per divided power (recurrence_order): the tables
@@ -54,6 +53,7 @@ readers are safe and cross-module operations stay pure.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -61,7 +61,7 @@ import numpy as np
 from . import looppbw
 from .cartan import CartanData, base_p_digits
 from .drinfeld import DrinfeldPoly, EllWeight, factor_poly_unit_roots, minus_involution
-from .exactnum import QQ, FiniteField, Poly, integer_binomial, ring_pow
+from .exactnum import QQ, FiniteField, Poly, integer_binomial, ring_pow, scalars
 from .linalg import (
     Mat,
     arrays,
@@ -122,9 +122,8 @@ class LoopModule:
     def _memo(self, key, build):
         if key not in self._tables:
             if self.ring.card is not None:
-                # the longest int64 sums: matrix products (dim terms) and the
-                # ell-weight denominator solves (below the Lambda precision)
-                check_int64_bound(self.ring, max(self.dim, self.lam_precision()))
+                # the longest int64 sums are matrix products of dim terms
+                check_int64_bound(self.ring, self.dim)
             self._tables[key] = build()
         return self._tables[key]
 
@@ -970,7 +969,7 @@ def label_classes(m):
     return out
 
 
-def ell_weight_decomposition(m, r_window=None):
+def ell_weight_decomposition(m):
     """Joint generalized eigenspace decomposition of the Lambda operators,
     refining the weight decomposition.
 
@@ -980,19 +979,14 @@ def ell_weight_decomposition(m, r_window=None):
     labelled module is grouped by label: each block is one (weight, label)
     class with its unit vectors as rows, and the label is its ell-weight.
     Otherwise the weight spaces are split by generalized eigenspaces of
-    Lambda_r for r = 1, -1, ..., r_window, -r_window.
+    Lambda_r for r = 1, -1, ..., prec - 1, 1 - prec, with prec the Lambda
+    precision: these prec terms of each series already fix its ell-weight
+    (_match_ell_weight), so a wider window would split no block further.
     """
     ring = m.ring
     if ring.card is None:
         raise ValueError("ell-weight decomposition needs finite field coefficients")
     prec = m.lam_precision()
-    if r_window is None:
-        r_window = prec - 1
-    elif r_window < prec - 1:
-        raise ValueError(
-            "r-window %d is too small: the ell-weight series need Lambda_r for |r| <= %d"
-            % (r_window, prec - 1)
-        )
     if m.labels() is not None:
         out = []
         for w, label, idxs in label_classes(m):
@@ -1012,7 +1006,7 @@ def ell_weight_decomposition(m, r_window=None):
                 }
             )
         return out
-    rs = [r for rr in range(1, r_window + 1) for r in (rr, -rr)]
+    rs = [r for rr in range(1, prec) for r in (rr, -rr)]
     out = []
     for w, rows, eigs in _block_refinement(m, rs):
         opaque = any(r not in eigs for r in rs)
@@ -1105,71 +1099,68 @@ def _block_refinement(m, rs):
 def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):
     """Identify the rational series omega/pi with wt = w from the plus
     series, and accept it when its closed-form minus series
-    (EllWeight.coefficients) is series_minus; None when opaque."""
+    (EllWeight.coefficients) is series_minus; None when opaque.
+
+    An ell-weight of the module is omega/pi with deg omega, deg pi <= top,
+    the largest |weight|, and prec = 2 top + 2 terms fix it: two such
+    quotients that agree to u^prec cross-multiply to polynomials of degree
+    < prec, so they are equal.  Berlekamp-Massey gives the shortest linear
+    recurrence of the series, pi = C and omega = (S C) mod u^L, which is
+    the reduced form (a common factor would give a shorter one).  Any
+    quotient of degrees <= top that matches the series is a recurrence of
+    length <= top + 1, so none exists when L > top + 1; otherwise it is
+    (h omega)/(h pi): it has the same wt, splits exactly when omega, pi and
+    h split, and names the same EllWeight, whose pairs cancel h.  So
+    searching the denominator degrees dpi = 0..top in turn, solving each
+    for pi and accepting the first candidate that factors and passes the
+    minus check, accepts this candidate or nothing."""
     top = max((abs(x) for x in m.weights), default=0)
-    for dpi in range(0, top + 1):
-        dom = dpi + w
-        if dom < 0 or dom > top:
-            continue
-        if dom + dpi + 1 > prec:
-            break
-        pi = _solve_denominator(ring, series_plus, dom, dpi, prec)
-        if pi is None:
-            continue
-        om = _series_times_poly(ring, series_plus, pi, dom)
-        if om is None:
-            continue
-        omp, pip = Poly(ring, om), Poly(ring, pi)
-        if omp.degree() != dom or pip.degree() != dpi:
-            continue
-        try:
-            pairs = list(factor_poly_unit_roots(omp).items())
-            pairs += [(a, -mult) for a, mult in factor_poly_unit_roots(pip).items()]
-        except ValueError:  # FieldExtensionNeeded included
-            continue
-        # the minus side: series_minus must be the expansion of omega^-/pi^-
-        candidate = EllWeight(ring, pairs)
-        if candidate.coefficients(prec - 1, -1) == series_minus:
-            return candidate
+    k = scalars(ring)
+    series = [k.lift(c) for c in series_plus[:prec]]
+    pi, length = _shortest_recurrence(series, k)
+    if length > top + 1:
+        return None
+    om = [k.red(sum(map(operator.mul, pi, series[i::-1]), k.zero)) for i in range(length)]
+    omp, pip = Poly(ring, [k.box(c) for c in om]), Poly(ring, [k.box(c) for c in pi])
+    if omp.degree() - pip.degree() != w or max(omp.degree(), pip.degree()) > top:
+        return None
+    try:
+        pairs = list(factor_poly_unit_roots(omp).items())
+        pairs += [(a, -mult) for a, mult in factor_poly_unit_roots(pip).items()]
+    except ValueError:  # FieldExtensionNeeded included
+        return None
+    # the minus side: series_minus must be the expansion of omega^-/pi^-
+    candidate = EllWeight(ring, pairs)
+    if candidate.coefficients(prec - 1, -1) == series_minus:
+        return candidate
     return None
 
 
-def _solve_denominator(ring, series, dom, dpi, prec):
-    """Find pi with pi_0 = 1, deg <= dpi, (series * pi) truncating to degree
-    <= dom through precision."""
-    if dpi == 0:
-        if all(ring.is_zero(series[r]) for r in range(dom + 1, prec)):
-            return [ring.one]
-        return None
-    K = arrays(ring)
-    p = K.p
-    a = np.zeros((prec - dom - 1, dpi + 1) + K.tail, dtype=np.int64)
-    for i, mdeg in enumerate(range(dom + 1, prec)):
-        for j in range(1, dpi + 1):
-            if mdeg - j >= 0:
-                a[i, j - 1] = K.from_ring(series[mdeg - j])
-        a[i, dpi] = -K.from_ring(series[mdeg]) % p
-    red, pivots = np_rref(a, ring)
-    if dpi in pivots:
-        return None
-    x = np.zeros((dpi,) + K.tail, dtype=np.int64)
-    for row, col in zip(red, pivots):
-        x[col] = row[dpi]
-    # verify (system may be underdetermined)
-    if ((K.mul(a[:, :dpi], x) - a[:, dpi]) % p).any():
-        return None
-    return [ring.one] + [K.to_ring(c) for c in x]
-
-
-def _series_times_poly(ring, series, pi, dom):
-    out = []
-    for mdeg in range(dom + 1):
-        acc = ring.zero
-        for j, pj in enumerate(pi):
-            if 0 <= mdeg - j < len(series):
-                acc = acc + pj * series[mdeg - j]
-        out.append(acc)
-    return out
+def _shortest_recurrence(s, k):
+    """(C, L) for the shortest linear recurrence of s by Berlekamp-Massey
+    (Massey 1969): C_0 = 1, deg C <= L and sum_j C_j s_{n-j} = 0 for
+    L <= n < len(s).  On the reduced scalars of k = exactnum.scalars(ring)."""
+    rs = s[::-1]
+    c, b = [k.one], [k.one]  # C now, and C before the last length change
+    length, gap, bd = 0, 1, k.one
+    for n in range(len(s)):
+        # the discrepancy sum_j C_j s_{n-j}
+        at = len(s) - 1 - n
+        d = k.red(sum(map(operator.mul, c, rs[at : at + len(c)]), k.zero))
+        if k.is_zero(d):
+            gap += 1
+            continue
+        coef = k.red(d * k.inv(bd))
+        old = c
+        c = c + [k.zero] * (gap + len(b) - len(c))
+        for i, bi in enumerate(b):
+            c[i + gap] = k.red(c[i + gap] - coef * bi)
+        if 2 * length <= n:
+            b, bd, length, gap = old, d, n + 1 - length, 1
+        else:
+            gap += 1
+        del c[length + 1 :]  # zero: deg C <= L
+    return c, length
 
 
 # ---------------------------------------------------------------------------

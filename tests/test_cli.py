@@ -371,17 +371,38 @@ def _write_recipe(tmp_path, recipe):
     return rpath
 
 
-def test_module_build_rejects_a_short_rwindow(tmp_path, capsys):
-    # W(2,1) ⊗ W(1,2) over F_5 has Lambda precision 8: the series need r <= 7
+def test_module_build_has_no_rwindow(tmp_path, capsys):
+    # W(2,1) ⊗ W(1,2) over F_5 has Lambda precision 8, and the series to u^7
+    # fix every ell-weight, so there is no r-window to choose
     w = [{"eval_weyl": {"lambda": 2, "a": "1"}}, {"eval_weyl": {"lambda": 1, "a": "2"}}]
     rpath = _write_recipe(tmp_path, {"ring": {"kind": "Fp", "p": 5}, "build": {"tensor": w}})
-    assert main(["module", "build", "--recipe", rpath, "--rwindow", "2"]) == 2
+    assert main(["module", "build", "--recipe", rpath, "--rwindow", "7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "bad --rwindow" in captured.err and "Traceback" not in captured.err
-    code, out = _run(capsys, ["module", "build", "--recipe", rpath, "--rwindow", "7"])
+    assert "unrecognized arguments: --rwindow 7" in captured.err and "Traceback" not in captured.err
+    code, out = _run(capsys, ["module", "build", "--recipe", rpath])
     assert code == 0
     assert [b["dim"] for b in json.loads(out)["ell_weights"]] == [1, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "recipe, err",
+    [
+        # the dual of W0(1 + u + 2u^2) ⊗ W(2, 1/2): its highest vector is not
+        # designated, which ended in a traceback
+        (
+            {"dual": {"tensor": [{"weyl0": {"omega": ["1", "1", "2"]}}, {"eval_weyl": {"lambda": 2, "a": "1/2"}}]}},
+            "module has no designated highest vector",
+        ),
+        ({"eval_weyl": {"lambda": 2, "a": "3"}}, "parameter 3 is not a unit in Z_(3)"),
+    ],
+)
+def test_lattice_errors_are_reported(tmp_path, capsys, recipe, err):
+    code = main(["lattice", "--recipe", _write_recipe(tmp_path, recipe), "--p", "3", "--reduce", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "lattice error: %s\n" % err
 
 
 def test_module_report_records_failures(tmp_path, capsys):

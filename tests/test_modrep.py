@@ -549,7 +549,7 @@ def test_reduction_of_repeated_root_weyl_ell_weights():
 
 
 def test_int64_bound_on_the_numpy_path():
-    # n*(p-1)^2 < 2^63 with n = max(dim, Lambda precision) = 6 here
+    # n*(p-1)^2 < 2^63 with n = dim = 4 here
     F = PrimeField(1000000007)
     m = tensor(eval_weyl_module(F, 1, F(2)), eval_weyl_module(F, 1, F(3)))
     poly, checks = drinfeld_polynomial(m)
@@ -570,21 +570,21 @@ def test_int64_bound_on_the_numpy_path():
 
 
 def test_int64_bound_over_an_extension_field():
-    # over F_{p^2} one coordinate of a product sums n*d = 12 terms of size
-    # (p-1)^2: at p = 1000000007 the F_p tables (6 terms) pass the bound and
-    # the F_{p^2} tables must refuse
-    Fp = PrimeField(1000000007)
+    # over F_{p^2} one coordinate of a product sums n*d = 8 terms of size
+    # (p-1)^2, n = dim = 4: at p = 1073741827 > 2^30 the F_p tables (4 terms)
+    # pass the bound and the F_{p^2} tables must refuse
+    Fp = PrimeField(1073741827)
     m = tensor(eval_weyl_module(Fp, 1, Fp(2)), eval_weyl_module(Fp, 1, Fp(3)))
     assert m.op_np(LOWER, 1, 1).any()
-    F = FiniteField(1000000007, 2)
+    F = FiniteField(1073741827, 2)
     m = tensor(eval_weyl_module(F, 1, F.gen()), eval_weyl_module(F, 1, F.gen() + F.one))
     with pytest.raises(ValueError, match=r"n\*\(p-1\)\^2 < 2\^63"):
         m.op_np(LOWER, 1, 1)
     with pytest.raises(ValueError, match=r"n\*\(p-1\)\^2 < 2\^63"):
         ell_hw_vectors(m)
-    # just below the bound the kernel is exact: its tables and products
-    # agree with the boxed Kronecker sums and Mat products
-    F = FiniteField(536870909, 2)
+    # just below the bound (p = 1073741789 < 2^30) the kernel is exact: its
+    # tables and products agree with the boxed Kronecker sums and Mat products
+    F = FiniteField(1073741789, 2)
     left, right = eval_weyl_module(F, 1, F.gen()), eval_weyl_module(F, 1, F.gen() + F.one)
     m = tensor(left, right)
     K = arrays(F)

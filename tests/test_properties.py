@@ -5,7 +5,8 @@ routines and with scans of the field, the integer-numerator tables over Q
 with Mat of Fractions, and brute-force witnesses with the boxed
 generators; the structural r-window of op_ratios with the periodic
 window min(dim^2, q - 1), the ell-weight labels of structural modules with
-the matrix path on independently built Lambda tables, every recipe node's
+the matrix path on independently built Lambda tables, its Berlekamp-Massey
+matching with the denominator-degree search it replaced, every recipe node's
 array tables (and, over Q, its boxed tables) with dense Mat tables built
 from the node's formulas, and the norm-based extension hint with root
 enumeration in the extension field.
@@ -17,6 +18,7 @@ import json
 import operator
 import time
 from collections import Counter
+from types import SimpleNamespace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hlx import modrep
-from hlx.drinfeld import FieldExtensionNeeded, _extension_hint, _roots_in_field, factor_poly_unit_roots
+from hlx.drinfeld import EllWeight, FieldExtensionNeeded, _extension_hint, _roots_in_field, factor_poly_unit_roots
 from hlx.exactnum import (
     QQ,
     FiniteField,
@@ -36,7 +38,6 @@ from hlx.exactnum import (
     is_prime,
     ring_pow,
 )
-from hlx.lattice import _integer_rows
 from hlx.linalg import (
     Mat,
     NpEchelon,
@@ -329,7 +330,7 @@ def _assert_table(table, mat):
     # the table boxes to mat and is normal: gcd(d, every entry) = 1 exactly
     # when the pair is the least-common-denominator form of its boxed rows
     assert QT.to_mat(table) == mat
-    assert table == _integer_rows(QT.to_mat(table).rows)
+    assert table == QT.from_rows(QT.to_mat(table).rows)
 
 
 @SETTINGS
@@ -581,8 +582,14 @@ def labelled_recipes(draw):
     return recipe, F
 
 
+L_11_6 = {"irreducible": {"lambda": 11, "a": "6"}}
+
+
 @settings(SETTINGS, max_examples=60)
 @given(labelled_recipes())
+# the double Frobenius twist of L(11, 6) over F_7: weights up to 539, so the
+# series run to u^1079
+@example(({"frobenius_twist": {"m": 1, "of": {"frobenius_twist": {"m": 1, "of": L_11_6}}}}, PrimeField(7)))
 def test_labels_agree_with_the_matrix_path(recipe_ring):
     recipe, F = recipe_ring
     m = build_module(recipe, F)
@@ -602,6 +609,132 @@ def test_labels_agree_with_the_matrix_path(recipe_ring):
             assert drinfeld_polynomial(m, v) == drinfeld_polynomial(oracle, v)
     if isinstance(F, PrimeField) or F.card ** m.dim <= 4096:
         assert _factor_reports(m) == _factor_reports(oracle)
+
+
+# ---------------------------------------------------------------------------
+# ell-weight matching by Berlekamp-Massey against the denominator search
+# ---------------------------------------------------------------------------
+
+
+def _match_by_denominator_search(ring, w, series_plus, series_minus, prec, m):
+    """The matching that Berlekamp-Massey replaced: for each denominator
+    degree dpi = 0..top, solve the plus series for pi and accept the first
+    omega/pi of exact degrees (dpi + w, dpi) that factors and whose minus
+    series is series_minus."""
+    top = max((abs(x) for x in m.weights), default=0)
+    for dpi in range(0, top + 1):
+        dom = dpi + w
+        if dom < 0 or dom > top:
+            continue
+        if dom + dpi + 1 > prec:
+            break
+        pi = _solve_denominator(ring, series_plus, dom, dpi, prec)
+        if pi is None:
+            continue
+        om = _series_times_poly(ring, series_plus, pi, dom)
+        omp, pip = Poly(ring, om), Poly(ring, pi)
+        if omp.degree() != dom or pip.degree() != dpi:
+            continue
+        try:
+            pairs = list(factor_poly_unit_roots(omp).items())
+            pairs += [(a, -mult) for a, mult in factor_poly_unit_roots(pip).items()]
+        except ValueError:
+            continue
+        candidate = EllWeight(ring, pairs)
+        if candidate.coefficients(prec - 1, -1) == series_minus:
+            return candidate
+    return None
+
+
+def _solve_denominator(ring, series, dom, dpi, prec):
+    """pi with pi_0 = 1, deg <= dpi and (series * pi) of degree <= dom
+    through precision, by one RREF; None when there is none."""
+    if dpi == 0:
+        if all(ring.is_zero(series[r]) for r in range(dom + 1, prec)):
+            return [ring.one]
+        return None
+    K = arrays(ring)
+    p = K.p
+    a = np.zeros((prec - dom - 1, dpi + 1) + K.tail, dtype=np.int64)
+    for i, mdeg in enumerate(range(dom + 1, prec)):
+        for j in range(1, dpi + 1):
+            if mdeg - j >= 0:
+                a[i, j - 1] = K.from_ring(series[mdeg - j])
+        a[i, dpi] = -K.from_ring(series[mdeg]) % p
+    red, pivots = np_rref(a, ring)
+    if dpi in pivots:
+        return None
+    x = np.zeros((dpi,) + K.tail, dtype=np.int64)
+    for row, col in zip(red, pivots):
+        x[col] = row[dpi]
+    if ((K.mul(a[:, :dpi], x) - a[:, dpi]) % p).any():
+        return None
+    return [ring.one] + [K.to_ring(c) for c in x]
+
+
+def _series_times_poly(ring, series, pi, dom):
+    return [
+        functools.reduce(operator.add, (pj * series[n - j] for j, pj in enumerate(pi) if n - j >= 0), ring.zero)
+        for n in range(dom + 1)
+    ]
+
+
+@st.composite
+def ell_weight_series(draw):
+    """(ring, w, plus, minus, prec, m, want): the series of a random
+    EllWeight to the precision of a stand-in module m whose weights bound
+    its degrees or fall one short, with w its wt or off by one.  The plus
+    series may carry one more factor g or 1/g with g = 1 + u + u^2 (char 2)
+    or 1 + u^2 (char 3 and up), which splits over neither F_2 nor F_3, and
+    either series may have one coefficient corrupted.  want is the
+    EllWeight when none of this happened, and None otherwise."""
+    ring = draw(st.sampled_from([PrimeField(p) for p in SMALL_PRIMES] + [FiniteField(2, 2), FiniteField(3, 2)]))
+    p = ring.char
+    powers = [c * p**N for N in (1, 2, 3, 4) for c in range(1, p) if c * p**N <= 16]
+    weight = st.integers(1, 4) | st.sampled_from(powers)
+    signed = st.builds(lambda mu, neg: -mu if neg else mu, weight, st.booleans())
+    ew = EllWeight(ring, draw(st.lists(st.tuples(st.sampled_from(ring.units()), signed), max_size=3)))
+    g1 = ring.one if p == 2 else ring.zero  # g = 1 + g1 u + u^2
+    extra = draw(st.sampled_from([0, 0, 1, -1]))
+    deg_om = sum(mu for _, mu in ew.pairs if mu > 0) + 2 * (extra == 1)
+    deg_pi = sum(-mu for _, mu in ew.pairs if mu < 0) + 2 * (extra == -1)
+    top = max(0, max(deg_om, deg_pi) + draw(st.integers(-1, 2)))
+    prec = 2 * top + 2
+    s = [ring.zero, ring.zero] + ew.coefficients(prec - 1, 1)
+    # times g from the top down, or divided by g from the bottom up, in place
+    for i in range(prec + 1, 1, -1) if extra == 1 else range(2, prec + 2) if extra == -1 else ():
+        tail = g1 * s[i - 1] + s[i - 2]
+        s[i] = s[i] + tail if extra == 1 else s[i] - tail
+    plus = s[2:]
+    minus = ew.coefficients(prec - 1, -1)
+    clean = not extra and max(deg_om, deg_pi) <= top
+    for series in (plus, minus):
+        if top and draw(st.integers(0, 4)) == 0:
+            r = draw(st.integers(1, prec - 1))
+            series[r] = series[r] + ring.one
+            clean = False
+    shift = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    want = ew if clean and not shift else None
+    return ring, deg_om - deg_pi + shift, plus, minus, prec, SimpleNamespace(weights=(top, -top)), want
+
+
+INVERSE_SQUARE = EllWeight(PrimeField(3), [(PrimeField(3).one, -2)])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(ell_weight_series())
+# 1/(1 - u)^2 with weights up to 1: its four terms fix it, but deg pi = 2 is
+# past the top weight, so nothing matches
+@example(
+    (PrimeField(3), -2, INVERSE_SQUARE.coefficients(3), INVERSE_SQUARE.coefficients(3, -1), 4)
+    + (SimpleNamespace(weights=(1, -1)), None)
+)
+def test_berlekamp_massey_matches_the_denominator_search(case):
+    ring, w, plus, minus, prec, m, want = case
+    got = modrep._match_ell_weight(ring, w, plus, minus, prec, m)
+    assert got == _match_by_denominator_search(ring, w, plus, minus, prec, m)
+    if want is not None:
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
