@@ -275,17 +275,6 @@ class EllWeight:
     def spectral_character(self, cd):
         return SpectralCharacter(self.ring, [(a, cd.weight_class(mu)) for a, mu in self.pairs])
 
-    def to_drinfeld(self):
-        """The DrinfeldPoly when all exponents are dominant."""
-        if any(mu < 0 for _, mu in self.pairs):
-            raise ValueError("not a dominant ell-weight")
-        ring = self.ring
-        f = Poly.const(ring, ring.one)
-        for a, mu in self.pairs:
-            for _ in range(mu):
-                f = f * Poly(ring, [ring.one, -a])
-        return DrinfeldPoly(ring, f)
-
     def coefficients(self, n, sign=1):
         """Coefficients of u^0..u^n in prod (1 - a u)^{mu}, with the
         parameters inverted when sign=-1.
@@ -418,20 +407,6 @@ def _canonical(ring, pairs):
         else:
             acc.append([a, n])
     return tuple(sorted(((a, n) for a, n in acc if n), key=lambda t: _param_sort_key(ring, t[0])))
-
-
-def factor(obj):
-    """Canonical multiset {(a_j, mu_j)} of a DrinfeldPoly (or pass-through of
-    an EllWeight's pairs).  Raises FieldExtensionNeeded when roots escape."""
-    if isinstance(obj, EllWeight):
-        return list(obj.pairs)
-    pairs = list(factor_poly_unit_roots(obj.polys[0]).items())
-    pairs.sort(key=lambda t: _param_sort_key(obj.ring, t[0]))
-    return pairs
-
-
-def ell_weight_from_poly(poly):
-    return EllWeight(poly.ring, factor(poly))
 
 
 class SpectralCharacter:

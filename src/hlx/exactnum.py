@@ -470,12 +470,6 @@ def _splitter(h, rng, k):
     return _poly_sub(t, [k.one], k)
 
 
-def fppoly_roots(f, p):
-    """Distinct roots in F_p of an integer polynomial (ascending
-    coefficients), sorted ascending: poly_roots over F_p."""
-    return poly_roots([c % p for c in f], scalars(PrimeField(p)))
-
-
 def field_roots(ring, coeffs):
     """Distinct roots in a finite field of a polynomial with coefficients in
     it (ascending), in ring.index order."""

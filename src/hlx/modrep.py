@@ -16,8 +16,12 @@ For them lam(r) is a diagonal read off the labels in closed form, and
 ell_weight_decomposition and drinfeld_polynomial group the basis by label
 instead of searching eigenspaces, so their cost does not grow with the
 field.  Composition factors from meataxe.chop keep the labels; weyl0 and
-lattice reductions have none and take the matrix path, which reads each
-block's ell-weight off its Lambda series by one Berlekamp-Massey pass.
+lattice reductions have none and take the matrix path: each block carries
+its Lambda series as two coefficient lists, appended to while Lambda_r
+leaves the block whole and copied only when it splits, and its ell-weight
+is read off them by one Berlekamp-Massey pass over the nonzero
+coefficients of the recurrence, so a Frobenius-twisted series costs about
+what the untwisted one would.
 
 The same recipes give the ratios of the tables in r (op_ratios), and every
 module a recurrence order per divided power (recurrence_order): the tables
@@ -53,7 +57,6 @@ readers are safe and cross-module operations stay pure.
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -913,9 +916,13 @@ def drinfeld_polynomial(m, v=None):
             return m.label_coefficients(label, 1 if r >= 0 else -1, abs(r))[abs(r)]
 
     else:
+        # v as a dim x 1 table: each Lambda_r is applied in the table
+        # representation and only the image column is boxed
+        T = tables(ring)
+        col = T.from_rows([[c] for c in v], (m.dim, 1))
 
         def eig(r):
-            img = m.lam(r).apply(v)
+            img = [row[0] for row in m._boxed(T.mul(m.lam_table(r), col)).rows]
             ratio = img[idxs[0]] * ring.inv(v[idxs[0]])
             chk = [ratio * c for c in v]
             if any(not ring.is_zero(a - b) for a, b in zip(chk, img)):
@@ -988,35 +995,24 @@ def ell_weight_decomposition(m):
         raise ValueError("ell-weight decomposition needs finite field coefficients")
     prec = m.lam_precision()
     if m.labels() is not None:
-        out = []
-        for w, label, idxs in label_classes(m):
-            rows = []
-            for i in idxs:
-                row = [ring.zero] * m.dim
-                row[i] = ring.one
-                rows.append(row)
-            out.append(
-                {
-                    "weight": w,
-                    "dim": len(idxs),
-                    "rows": rows,
-                    "series_plus": m.label_coefficients(label, 1, prec - 1)[:prec],
-                    "series_minus": m.label_coefficients(label, -1, prec - 1)[:prec],
-                    "ell_weight": label,
-                }
+        zero, one = ring.zero, ring.one
+        parts = (
+            (
+                w,
+                [[zero] * i + [one] + [zero] * (m.dim - 1 - i) for i in idxs],
+                (m.label_coefficients(label, 1, prec - 1)[:prec], m.label_coefficients(label, -1, prec - 1)[:prec]),
+                label,
             )
-        return out
-    rs = [r for rr in range(1, prec) for r in (rr, -rr)]
+            for w, label, idxs in label_classes(m)
+        )
+    else:
+        parts = (
+            (w, rows, series, None if series is None else _match_ell_weight(ring, w, *series, prec, m))
+            for w, rows, series in _block_refinement(m, prec)
+        )
     out = []
-    for w, rows, eigs in _block_refinement(m, rs):
-        opaque = any(r not in eigs for r in rs)
-        if opaque:
-            series_plus = series_minus = None
-            ellw = None
-        else:
-            series_plus = [ring.one] + [eigs[r] for r in range(1, prec)]
-            series_minus = [ring.one] + [eigs[-r] for r in range(1, prec)]
-            ellw = _match_ell_weight(ring, w, series_plus, series_minus, prec, m)
+    for w, rows, series, ellw in parts:
+        series_plus, series_minus = series or (None, None)
         out.append(
             {
                 "weight": w,
@@ -1041,10 +1037,14 @@ def common_spectral_character(blocks):
     return chars[0] if all(c == chars[0] for c in chars) else None
 
 
-def _block_refinement(m, rs):
-    """Weight blocks refined by the generalized eigenspaces of Lambda_r for r
-    in rs, on arrays: (weight, rows, {r: eigenvalue}) with the rows in RREF
-    and the eigenvalues in field-element order."""
+def _block_refinement(m, prec):
+    """Weight blocks refined by the generalized eigenspaces of Lambda_r for
+    r = 1, -1, ..., prec - 1, 1 - prec, on arrays: (weight, rows, series)
+    with the rows in RREF and the blocks in field-element order of the
+    eigenvalues.  series is the pair of eigenvalue lists (plus, minus) from
+    u^0, or None (opaque) once some Lambda_r has an eigenvalue outside the
+    field.  A block that Lambda_r does not split appends to its own lists;
+    a split copies them once per child, at most dim times in all."""
     ring = m.ring
     K = arrays(ring)
     p = K.p
@@ -1053,11 +1053,13 @@ def _block_refinement(m, rs):
         idxs = [i for i, wi in enumerate(m.weights) if wi == w]
         rows = np.zeros((len(idxs), m.dim) + K.tail, dtype=np.int64)
         rows[np.arange(len(idxs)), idxs] = K.unit
-        blocks.append((w, rows, list(idxs), {}))
-    for r in rs:
+        blocks.append((w, rows, idxs, ([ring.one], [ring.one])))
+    for r in (r for rr in range(1, prec) for r in (rr, -rr)):
+        side = 0 if r > 0 else 1
         mat = m.lam_np(r)
         nxt = []
-        for w, rows, pivots, eigs in blocks:
+        for block in blocks:
+            w, rows, pivots, series = block
             s = rows.shape[0]
             imgs = K.mul(rows, mat.swapaxes(0, 1))
             # coordinates against the RREF rows: entries at pivot columns
@@ -1066,34 +1068,42 @@ def _block_refinement(m, rs):
                 raise ArithmeticError("weight block is not Lambda invariant")
             rmat = coords.swapaxes(0, 1)  # restricted matrix, column action
             if s == 1:
-                e = dict(eigs)
-                e[r] = K.to_ring(rmat[0, 0])
-                nxt.append((w, rows, pivots, e))
+                kernels, found_total = [(None, K.to_ring(rmat[0, 0]))], 1
+            else:
+                kernels, found_total, prod = [], 0, K.eye(s)
+                # only eigenvalues have a nonzero generalized kernel; they
+                # come in field-element order, which keeps the blocks so
+                for nu in np_eigenvalues(rmat, ring):
+                    power = (rmat - K.emul(K.eye(s), K.coords(nu))) % p
+                    for _ in range(max(1, s.bit_length())):
+                        power = K.mul(power, power)
+                    ker = np_nullspace(power, ring)
+                    kernels.append((ker, K.box(nu)))
+                    found_total += ker.shape[0]
+                    prod = K.mul(prod, power)
+                    if found_total == s:
+                        break
+            if found_total == s and len(kernels) == 1:
+                # Lambda_r leaves the block whole: it keeps its RREF rows
+                # and appends to its own series
+                if series is not None:
+                    series[side].append(kernels[0][1])
+                nxt.append(block)
                 continue
-            found_total = 0
-            prod = K.eye(s)
-            # only eigenvalues have a nonzero generalized kernel; they come
-            # in field-element order, which keeps the blocks in that order
-            for nu in np_eigenvalues(rmat, ring):
-                power = (rmat - K.emul(K.eye(s), K.coords(nu))) % p
-                for _ in range(max(1, s.bit_length())):
-                    power = K.mul(power, power)
-                ker = np_nullspace(power, ring)
+            for ker, nu in kernels:
                 red, piv = np_rref(K.mul(ker, rows), ring)
-                e = dict(eigs)
-                e[r] = K.box(nu)
-                nxt.append((w, red, piv, e))
-                found_total += ker.shape[0]
-                prod = K.mul(prod, power)
-                if found_total == s:
-                    break
+                child = None
+                if series is not None:
+                    child = (series[0][:], series[1][:])
+                    child[side].append(nu)
+                nxt.append((w, red, piv, child))
             if found_total < s:
                 img_rows, _ = np_rref(prod.swapaxes(0, 1), ring)
                 if img_rows.shape[0]:
                     red, piv = np_rref(K.mul(img_rows, rows), ring)
-                    nxt.append((w, red, piv, dict(eigs)))
+                    nxt.append((w, red, piv, None))
         blocks = nxt
-    return [(w, K.to_rows(rows), eigs) for w, rows, _, eigs in blocks]
+    return [(w, K.to_rows(rows), series) for w, rows, _, series in blocks]
 
 
 def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):
@@ -1120,7 +1130,8 @@ def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):
     pi, length = _shortest_recurrence(series, k)
     if length > top + 1:
         return None
-    om = [k.red(sum(map(operator.mul, pi, series[i::-1]), k.zero)) for i in range(length)]
+    terms = _nonzero_terms(pi, k)
+    om = [k.red(sum((c * series[i - j] for j, c in terms if j <= i), k.zero)) for i in range(length)]
     omp, pip = Poly(ring, [k.box(c) for c in om]), Poly(ring, [k.box(c) for c in pi])
     if omp.degree() - pip.degree() != w or max(omp.degree(), pip.degree()) > top:
         return None
@@ -1136,30 +1147,37 @@ def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):
     return None
 
 
+def _nonzero_terms(c, k):
+    return [(j, cj) for j, cj in enumerate(c) if not k.is_zero(cj)]
+
+
 def _shortest_recurrence(s, k):
     """(C, L) for the shortest linear recurrence of s by Berlekamp-Massey
     (Massey 1969): C_0 = 1, deg C <= L and sum_j C_j s_{n-j} = 0 for
-    L <= n < len(s).  On the reduced scalars of k = exactnum.scalars(ring)."""
-    rs = s[::-1]
+    L <= n < len(s).  On the reduced scalars of k = exactnum.scalars(ring).
+    The sums and updates run over the nonzero coefficients of C and B only,
+    so a series supported on multiples of g, whose C is a polynomial in
+    u^g, costs about what the series in u^g would."""
     c, b = [k.one], [k.one]  # C now, and C before the last length change
+    cterms = bterms = [(0, k.one)]
     length, gap, bd = 0, 1, k.one
     for n in range(len(s)):
-        # the discrepancy sum_j C_j s_{n-j}
-        at = len(s) - 1 - n
-        d = k.red(sum(map(operator.mul, c, rs[at : at + len(c)]), k.zero))
+        # the discrepancy sum_j C_j s_{n-j}; deg C <= L <= n
+        d = k.red(sum((cj * s[n - j] for j, cj in cterms), k.zero))
         if k.is_zero(d):
             gap += 1
             continue
         coef = k.red(d * k.inv(bd))
-        old = c
+        old, oldterms = c, cterms
         c = c + [k.zero] * (gap + len(b) - len(c))
-        for i, bi in enumerate(b):
+        for i, bi in bterms:
             c[i + gap] = k.red(c[i + gap] - coef * bi)
         if 2 * length <= n:
-            b, bd, length, gap = old, d, n + 1 - length, 1
+            b, bterms, bd, length, gap = old, oldterms, d, n + 1 - length, 1
         else:
             gap += 1
         del c[length + 1 :]  # zero: deg C <= L
+        cterms = _nonzero_terms(c, k)
     return c, length
 
 

@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 
 from hlx.cartan import CartanData
 from hlx.drinfeld import (
-    DrinfeldPoly,
     EllWeight,
     FieldExtensionNeeded,
     SpectralCharacter,
     _deflate,
     _roots_in_field,
     block_partition,
-    ell_weight_from_poly,
-    factor,
     factor_poly_unit_roots,
     minus_involution,
 )
@@ -41,34 +38,32 @@ def test_factor_over_f3():
     # (1-u)^2 (1-2u)
     f = Poly(F, [F(1), F(-1)])
     g = Poly(F, [F(1), F(-2)])
-    poly = DrinfeldPoly(F, f * f * g)
-    pairs = factor(poly)
-    as_dict = {F.fmt(a): mu for a, mu in pairs}
+    pairs = factor_poly_unit_roots(f * f * g)
+    as_dict = {F.fmt(a): mu for a, mu in pairs.items()}
     assert as_dict == {"1": 2, "2": 1}
 
 
 def test_factor_constant():
     F = PrimeField(3)
-    poly = DrinfeldPoly(F, Poly(F, [F.one]))
-    assert factor(poly) == []
+    assert factor_poly_unit_roots(Poly(F, [F.one])) == {}
 
 
 def test_factor_irreducible_quadratic_raises_with_hint():
     F = PrimeField(3)
     # 1 + u^2 has no roots in F_3 (note 1 + u + u^2 does: u = 1)
-    poly = DrinfeldPoly(F, Poly(F, [F(1), F(0), F(1)]))
     with pytest.raises(FieldExtensionNeeded) as exc:
-        factor(poly)
+        factor_poly_unit_roots(Poly(F, [F(1), F(0), F(1)]))
     assert exc.value.suggested_degree == 2
 
 
 def test_factor_reconstruct_roundtrip():
     F = PrimeField(5)
     ew = EllWeight(F, [(F(2), 2), (F(3), 1)])
-    poly = ew.to_drinfeld()
-    assert ell_weight_from_poly(poly) == ew
-    back = EllWeight(F, factor(poly))
-    assert back == ew
+    # a dominant ell-weight's plus series is its Drinfeld polynomial
+    poly = Poly(F, ew.coefficients(ew.wt()))
+    f, g = Poly(F, [F(1), F(-2)]), Poly(F, [F(1), F(-3)])
+    assert poly == f * f * g
+    assert EllWeight(F, factor_poly_unit_roots(poly).items()) == ew
 
 
 def test_minus_involution():
@@ -189,10 +184,7 @@ def test_factor_over_rationals():
     from fractions import Fraction
 
     f = Poly(QQ, [Fraction(1), Fraction(-2)]) * Poly(QQ, [Fraction(1), Fraction(-1, 3)])
-    poly = DrinfeldPoly(QQ, f)
-    pairs = factor(poly)
-    got = dict(pairs)
-    assert got == {Fraction(2): 1, Fraction(1, 3): 1}
+    assert factor_poly_unit_roots(f) == {Fraction(2): 1, Fraction(1, 3): 1}
 
 
 # ---------------------------------------------------------------------------

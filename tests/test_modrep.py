@@ -3,11 +3,13 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hlx import looppbw
+from hlx.cli import module_report
 from hlx.exactnum import QQ, FiniteField, PrimeField
 from hlx.linalg import Mat, arrays, from_np, rref, to_np
 from hlx.looppbw import CARTAN, LOWER, RAISE, HyperElement
@@ -19,6 +21,7 @@ from hlx.modrep import (
     ell_hw_vectors,
     ell_weight_decomposition,
     eval_weyl_module,
+    explicit_module,
     frobenius_twist,
     irreducible_module,
     psi_twist,
@@ -659,3 +662,47 @@ def test_nested_frobenius_twists_keep_the_closed_form_drinfeld_polynomial():
     assert poly.fmt() == [[str(c % 7) for c in coeffs]]
     blocks = ell_weight_decomposition(m)
     assert sum(b["dim"] for b in blocks) == m.dim
+
+
+def _without_labels(m):
+    # the same tables as an explicit module, which carries no labels
+    return explicit_module(
+        m.ring, m.weights, m.recipe, m.op_table, m.lam_table, hw_index=m.hw_index, ratio_fn=m.op_ratios
+    )
+
+
+def test_unlabelled_triple_twist_decomposes_as_the_labels_do():
+    # L(11, 6) = W(4, 6) ⊗ W(1, 6^7)^[1] over F_7 from unlabelled leaves,
+    # twisted three times: tensor and twists compute Lambda_r from their
+    # factors' tables, and the matrix path reads series to u^7547 that are
+    # zero off multiples of 7^3
+    F = PrimeField(7)
+    node = {"irreducible": {"lambda": 11, "a": "6"}}
+    leaves = [_without_labels(eval_weyl_module(F, lam, F(6))) for lam in (4, 1)]
+    bare = tensor(leaves[0], frobenius_twist(leaves[1], 1))
+    for _ in range(3):
+        node = {"frobenius_twist": {"m": 1, "of": node}}
+        bare = frobenius_twist(bare, 1)
+    m = build_module(node, F)
+    assert bare.labels() is None and bare.weights == m.weights
+    blocks = ell_weight_decomposition(bare)
+    assert blocks == ell_weight_decomposition(m)
+    assert len(blocks[0]["series_plus"]) == m.lam_precision() == 7548
+    assert drinfeld_polynomial(bare) == drinfeld_polynomial(m)
+
+
+def test_opaque_block_carries_no_series():
+    # Lambda_1 acts on the weight-0 plane as the companion matrix of
+    # x^2 + 1, which has no root in F_3, and every other Lambda_r is zero:
+    # one opaque block, with no series, no ell-weight and no spectral
+    # character
+    F = PrimeField(3)
+    zero = np.zeros((2, 2), dtype=np.int64)
+    companion = np.array([[0, 2], [1, 0]], dtype=np.int64)
+    m = explicit_module(F, [0, 0], {"explicit": {}}, lambda kind, r, k: zero, lambda r: companion if r == 1 else zero)
+    blocks = ell_weight_decomposition(m)
+    assert [(b["weight"], b["dim"]) for b in blocks] == [(0, 2)]
+    assert blocks[0]["series_plus"] is blocks[0]["series_minus"] is blocks[0]["ell_weight"] is None
+    report = module_report(m)
+    assert report["ell_weights"] == [{"weight": 0, "dim": 2, "ell_weight": None}]
+    assert "spectral_character" not in report

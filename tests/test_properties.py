@@ -33,10 +33,11 @@ from hlx.exactnum import (
     Poly,
     PrimeField,
     field_roots,
-    fppoly_roots,
     integer_binomial,
     is_prime,
+    poly_roots,
     ring_pow,
+    scalars,
 )
 from hlx.linalg import (
     Mat,
@@ -114,7 +115,7 @@ def test_roots_match_evaluation(p, data):
     f = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=10))
     assume(any(f[1:]))
     brute = [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0]
-    assert fppoly_roots(f, p) == brute
+    assert poly_roots(f, scalars(PrimeField(p))) == brute
 
 
 @SETTINGS
@@ -133,7 +134,7 @@ def test_unit_root_factorization_matches_scan_order(p, data):
     # an extra factor without roots in F_p must be refused, never dropped
     g = Poly(F, [F.one] + [F(c) for c in extra])
     rev = list(reversed(g.coeffs))
-    if g.degree() >= 1 and not fppoly_roots([c.v for c in rev], p):
+    if g.degree() >= 1 and not field_roots(F, rev):
         try:
             factor_poly_unit_roots(f * g)
         except ValueError:
