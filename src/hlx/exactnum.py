@@ -218,6 +218,7 @@ class PrimeField:
             inst = object.__new__(cls)
             inst.p = p
             inst.boxed = _Residues(p)
+            inst.zero, inst.one = inst.boxed[0], inst.boxed[1]
             cls._instances[p] = inst
         return cls._instances[p]
 
@@ -229,19 +230,11 @@ class PrimeField:
     def card(self):
         return self.p
 
-    @property
-    def zero(self):
-        return FpElem(self.p, 0)
-
-    @property
-    def one(self):
-        return FpElem(self.p, 1)
-
     def __call__(self, n):
-        return FpElem(self.p, n)
+        return self.boxed[n % self.p]
 
     def from_int(self, n):
-        return FpElem(self.p, n)
+        return self.boxed[n % self.p]
 
     def parse(self, s):
         s = str(s).strip()
@@ -249,8 +242,8 @@ class PrimeField:
             s = s.split("mod")[0].strip()
         if "/" in s:
             num, den = s.split("/")
-            return FpElem(self.p, int(num) * pow(int(den), -1, self.p))
-        return FpElem(self.p, int(s))
+            return self.boxed[int(num) * pow(int(den), -1, self.p) % self.p]
+        return self.boxed[int(s) % self.p]
 
     def fmt(self, x):
         return str(x.v)
@@ -262,17 +255,17 @@ class PrimeField:
         return x.v != 0
 
     def inv(self, x):
-        return FpElem(self.p, pow(x.v, -1, self.p))
+        return self.boxed[pow(x.v, -1, self.p)]
 
     def elements(self):
-        return [FpElem(self.p, v) for v in range(self.p)]
+        return [self.boxed[v] for v in range(self.p)]
 
     def index(self, x):
         """Position of x in elements()."""
         return x.v
 
     def units(self):
-        return [FpElem(self.p, v) for v in range(1, self.p)]
+        return [self.boxed[v] for v in range(1, self.p)]
 
     def to_json(self):
         return {"kind": "Fp", "p": self.p}

@@ -222,15 +222,13 @@ def _table(m, tables, kind, r, k):
 
 def _recurrence_windows(m, p, kmax):
     """{k: m.window(k)} for k = 1..kmax, each range(n_k) for the recurrence
-    order n_k of (x±_r)^(k).  Raises LatticeError when the ambient gives no
-    order, or when one of its ratios is not a unit in Z_(p)."""
+    order n_k of (x±_r)^(k).  Raises LatticeError when one of the ambient's
+    ratios is not a unit in Z_(p)."""
     windows = {}
     for k in range(1, kmax + 1):
         for c in m.op_ratios(k) or ():
             if val_p(c, p) != 0:
                 raise LatticeError("ratio %s of the degree-%d tables is not a unit in Z_(%d)" % (c, k, p))
-        if m.recurrence_order(k) is None:
-            raise LatticeError("the ambient gives no recurrence order for its degree-%d tables" % k)
         windows[k] = m.window(k)
     return windows
 
@@ -274,7 +272,8 @@ def lattice_closure(m, v, p):
       _check_unit_parameters;
     - a tensor gives composed products of its factors' polynomials, whose
       constant terms are products of theirs, and a dual or a twist its
-      inner module's polynomial up to unit rescaling of the roots.
+      inner module's polynomial up to unit rescaling of the roots;
+    - an explicit module states its order (order_fn) and answers for it.
     So the closure is one fixpoint over those windows (no table of a k with
     n_k = 0 is built), the check covers the same windows, and stable_window
     is max n_k.  The result is certified: it lies in U_A v, being spanned by
@@ -397,7 +396,7 @@ def reduce_mod_p(lat):
             if len(nz) == 1:
                 hw = nz[0]
     recipe = {"from_lattice": {"ambient": m.recipe, "p": p}}
-    return modrep.explicit_module(F, list(lat.weights), recipe, op_fn, lam_fn, hw_index=hw, order_fn=m.recurrence_order)
+    return modrep.explicit_module(F, list(lat.weights), recipe, op_fn, lam_fn, m.recurrence_order, hw_index=hw)
 
 
 class ElementaryDivisors:

@@ -219,48 +219,24 @@ def kernel(mat):
 
 
 def det(mat):
+    """Determinant by the permutation expansion, which needs no division,
+    so it works over any commutative ring (F[x] included).  It takes n!
+    terms; the callers take 3 x 3 and 4 x 4 determinants."""
     ring = mat.ring
     n, n2 = mat.shape
     assert n == n2
-    if n <= 4:
-        # permutation expansion keeps this usable over non-field rings
-        import itertools
-
-        acc = ring.zero
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = list(perm)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            term = ring.one
-            for i in range(n):
-                term = term * mat.rows[i][perm[i]]
-            acc = acc + (term if sign == 1 else -term)
-        return acc
-    # fraction-free would be better in general; field path suffices here
-    work = [list(r) for r in mat.rows]
-    d = ring.one
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if not ring.is_zero(work[i][col]):
-                piv = i
-                break
-        if piv is None:
-            return ring.zero
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            d = -d
-        d = d * work[col][col]
-        inv = ring.inv(work[col][col])
-        for i in range(col + 1, n):
-            c = inv * work[i][col]
-            if not ring.is_zero(c):
-                for j in range(col, n):
-                    work[i][j] = work[i][j] - c * work[col][j]
-    return d
+    acc = ring.zero
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = ring.one
+        for i in range(n):
+            term = term * mat.rows[i][perm[i]]
+        acc = acc + (term if sign == 1 else -term)
+    return acc
 
 
 class Echelon:

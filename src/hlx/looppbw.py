@@ -727,31 +727,28 @@ class SaturationResult:
 
     def reduce(self, vec):
         """Rewrite {monomial: coeff} into basis coordinates; None if some
-        monomial cannot be resolved inside the window."""
+        monomial cannot be resolved inside the window.
+
+        The echelon is fully reduced, so a rule's right side holds only
+        basis monomials and monomials that no rule resolves: one pass
+        rewrites every monomial, and the unresolved ones collect in a
+        residue, which must vanish."""
         ring = self.ring
-        vec = {m: c for m, c in vec.items() if not ring.is_zero(c)}
         coords = {m: ring.zero for m in self.basis}
-        guard = 0
-        while vec:
-            guard += 1
-            if guard > 200000:
-                raise RuntimeError("reduction did not terminate")
-            mono = next(iter(vec))
-            c = vec.pop(mono)
+        residue = {}
+        for mono, c in vec.items():
             if mono in coords:
-                coords[mono] = coords[mono] + c
-                continue
-            if sum(k for _, k in mono) > self.lam:
-                continue  # killed by the weight bound
-            rule = self._rules.get(mono)
-            if rule is None:
-                return None
-            for m2, c2 in rule.items():
-                nv = vec.get(m2, ring.zero) + c * c2
-                if ring.is_zero(nv):
-                    vec.pop(m2, None)
+                coords[mono] += c
+            elif sum(k for _, k in mono) <= self.lam:  # past the weight a monomial acts as zero
+                rule = self._rules.get(mono)
+                if rule is None:
+                    residue[mono] = residue.get(mono, ring.zero) + c
                 else:
-                    vec[m2] = nv
+                    for m2, c2 in rule.items():
+                        out = coords if m2 in coords else residue
+                        out[m2] = out.get(m2, ring.zero) + c * c2
+        if any(not ring.is_zero(c) for c in residue.values()):
+            return None
         return [coords[m] for m in self.basis]
 
 
@@ -884,11 +881,15 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     multiplier monomials are functions of the weight and the window alone,
     shared by calls.  The scalars are those of exactnum.scalars(ring): over
     F_p every coefficient, row entry and echelon entry is an int in [0, p),
-    and other fields compute on their own elements.  They are boxed into
-    ring elements only in `rules` and `relations`.  Each sweep's rows are
+    and other fields compute on their own elements.  A sweep counts only
+    its bound, the Xi' columns that are not pivots; the echelon is read
+    once, after the last sweep, and its scalars are boxed into ring
+    elements only in `rules` and `relations`.  Each sweep's rows are
     streamed into the echelon, so a sweep holds no row list; their order
     (`_relation_rows`) keeps the pivot rows short.
     """
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1, got %d" % max_sweeps)
     lam = len(omega) - 1
     if lam < 0 or not ring.is_zero(omega[0] - ring.one):
         raise ValueError("omega must have constant term 1")
@@ -902,8 +903,7 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     def in_xi(mono):
         return all(0 <= s < lam for s, _ in mono)
 
-    prev_bound = None
-    result = None
+    bound = None
     columns, echelon = [], {}
     instances, window = {}, None
     for sweep in range(max_sweeps):
@@ -923,18 +923,16 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
         window = (smin, smax)
 
         _sparse_echelon(rows, sc, echelon)
-        basis, rules, relations = _read_echelon(echelon, columns, sc, in_xi)
-        bound = len(basis)
-        stabilized = prev_bound is not None and bound == prev_bound
-        result = SaturationResult(
-            ring, lam,
-            sorted(basis, key=lambda m: (sum(k for _, k in m), m)),
-            rules, window, bound, relations, stabilized, sweep + 1,
-        )
-        if stabilized:
+        # the bound: the Xi' columns that are not pivots
+        prev, bound = bound, sum(1 for i, m in enumerate(columns) if i not in echelon and in_xi(m))
+        if bound == prev:
             break
-        prev_bound = bound
-    return result
+    basis, rules, relations = _read_echelon(echelon, columns, sc, in_xi)
+    return SaturationResult(
+        ring, lam,
+        sorted(basis, key=lambda m: (sum(k for _, k in m), m)),
+        rules, window, bound, relations, bound == prev, sweep + 1,
+    )
 
 
 def _read_echelon(echelon, columns, sc, in_xi):

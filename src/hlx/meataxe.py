@@ -59,7 +59,6 @@ from .modrep import (
     ell_weight_decomposition,
     generator_exponents,
     label_classes,
-    order_window,
     raising_kernel_np,
 )
 
@@ -571,8 +570,7 @@ def _hom_space_nonzero(m1, m2):
     ks = generator_exponents(ring.char, max(m1.max_exponent(), m2.max_exponent()))
     pairs = [(m1.cartan_binom_np(k), m2.cartan_binom_np(k)) for k in ks]
     for k in ks:
-        n1, n2 = m1.recurrence_order(k), m2.recurrence_order(k)
-        for r in order_window(None if None in (n1, n2) else n1 + n2, m1.dim):
+        for r in range(m1.recurrence_order(k) + m2.recurrence_order(k)):
             pairs += [(m1.op_np(kind, r, k), m2.op_np(kind, r, k)) for kind in (LOWER, RAISE)]
     # vec(T g1 - g2 T) = (g1^T ⊗ I - I ⊗ g2) vec(T)
     blocks = [(K.kron(K.transpose(a1), eye) - K.kron(eye, a2)) % K.p for a1, a2 in pairs]

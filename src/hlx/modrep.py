@@ -96,18 +96,6 @@ def generator_exponents(p, kmax):
     return ks
 
 
-def order_window(order, dim):
-    """The loop degrees r whose tables of one divided power span its tables
-    at every r in Z.  When they satisfy a linear recurrence of order n whose
-    polynomial is monic with a unit constant term, it runs forwards, and
-    backwards after dividing by the constant term, so the n tables at
-    r = 0..n-1 give every other one: the window is range(n).  Without an
-    order (None) it is the uncertified [-dim^2, dim^2]."""
-    if order is None:
-        return range(-dim * dim, dim * dim + 1)
-    return range(order)
-
-
 class LoopModule:
     def __init__(self, ring, weights, recipe, hw_index=None):
         self.ring = ring
@@ -225,19 +213,18 @@ class LoopModule:
     def recurrence_order(self, k):
         """n_k: the tables of (x±_r)^(k), both kinds, satisfy a linear
         recurrence in r of order n_k whose polynomial is monic with a unit
-        constant term (over Z_(p) when the module is a lattice ambient), or
-        None when the module carries no such data.  With ratios C_k it is
-        |C_k|, the polynomial prod_{c in C_k} (x - c)."""
+        constant term (over Z_(p) when the module is a lattice ambient).
+        With ratios C_k it is |C_k|, the polynomial prod_{c in C_k} (x - c);
+        every other module says how its recipe gives it (_recurrence_order)."""
         ratios = self.op_ratios(k)
         return self._recurrence_order(k) if ratios is None else len(ratios)
 
-    def _recurrence_order(self, k):
-        return None
-
     def window(self, k):
         """range(n_k) for the recurrence order n_k: the loop degrees r whose
-        tables of (x±_r)^(k) span those at every r (order_window)."""
-        return order_window(self.recurrence_order(k), self.dim)
+        tables of (x±_r)^(k) span those at every r.  The recurrence runs
+        forwards, and backwards after dividing by its unit constant term, so
+        the n_k tables at r = 0..n_k-1 give every other one."""
+        return range(self.recurrence_order(k))
 
     def lam_precision(self):
         """Number of Lambda-series terms kept: 2 max|weight| + 2, fixed with
@@ -358,10 +345,7 @@ class _Tensor(LoopModule):
         # left(l) (x) right(k - l) is recurrent with the composed product of
         # the two polynomials (its roots multiply), of degree n_L(l) n_R(k - l),
         # monic with a unit constant term; the sum is recurrent with their lcm
-        orders = [(self.left.recurrence_order(l), self.right.recurrence_order(k - l)) for l in range(k + 1)]
-        if any(a is None or b is None for a, b in orders):
-            return None
-        return sum(a * b for a, b in orders)
+        return sum(self.left.recurrence_order(l) * self.right.recurrence_order(k - l) for l in range(k + 1))
 
     def _op(self, kind, r, k):
         # Delta((x±_r)^(k)) = sum_l (x±_r)^(l) (x) (x±_r)^(k-l); (x±_r)^(l)
@@ -638,8 +622,9 @@ class _Weyl0(LoopModule):
     Lambda_{±n} = -(1/n) sum_{j=1..n} h_{±j} Lambda_{±(n-j)}."""
 
     def __init__(self, ring, omega_coeffs):
-        if ring.char != 0:
-            raise ValueError("straightened Weyl modules are built in characteristic zero")
+        if ring.kind not in ("Q", "Sym"):
+            # a field of characteristic zero: Newton's recursion divides by n
+            raise ValueError("straightened Weyl modules are built over Q or Sym, not %s" % ring.kind)
         self.omega = list(omega_coeffs)
         self.sat = looppbw.weyl_upper_bound(self.omega, ring, max_sweeps=1)
         if self.sat.dimension_bound != 2 ** self.sat.lam:
@@ -819,11 +804,12 @@ class _Explicit(LoopModule):
     """Module whose tables come from functions: op_fn(kind, r, k) and
     lam_fn(r) compute them on demand, in the representation of
     linalg.tables(ring) (lattice reductions keep a handle on their ambient
-    module this way); ratio_fn gives op_ratios when the tables are linear
-    images of another module's, order_fn gives recurrence_order when they
-    are images of another module's under a ring map (a reduction mod p)."""
+    module this way).  order_fn(k) gives recurrence_order, say the ambient's
+    when the tables are its images under a ring map (a reduction mod p);
+    ratio_fn gives op_ratios when the tables are linear images of another
+    module's, and then their count is the order."""
 
-    def __init__(self, ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_fn=None, order_fn=None):
+    def __init__(self, ring, weights, recipe, op_fn, lam_fn, order_fn, hw_index=None, ratio_fn=None):
         super().__init__(ring, weights, recipe, hw_index=hw_index)
         self._op_fn = op_fn
         self._lam_fn = lam_fn
@@ -834,7 +820,7 @@ class _Explicit(LoopModule):
         return None if self._ratio_fn is None else self._ratio_fn(k)
 
     def _recurrence_order(self, k):
-        return None if self._order_fn is None else self._order_fn(k)
+        return self._order_fn(k)
 
     def _op(self, kind, r, k):
         if k > self.max_exponent():
@@ -845,8 +831,8 @@ class _Explicit(LoopModule):
         return self._lam_fn(r)
 
 
-def explicit_module(ring, weights, recipe, op_fn, lam_fn, hw_index=None, ratio_fn=None, order_fn=None):
-    return _Explicit(ring, weights, recipe, op_fn, lam_fn, hw_index=hw_index, ratio_fn=ratio_fn, order_fn=order_fn)
+def explicit_module(ring, weights, recipe, op_fn, lam_fn, order_fn, hw_index=None, ratio_fn=None):
+    return _Explicit(ring, weights, recipe, op_fn, lam_fn, order_fn, hw_index=hw_index, ratio_fn=ratio_fn)
 
 
 # ---------------------------------------------------------------------------

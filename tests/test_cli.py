@@ -489,6 +489,17 @@ def test_weyl0_of_degree_0(tmp_path, capsys, argv):
     assert rep["drinfeld"] == [["1"]]
 
 
+@pytest.mark.parametrize("omega", [["1", "-3", "2"], ["1", "-2", "1"]])
+def test_weyl0_over_zp_is_a_bad_recipe(tmp_path, capsys, omega):
+    # Newton's recursion divides by n and the omega~ recurrence by
+    # omega_lambda: weyl0 takes Q or Sym, and Z_(p) is refused up front
+    recipe = {"ring": {"kind": "Zp", "p": 3}, "build": {"weyl0": {"omega": omega}}}
+    code = main(["module", "build", "--recipe", _write_recipe(tmp_path, recipe)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "bad recipe: straightened Weyl modules are built over Q or Sym, not Zp\n"
+
+
 def _weyl0_failure(tmp_path, capsys, argv):
     """Exit code and stderr of argv on W0((1-u)^2), or on its F_3
     reduction for chop."""

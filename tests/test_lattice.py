@@ -450,19 +450,21 @@ def test_weyl0_closure_runs_on_its_recurrence_windows(monkeypatch):
 
 
 def test_closure_needs_a_recurrence_order():
-    # an explicit ambient that gives neither ratios nor orders has no
-    # certified window
+    # every module carries a recurrence order, so every closure window is
+    # certified: an explicit module without order_fn is refused when built
     w = eval_weyl_module(QQ, 1, Fraction(2))
-    m = explicit_module(QQ, w.weights, {"explicit": {}}, w.op_table, w.lam_table, hw_index=0)
-    with pytest.raises(LatticeError, match="^the ambient gives no recurrence order for its degree-1 tables$"):
-        lattice_closure(m, m.hw_vector(), 3)
+    with pytest.raises(TypeError, match="order_fn"):
+        explicit_module(QQ, w.weights, {"explicit": {}}, w.op_table, w.lam_table, hw_index=0)
 
 
 def test_closure_rejects_a_ratio_that_is_not_a_unit():
     # the recipe names no parameter, so only the ratio data shows that 3 is
     # not a unit in Z_(3)
     w = eval_weyl_module(QQ, 1, Fraction(3))
-    m = explicit_module(QQ, w.weights, {"explicit": {}}, w.op_table, w.lam_table, hw_index=0, ratio_fn=w.op_ratios)
+    m = explicit_module(
+        QQ, w.weights, {"explicit": {}}, w.op_table, w.lam_table,
+        order_fn=w.recurrence_order, hw_index=0, ratio_fn=w.op_ratios,
+    )
     with pytest.raises(LatticeError, match="^ratio 3 of the degree-1 tables is not a unit in Z_\\(3\\)$"):
         lattice_closure(m, m.hw_vector(), 3)
 

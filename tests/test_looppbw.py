@@ -531,3 +531,68 @@ def test_counit_law():
         terms = [(l, k - l) for l in range(k + 1)]
         surviving = [m for l, m in terms if l == 0]
         assert surviving == [k]
+
+
+def _reduce_by_rewriting(res, vec):
+    """SaturationResult.reduce as a rewrite loop: pop a monomial, keep it
+    if it is a basis monomial, drop it past the weight, else replace it by
+    its rule's right side, until nothing is left; None at a monomial no rule
+    resolves."""
+    ring = res.ring
+    vec = {m: c for m, c in vec.items() if not ring.is_zero(c)}
+    coords = {m: ring.zero for m in res.basis}
+    while vec:
+        mono = next(iter(vec))
+        c = vec.pop(mono)
+        if mono in coords:
+            coords[mono] = coords[mono] + c
+            continue
+        if sum(k for _, k in mono) > res.lam:
+            continue
+        rule = res._rules.get(mono)
+        if rule is None:
+            return None
+        for m2, c2 in rule.items():
+            nv = vec.get(m2, ring.zero) + c * c2
+            if ring.is_zero(nv):
+                vec.pop(m2, None)
+            else:
+                vec[m2] = nv
+    return [coords[m] for m in res.basis]
+
+
+@st.composite
+def weights_over_q_a(draw):
+    """(omega, Q(a)): (1 - a u)(1 - c u) for a small rational c."""
+    ring = SymField(("a",))
+    a, c = ring.var("a"), ring.from_int(draw(st.integers(1, 3)))
+    return [ring.one, -(a + c), a * c], ring
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(weights(), weights_over_q_a()), st.data())
+def test_one_pass_reduce_matches_the_rewrite_loop(case, data):
+    # the echelon is fully reduced, so one pass over the rules gives the
+    # coordinates (or None) of rewriting until nothing is left
+    omega, ring = case
+    res = weyl_upper_bound(omega, ring, max_sweeps=2)
+    monos = data.draw(st.lists(st.sampled_from(res.basis + sorted(res._rules)), max_size=6, unique=True))
+    vec = {m: ring.from_int(data.draw(st.integers(-3, 3))) for m in monos}
+    assert res.reduce(vec) == _reduce_by_rewriting(res, vec)
+
+
+def test_reduce_gives_none_outside_the_window():
+    # a monomial on a slot past the window has no rule; past the weight it
+    # is killed instead
+    res = weyl_upper_bound([Fraction(1), Fraction(-2), Fraction(1)], QQ)
+    outside = res.window[1] + 1
+    for vec in ({((outside, 1),): Fraction(1)}, {((0, 1),): Fraction(1), ((1, 1), (outside, 1)): Fraction(2)}):
+        assert res.reduce(vec) is None
+        assert _reduce_by_rewriting(res, vec) is None
+    killed = res.reduce({((outside, 3),): Fraction(1), ((0, 1),): Fraction(1)})
+    assert killed == [Fraction(m == ((0, 1),)) for m in res.basis]
+
+
+def test_weyl_upper_bound_needs_a_sweep():
+    with pytest.raises(ValueError, match="^max_sweeps must be at least 1, got 0$"):
+        weyl_upper_bound([Fraction(1), Fraction(-1)], QQ, max_sweeps=0)

@@ -667,7 +667,8 @@ def test_nested_frobenius_twists_keep_the_closed_form_drinfeld_polynomial():
 def _without_labels(m):
     # the same tables as an explicit module, which carries no labels
     return explicit_module(
-        m.ring, m.weights, m.recipe, m.op_table, m.lam_table, hw_index=m.hw_index, ratio_fn=m.op_ratios
+        m.ring, m.weights, m.recipe, m.op_table, m.lam_table,
+        order_fn=m.recurrence_order, hw_index=m.hw_index, ratio_fn=m.op_ratios,
     )
 
 
@@ -699,7 +700,10 @@ def test_opaque_block_carries_no_series():
     F = PrimeField(3)
     zero = np.zeros((2, 2), dtype=np.int64)
     companion = np.array([[0, 2], [1, 0]], dtype=np.int64)
-    m = explicit_module(F, [0, 0], {"explicit": {}}, lambda kind, r, k: zero, lambda r: companion if r == 1 else zero)
+    m = explicit_module(
+        F, [0, 0], {"explicit": {}}, lambda kind, r, k: zero, lambda r: companion if r == 1 else zero,
+        order_fn=lambda k: 0,
+    )
     blocks = ell_weight_decomposition(m)
     assert [(b["weight"], b["dim"]) for b in blocks] == [(0, 2)]
     assert blocks[0]["series_plus"] is blocks[0]["series_minus"] is blocks[0]["ell_weight"] is None

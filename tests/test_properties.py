@@ -530,7 +530,9 @@ def _eval_without_labels(ring, lam, a):
         scal = ring_pow(ring, -a, r) if r > 0 else ring_pow(ring, -ring.inv(a), -r)
         return tables(ring).diag([scal * ring.from_int(integer_binomial(w, abs(r))) for w in e.weights])
 
-    return explicit_module(ring, e.weights, e.recipe, e.op_table, lam_fn, hw_index=0, ratio_fn=e.op_ratios)
+    return explicit_module(
+        ring, e.weights, e.recipe, e.op_table, lam_fn, order_fn=e.recurrence_order, hw_index=0, ratio_fn=e.op_ratios
+    )
 
 
 def _build_without_labels(node, ring):
@@ -598,7 +600,10 @@ def test_labels_agree_with_the_matrix_path(recipe_ring):
     # the oracle: m's own operator tables, Lambda computed without labels
     bare = _build_without_labels(recipe, F)
     assert bare.labels() is None
-    oracle = explicit_module(F, m.weights, m.recipe, m.op_np, bare.lam_np, hw_index=m.hw_index, ratio_fn=m.op_ratios)
+    oracle = explicit_module(
+        F, m.weights, m.recipe, m.op_np, bare.lam_np,
+        order_fn=m.recurrence_order, hw_index=m.hw_index, ratio_fn=m.op_ratios,
+    )
     prec = m.lam_precision()
     for r in range(-prec, prec + 1):
         assert m.lam(r) == oracle.lam(r)
