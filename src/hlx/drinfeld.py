@@ -4,8 +4,8 @@ A DrinfeldPoly holds one constant-term-1 polynomial; an EllWeight is a
 canonical multiset of (parameter, weight) pairs with the parameter nonzero
 and the int weights allowed to be negative.  Factorization
 is by gcd with x^q - x and Cantor-Zassenhaus splitting over every finite
-field F_q and by rational root search over Q; nothing is ever extended
-silently.  Over F_q a root's multiplicity is divided out by the binomials
+field F_q, and only there; nothing is ever extended silently.  A root's
+multiplicity is divided out by the binomials
 (u - x)^{p^i} = u^{p^i} - x^{p^i}, one per unit of each base-p digit.
 
 The series of an ell-weight is P/Q for P, Q the products of its positive
@@ -19,7 +19,6 @@ division-free recurrence (EllWeight.coefficients).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exactnum import (
     Poly,
@@ -84,28 +83,18 @@ def minus_involution(f):
 
 
 def _roots_in_field(f):
-    """All roots (with multiplicity) of f in its coefficient field, plus the
-    nonsplit residual polynomial (constant when f splits)."""
-    ring = f.ring
+    """All roots (with multiplicity) of f in its coefficient field F_q, plus
+    the nonsplit residual polynomial (constant when f splits).  The distinct
+    roots come in field-element order, so the list reads as a scan of the
+    field would; each one's multiplicity is divided out on scalars by
+    Frobenius binomials."""
+    k = scalars(f.ring)
+    g = [k.lift(c) for c in f.coeffs]
     roots = []
-    if ring.card is not None:
-        # the distinct roots come in field-element order, so the list reads
-        # as a scan of the field would; each one's multiplicity is divided out
-        # on scalars by Frobenius binomials
-        k = scalars(ring)
-        g = [k.lift(c) for c in f.coeffs]
-        for x in field_roots(ring, f.coeffs):
-            mult, g = _divide_out_root(g, k.lift(x), k)
-            roots += [x] * mult
-        return roots, Poly(ring, [k.box(c) for c in g])
-    g = f
-    while g.degree() >= 1:
-        found = _rational_root(g)
-        if found is None:
-            break
-        g = _deflate(g, found)
-        roots.append(found)
-    return roots, g
+    for x in field_roots(f.ring, f.coeffs):
+        mult, g = _divide_out_root(g, k.lift(x), k)
+        roots += [x] * mult
+    return roots, Poly(f.ring, [k.box(c) for c in g])
 
 
 def _divide_out_root(g, x, k):
@@ -146,59 +135,17 @@ def _divide_binomial(g, e, c, k):
     return q[: len(g) - e]
 
 
-def _deflate(f, root):
-    # synthetic division by (u - root); f(root) = 0
-    ring = f.ring
-    out = [ring.zero] * f.degree()
-    acc = ring.zero
-    for k in range(f.degree(), 0, -1):
-        acc = f.coeffs[k] + root * acc
-        out[k - 1] = acc
-    return Poly(ring, out)
-
-
-def _rational_root(f):
-    """One rational root of a Q-coefficient polynomial, or None."""
-    from math import gcd
-
-    mult = 1
-    for c in f.coeffs:
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    ints = [int(c * mult) for c in f.coeffs]
-    lead = ints[-1]
-    # strip u^k factor: constant term is nonzero for Drinfeld-type inputs
-    const = ints[0]
-    if const == 0:
-        return Fraction(0)
-
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return sorted(out)
-
-    for p in divisors(const):
-        for q in divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                if f.eval(cand) == 0:
-                    return cand
-    return None
-
-
 def factor_poly_unit_roots(f):
     """Multiset {root a_j: multiplicity} of f = prod (1 - a_j u).
 
     The roots of f as a polynomial in u are the reciprocals 1/a_j, so a_j
-    runs over the roots of the reversed polynomial.  Raises
-    FieldExtensionNeeded when f does not split over its field.
+    runs over the roots of the reversed polynomial.  The field must be
+    finite: over Q this is a ValueError.  Raises FieldExtensionNeeded when f
+    does not split over its field.
     """
     ring = f.ring
+    if ring.card is None:
+        raise ValueError("factoring needs a finite field, not Q")
     if f.degree() <= 0:
         return {}
     rev = Poly(ring, list(reversed(f.coeffs)))
@@ -227,22 +174,18 @@ def _extension_hint(f):
     N(f) = prod_{i<d} f^{sigma^i}, sigma the coefficientwise Frobenius: N(f)
     lies in F_p[u], and f splits over F_{p^d'} exactly when N(f) does (its
     roots are the conjugates of the roots of f)."""
-    from .exactnum import FiniteField
-
     ring = f.ring
     rev = Poly(ring, list(reversed(f.coeffs)))
     if isinstance(ring, PrimeField):
         base_d = 1
         norm = [c.v for c in rev.coeffs]
-    elif isinstance(ring, FiniteField):
+    else:
         base_d = ring.d
         acc = conj = rev
         for _ in range(base_d - 1):
             conj = Poly(ring, [ring_pow(ring, c, ring.p) for c in conj.coeffs])
             acc = acc * conj
         norm = [c.coeffs[0] for c in acc.coeffs]
-    else:
-        return None
     return next(
         (d for d in range(base_d + 1, 5) if d % base_d == 0 and fppoly_splits_over(norm, ring.char, d)),
         None,

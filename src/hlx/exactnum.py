@@ -584,8 +584,8 @@ class FiniteField:
     def __init__(self, p, d, poly=None):
         if not is_prime(p):
             raise ValueError("%d is not prime" % p)
-        if d < 1 or d > 4:
-            raise ValueError("extension degree must be in [1, 4]")
+        if d < 2 or d > 4:
+            raise ValueError("extension degree must be in [2, 4]")
         self.p = p
         self.d = d
         if poly is None:
@@ -910,17 +910,6 @@ class MPoly:
             out[e[i]] = c
         return i, out
 
-    def eval(self, values):
-        """values: dict name -> Fraction."""
-        out = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for i, k in enumerate(e):
-                if k:
-                    t *= Fraction(values[self.names[i]]) ** k
-            out += t
-        return out
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -946,55 +935,13 @@ class MPoly:
     __repr__ = __str__
 
 
-def _uni_gcd(a, b):
-    # dense univariate gcd over Q, monic output
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-
-    def trim(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = trim(a), trim(b)
-    while b:
-        # a mod b
-        r = list(a)
-        inv = 1 / b[-1]
-        for i in range(len(r) - len(b), -1, -1):
-            c = r[i + len(b) - 1] * inv
-            if c:
-                for j, bj in enumerate(b):
-                    r[i + j] -= c * bj
-        a, b = b, trim(r[: len(b) - 1])
-    if not a:
-        return [Fraction(1)]
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
-
-
-def _uni_divexact(a, b):
-    # exact dense univariate division
-    a = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    if any(a[: len(b) - 1]):
-        raise ArithmeticError("inexact division")
-    return q
-
-
 class SymElem:
     """Rational function num/den over MPoly, kept in a normal form.
 
     Every operation reduces eagerly: by monomial content always, then by the
-    univariate gcd when num and den both have at least two terms and use the
-    same single variable, and finally den is made to lead with coefficient 1.
+    monic univariate gcd (_poly_gcd on scalars(QQ)) when num and den both
+    have at least two terms and use the same single variable, and finally
+    den is made to lead with coefficient 1.
     After the content shift a monomial is coprime to the other side, so
     skipping the gcd when either side is one term leaves the normal form
     unchanged.  Bivariate fractions are not reduced by a gcd, so the normal
@@ -1036,10 +983,11 @@ class SymElem:
             ud = den.as_univariate()
             if un is not None and ud is not None and un[0] == ud[0]:
                 i = un[0]
-                g = _uni_gcd(un[1], ud[1])
+                k = scalars(QQ)
+                g = _poly_gcd(un[1], ud[1], k)
                 if len(g) > 1:
-                    qn = _uni_divexact(un[1], g)
-                    qd = _uni_divexact(ud[1], g)
+                    qn = _poly_divmod(un[1], g, k)[0]
+                    qd = _poly_divmod(ud[1], g, k)[0]
 
                     def rebuild(coeffs):
                         terms = {}
@@ -1233,12 +1181,6 @@ class Poly:
 
     def scale(self, c):
         return Poly(self.ring, [c * x for x in self.coeffs])
-
-    def eval(self, x):
-        acc = self.ring.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __eq__(self, other):
         return (

@@ -714,14 +714,13 @@ def _relation_instance(k, l, shift, omega, ring):
 
 
 class SaturationResult:
-    def __init__(self, ring, lam, basis, rules, window, bound, relations, stabilized, sweeps):
+    def __init__(self, ring, lam, basis, rules, window, bound, stabilized, sweeps):
         self.ring = ring
         self.lam = lam
         self.basis = basis              # surviving monomials, canonical order
         self._rules = rules             # {pivot monomial: {monomial: coeff}} rewrite map
         self.window = window            # (smin, smax) slot window covered
         self.dimension_bound = bound
-        self.relations = relations      # pure-Xi' relation rows
         self.stabilized = stabilized
         self.sweeps = sweeps
 
@@ -884,9 +883,9 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     and other fields compute on their own elements.  A sweep counts only
     its bound, the Xi' columns that are not pivots; the echelon is read
     once, after the last sweep, and its scalars are boxed into ring
-    elements only in `rules` and `relations`.  Each sweep's rows are
-    streamed into the echelon, so a sweep holds no row list; their order
-    (`_relation_rows`) keeps the pivot rows short.
+    elements only in `rules`.  Each sweep's rows are streamed into the
+    echelon, so a sweep holds no row list; their order (`_relation_rows`)
+    keeps the pivot rows short.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1, got %d" % max_sweeps)
@@ -894,7 +893,7 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
     if lam < 0 or not ring.is_zero(omega[0] - ring.one):
         raise ValueError("omega must have constant term 1")
     if lam == 0:
-        return SaturationResult(ring, 0, [()], {}, (0, 0), 1, [], True, 0)
+        return SaturationResult(ring, 0, [()], {}, (0, 0), 1, True, 0)
     if not ring.is_unit(omega[-1]):
         raise ValueError("leading coefficient of omega must be a unit")
     sc = scalars(ring)
@@ -927,38 +926,31 @@ def weyl_upper_bound(omega, ring, max_sweeps=5, margin=0):
         prev, bound = bound, sum(1 for i, m in enumerate(columns) if i not in echelon and in_xi(m))
         if bound == prev:
             break
-    basis, rules, relations = _read_echelon(echelon, columns, sc, in_xi)
+    basis, rules = _read_echelon(echelon, columns, sc, in_xi)
     return SaturationResult(
         ring, lam,
         sorted(basis, key=lambda m: (sum(k for _, k in m), m)),
-        rules, window, bound, relations, bound == prev, sweep + 1,
+        rules, window, bound, bound == prev, sweep + 1,
     )
 
 
 def _read_echelon(echelon, columns, sc, in_xi):
-    """Basis monomials, rewrite rules for pivot monomials and pure-Xi'
-    relations of a fully reduced echelon, with every coefficient boxed into
-    the ring of sc = exactnum.scalars(ring).
+    """Basis monomials and the rewrite rules for pivot monomials of a fully
+    reduced echelon, with every coefficient boxed into the ring of
+    sc = exactnum.scalars(ring).
 
-    A pivot on an out-of-range monomial yields a rewrite rule; a pivot inside
-    Xi' cuts the dimension, and because out-of-range columns all precede Xi'
-    columns, its row is supported on Xi' alone.
+    Each pivot row, read as pivot = -(rest of the row), is a rewrite rule.
+    A pivot inside Xi' cuts the dimension; because out-of-range columns all
+    precede Xi' columns, its rule is supported on Xi' alone, so the pure-Xi'
+    relation {pivot: 1} - rule is derivable from `rules`.
     """
     box, red = sc.box, sc.red
     basis = [m for i, m in enumerate(columns) if i not in echelon and in_xi(m)]
-    rules = {}
-    relations = []
-    for lead in sorted(echelon):
-        row = echelon[lead]
-        mono = columns[lead]
-        rules[mono] = {columns[j]: box(red(-c)) for j, c in row.items() if j != lead}
-        if in_xi(mono):
-            rel = {mono: box(sc.one)}
-            for j, c in row.items():
-                if j != lead:
-                    rel[columns[j]] = box(c)
-            relations.append(rel)
-    return basis, rules, relations
+    rules = {
+        columns[lead]: {columns[j]: box(red(-c)) for j, c in echelon[lead].items() if j != lead}
+        for lead in sorted(echelon)
+    }
+    return basis, rules
 
 
 def _subtract(row, j, c, prow, sc):

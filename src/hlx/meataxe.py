@@ -541,7 +541,7 @@ def _analyze_factor(mod):
     return FactorRecord(mod, drinfeld=drin, ell_weights=ells, character=character)
 
 
-def iso_ell_hw(m1, m2, seed=0):
+def iso_ell_hw(m1, m2):
     """Isomorphism test for irreducibles via Drinfeld polynomials; falls back
     on weight characters plus an intertwiner search."""
     if m1.dim != m2.dim or m1.ring != m2.ring:

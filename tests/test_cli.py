@@ -500,6 +500,17 @@ def test_weyl0_over_zp_is_a_bad_recipe(tmp_path, capsys, omega):
     assert captured.err == "bad recipe: straightened Weyl modules are built over Q or Sym, not Zp\n"
 
 
+def test_fq_of_degree_one_is_a_bad_recipe(tmp_path, capsys):
+    # F_{5^1} is F_5, spelt {"kind": "Fp", "p": 5}: as an Fq it would take the
+    # extension-field path, where W(3,1)W(3,2)W(3,3) is left undecided
+    factors = [{"eval_weyl": {"lambda": 3, "a": a}} for a in ("1", "2", "3")]
+    recipe = {"ring": {"kind": "Fq", "p": 5, "d": 1}, "build": {"tensor": factors}}
+    code = main(["module", "chop", "--recipe", _write_recipe(tmp_path, recipe)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "bad recipe: extension degree must be in [2, 4]\n"
+
+
 def _weyl0_failure(tmp_path, capsys, argv):
     """Exit code and stderr of argv on W0((1-u)^2), or on its F_3
     reduction for chop."""

@@ -311,15 +311,8 @@ def test_weyl_upper_bound_repeated_root():
     res = weyl_upper_bound([Fraction(1), -2 * a, a * a], QQ)
     assert res.dimension_bound == 4
     assert res.stabilized
-    # the relation x-_1 x-_0 = 2a (x-_0)^(2) is recovered
-    target = {((0, 1), (1, 1)): Fraction(1), ((0, 2),): -2 * a}
-    found = False
-    for rel in res.relations:
-        if set(rel) == set(target):
-            lead = rel[((0, 1), (1, 1))]
-            if all(rel[m] == lead * target[m] for m in target):
-                found = True
-    assert found
+    # the relation x-_1 x-_0 = 2a (x-_0)^(2) is recovered as a rewrite rule
+    assert res._rules[((0, 1), (1, 1))] == {((0, 2),): 2 * a}
 
 
 def test_weyl_upper_bound_distinct_roots():
@@ -399,18 +392,15 @@ def _reference_saturation(omega, ring, max_sweeps=5, margin=0):
             red = [{int(j): ring(int(row[j])) for j in np.flatnonzero(row)} for row in arr]
         pivot_set = set(pivots)
         basis = [m for j, m in enumerate(columns) if j not in pivot_set and in_xi(m)]
-        rules, relations = {}, []
+        rules = {}
         for row, lead in zip(red, pivots):
-            rest = {columns[j]: c for j, c in row.items() if j != lead}
-            rules[columns[lead]] = {m: -c for m, c in rest.items()}
-            if in_xi(columns[lead]):
-                relations.append({columns[lead]: ring.one, **rest})
+            rules[columns[lead]] = {columns[j]: -c for j, c in row.items() if j != lead}
         stabilized = prev is not None and len(basis) == prev
         if stabilized:
             break
         prev = len(basis)
     basis.sort(key=lambda m: (sum(k for _, k in m), m))
-    return basis, rules, relations, (smin, smax), len(basis), stabilized, sweep + 1
+    return basis, rules, (smin, smax), len(basis), stabilized, sweep + 1
 
 
 @st.composite
@@ -438,7 +428,7 @@ def test_weyl_upper_bound_matches_dense_reference(case):
     # indexed pivot updates give the very result of one dense RREF per sweep
     omega, ring = case
     res = weyl_upper_bound(omega, ring)
-    got = (res.basis, res._rules, res.relations, res.window, res.dimension_bound, res.stabilized, res.sweeps)
+    got = (res.basis, res._rules, res.window, res.dimension_bound, res.stabilized, res.sweeps)
     assert got == _reference_saturation(omega, ring)
 
 
@@ -480,8 +470,8 @@ def test_relation_instances_translate_the_shift_zero_instance(case, data):
     ids=["f2", "f3", "f5", "q", "qa"],
 )
 def test_saturation_results_are_ring_elements(ring, omega, kind):
-    # the echelon runs on int residues over F_p; rules, relations and
-    # reduced coordinates are boxed back into the ring
+    # the echelon runs on int residues over F_p; rules and reduced
+    # coordinates are boxed back into the ring
     if omega is None:
         a = ring.var("a")
         omega = [ring.one, -(a + a), a * a]
@@ -489,8 +479,7 @@ def test_saturation_results_are_ring_elements(ring, omega, kind):
         omega = [ring.from_int(c) for c in omega]
     res = weyl_upper_bound(omega, ring)
     values = [c for rule in res._rules.values() for c in rule.values()]
-    values += [c for rel in res.relations for c in rel.values()]
-    assert res.relations and values
+    assert values
     assert all(type(c) is kind for c in values)
     if kind is FpElem:
         assert all(c.p == ring.p for c in values)
