@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import glob as globmod
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -24,14 +25,18 @@ def _emit(report, out=None, force_json=False):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-        if force_json:
-            print(text)
-        else:
+        if not force_json:
             status = report.get("pass")
             suffix = "" if status is None else (" pass" if status else " FAIL")
-            print("wrote %s%s" % (out, suffix))
-    else:
+            text = "wrote %s%s" % (out, suffix)
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`hlx ... | head`): the unwritten rest goes to
+        # devnull, so the interpreter's final flush cannot raise again, and
+        # the command keeps its own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _field(p, ext_degree=1):

@@ -3,14 +3,15 @@
 Everything downstream (symbolic normal ordering, module matrices, lattice
 reduction) assumes coefficient arithmetic is exact, so this module provides
 only exact types: arbitrary-precision rationals, prime fields F_p, small
-extensions F_{p^d} with d <= 4, the localization of the integers at p (a
-discrete valuation ring), sparse multivariate polynomials with a fraction
-field on top (for symbolic unit parameters) and dense polynomials.
+extensions F_{p^d} with d <= 4, sparse multivariate polynomials with a
+fraction field on top (for symbolic unit parameters) and dense polynomials.
+Z_(p) appears only as arithmetic on rationals (val_p, residue), which the
+lattice layer uses for Z_(p)-forms of characteristic-zero modules.
 
 Rings are exposed as descriptor objects (QQ, PrimeField(p), ...) whose
-elements support +, -, * and ==; division goes through ``ring.inv`` so that
-non-field rings can refuse it.  Descriptors compare equal when they describe
-the same ring.
+elements support +, -, * and ==.  Every ring is a field: division goes
+through ``ring.inv``, which refuses only zero.  Descriptors compare equal
+when they describe the same ring.
 """
 
 from __future__ import annotations
@@ -66,11 +67,9 @@ def lucas_binom(m, k, p):
 
 
 def val_p(x, p):
-    """p-adic valuation of a rational (or DvrElem); val_p(0) = +infinity."""
+    """p-adic valuation of a rational; val_p(0) = +infinity."""
     if p < 2:
         raise ValueError("valuation at %d: p must be at least 2" % p)
-    if isinstance(x, DvrElem):
-        x = x.q
     x = Fraction(x)
     if x == 0:
         return INFINITY
@@ -88,9 +87,6 @@ def val_p(x, p):
 
 def residue(x, p):
     """Image of x in F_p; requires val_p(x) >= 0."""
-    if isinstance(x, DvrElem):
-        p = x.p
-        x = x.q
     x = Fraction(x)
     if x.denominator % p == 0:
         raise ZeroDivisionError("negative valuation: %s has no residue mod %d" % (x, p))
@@ -237,9 +233,10 @@ class PrimeField:
         return self.boxed[n % self.p]
 
     def parse(self, s):
-        s = str(s).strip()
-        if "mod" in s:
-            s = s.split("mod")[0].strip()
+        s, mod, q = str(s).partition("mod")
+        if mod and int(q) != self.p:
+            raise ValueError("%s mod %s is not an element of F_%d" % (s.strip(), q.strip(), self.p))
+        s = s.strip()
         if "/" in s:
             num, den = s.split("/")
             return self.boxed[int(num) * pow(int(den), -1, self.p) % self.p]
@@ -621,13 +618,16 @@ class FiniteField:
         return FqElem(self, [n])
 
     def parse(self, s):
-        if isinstance(s, (list, tuple)):
-            return FqElem(self, list(s))
-        s = str(s).strip()
-        if s.startswith("["):
-            body = s[1 : s.index("]")]
-            return FqElem(self, [int(c) for c in body.split(",") if c.strip() != ""])
-        return FqElem(self, [int(s)])
+        """An element from its coordinates over the defining polynomial:
+        a list, a string "[c0,c1,...]" or one integer."""
+        coeffs = s
+        if not isinstance(s, (list, tuple)):
+            s = str(s).strip()
+            coeffs = s[1 : s.index("]")].split(",") if s.startswith("[") else [s]
+        coeffs = [int(c) for c in coeffs if str(c).strip() != ""]
+        if len(coeffs) > self.d:
+            raise ValueError("%s has more than %d coordinates over F_%d" % (s, self.d, self.card))
+        return FqElem(self, coeffs)
 
     def fmt(self, x):
         return "[" + ",".join(str(c) for c in x.coeffs) + "]"
@@ -696,120 +696,6 @@ class FiniteField:
 
     def __repr__(self):
         return "FiniteField(%d, %d)" % (self.p, self.d)
-
-
-# ---------------------------------------------------------------------------
-# the localization Z_(p)
-# ---------------------------------------------------------------------------
-
-
-class DvrElem:
-    """Element of Z localized at p: a rational with denominator coprime to p."""
-
-    __slots__ = ("q", "p")
-
-    def __init__(self, q, p):
-        q = Fraction(q)
-        if q.denominator % p == 0:
-            raise ValueError("%s is not in Z_(%d)" % (q, p))
-        self.q = q
-        self.p = p
-
-    def val(self):
-        return val_p(self.q, self.p)
-
-    def residue(self):
-        return residue(self.q, self.p)
-
-    def __add__(self, other):
-        return DvrElem(self.q + other.q, self.p)
-
-    def __sub__(self, other):
-        return DvrElem(self.q - other.q, self.p)
-
-    def __neg__(self):
-        return DvrElem(-self.q, self.p)
-
-    def __mul__(self, other):
-        return DvrElem(self.q * other.q, self.p)
-
-    def __truediv__(self, other):
-        out = self.q / other.q
-        if out.denominator % self.p == 0:
-            raise ZeroDivisionError("%s / %s leaves Z_(%d)" % (self.q, other.q, self.p))
-        return DvrElem(out, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, DvrElem) and self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-    def __str__(self):
-        return rational_str(self.q)
-
-    def __repr__(self):
-        return "DvrElem(%s, %d)" % (rational_str(self.q), self.p)
-
-
-class Dvr:
-    kind = "Zp"
-    card = None
-
-    _instances = {}
-
-    def __new__(cls, p):
-        if p not in cls._instances:
-            if not is_prime(p):
-                raise ValueError("%d is not prime" % p)
-            inst = object.__new__(cls)
-            inst.p = p
-            cls._instances[p] = inst
-        return cls._instances[p]
-
-    @property
-    def char(self):
-        return 0
-
-    @property
-    def zero(self):
-        return DvrElem(0, self.p)
-
-    @property
-    def one(self):
-        return DvrElem(1, self.p)
-
-    def from_int(self, n):
-        return DvrElem(n, self.p)
-
-    def parse(self, s):
-        return DvrElem(parse_rational(s), self.p)
-
-    def fmt(self, x):
-        return rational_str(x.q)
-
-    def is_zero(self, x):
-        return x.q == 0
-
-    def is_unit(self, x):
-        return x.q != 0 and val_p(x.q, self.p) == 0
-
-    def inv(self, x):
-        if not self.is_unit(x):
-            raise ZeroDivisionError("%s is not a unit in Z_(%d)" % (x, self.p))
-        return DvrElem(1 / x.q, self.p)
-
-    def to_json(self):
-        return {"kind": "Zp", "p": self.p}
-
-    def __eq__(self, other):
-        return isinstance(other, Dvr) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Zp", self.p))
-
-    def __repr__(self):
-        return "Dvr(%d)" % self.p
 
 
 # ---------------------------------------------------------------------------
@@ -1121,8 +1007,6 @@ def ring_from_json(desc):
         return PrimeField(desc["p"])
     if kind == "Fq":
         return FiniteField(desc["p"], desc["d"], desc.get("poly"))
-    if kind == "Zp":
-        return Dvr(desc["p"])
     if kind == "Sym":
         return SymField(desc["names"])
     raise ValueError("unknown ring kind %r" % kind)

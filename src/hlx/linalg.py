@@ -1,7 +1,7 @@
 """Exact linear algebra over ring descriptors.
 
 Mat is the boxed matrix of any ring descriptor from exactnum (immutable
-row-tuples); rref, kernel and det on it serve Q, Z_(p) and Q(a, b).  Its
+row-tuples); rref, kernel and det on it serve Q and Q(a, b).  Its
 products, kron, sums, differences and apply skip the ring operation when an
 operand is zero (tested with ring.is_zero), since a Fraction or Q(a, b)
 product costs gcds even then; operator tables are mostly zeros.
@@ -24,7 +24,7 @@ eye, diag, from_rows, add, neg, mul, transpose, scale, kron):
 - over Q, a denominator and integer rows (_QTables): the pair (d, rows) is
   the matrix rows / d, with gcd(d, every entry) = 1, so table arithmetic
   runs on Python ints and the lattice reads a table without unboxing it;
-- Mat over Z_(p) and Q(a, b).
+- Mat over Q(a, b).
 """
 
 from __future__ import annotations
@@ -570,7 +570,7 @@ _QTABLES = _QTables()
 def tables(ring):
     """The representation of a module's tables over ring: the array kernel
     of a finite field, integer numerators over one denominator over Q
-    (_QTables), Mat over Z_(p) and Q(a, b)."""
+    (_QTables), Mat over Q(a, b)."""
     if ring.card is not None:
         return arrays(ring)
     return _QTABLES if ring == QQ else _MatTables(ring)

@@ -44,7 +44,7 @@ ideal sl2 ⊗ omega~(t) C[t, t^-1] gives (_Weyl0).
 Every node builds each table once, from its factors' tables, in the
 representation linalg.tables(ring) chooses: an array of the int64 kernel
 over a finite field, a denominator and integer rows over Q, a Mat over
-Z_(p) and Q(a, b).  op, lam and cartan_binom box a finite field's array or
+Q(a, b).  op, lam and cartan_binom box a finite field's array or
 a Q table into a Mat on the way out; op_np, lam_np and cartan_binom_np hand
 an array over, and op_table, lam_table and _cartan_table any table (the
 lattice reads Q tables so).

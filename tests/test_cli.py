@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -492,12 +494,52 @@ def test_weyl0_of_degree_0(tmp_path, capsys, argv):
 @pytest.mark.parametrize("omega", [["1", "-3", "2"], ["1", "-2", "1"]])
 def test_weyl0_over_zp_is_a_bad_recipe(tmp_path, capsys, omega):
     # Newton's recursion divides by n and the omega~ recurrence by
-    # omega_lambda: weyl0 takes Q or Sym, and Z_(p) is refused up front
-    recipe = {"ring": {"kind": "Zp", "p": 3}, "build": {"weyl0": {"omega": omega}}}
+    # omega_lambda: weyl0 takes Q or Sym, and a finite field is refused up
+    # front.  Z_(p) is no ring kind at all: its lattices live in `hlx lattice`
+    for ring, err in [
+        ({"kind": "Fp", "p": 3}, "straightened Weyl modules are built over Q or Sym, not Fp"),
+        ({"kind": "Zp", "p": 3}, "unknown ring kind 'Zp'"),
+    ]:
+        recipe = {"ring": ring, "build": {"weyl0": {"omega": omega}}}
+        code = main(["module", "build", "--recipe", _write_recipe(tmp_path, recipe)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "bad recipe: %s\n" % err
+
+
+def test_a_literal_of_another_field_is_a_bad_recipe(tmp_path, capsys):
+    # [0,0,1] has a third coordinate, which F_9 = F_3[x]/(x^2 + 1) has not:
+    # cut to two it would read the unit x^2 = -1 as 0
+    recipe = {"ring": {"kind": "Fq", "p": 3, "d": 2}, "build": {"eval_weyl": {"lambda": 1, "a": "[0,0,1]"}}}
     code = main(["module", "build", "--recipe", _write_recipe(tmp_path, recipe)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "bad recipe: straightened Weyl modules are built over Q or Sym, not Zp\n"
+    assert captured.err == "bad recipe: [0,0,1] has more than 2 coordinates over F_9\n"
+
+
+def test_a_closed_stdout_is_no_error(tmp_path):
+    # `hlx steinberg ... | head -c 10`: the reader is gone before the report
+    # is written, and the command still exits quietly with its own code
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    child = (
+        "import sys; sys.stdin.read(); from hlx.cli import main; "
+        "sys.exit(main(['steinberg', '--p', '5', '--lmax', '12']))"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", child],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=str(tmp_path),
+    )
+    proc.stdout.close()
+    # the child writes only once stdin is closed, after its stdout reader
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_fq_of_degree_one_is_a_bad_recipe(tmp_path, capsys):

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from hlx.exactnum import (
     QQ,
-    Dvr,
-    DvrElem,
     FiniteField,
     Fraction,
     INFINITY,
@@ -21,6 +19,7 @@ from hlx.exactnum import (
     parse_rational,
     rational_str,
     residue,
+    ring_from_json,
     val_p,
 )
 
@@ -155,18 +154,20 @@ def test_finite_field_rejects_reducible():
         FiniteField(2, 2, poly=[1, 0, 1])  # x^2+1 = (x+1)^2 mod 2
 
 
-def test_dvr_elem():
-    x = DvrElem(Fraction(9, 2), 3)
-    assert x.val() == 2
-    assert x.residue().v == 0
-    with pytest.raises(ValueError):
-        DvrElem(Fraction(1, 3), 3)
-    A = Dvr(3)
-    assert A.is_unit(A.parse("2/5"))
-    assert not A.is_unit(A.parse("6"))
-    assert A.inv(A.parse("2")) == A.parse("1/2")
-    with pytest.raises(ZeroDivisionError):
-        A.inv(A.parse("3"))
+def test_field_literals_name_their_field():
+    # a literal of another field is refused, not cut to this one: [0,0,1]
+    # is x^2 = -1 in F_3[x]/(x^2 + 1), not 0, and 2 mod 5 is not 2 mod 3
+    for F, text in ((FiniteField(3, 2), "[0,0,1]"), (FiniteField(2, 2), "[1,1,1]")):
+        with pytest.raises(ValueError, match="more than 2 coordinates"):
+            F.parse(text)
+    with pytest.raises(ValueError, match="more than 2 coordinates"):
+        FiniteField(3, 2).parse([1, 2, 0])
+    with pytest.raises(ValueError, match="not an element of F_3"):
+        PrimeField(3).parse("2 mod 5")
+    assert PrimeField(3).parse("2 mod 3") == PrimeField(3)(2)
+    F = FiniteField(3, 2)
+    assert F.parse("[1]") == F.one
+    assert F.parse("[1,2]") == F.one + F.from_int(2) * F.gen()
 
 
 def test_poly_arithmetic():
@@ -192,14 +193,8 @@ def test_mpoly_eval_and_content():
     assert poly.monomial_content() == (1, 1)
 
 
-def test_dvr_and_sym_axioms():
+def test_sym_axioms():
     rng = random.Random(13)
-    A = Dvr(3)
-    els = [A.parse(s) for s in ("0", "1", "-2", "1/2", "9", "-3/5")]
-    for _ in range(100):
-        a, b, c = rng.choice(els), rng.choice(els), rng.choice(els)
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
     K = SymField(("t",))
     t = K.var("t")
     sels = [K.zero, K.one, t, t * t - K.one, K.inv(t + K.one)]
@@ -207,6 +202,35 @@ def test_dvr_and_sym_axioms():
         a, b, c = rng.choice(sels), rng.choice(sels), rng.choice(sels)
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
+
+
+def test_every_ring_kind_is_a_field():
+    # Z_(p) is no ring kind: it lives in the lattice layer, as val_p and
+    # residue on Q
+    descs = [
+        {"kind": "Q"},
+        {"kind": "Fp", "p": 2},
+        {"kind": "Fp", "p": 7},
+        {"kind": "Fq", "p": 2, "d": 2},
+        {"kind": "Fq", "p": 3, "d": 2},
+        {"kind": "Fq", "p": 5, "d": 2},
+        {"kind": "Sym", "names": ["a", "b"]},
+    ]
+    for desc in descs:
+        ring = ring_from_json(desc)
+        if ring.card is not None:
+            nonzero = [x for x in ring.elements() if not ring.is_zero(x)]
+            assert len(nonzero) == ring.card - 1
+        elif ring == QQ:
+            nonzero = [ring.parse(s) for s in ("1", "-2", "3", "1/3", "-9/4", "6")]
+        else:
+            a, b = ring.var("a"), ring.var("b")
+            nonzero = [ring.one, ring.from_int(3), a, a - b, ring.inv(a + b) * a * b]
+        for x in nonzero:
+            assert ring.is_unit(x)
+            assert ring.inv(x) * x == ring.one
+    with pytest.raises(ValueError, match="unknown ring kind 'Zp'"):
+        ring_from_json({"kind": "Zp", "p": 3})
 
 
 def test_sym_hash_agrees_with_equality():
