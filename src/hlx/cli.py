@@ -133,8 +133,6 @@ def module_report(m):
         report["drinfeld_error"] = _reason(exc)
     if m.ring.card is None:
         report["ell_weights_error"] = "not computed: the ring is not a finite field"
-    elif m.dim > 36:
-        report["ell_weights_error"] = "not computed: dimension %d exceeds 36" % m.dim
     else:
         try:
             blocks = modrep.ell_weight_decomposition(m)

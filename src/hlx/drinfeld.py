@@ -1,6 +1,9 @@
 """Drinfeld polynomials, general ell-weights, spectral characters of sl2.
 
-A DrinfeldPoly holds one constant-term-1 polynomial; an EllWeight is a
+A DrinfeldPoly holds one constant-term-1 polynomial, an exactnum.Poly, as
+the value it prints; everything computed from it (the minus involution,
+the product prod (1 - a u) of given roots, factoring) runs on ascending
+coefficient lists through exactnum's _poly_* routines.  An EllWeight is a
 canonical multiset of (parameter, weight) pairs with the parameter nonzero
 and the int weights allowed to be negative.  Factorization
 is by gcd with x^q - x and Cantor-Zassenhaus splitting over every finite
@@ -21,8 +24,9 @@ from __future__ import annotations
 import math
 
 from .exactnum import (
-    Poly,
     PrimeField,
+    _poly_divmod,
+    _poly_mul,
     field_roots,
     fppoly_splits_over,
     ring_pow,
@@ -67,34 +71,43 @@ class DrinfeldPoly:
         return "DrinfeldPoly(%r)" % (self.fmt(),)
 
 
-def minus_involution(f):
-    """f(u) = prod(1 - a_j u)  ->  f^-(u) = prod(1 - a_j^{-1} u).
+def minus_involution(ring, coeffs):
+    """prod(1 - a_j u)  ->  prod(1 - a_j^{-1} u) on ascending coefficients.
 
     Computed root-free as the reversed coefficient list over the leading
     coefficient, which must be a unit.
     """
-    ring = f.ring
-    if f.is_zero() or ring.is_zero(f.coeffs[0]):
+    if not coeffs or ring.is_zero(coeffs[0]):
         raise ValueError("zero constant term")
-    if not ring.is_unit(f.coeffs[-1]):
+    if not ring.is_unit(coeffs[-1]):
         raise ValueError("leading coefficient must be a unit")
-    inv = ring.inv(f.coeffs[-1])
-    return Poly(ring, [inv * c for c in reversed(f.coeffs)])
+    inv = ring.inv(coeffs[-1])
+    return [inv * c for c in reversed(coeffs)]
 
 
-def _roots_in_field(f):
-    """All roots (with multiplicity) of f in its coefficient field F_q, plus
-    the nonsplit residual polynomial (constant when f splits).  The distinct
-    roots come in field-element order, so the list reads as a scan of the
-    field would; each one's multiplicity is divided out on scalars by
-    Frobenius binomials."""
-    k = scalars(f.ring)
-    g = [k.lift(c) for c in f.coeffs]
+def unit_root_product(ring, roots):
+    """The ascending coefficients of prod (1 - a u) over the roots a, each
+    a unit of the ring."""
+    k = scalars(ring)
+    f = [k.one]
+    for a in roots:
+        f = _poly_mul(f, [k.one, k.red(-k.lift(a))], k)
+    return [k.box(c) for c in f]
+
+
+def _roots_in_field(ring, coeffs):
+    """All roots (with multiplicity) in a finite field of a polynomial with
+    coefficients in it, plus the nonsplit residual coefficients (one when
+    it splits).  The distinct roots come in field-element order, so the
+    list reads as a scan of the field would; each one's multiplicity is
+    divided out on scalars by Frobenius binomials."""
+    k = scalars(ring)
+    g = [k.lift(c) for c in coeffs]
     roots = []
-    for x in field_roots(f.ring, f.coeffs):
+    for x in field_roots(ring, coeffs):
         mult, g = _divide_out_root(g, k.lift(x), k)
         roots += [x] * mult
-    return roots, Poly(f.ring, [k.box(c) for c in g])
+    return roots, [k.box(c) for c in g]
 
 
 def _divide_out_root(g, x, k):
@@ -104,7 +117,7 @@ def _divide_out_root(g, x, k):
     As (u - x)^{p^i} = u^{p^i} - x^{p^i}, g is divided by these binomials
     greedily, the largest p^i <= deg g first: each p^i divides out as many
     times as the base-p digit of m at i, so the cost is the digit sum of m
-    divisions of O(deg g) each."""
+    divisions of O(deg g) each (_poly_divmod skips the zero terms)."""
     steps = []  # (p^i, x^{p^i}) for p^i <= deg g
     e = 1
     while e < len(g):
@@ -114,25 +127,14 @@ def _divide_out_root(g, x, k):
             x = ring_pow(k.ring, x, k.p)
     mult = 0
     for e, c in reversed(steps):
+        binomial = [k.red(-c)] + [k.zero] * (e - 1) + [k.one]
         while len(g) > e:
-            quotient = _divide_binomial(g, e, c, k)
-            if quotient is None:
+            quotient, rest = _poly_divmod(g, binomial, k)
+            if rest:
                 break
             g = quotient
             mult += e
     return mult, g
-
-
-def _divide_binomial(g, e, c, k):
-    """g / (u^e - c) on reduced scalars of k, or None if it leaves a
-    remainder: from g = (u^e - c) q + r, q_j = g_{j+e} + c q_{j+e} and
-    r_j = g_j + c q_j for j < e."""
-    q = [k.zero] * len(g)
-    for j in range(len(g) - 1 - e, -1, -1):
-        q[j] = k.red(g[j + e] + c * q[j + e])
-    if any(not k.is_zero(k.red(g[j] + c * q[j])) for j in range(e)):
-        return None
-    return q[: len(g) - e]
 
 
 def factor_poly_unit_roots(f):
@@ -148,14 +150,13 @@ def factor_poly_unit_roots(f):
         raise ValueError("factoring needs a finite field, not Q")
     if f.degree() <= 0:
         return {}
-    rev = Poly(ring, list(reversed(f.coeffs)))
-    roots, residual = _roots_in_field(rev)
-    if residual.degree() >= 1:
-        hint = _extension_hint(f)
+    rev = f.coeffs[::-1]
+    roots, residual = _roots_in_field(ring, rev)
+    if len(residual) > 1:
         raise FieldExtensionNeeded(
             "roots not in certified field %r (residual degree %d)"
-            % (ring.to_json(), residual.degree()),
-            suggested_degree=hint,
+            % (ring.to_json(), len(residual) - 1),
+            suggested_degree=_extension_hint(ring, rev),
         )
     out = {}
     for a in roots:
@@ -168,24 +169,22 @@ def factor_poly_unit_roots(f):
     return out
 
 
-def _extension_hint(f):
+def _extension_hint(ring, coeffs):
     """The least degree d' <= 4 (a multiple of the field's degree d) over
-    which f splits, or None.  Over F_{p^d} this asks it of the norm
-    N(f) = prod_{i<d} f^{sigma^i}, sigma the coefficientwise Frobenius: N(f)
-    lies in F_p[u], and f splits over F_{p^d'} exactly when N(f) does (its
-    roots are the conjugates of the roots of f)."""
-    ring = f.ring
-    rev = Poly(ring, list(reversed(f.coeffs)))
+    which a polynomial f with these coefficients splits, or None.  Over
+    F_{p^d} this asks it of the norm N(f) = prod_{i<d} f^{sigma^i}, sigma
+    the coefficientwise Frobenius: N(f) lies in F_p[u], and f splits over
+    F_{p^d'} exactly when N(f) does (its roots are the conjugates of the
+    roots of f)."""
     if isinstance(ring, PrimeField):
-        base_d = 1
-        norm = [c.v for c in rev.coeffs]
+        base_d, norm = 1, [c.v for c in coeffs]
     else:
-        base_d = ring.d
-        acc = conj = rev
+        base_d, k = ring.d, scalars(ring)
+        norm = conj = list(coeffs)
         for _ in range(base_d - 1):
-            conj = Poly(ring, [ring_pow(ring, c, ring.p) for c in conj.coeffs])
-            acc = acc * conj
-        norm = [c.coeffs[0] for c in acc.coeffs]
+            conj = [ring_pow(ring, c, ring.p) for c in conj]
+            norm = _poly_mul(norm, conj, k)
+        norm = [c.coeffs[0] for c in norm]
     return next(
         (d for d in range(base_d + 1, 5) if d % base_d == 0 and fppoly_splits_over(norm, ring.char, d)),
         None,

@@ -10,8 +10,11 @@ lattice layer uses for Z_(p)-forms of characteristic-zero modules.
 
 Rings are exposed as descriptor objects (QQ, PrimeField(p), ...) whose
 elements support +, -, * and ==.  Every ring is a field: division goes
-through ``ring.inv``, which refuses only zero.  Descriptors compare equal
-when they describe the same ring.
+through ``ring.inv``, which refuses only zero.  There is one descriptor
+object per ring, built and checked on first use, so rings compare by
+identity.  Polynomials are ascending coefficient lists of reduced scalars
+(``scalars(ring)``), and the ``_poly_*`` routines are their only
+arithmetic; ``Poly`` is the printed value of a Drinfeld polynomial.
 """
 
 from __future__ import annotations
@@ -103,14 +106,7 @@ class _Rationals:
     kind = "Q"
     char = 0
     card = None
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero, one = Fraction(0), Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -132,12 +128,6 @@ class _Rationals:
 
     def to_json(self):
         return {"kind": "Q"}
-
-    def __eq__(self, other):
-        return isinstance(other, _Rationals)
-
-    def __hash__(self):
-        return hash("Q")
 
     def __repr__(self):
         return "QQ"
@@ -267,12 +257,6 @@ class PrimeField:
     def to_json(self):
         return {"kind": "Fp", "p": self.p}
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
     def __repr__(self):
         return "PrimeField(%d)" % self.p
 
@@ -353,14 +337,21 @@ def _poly_trim(c):
     return c
 
 
-def _poly_mulmod(a, b, f, k):
-    # a, b reduced scalar lists, f monic of degree d
-    d = len(f) - 1
+def _poly_mul(a, b, k):
+    # a, b reduced scalar lists; so is the product, trimmed when a and b
+    # are, as k is a field
     out = [k.zero] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
+    return [k.red(c) for c in out]
+
+
+def _poly_mulmod(a, b, f, k):
+    # a, b reduced scalar lists, f monic of degree d
+    d = len(f) - 1
+    out = _poly_mul(a, b, k)
     for i in range(len(out) - 1, d - 1, -1):
         c = k.red(out[i])
         if c:
@@ -370,14 +361,17 @@ def _poly_mulmod(a, b, f, k):
 
 
 def _poly_divmod(a, b, k):
+    # only the nonzero terms of b are subtracted, so dividing by a binomial
+    # u^e - c costs O(len(a)) whatever e is
     a = list(a)
     binv = k.inv(b[-1])
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
     q = [k.zero] * max(0, len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
         c = k.red(a[i + len(b) - 1] * binv)
         if c:
             q[i] = c
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 a[i + j] = a[i + j] - c * bj
     return q, _poly_trim([k.red(c) for c in a[: len(b) - 1]])
 
@@ -414,6 +408,13 @@ def _poly_powmod(base, e, f, k):
     return out
 
 
+def _frobenius_gcd(f, n, k):
+    """gcd(f, x^n - x) for f monic and n a power of |k|: the product of the
+    distinct irreducible factors of f whose degree divides log_|k| n."""
+    x = [k.zero, k.one]
+    return _poly_gcd(f, _poly_sub(_poly_powmod(x, n, f, k), x, k), k)
+
+
 def poly_roots(f, k):
     """Distinct roots in F_q of a polynomial over F_q, given as reduced
     scalars of k = scalars(F_q), ascending coefficients; returned in
@@ -428,9 +429,7 @@ def poly_roots(f, k):
     f = _poly_trim(f)
     if len(f) < 2:
         return []
-    f = _poly_monic(f, k)
-    x = [k.zero, k.one]
-    h = _poly_gcd(f, _poly_sub(_poly_powmod(x, k.q, f, k), x, k), k)
+    h = _frobenius_gcd(_poly_monic(f, k), k.q, k)
     rng = random.Random(0)
     roots = []
     stack = [h]
@@ -472,10 +471,9 @@ def fppoly_splits_over(f, p, d):
     each irreducible factor mod p has degree dividing d: gcd with
     x^{p^d} - x strips one copy of every such factor at a time."""
     k = scalars(PrimeField(p))
-    x = [0, 1]
     g = _poly_monic(_poly_trim([c % p for c in f]), k)
     while len(g) > 1:
-        h = _poly_gcd(g, _poly_sub(_poly_powmod(x, p ** d, g, k), x, k), k)
+        h = _frobenius_gcd(g, p ** d, k)
         if len(h) == 1:
             return False
         g = _poly_divmod(g, h, k)[0]
@@ -505,12 +503,7 @@ def irreducible_mod_p(f, p):
     if d < 1 or d > 4:
         raise ValueError("only degrees 1..4 supported")
     k = scalars(PrimeField(p))
-    x = xp = [0, 1]
-    for _ in range(d // 2):
-        xp = _poly_powmod(xp, p, f, k)
-        if len(_poly_gcd(f, _poly_sub(xp, x, k), k)) > 1:
-            return False
-    return True
+    return all(len(_frobenius_gcd(f, p ** i, k)) == 1 for i in range(1, d // 2 + 1))
 
 
 def _default_defining_poly(p, d):
@@ -558,7 +551,7 @@ class FqElem:
     def __eq__(self, other):
         return (
             isinstance(other, FqElem)
-            and self.field == other.field
+            and self.field is other.field
             and self.coeffs == other.coeffs
         )
 
@@ -578,22 +571,31 @@ class FqElem:
 class FiniteField:
     kind = "Fq"
 
-    def __init__(self, p, d, poly=None):
-        if not is_prime(p):
-            raise ValueError("%d is not prime" % p)
-        if d < 2 or d > 4:
-            raise ValueError("extension degree must be in [2, 4]")
-        self.p = p
-        self.d = d
-        if poly is None:
-            poly = _default_defining_poly(p, d)
-        poly = [c % p for c in poly]
-        if len(poly) != d + 1 or poly[-1] != 1:
-            raise ValueError("defining polynomial must be monic of degree d")
-        if not irreducible_mod_p(poly, p):
-            raise ValueError("defining polynomial is reducible mod %d" % p)
-        self.poly = tuple(poly)
-        self.base = scalars(PrimeField(p))
+    _instances = {}  # {(p, d, poly as given): field}, poly None for the default
+
+    def __new__(cls, p, d, poly=None):
+        key = (p, d, poly if poly is None else tuple(poly))
+        if key not in cls._instances:
+            if not is_prime(p):
+                raise ValueError("%d is not prime" % p)
+            if d < 2 or d > 4:
+                raise ValueError("extension degree must be in [2, 4]")
+            if poly is None:
+                poly = _default_defining_poly(p, d)
+            poly = tuple(c % p for c in poly)
+            if len(poly) != d + 1 or poly[-1] != 1:
+                raise ValueError("defining polynomial must be monic of degree d")
+            # one field per defining polynomial, however it was spelled
+            if (p, d, poly) not in cls._instances:
+                if not irreducible_mod_p(poly, p):
+                    raise ValueError("defining polynomial is reducible mod %d" % p)
+                inst = object.__new__(cls)
+                inst.p, inst.d, inst.poly = p, d, poly
+                inst.base = scalars(PrimeField(p))
+                inst.zero, inst.one = FqElem(inst, [0]), FqElem(inst, [1])
+                cls._instances[p, d, poly] = inst
+            cls._instances[key] = cls._instances[p, d, poly]
+        return cls._instances[key]
 
     @property
     def char(self):
@@ -603,14 +605,6 @@ class FiniteField:
     def card(self):
         return self.p ** self.d
 
-    @property
-    def zero(self):
-        return FqElem(self, [0])
-
-    @property
-    def one(self):
-        return FqElem(self, [1])
-
     def gen(self):
         return FqElem(self, [0, 1])
 
@@ -619,12 +613,20 @@ class FiniteField:
 
     def parse(self, s):
         """An element from its coordinates over the defining polynomial:
-        a list, a string "[c0,c1,...]" or one integer."""
+        a list, one integer or a string "[c0,c1,...]", which may carry this
+        field's own " mod (f0,...,1, p)" as str() prints it."""
         coeffs = s
         if not isinstance(s, (list, tuple)):
             s = str(s).strip()
-            coeffs = s[1 : s.index("]")].split(",") if s.startswith("[") else [s]
-        coeffs = [int(c) for c in coeffs if str(c).strip() != ""]
+            coeffs = [s]
+            if s.startswith("["):
+                body, bracket, rest = s[1:].partition("]")
+                coeffs = body.split(",") if body.strip() else []
+                suffix = "mod (%s, %d)" % (",".join(map(str, self.poly)), self.p)
+                well_formed = bracket and all(c.strip() for c in coeffs)
+                if not well_formed or rest and "".join(rest.split()) != "".join(suffix.split()):
+                    raise ValueError("%s is not an element of F_%d %s" % (s, self.card, suffix))
+        coeffs = [int(c) for c in coeffs]
         if len(coeffs) > self.d:
             raise ValueError("%s has more than %d coordinates over F_%d" % (s, self.d, self.card))
         return FqElem(self, coeffs)
@@ -641,22 +643,16 @@ class FiniteField:
     def inv(self, x):
         if self.is_zero(x):
             raise ZeroDivisionError("inverse of zero in F_%d^%d" % (self.p, self.d))
-        # extended Euclid in F_p[x]
-        r0, r1 = list(self.poly), _poly_trim(list(x.coeffs))
+        # extended Euclid in F_p[x]: s0 x = r0 mod poly, r0 ending constant
+        k = self.base
+        r0, r1 = self.poly, _poly_trim(x.coeffs)
         s0, s1 = [], [1]
         while r1:
-            q, r = _poly_divmod(r0, r1, self.base)
+            q, r = _poly_divmod(r0, r1, k)
             r0, r1 = r1, r
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                for j, sj in enumerate(s1):
-                    qs[i + j] = (qs[i + j] + qi * sj) % self.p
-            news = [(a - b) % self.p for a, b in
-                    zip(s0 + [0] * max(0, len(qs) - len(s0)),
-                        qs + [0] * max(0, len(s0) - len(qs)))]
-            s0, s1 = s1, _poly_trim(news)
-        lead_inv = pow(r0[-1], -1, self.p)
-        return FqElem(self, [c * lead_inv % self.p for c in s0])
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, k), k)
+        lead = k.inv(r0[0])
+        return FqElem(self, [c * lead for c in s0])
 
     def element(self, n):
         """Element n of elements(): the coefficients are the base-p digits
@@ -682,17 +678,6 @@ class FiniteField:
 
     def to_json(self):
         return {"kind": "Fq", "p": self.p, "d": self.d, "poly": list(self.poly)}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and other.p == self.p
-            and other.d == self.d
-            and other.poly == self.poly
-        )
-
-    def __hash__(self):
-        return hash(("Fq", self.p, self.d, self.poly))
 
     def __repr__(self):
         return "FiniteField(%d, %d)" % (self.p, self.d)
@@ -954,11 +939,15 @@ class SymField:
     char = 0
     card = None
 
-    def __init__(self, names):
-        self.names = tuple(names)
-        # elements are immutable, so the constants are built once
-        self.zero = self.from_int(0)
-        self.one = self.from_int(1)
+    _instances = {}
+
+    def __new__(cls, names):
+        names = tuple(names)
+        if names not in cls._instances:
+            inst = cls._instances[names] = object.__new__(cls)
+            inst.names = names
+            inst.zero, inst.one = inst.from_int(0), inst.from_int(1)
+        return cls._instances[names]
 
     def from_int(self, n):
         return SymElem(MPoly.const(self.names, n), MPoly.const(self.names, 1))
@@ -989,12 +978,6 @@ class SymField:
     def to_json(self):
         return {"kind": "Sym", "names": list(self.names)}
 
-    def __eq__(self, other):
-        return isinstance(other, SymField) and other.names == self.names
-
-    def __hash__(self):
-        return hash(("Sym", self.names))
-
     def __repr__(self):
         return "SymField(%s)" % (self.names,)
 
@@ -1013,12 +996,14 @@ def ring_from_json(desc):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over a ring descriptor
+# the printed value of a polynomial
 # ---------------------------------------------------------------------------
 
 
 class Poly:
-    """Dense polynomial; coefficient list ascending, no trailing zeros."""
+    """A polynomial as a value: its ring and its ascending coefficients, no
+    trailing zeros.  It has no arithmetic; that runs on coefficient lists
+    (the _poly_* routines)."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -1029,49 +1014,14 @@ class Poly:
         self.ring = ring
         self.coeffs = tuple(c)
 
-    @classmethod
-    def const(cls, ring, c):
-        return cls(ring, [c])
-
     def degree(self):
         return len(self.coeffs) - 1
 
     def is_zero(self):
         return not self.coeffs
 
-    def __getitem__(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ring.zero
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ring, [self[i] + other[i] for i in range(n)])
-
-    def __neg__(self):
-        return Poly(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return Poly(self.ring, [])
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
-
-    def scale(self, c):
-        return Poly(self.ring, [c * x for x in self.coeffs])
-
     def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Poly) and self.ring is other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ring, self.coeffs))

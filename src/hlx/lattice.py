@@ -38,6 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, looppbw, modrep
+from .drinfeld import unit_root_product
 from .exactnum import QQ, ring_pow, val_p
 from .linalg import Mat, rref
 from .looppbw import LOWER, RAISE
@@ -525,17 +526,13 @@ def conjecture_cp0_report(roots, p):
     reduced = reduce_mod_p(lat)
     F = PrimeField(p)
     # reduced highest weight: product of (1 - residue(a) u)
-    from .exactnum import Poly
-
-    omega_bar = Poly.const(F, F.one)
-    for a in roots:
-        omega_bar = omega_bar * Poly(F, [F.one, -residue(a, p)])
-    sat = looppbw.weyl_upper_bound(list(omega_bar.coeffs), F, max_sweeps=6)
+    omega_bar = unit_root_product(F, [residue(a, p) for a in roots])
+    sat = looppbw.weyl_upper_bound(omega_bar, F, max_sweeps=6)
     upper = sat.dimension_bound
     status = "VERIFIED" if (sat.stabilized and upper == lower) else "OPEN"
     report = {
         "omega_roots": [str(r) for r in roots],
-        "omega_bar": [F.fmt(c) for c in omega_bar.coeffs],
+        "omega_bar": [F.fmt(c) for c in omega_bar],
         "p": p,
         "lower": lower,
         "upper": upper,

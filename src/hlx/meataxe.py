@@ -566,12 +566,13 @@ def _hom_space_nonzero(m1, m2):
     if ring.card is None:
         raise ValueError("the intertwiner search needs a finite field")
     K = arrays(ring)
-    eye = K.eye(m1.dim)
     ks = generator_exponents(ring.char, max(m1.max_exponent(), m2.max_exponent()))
     pairs = [(m1.cartan_binom_np(k), m2.cartan_binom_np(k)) for k in ks]
     for k in ks:
         for r in range(m1.recurrence_order(k) + m2.recurrence_order(k)):
             pairs += [(m1.op_np(kind, r, k), m2.op_np(kind, r, k)) for kind in (LOWER, RAISE)]
-    # vec(T g1 - g2 T) = (g1^T ⊗ I - I ⊗ g2) vec(T)
-    blocks = [(K.kron(K.transpose(a1), eye) - K.kron(eye, a2)) % K.p for a1, a2 in pairs]
+    # T: m1 -> m2 is dim m2 x dim m1, and
+    # vec(T g1 - g2 T) = (g1^T ⊗ I_{dim m2} - I_{dim m1} ⊗ g2) vec(T)
+    eye1, eye2 = K.eye(m1.dim), K.eye(m2.dim)
+    blocks = [(K.kron(K.transpose(a1), eye2) - K.kron(eye1, a2)) % K.p for a1, a2 in pairs]
     return linalg.np_nullspace(np.concatenate(blocks, axis=0), ring).shape[0] > 0

@@ -63,8 +63,8 @@ import numpy as np
 
 from . import looppbw
 from .cartan import CartanData, base_p_digits
-from .drinfeld import DrinfeldPoly, EllWeight, factor_poly_unit_roots, minus_involution
-from .exactnum import QQ, FiniteField, Poly, integer_binomial, ring_pow, scalars
+from .drinfeld import DrinfeldPoly, EllWeight, factor_poly_unit_roots, minus_involution, unit_root_product
+from .exactnum import QQ, FiniteField, Poly, _poly_mul, integer_binomial, ring_pow, scalars
 from .linalg import (
     Mat,
     arrays,
@@ -649,7 +649,7 @@ class _Weyl0(LoopModule):
         if key not in self._hs_cache:
             ring = self.ring
             sign = 1 if s > 0 else -1
-            coeffs = self.omega if sign > 0 else _minus_coeffs(self.omega, ring)
+            coeffs = self.omega if sign > 0 else minus_involution(ring, self.omega)
             n = abs(s)
             # p_n = e_1 p_{n-1} - e_2 p_{n-2} + ... + (-1)^{n-1} n e_n
             es = [(ring.from_int((-1) ** i)) * c for i, c in enumerate(coeffs)]
@@ -771,12 +771,6 @@ class _Weyl0(LoopModule):
         return self._reduce(vec)
 
 
-def _minus_coeffs(omega, ring):
-    lead = omega[-1]
-    inv = ring.inv(lead)
-    return [inv * c for c in reversed(omega)]
-
-
 def weyl0_module(ring, omega_coeffs):
     """The Weyl module W0(omega) over a field of characteristic zero, omega
     given by its coefficients (constant term 1).  The straightening window
@@ -787,12 +781,9 @@ def weyl0_module(ring, omega_coeffs):
 
 def weyl0_from_roots(ring, roots):
     """W0(prod (1 - a u)) over the roots a, each a unit."""
-    f = Poly.const(ring, ring.one)
-    for a in roots:
-        if not ring.is_unit(a):
-            raise ValueError("root must be a unit")
-        f = f * Poly(ring, [ring.one, -a])
-    return _Weyl0(ring, list(f.coeffs))
+    if not all(ring.is_unit(a) for a in roots):
+        raise ValueError("root must be a unit")
+    return _Weyl0(ring, unit_root_product(ring, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -926,9 +917,9 @@ def drinfeld_polynomial(m, v=None):
     if not ring.is_unit(coeffs[-1]):
         report["plus_polynomial"] = False
     else:
-        expected = minus_involution(poly.polys[0])
+        expected = minus_involution(ring, coeffs)
         for r in range(0, prec):
-            want = expected[r] if r <= expected.degree() else ring.zero
+            want = expected[r] if r < len(expected) else ring.zero
             if not ring.is_zero(minus[r] - want):
                 report["minus_matches"] = False
     return poly, report
@@ -1116,8 +1107,7 @@ def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):
     pi, length = _shortest_recurrence(series, k)
     if length > top + 1:
         return None
-    terms = _nonzero_terms(pi, k)
-    om = [k.red(sum((c * series[i - j] for j, c in terms if j <= i), k.zero)) for i in range(length)]
+    om = _poly_mul(pi, series[:length], k)[:length]
     omp, pip = Poly(ring, [k.box(c) for c in om]), Poly(ring, [k.box(c) for c in pi])
     if omp.degree() - pip.degree() != w or max(omp.degree(), pip.degree()) > top:
         return None

@@ -11,6 +11,7 @@ from hlx import lattice as latmod
 from hlx import meataxe, modrep
 from hlx.cartan import CartanData
 from hlx.cli import run_identity_suite, run_steinberg, run_tpd_grid
+from hlx.drinfeld import unit_root_product
 from hlx.exactnum import Poly, PrimeField, QQ
 
 A1 = CartanData("A1")
@@ -49,11 +50,7 @@ def _grid_modules(p):
             for j in range(i + 1, len(factors)):
                 if factors[i][1] == factors[j][1] and factors[i][2] == factors[j][2]:
                     expected = False
-        omega = Poly.const(F, F.one)
-        for lam, l, av in factors:
-            lin = Poly(F, [F.one, -F(av)])
-            for _ in range(lam * p ** l):
-                omega = omega * lin
+        omega = Poly(F, unit_root_product(F, [F(av) for lam, l, av in factors for _ in range(lam * p ** l)]))
         yield factors, build(factors), expected, omega
 
 
@@ -130,9 +127,7 @@ def test_criterion_5_drinfeld_extraction():
         # criterion-3 irreducibles
         for lam in range(0, 13):
             m = modrep.irreducible_module(F, lam, F(1))
-            expected = Poly.const(F, F.one)
-            for _ in range(lam):
-                expected = expected * Poly(F, [F.one, -F.one])
+            expected = Poly(F, unit_root_product(F, [F.one] * lam))
             poly, checks = modrep.drinfeld_polynomial(m)
             ok = ok and checks["plus_polynomial"] and checks["minus_matches"]
             ok = ok and poly.polys[0] == expected

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from hlx import modrep
-from hlx.cli import main, run_steinberg, run_tpd_grid
+from hlx.cli import main, module_report, run_steinberg, run_tpd_grid
+from hlx.exactnum import PrimeField
 
 
 def _run(capsys, argv):
@@ -515,6 +516,29 @@ def test_a_literal_of_another_field_is_a_bad_recipe(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "bad recipe: [0,0,1] has more than 2 coordinates over F_9\n"
+
+
+@pytest.mark.parametrize("literal", ["[1,2] junk", "[1,2] mod (2,0,1, 5)"])
+def test_a_literal_with_trailing_text_is_a_bad_recipe(tmp_path, capsys, literal):
+    # the second is the printed form of an element of F_25, not of F_9
+    recipe = {"ring": {"kind": "Fq", "p": 3, "d": 2}, "build": {"eval_weyl": {"lambda": 1, "a": literal}}}
+    code = main(["module", "build", "--recipe", _write_recipe(tmp_path, recipe)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "bad recipe: %s is not an element of F_9 mod (1,0,1, 3)\n" % literal
+
+
+def test_a_large_module_reports_its_ell_weights():
+    # W(5,1) ⊗ W(5,2) ⊗ W(1,3) over F_7 has dimension 72: every basis
+    # vector is a labelled joint eigenvector, and the blocks share one
+    # spectral character
+    F = PrimeField(7)
+    m = modrep.tensor(*[modrep.eval_weyl_module(F, lam, F(a)) for lam, a in ((5, 1), (5, 2), (1, 3))])
+    report = module_report(m)
+    assert report["dim"] == 72 and "ell_weights_error" not in report
+    assert sum(b["dim"] for b in report["ell_weights"]) == 72
+    assert report["ell_weights"][0] == {"weight": 11, "dim": 1, "ell_weight": [["1", [5]], ["2", [5]], ["3", [1]]]}
+    assert report["spectral_character"] == {"1": [1], "2": [1], "3": [1]}
 
 
 def test_a_closed_stdout_is_no_error(tmp_path):

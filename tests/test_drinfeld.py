@@ -15,6 +15,7 @@ from hlx.drinfeld import (
     block_partition,
     factor_poly_unit_roots,
     minus_involution,
+    unit_root_product,
 )
 from hlx.exactnum import (
     QQ,
@@ -35,9 +36,7 @@ A1 = CartanData("A1")
 def test_factor_over_f3():
     F = PrimeField(3)
     # (1-u)^2 (1-2u)
-    f = Poly(F, [F(1), F(-1)])
-    g = Poly(F, [F(1), F(-2)])
-    pairs = factor_poly_unit_roots(f * f * g)
+    pairs = factor_poly_unit_roots(Poly(F, unit_root_product(F, [F(1), F(1), F(2)])))
     as_dict = {F.fmt(a): mu for a, mu in pairs.items()}
     assert as_dict == {"1": 2, "2": 1}
 
@@ -60,25 +59,24 @@ def test_factor_reconstruct_roundtrip():
     ew = EllWeight(F, [(F(2), 2), (F(3), 1)])
     # a dominant ell-weight's plus series is its Drinfeld polynomial
     poly = Poly(F, ew.coefficients(ew.wt()))
-    f, g = Poly(F, [F(1), F(-2)]), Poly(F, [F(1), F(-3)])
-    assert poly == f * f * g
+    assert poly == Poly(F, unit_root_product(F, [F(2), F(2), F(3)]))
     assert EllWeight(F, factor_poly_unit_roots(poly).items()) == ew
 
 
 def test_minus_involution():
     F5 = PrimeField(5)
-    f = Poly(F5, [F5(1), F5(-2)])
-    assert minus_involution(f).coeffs == (F5(1), F5(-3))  # 2^{-1} = 3 in F_5
-    g = Poly(QQ, [Fraction(1), Fraction(-1)])
-    assert minus_involution(g) == g
+    assert minus_involution(F5, [F5(1), F5(-2)]) == [F5(1), F5(-3)]  # 2^{-1} = 3 in F_5
+    g = [Fraction(1), Fraction(-1)]
+    assert minus_involution(QQ, g) == g
     a = Fraction(7)
-    pair = Poly(QQ, [Fraction(1), -a]) * Poly(QQ, [Fraction(1), -1 / a])
-    assert minus_involution(pair) == pair
-    assert minus_involution(minus_involution(Poly(QQ, [Fraction(1), Fraction(2), Fraction(5)]))) == Poly(
-        QQ, [Fraction(1), Fraction(2), Fraction(5)]
-    )
+    pair = unit_root_product(QQ, [a, 1 / a])
+    assert minus_involution(QQ, pair) == pair
+    f = [Fraction(1), Fraction(2), Fraction(5)]
+    assert minus_involution(QQ, minus_involution(QQ, f)) == f
     with pytest.raises(ValueError):
-        minus_involution(Poly(QQ, [Fraction(0), Fraction(1)]))
+        minus_involution(QQ, [Fraction(0), Fraction(1)])
+    with pytest.raises(ValueError):
+        minus_involution(QQ, [Fraction(1), Fraction(0)])
 
 
 def test_minus_involution_commutes_with_residue():
@@ -88,10 +86,9 @@ def test_minus_involution_commutes_with_residue():
     p = 5
     F = PrimeField(p)
     coeffs = [Fraction(1), Fraction(-7, 2), Fraction(3)]
-    f = Poly(QQ, coeffs)
-    fm = minus_involution(f)
-    red = Poly(F, [residue(c, p) for c in f.coeffs])
-    assert minus_involution(red).coeffs == tuple(residue(c, p) for c in fm.coeffs)
+    fm = minus_involution(QQ, coeffs)
+    red = [residue(c, p) for c in coeffs]
+    assert minus_involution(F, red) == [residue(c, p) for c in fm]
 
 
 def test_wt():
@@ -184,7 +181,7 @@ def test_factor_over_rationals():
     # keep their Drinfeld polynomials as coefficient lists
     from fractions import Fraction
 
-    f = Poly(QQ, [Fraction(1), Fraction(-2)]) * Poly(QQ, [Fraction(1), Fraction(-1, 3)])
+    f = Poly(QQ, unit_root_product(QQ, [Fraction(2), Fraction(1, 3)]))
     with pytest.raises(ValueError) as err:
         factor_poly_unit_roots(f)
     assert str(err.value) == "factoring needs a finite field, not Q"
@@ -255,30 +252,33 @@ def test_series_match_the_binomial_convolution(label, sign):
 # ---------------------------------------------------------------------------
 
 
-def _horner(f, x):
-    acc = f.ring.zero
-    for c in reversed(f.coeffs):
+def _horner(ring, f, x):
+    acc = ring.zero
+    for c in reversed(f):
         acc = acc * x + c
     return acc
 
 
-def _deflate(f, root):
+def _times_root(ring, f, x):
+    # (u - x) f
+    return [a - x * b for a, b in zip([ring.zero] + f, f + [ring.zero])]
+
+
+def _deflate(ring, f, root):
     # synthetic division by (u - root); f(root) = 0
-    ring = f.ring
-    out = [ring.zero] * f.degree()
+    out = [ring.zero] * (len(f) - 1)
     acc = ring.zero
-    for k in range(f.degree(), 0, -1):
-        acc = f.coeffs[k] + root * acc
+    for k in range(len(f) - 1, 0, -1):
+        acc = f[k] + root * acc
         out[k - 1] = acc
-    return Poly(ring, out)
+    return out
 
 
-def _roots_by_deflation(f):
-    ring = f.ring
+def _roots_by_deflation(ring, f):
     roots, g = [], f
-    for x in field_roots(ring, f.coeffs):
-        while g.degree() >= 1 and ring.is_zero(_horner(g, x)):
-            g = _deflate(g, x)
+    for x in field_roots(ring, f):
+        while len(g) > 1 and ring.is_zero(_horner(ring, g, x)):
+            g = _deflate(ring, g, x)
             roots.append(x)
     return roots, g
 
@@ -290,14 +290,32 @@ def _roots_by_deflation(f):
 )
 def test_root_multiplicities_match_deflation(F, data):
     elements = F.elements()
-    f = Poly(F, [data.draw(st.sampled_from(elements[1:]))])
+    unit = data.draw(st.sampled_from(elements[1:]))
+    roots = []
     for _ in range(data.draw(st.integers(0, 3))):
         x = data.draw(st.sampled_from(elements))
-        for _ in range(data.draw(st.integers(1, 2 * F.char**2 + 3))):
-            f = f * Poly(F, [-x, F.one])
+        roots += [x] * data.draw(st.integers(1, 2 * F.char**2 + 3))
     # a cofactor that may have roots of its own, or none in F
-    f = f * Poly(F, data.draw(st.lists(st.sampled_from(elements), max_size=4)) + [F.one])
-    assert _roots_in_field(f) == _roots_by_deflation(f)
+    f = [unit * c for c in data.draw(st.lists(st.sampled_from(elements), max_size=4)) + [F.one]]
+    for x in roots:
+        f = _times_root(F, f, x)
+    assert _roots_in_field(F, f) == _roots_by_deflation(F, f)
+
+
+@SETTINGS
+@given(
+    st.sampled_from([PrimeField(p) for p in (2, 3, 5, 7, 11)] + [FiniteField(2, 2), FiniteField(3, 2)]),
+    st.data(),
+)
+def test_unit_root_product_matches_evaluation(F, data):
+    roots = data.draw(st.lists(st.sampled_from(F.units()), max_size=6))
+    f = unit_root_product(F, roots)
+    assert len(f) == len(roots) + 1
+    for u in F.elements():
+        want = F.one
+        for a in roots:
+            want = want * (F.one - a * u)
+        assert _horner(F, f, u) == want
 
 
 def test_triple_frobenius_twist_factors_fast():

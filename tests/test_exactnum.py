@@ -18,8 +18,11 @@ from hlx.exactnum import (
     lucas_binom,
     parse_rational,
     rational_str,
+    _poly_divmod,
+    _poly_mul,
     residue,
     ring_from_json,
+    scalars,
     val_p,
 )
 
@@ -171,10 +174,48 @@ def test_field_literals_name_their_field():
 
 
 def test_poly_arithmetic():
-    f = Poly(QQ, [Fraction(1), Fraction(-2)])
-    g = Poly(QQ, [Fraction(1), Fraction(3)])
-    assert (f * g).coeffs == (Fraction(1), Fraction(1), Fraction(-6))
+    # polynomials compute as coefficient lists; Poly is only their value
+    k = scalars(QQ)
+    f, g = [Fraction(1), Fraction(-2)], [Fraction(1), Fraction(3)]
+    assert _poly_mul(f, g, k) == [Fraction(1), Fraction(1), Fraction(-6)]
+    assert _poly_divmod(_poly_mul(f, g, k), g, k) == (f, [])
+    k5 = scalars(PrimeField(5))
+    assert _poly_mul([1, 4], [1, 1], k5) == [1, 0, 4]  # (1 - u)(1 + u) = 1 - u^2
     assert Poly(QQ, [Fraction(0)]).is_zero()
+    assert Poly(QQ, f + [Fraction(0)]) == Poly(QQ, f)
+    assert not hasattr(Poly, "__mul__") and not hasattr(Poly, "__add__")
+
+
+def test_one_descriptor_object_per_field():
+    F = FiniteField(3, 2)
+    assert F is FiniteField(3, 2)
+    assert FiniteField(3, 2, F.poly) is F
+    assert FiniteField(3, 2, [c - 3 for c in F.poly]) is F  # the same modulus, spelled otherwise
+    assert FiniteField(3, 2, [2, 2, 1]) is not F
+    assert ring_from_json(F.to_json()) is F
+    assert F.zero is FiniteField(3, 2).zero and F.one is FiniteField(3, 2).one
+    assert SymField(("a", "b")) is SymField(["a", "b"])
+    assert SymField(("a", "b")) is not SymField(("b", "a"))
+    assert ring_from_json({"kind": "Fp", "p": 5}) is PrimeField(5)
+    assert ring_from_json({"kind": "Q"}) is QQ
+    # a refused field is refused on every call, never remembered
+    for args in ((4, 2), (3, 5), (3, 2, [0, 0, 1])):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                FiniteField(*args)
+    for cls in (type(QQ), PrimeField, FiniteField, SymField):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+
+
+def test_field_literals_take_only_their_own_suffix():
+    F = FiniteField(3, 2)
+    for text in ("[1,2] junk", "[1,2] mod (2,0,1, 5)", "[1,2] mod (2,2,1, 3)", "[1,2", "[1,,2]", "[1,]"):
+        with pytest.raises(ValueError, match="not an element of F_9"):
+            F.parse(text)
+    for x in F.elements():
+        assert F.parse(str(x)) == x
+    assert F.parse("[1,2] mod(1, 0, 1, 3)") == F.parse("[ 1, 2 ]")
+    assert F.parse("[]") == F.zero and F.parse("2") == F.from_int(2)
 
 
 def test_sym_field_fractions():

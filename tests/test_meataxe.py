@@ -9,6 +9,7 @@ from hlx.linalg import arrays, np_inverse, np_rref
 from hlx.looppbw import LOWER, RAISE
 from hlx.meataxe import (
     _highest_weight_result,
+    _hom_space_nonzero,
     _submodule_and_quotient,
     brute_force_irreducible,
     chop,
@@ -292,6 +293,17 @@ def test_iso_ell_hw():
     )
     m = irreducible_module(F, 3, F(2))
     assert iso_ell_hw(m, dual(m))
+
+
+def test_hom_space_between_modules_of_different_dimensions():
+    # T: M -> N is dim N x dim M; M = W(1,1) ⊗ W(1,1) = L(2) ⊕ L(0) over F_5
+    # maps onto and receives the trivial module W(0,1), and shares no
+    # weight with W(1,2)
+    F = PrimeField(5)
+    m = tensor(eval_weyl_module(F, 1, F(1)), eval_weyl_module(F, 1, F(1)))
+    trivial, odd = eval_weyl_module(F, 0, F(1)), eval_weyl_module(F, 1, F(2))
+    assert _hom_space_nonzero(m, trivial) and _hom_space_nonzero(trivial, m)
+    assert not _hom_space_nonzero(m, odd) and not _hom_space_nonzero(odd, m)
 
 
 def test_generator_set_windows():

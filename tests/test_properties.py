@@ -26,12 +26,20 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hlx import modrep
-from hlx.drinfeld import EllWeight, FieldExtensionNeeded, _extension_hint, _roots_in_field, factor_poly_unit_roots
+from hlx.drinfeld import (
+    EllWeight,
+    FieldExtensionNeeded,
+    _extension_hint,
+    _roots_in_field,
+    factor_poly_unit_roots,
+    unit_root_product,
+)
 from hlx.exactnum import (
     QQ,
     FiniteField,
     Poly,
     PrimeField,
+    _poly_mul,
     field_roots,
     integer_binomial,
     is_prime,
@@ -125,10 +133,8 @@ def test_unit_root_factorization_matches_scan_order(p, data):
     F = PrimeField(p)
     params = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=6))
     extra = data.draw(st.lists(st.integers(0, p - 1), min_size=0, max_size=3))
-    f = Poly.const(F, F.one)
-    for a in params:
-        f = f * Poly(F, [F.one, F(-a)])
-    got = factor_poly_unit_roots(f)
+    f = [c.v for c in unit_root_product(F, [F(a) for a in params])]
+    got = factor_poly_unit_roots(Poly(F, [F(c) for c in f]))
     # a field scan finds the roots a_j of the reversed polynomial ascending
     assert [(a.v, mult) for a, mult in got.items()] == sorted(Counter(params).items())
     # an extra factor without roots in F_p must be refused, never dropped
@@ -136,7 +142,7 @@ def test_unit_root_factorization_matches_scan_order(p, data):
     rev = list(reversed(g.coeffs))
     if g.degree() >= 1 and not field_roots(F, rev):
         try:
-            factor_poly_unit_roots(f * g)
+            factor_poly_unit_roots(Poly(F, [F(c) for c in _poly_mul(f, [1] + extra, scalars(F))]))
         except ValueError:
             pass
         else:
@@ -167,13 +173,40 @@ def field_matrices(draw, F=None, rows=None, cols=None):
 
 
 class _PolyRing:
-    """F[x] as a ring descriptor, for the boxed det(x I - A)."""
+    """F[x] as a ring descriptor, for the boxed det(x I - A).  Its
+    schoolbook arithmetic is written here, apart from hlx's polynomial
+    kernel, so the determinant is an independent oracle."""
 
     def __init__(self, F):
-        self.zero, self.one = Poly(F, []), Poly(F, [F.one])
+        self.zero, self.one = _Px(F, []), _Px(F, [F.one])
 
     def is_zero(self, f):
-        return f.is_zero()
+        return not f.coeffs
+
+
+class _Px:
+    """An element of F[x]: ascending coefficients without trailing zeros."""
+
+    def __init__(self, F, coeffs):
+        c = list(coeffs)
+        while c and F.is_zero(c[-1]):
+            c.pop()
+        self.F, self.coeffs = F, c
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n, z = max(len(a), len(b)), self.F.zero
+        return _Px(self.F, [(a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n)])
+
+    def __neg__(self):
+        return _Px(self.F, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        out = [self.F.zero] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return _Px(self.F, out)
 
 
 @SETTINGS
@@ -213,8 +246,8 @@ def test_kernel_inverse_and_characteristic_polynomial(fa):
     charpoly = [K.box(c) for c in np_charpoly(to_np(a), F)]
     if n <= 4:
         R = _PolyRing(F)
-        xa = Mat(R, [[Poly(F, [-a[i, j]] + ([F.one] if i == j else [])) for j in range(n)] for i in range(n)])
-        assert Poly(F, charpoly) == det(xa)
+        xa = Mat(R, [[_Px(F, [-a[i, j]] + ([F.one] if i == j else [])) for j in range(n)] for i in range(n)])
+        assert charpoly == det(xa).coeffs
     # eigenvalues: a scan of the field for a nonzero kernel of A - t I
     scan = [t for t in F.elements() if kernel(a - Mat.identity(F, n).scale(t))]
     assert [K.box(t) for t in np_eigenvalues(to_np(a), F)] == scan
@@ -892,11 +925,11 @@ def test_every_node_matches_the_boxed_formulas_over_q(recipe, with_labels):
 # ---------------------------------------------------------------------------
 
 
-def _hint_by_enumeration(f):
-    """The least d' <= 4, a multiple of d, such that f splits over
-    F_{p^d'}, found by listing the roots of f in each such field; F_{p^d}
-    embeds by sending its generator to a root of its defining polynomial."""
-    ring = f.ring
+def _hint_by_enumeration(ring, f):
+    """The least d' <= 4, a multiple of d, such that f (ascending
+    coefficients) splits over F_{p^d'}, found by listing the roots of f in
+    each such field; F_{p^d} embeds by sending its generator to a root of
+    its defining polynomial."""
     for d in range(ring.d + 1, 5):
         if d % ring.d:
             continue
@@ -906,8 +939,8 @@ def _hint_by_enumeration(f):
             return sum((ring_pow(ext, x, i) * ext.from_int(c) for i, c in enumerate(coeffs)), ext.zero)
 
         gen = next(x for x in ext.elements() if ext.is_zero(at(ring.poly, x)))
-        lifted = Poly(ext, [at(c.coeffs, gen) for c in reversed(f.coeffs)])
-        if _roots_in_field(lifted)[1].degree() < 1:
+        lifted = [at(c.coeffs, gen) for c in f]
+        if len(_roots_in_field(ext, lifted)[1]) == 1:
             return d
     return None
 
@@ -918,8 +951,8 @@ def test_extension_hint_matches_enumeration(F, data):
     elements = F.elements()
     tail = data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=4))
     assume(not F.is_zero(tail[-1]))
-    f = Poly(F, [F.one] + tail)
-    assert _extension_hint(f) == _hint_by_enumeration(f)
+    f = [F.one] + tail
+    assert _extension_hint(F, f) == _hint_by_enumeration(F, f)
 
 
 def test_extension_hint_over_f_31_squared_is_fast():
