@@ -5,7 +5,8 @@ the value it prints; everything computed from it (the minus involution,
 the product prod (1 - a u) of given roots, factoring) runs on ascending
 coefficient lists through exactnum's _poly_* routines.  An EllWeight is a
 canonical multiset of (parameter, weight) pairs with the parameter nonzero
-and the int weights allowed to be negative.  Factorization
+and the int weights allowed to be negative, interned: one object per ring
+and value, so labels compare by identity.  Factorization
 is by gcd with x^q - x and Cantor-Zassenhaus splitting over every finite
 field F_q, and only there; nothing is ever extended silently.  A root's
 multiplicity is divided out by the binomials
@@ -193,19 +194,34 @@ def _extension_hint(ring, coeffs):
 
 class EllWeight:
     """Canonical multiset of (parameter, weight) pairs with nonzero int
-    weights; identified with prod_j omega_{mu_j, a_j}."""
+    weights; identified with prod_j omega_{mu_j, a_j}.
+
+    Interned, as the rings are: EllWeight(ring, pairs) hands out the one
+    label of its ring and canonical pairs, so equal labels are one object
+    and compare by identity.  Tensor products, duals, twists and
+    subquotients that carry a value, and later modules over the same ring,
+    reuse its label, and with it the series that memo_coefficients keeps on
+    the label."""
 
     __slots__ = ("ring", "pairs", "_memo")
+    _instances = {}  # {(ring, canonical pairs): label}
 
-    def __init__(self, ring, pairs):
+    def __new__(cls, ring, pairs):
         if not all(ring.is_unit(a) for a, _ in pairs):
             raise ValueError("parameters must be nonzero")
-        self.ring = ring
-        self.pairs = _canonical(ring, pairs)
-        self._memo = {}  # {sign: coefficients(n, sign)}, the longest n asked for
+        pairs = _canonical(ring, pairs)
+        self = cls._instances.get((ring, pairs))
+        if self is None:
+            self = object.__new__(cls)
+            self.ring = ring
+            self.pairs = pairs
+            self._memo = {}  # {sign: coefficients(n, sign)}, the longest n asked for
+            cls._instances[ring, pairs] = self
+        return self
 
     def __mul__(self, other):
-        assert self.ring == other.ring
+        if self.ring is not other.ring:
+            raise ValueError("ell-weights over different rings")
         return EllWeight(self.ring, self.pairs + other.pairs)
 
     def inverse(self):
@@ -249,12 +265,6 @@ class EllWeight:
         if have is None or len(have) <= n:
             have = self._memo[sign] = self.coefficients(max(n, at_least), sign)
         return have
-
-    def __eq__(self, other):
-        return isinstance(other, EllWeight) and self.ring == other.ring and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((self.ring, self.pairs))
 
     def fmt(self):
         return [[self.ring.fmt(a), [mu]] for a, mu in self.pairs]
@@ -362,7 +372,8 @@ class SpectralCharacter:
         self.values = tuple((a, res % 2) for a, res in _canonical(ring, values) if res % 2)
 
     def __add__(self, other):
-        assert self.ring == other.ring
+        if self.ring is not other.ring:
+            raise ValueError("spectral characters over different rings")
         return SpectralCharacter(self.ring, self.values + other.values)
 
     def __neg__(self):

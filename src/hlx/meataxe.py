@@ -242,17 +242,27 @@ def is_irreducible(m, seed=0):
 
     The certificate records the method or the seed, the witness subspace
     for reducible verdicts and the spin evidence for irreducible ones.
+
+    The result is memoized on the module (LoopModule.answer), keyed on the
+    seed and on brute_bound(), which is read at every call: so chop after
+    is_irreducible, or a second caller, does not test the module again,
+    and a changed HLX_MAX_BRUTE still gets its own verdict.
     """
-    ring = m.ring
-    if ring.card is None:
+    if m.ring.card is None:
         raise ValueError("irreducibility testing needs a finite field")
+    bound = brute_bound()
+    return m.answer(("irreducible", seed, bound), lambda: _irreducibility(m, seed, bound))
+
+
+def _irreducibility(m, seed, bound):
+    ring = m.ring
     if m.dim == 0:
         return IrreducibilityResult(False, {"reason": "zero module"})
     if m.dim == 1:
         return IrreducibilityResult(True, {"reason": "dimension 1"})
     if not isinstance(ring, PrimeField):
         # no Norton test over extension fields: go straight to the oracle
-        return _brute_force_result(m, "brute force infeasible over extension field")
+        return _brute_force_result(m, bound, "brute force infeasible over extension field")
 
     K = arrays(ring)
     np_gens = np_generator_set(m)
@@ -305,7 +315,7 @@ def is_irreducible(m, seed=0):
             {"seed": seed, "attempt": attempt, "nullity": nullity, "points": npoints},
         )
     # escalation: brute force if feasible, else undecided
-    return _brute_force_result(m, "norton retries exhausted, brute force infeasible")
+    return _brute_force_result(m, bound, "norton retries exhausted, brute force infeasible")
 
 
 def _highest_weight_result(m, np_gens, K):
@@ -328,9 +338,9 @@ def _highest_weight_result(m, np_gens, K):
     return None
 
 
-def _brute_force_result(m, infeasible_reason):
+def _brute_force_result(m, bound, infeasible_reason):
     try:
-        verdict, witness = brute_force_irreducible(m)
+        verdict, witness = brute_force_irreducible(m, bound)
     except ValueError:
         return IrreducibilityResult(None, {"reason": infeasible_reason})
     cert = {"method": "brute-force"}

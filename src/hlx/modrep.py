@@ -50,8 +50,11 @@ an array over, and op_table, lam_table and _cartan_table any table (the
 lattice reads Q tables so).
 
 Modules are immutable after construction apart from the lazily memoized
-tables; once a table is materialized it is never rewritten, so concurrent
-readers are safe and cross-module operations stay pure.
+tables; once a table is materialized it is never rewritten (an array table
+is read-only, so an in-place write raises), so concurrent readers are safe
+and cross-module operations stay pure.  For the same reason a module
+answers once (LoopModule.answer): its labels, its raising kernel, its label
+classes and its irreducibility verdicts are memoized next to the tables.
 """
 
 from __future__ import annotations
@@ -72,11 +75,19 @@ from .linalg import (
     from_np,
     kernel,
     np_eigenvalues,
+    np_inverse,
     np_nullspace,
     np_rref,
     tables,
 )
 from .looppbw import CARTAN, LOWER, RAISE, HyperElement
+
+
+def _read_only(table):
+    # a memoized array is shared by every reader: an in-place write raises
+    if isinstance(table, np.ndarray):
+        table.flags.writeable = False
+    return table
 
 
 def _binom_in_ring(ring, m, k):
@@ -106,7 +117,7 @@ class LoopModule:
         self.hw_index = hw_index
         self._tables = {}
         self._ratio_cache = {}
-        self._label_cache = {}
+        self._answers = {}
 
     # -- operator tables: one memo, in the representation of linalg.tables ---
 
@@ -115,7 +126,7 @@ class LoopModule:
             if self.ring.card is not None:
                 # the longest int64 sums are matrix products of dim terms
                 check_int64_bound(self.ring, self.dim)
-            self._tables[key] = build()
+            self._tables[key] = _read_only(build())
         return self._tables[key]
 
     def op_table(self, kind, r, k):
@@ -170,15 +181,24 @@ class LoopModule:
         self._finite()
         return self._cartan_table(k)
 
+    # -- answers derived from the tables: one memo ------------------------------
+
+    def answer(self, key, build):
+        """build(), computed once per module and key: the labels, the raising
+        kernel (raising_kernel_np), the label classes (label_classes) and the
+        irreducibility verdicts (meataxe.is_irreducible).  A module never
+        changes, so neither does anything read off its tables."""
+        if key not in self._answers:
+            self._answers[key] = build()
+        return self._answers[key]
+
     # -- ell-weight labels -----------------------------------------------------
 
     def labels(self):
         """One EllWeight per basis vector, whose series are the vector's
         Lambda^±-eigenvalues (so every Lambda_r is diagonal), or None when
         the module carries no such data."""
-        if "labels" not in self._label_cache:
-            self._label_cache["labels"] = self._labels()
-        return self._label_cache["labels"]
+        return self.answer("labels", self._labels)
 
     def _labels(self):
         return None
@@ -839,12 +859,18 @@ def _raising_labels(m):
 
 def raising_kernel_np(m):
     """The joint kernel of the raising divided powers (x+_r)^(k) over a
-    finite field, as the rows of np_nullspace (one per free column, an
-    array of the int64 kernel).  Every raising table sends weight w to
-    w + 2, so the stacked tables' reduced echelon rows, and with them these
-    rows, are weight vectors."""
-    blocks = [t for t in (m.op_np(RAISE, r, k) for r, k in _raising_labels(m)) if t.any()]
-    return np_nullspace(np.concatenate(blocks, axis=0), m.ring) if blocks else arrays(m.ring).eye(m.dim)
+    finite field, as the rows of np_nullspace (one per free column, a
+    read-only array of the int64 kernel), computed once per module: the
+    highest-weight test of meataxe.is_irreducible and ell_hw_vectors share
+    it.  Every raising table sends weight w to w + 2, so the stacked
+    tables' reduced echelon rows, and with them these rows, are weight
+    vectors."""
+
+    def build():
+        blocks = [t for t in (m.op_np(RAISE, r, k) for r, k in _raising_labels(m)) if t.any()]
+        return np_nullspace(np.concatenate(blocks, axis=0), m.ring) if blocks else arrays(m.ring).eye(m.dim)
+
+    return m.answer("raising kernel", lambda: _read_only(build()))
 
 
 def ell_hw_vectors(m):
@@ -926,10 +952,16 @@ def drinfeld_polynomial(m, v=None):
 
 
 def label_classes(m):
-    """The basis of a labelled module grouped by (weight, label), as a list
-    of (weight, label, indices).  The order is the one in which the matrix
-    path refines the joint eigenspaces: weight descending, then the label's
-    eigenvalues over rs = [1, -1, 2, -2, ...] in field-element order."""
+    """The basis of a labelled module grouped by (weight, label), as a tuple
+    of (weight, label, indices), computed once per module:
+    ell_weight_decomposition and meataxe's grading of a witness share it.
+    The order is the one in which the matrix path refines the joint
+    eigenspaces: weight descending, then the label's eigenvalues over
+    rs = [1, -1, 2, -2, ...] in field-element order."""
+    return m.answer("label classes", lambda: _label_classes(m))
+
+
+def _label_classes(m):
     ring = m.ring
     prec = m.lam_precision()
     groups = {}
@@ -950,7 +982,7 @@ def label_classes(m):
         if len(labels) > 1:
             labels = sorted(labels, key=eigenvalues)
         out.extend((w, label, groups[w, label]) for label in labels)
-    return out
+    return tuple(out)
 
 
 def ell_weight_decomposition(m):
@@ -1021,7 +1053,15 @@ def _block_refinement(m, prec):
     eigenvalues.  series is the pair of eigenvalue lists (plus, minus) from
     u^0, or None (opaque) once some Lambda_r has an eigenvalue outside the
     field.  A block that Lambda_r does not split appends to its own lists;
-    a split copies them once per child, at most dim times in all."""
+    a split copies them once per child, at most dim times in all.
+
+    The rows of all blocks, stacked as B, always form a basis: they start
+    as the weight spaces, and each split is a Fitting decomposition
+    ker + im of a block.  So one product per r, C = (B Lambda_r^T) B^-1,
+    holds the coordinates of every block's images: the diagonal blocks of C
+    are the restricted matrices, a 1 x 1 block is its own eigenvalue, and a
+    nonzero entry off them means that Lambda_r moves a block.  B^-1 is
+    recomputed only after a split."""
     ring = m.ring
     K = arrays(ring)
     p = K.p
@@ -1030,36 +1070,49 @@ def _block_refinement(m, prec):
         idxs = [i for i, wi in enumerate(m.weights) if wi == w]
         rows = np.zeros((len(idxs), m.dim) + K.tail, dtype=np.int64)
         rows[np.arange(len(idxs)), idxs] = K.unit
-        blocks.append((w, rows, idxs, ([ring.one], [ring.one])))
+        blocks.append((w, rows, ([ring.one], [ring.one])))
+    if not blocks:
+        return []
+    diag = np.arange(m.dim)
+    split = True
     for r in (r for rr in range(1, prec) for r in (rr, -rr)):
         side = 0 if r > 0 else 1
-        mat = m.lam_np(r)
+        if split:
+            basis = np.concatenate([rows for _, rows, _ in blocks])
+            inverse = np_inverse(basis, ring)
+            starts = np.cumsum([0] + [rows.shape[0] for _, rows, _ in blocks]).tolist()
+            off = np.ones((m.dim, m.dim), dtype=bool)
+            for o, e in zip(starts, starts[1:]):
+                off[o:e, o:e] = False
+            split = False
+        coords = K.mul(K.mul(basis, m.lam_np(r).swapaxes(0, 1)), inverse)
+        if K.nz(coords)[off].any():
+            raise ArithmeticError("weight block is not Lambda invariant")
+        diagonal = K.to_rows(coords[diag, diag][None])[0]
         nxt = []
-        for block in blocks:
-            w, rows, pivots, series = block
-            s = rows.shape[0]
-            imgs = K.mul(rows, mat.swapaxes(0, 1))
-            # coordinates against the RREF rows: entries at pivot columns
-            coords = imgs[:, pivots]
-            if ((K.mul(coords, rows) - imgs) % p).any():
-                raise ArithmeticError("weight block is not Lambda invariant")
-            rmat = coords.swapaxes(0, 1)  # restricted matrix, column action
+        for block, o, e in zip(blocks, starts, starts[1:]):
+            w, rows, series = block
+            s = e - o
             if s == 1:
-                kernels, found_total = [(None, K.to_ring(rmat[0, 0]))], 1
-            else:
-                kernels, found_total, prod = [], 0, K.eye(s)
-                # only eigenvalues have a nonzero generalized kernel; they
-                # come in field-element order, which keeps the blocks so
-                for nu in np_eigenvalues(rmat, ring):
-                    power = (rmat - K.emul(K.eye(s), K.coords(nu))) % p
-                    for _ in range(max(1, s.bit_length())):
-                        power = K.mul(power, power)
-                    ker = np_nullspace(power, ring)
-                    kernels.append((ker, K.box(nu)))
-                    found_total += ker.shape[0]
-                    prod = K.mul(prod, power)
-                    if found_total == s:
-                        break
+                # a line: never split, its eigenvalue read off the diagonal
+                if series is not None:
+                    series[side].append(diagonal[o])
+                nxt.append(block)
+                continue
+            rmat = coords[o:e, o:e].swapaxes(0, 1)  # restricted matrix, column action
+            kernels, found_total, prod = [], 0, K.eye(s)
+            # only eigenvalues have a nonzero generalized kernel; they come
+            # in field-element order, which keeps the blocks so
+            for nu in np_eigenvalues(rmat, ring):
+                power = (rmat - K.emul(K.eye(s), K.coords(nu))) % p
+                for _ in range(max(1, s.bit_length())):
+                    power = K.mul(power, power)
+                ker = np_nullspace(power, ring)
+                kernels.append((ker, K.box(nu)))
+                found_total += ker.shape[0]
+                prod = K.mul(prod, power)
+                if found_total == s:
+                    break
             if found_total == s and len(kernels) == 1:
                 # Lambda_r leaves the block whole: it keeps its RREF rows
                 # and appends to its own series
@@ -1067,20 +1120,21 @@ def _block_refinement(m, prec):
                     series[side].append(kernels[0][1])
                 nxt.append(block)
                 continue
+            split = True
             for ker, nu in kernels:
-                red, piv = np_rref(K.mul(ker, rows), ring)
                 child = None
                 if series is not None:
                     child = (series[0][:], series[1][:])
                     child[side].append(nu)
-                nxt.append((w, red, piv, child))
+                red, _ = np_rref(K.mul(ker, rows), ring)
+                nxt.append((w, red, child))
             if found_total < s:
                 img_rows, _ = np_rref(prod.swapaxes(0, 1), ring)
                 if img_rows.shape[0]:
-                    red, piv = np_rref(K.mul(img_rows, rows), ring)
-                    nxt.append((w, red, piv, None))
+                    red, _ = np_rref(K.mul(img_rows, rows), ring)
+                    nxt.append((w, red, None))
         blocks = nxt
-    return [(w, K.to_rows(rows), series) for w, rows, _, series in blocks]
+    return [(w, K.to_rows(rows), series) for w, rows, series in blocks]
 
 
 def _match_ell_weight(ring, w, series_plus, series_minus, prec, m):

@@ -99,6 +99,32 @@ def test_wt():
     assert EllWeight(F, [(F(1), 5), (F(2), -2)]).wt() == 3
 
 
+def test_ell_weights_are_interned():
+    F = PrimeField(5)
+    a, b = F(2), F(3)
+    ew = EllWeight(F, [(a, 1), (b, 2)])
+    assert EllWeight(F, [(b, 2), (a, 1)]) is ew
+    assert EllWeight(F, [(b, 1), (a, 1), (b, 1)]) is ew
+    assert EllWeight(F, [(a, 1)]) * EllWeight(F, [(b, 2)]) is ew
+    assert ew.inverse().inverse() is ew
+    assert EllWeight(F, [(a, 1), (a, -1)]) is EllWeight(F, [])
+    # the same pairs over another field are another label
+    F7 = PrimeField(7)
+    assert EllWeight(F7, [(F7(2), 1), (F7(3), 2)]) is not ew
+    with pytest.raises(ValueError):
+        EllWeight(F, [(F.zero, 1), (F.zero, -1)])
+
+
+def test_ring_mismatch_is_a_value_error():
+    # a ValueError, not an assert, so that python -O does not build a
+    # label of one field with a parameter of another
+    F5, F7 = PrimeField(5), PrimeField(7)
+    with pytest.raises(ValueError):
+        EllWeight(F5, [(F5(2), 1)]) * EllWeight(F7, [(F7(2), 1)])
+    with pytest.raises(ValueError):
+        SpectralCharacter(F5, [(F5(2), 1)]) + SpectralCharacter(F7, [(F7(2), 1)])
+
+
 def test_spectral_character():
     F = PrimeField(3)
     # omega_{2,a}: 2 lies in Q for sl2

@@ -364,3 +364,76 @@ def test_random_element_weights_are_units():
         K = arrays(PrimeField(p))
         z = _random_element_np([K.eye(3)], K, 3, _Top(0))
         assert (z == (3 * (p - 1) % p) * K.eye(3)).all()
+
+
+# ---------------------------------------------------------------------------
+# each module answers once
+# ---------------------------------------------------------------------------
+
+
+def _count_per_module(monkeypatch, owner, name):
+    # calls of owner.name, counted per module (the first argument); the
+    # modules stay alive in the counter, so their ids stay distinct
+    calls = {}
+    original = getattr(owner, name)
+
+    def counted(m, *args):
+        calls.setdefault(id(m), [m, 0])[1] += 1
+        return original(m, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_chop_after_is_irreducible_tests_each_module_once(monkeypatch):
+    calls = _count_per_module(monkeypatch, meataxe, "_highest_weight_result")
+    F = PrimeField(5)
+    m = tensor(eval_weyl_module(F, 2, F(3)), eval_weyl_module(F, 1, F(3)))
+    res = is_irreducible(m)
+    assert res.verdict is False
+    factors = chop(m)
+    assert sorted(f.dim for f in factors) == [2, 4]
+    assert is_irreducible(m) is res
+    # m, its submodule and its quotient: one highest-weight test each
+    assert len(calls) == 3 and [n for _, n in calls.values()] == [1, 1, 1]
+
+
+def test_the_raising_kernel_is_built_once_per_module(monkeypatch):
+    from hlx import modrep
+
+    calls = _count_per_module(monkeypatch, modrep, "_raising_labels")
+    F = PrimeField(7)
+    m = tensor(eval_weyl_module(F, 2, F(3)), eval_weyl_module(F, 1, F(5)))
+    assert is_irreducible(m).verdict is True
+    vs = modrep.ell_hw_vectors(m)
+    assert len(vs) == 1
+    poly, _ = modrep.drinfeld_polynomial(dual(dual(m)))
+    assert [f.dim for f in chop(m)] == [m.dim]
+    assert poly == modrep.drinfeld_polynomial(m, vs[0])[0]
+    assert raising_kernel_np(m) is raising_kernel_np(m)
+    assert all(n == 1 for _, n in calls.values())
+
+
+def test_lowering_the_brute_force_bound_is_seen_by_a_memoized_module(monkeypatch):
+    # L(2) over F_9 has dimension 3 and 9^3 = 729 vectors: brute force
+    # decides it under the default bound, and nothing decides it under 100
+    monkeypatch.delenv("HLX_MAX_BRUTE", raising=False)
+    F9 = FiniteField(3, 2)
+    m = irreducible_module(F9, 2, F9.one)
+    decided = is_irreducible(m)
+    assert decided.verdict is True and decided.certificate == {"method": "brute-force"}
+    monkeypatch.setenv("HLX_MAX_BRUTE", "100")
+    assert is_irreducible(m).verdict is None
+    monkeypatch.delenv("HLX_MAX_BRUTE")
+    assert is_irreducible(m) is decided
+
+
+def test_memoized_tables_and_kernel_are_read_only():
+    F = PrimeField(5)
+    m = tensor(eval_weyl_module(F, 2, F(3)), eval_weyl_module(F, 1, F(2)))
+    for shared in (m.op_np(RAISE, 1, 1), m.lam_np(2), m.cartan_binom_np(1), raising_kernel_np(m)):
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1
+    # computing on them still works, and hands out writable results
+    out = arrays(F).mul(m.op_np(LOWER, 0, 1), m.op_np(RAISE, 0, 1))
+    out[0, 0] = 1

@@ -657,6 +657,118 @@ def test_labels_agree_with_the_matrix_path(recipe_ring):
         assert _factor_reports(m) == _factor_reports(oracle)
 
 
+def _per_block_refinement(m, prec):
+    """The refinement as it was before it stacked its blocks: per block and
+    per r, one product for the images of its RREF rows, read at their pivot
+    columns, and one more to check that they stay in the block."""
+    ring = m.ring
+    K = arrays(ring)
+    p = K.p
+    blocks = []
+    for w in sorted(set(m.weights), reverse=True):
+        idxs = [i for i, wi in enumerate(m.weights) if wi == w]
+        rows = np.zeros((len(idxs), m.dim) + K.tail, dtype=np.int64)
+        rows[np.arange(len(idxs)), idxs] = K.unit
+        blocks.append((w, rows, idxs, ([ring.one], [ring.one])))
+    for r in (r for rr in range(1, prec) for r in (rr, -rr)):
+        side = 0 if r > 0 else 1
+        mat = m.lam_np(r)
+        nxt = []
+        for block in blocks:
+            w, rows, pivots, series = block
+            s = rows.shape[0]
+            imgs = K.mul(rows, mat.swapaxes(0, 1))
+            coords = imgs[:, pivots]
+            if ((K.mul(coords, rows) - imgs) % p).any():
+                raise ArithmeticError("weight block is not Lambda invariant")
+            rmat = coords.swapaxes(0, 1)
+            if s == 1:
+                kernels, found_total = [(None, K.to_ring(rmat[0, 0]))], 1
+            else:
+                kernels, found_total, prod = [], 0, K.eye(s)
+                for nu in np_eigenvalues(rmat, ring):
+                    power = (rmat - K.emul(K.eye(s), K.coords(nu))) % p
+                    for _ in range(max(1, s.bit_length())):
+                        power = K.mul(power, power)
+                    ker = np_nullspace(power, ring)
+                    kernels.append((ker, K.box(nu)))
+                    found_total += ker.shape[0]
+                    prod = K.mul(prod, power)
+                    if found_total == s:
+                        break
+            if found_total == s and len(kernels) == 1:
+                if series is not None:
+                    series[side].append(kernels[0][1])
+                nxt.append(block)
+                continue
+            for ker, nu in kernels:
+                red, piv = np_rref(K.mul(ker, rows), ring)
+                child = None
+                if series is not None:
+                    child = (series[0][:], series[1][:])
+                    child[side].append(nu)
+                nxt.append((w, red, piv, child))
+            if found_total < s:
+                img_rows, _ = np_rref(prod.swapaxes(0, 1), ring)
+                if img_rows.shape[0]:
+                    red, piv = np_rref(K.mul(img_rows, rows), ring)
+                    nxt.append((w, red, piv, None))
+        blocks = nxt
+    return [(w, K.to_rows(rows), series) for w, rows, _, series in blocks]
+
+
+def _in_another_basis(m):
+    """m's Lambda tables after the change of basis that adds to each basis
+    vector every later one of its weight, so that the joint eigenspaces are
+    no longer spanned by unit vectors."""
+    F = m.ring
+    K = arrays(F)
+    n = m.dim
+    adds = [[i == j or (i < j and m.weights[i] == m.weights[j]) for j in range(n)] for i in range(n)]
+    P = K.from_rows([[F.one if a else F.zero for a in row] for row in adds], (n, n))
+    P_inv = np_inverse(P, F)
+    return explicit_module(
+        F, m.weights, m.recipe, m.op_np, lambda r: K.mul(K.mul(P, m.lam_np(r)), P_inv), order_fn=m.recurrence_order
+    )
+
+
+W111 = {"tensor": [{"tensor": [{"eval_weyl": {"lambda": 1, "a": a}} for a in "23"]}, {"eval_weyl": {"lambda": 1, "a": "4"}}]}
+W1_W3 = {"tensor": [{"eval_weyl": {"lambda": 1, "a": "1"}}, {"eval_weyl": {"lambda": 3, "a": "1"}}]}
+
+
+@settings(SETTINGS, max_examples=30)
+@given(labelled_recipes())
+# weight spaces of dimension 3 and 2 that split into lines, and over F_2
+# planes that do not split
+@example((W111, PrimeField(5)))
+@example((W1_W3, PrimeField(2)))
+def test_stacked_block_refinement_gives_the_per_block_blocks(recipe_ring):
+    recipe, F = recipe_ring
+    m = build_module(recipe, F)
+    prec = m.lam_precision()
+    bare = _build_without_labels(recipe, F)
+    got = modrep._block_refinement(bare, prec)
+    assert got == _per_block_refinement(bare, prec)
+    labelled = [(b["weight"], b["rows"], (b["series_plus"], b["series_minus"])) for b in ell_weight_decomposition(m)]
+    assert got == labelled
+    mixed = _in_another_basis(bare)
+    got = modrep._block_refinement(mixed, prec)
+    assert got == _per_block_refinement(mixed, prec)
+    assert [(w, len(rows), series) for w, rows, series in got] == [(w, len(rows), ser) for w, rows, ser in labelled]
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.data())
+def test_memoized_series_are_prefixes_of_fresh_ones(data):
+    ring = data.draw(st.sampled_from([PrimeField(p) for p in SMALL_PRIMES] + [FiniteField(2, 2), FiniteField(3, 2)]))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(ring.units()), st.integers(-9, 9)), max_size=3))
+    label = EllWeight(ring, pairs)
+    calls = st.tuples(st.integers(0, 40), st.sampled_from([1, -1]), st.integers(0, 40))
+    for n, sign, at_least in data.draw(st.lists(calls, min_size=1, max_size=8)):
+        got = label.memo_coefficients(n, sign, at_least)
+        assert len(got) > n and got[: n + 1] == label.coefficients(n, sign)
+
+
 # ---------------------------------------------------------------------------
 # ell-weight matching by Berlekamp-Massey against the denominator search
 # ---------------------------------------------------------------------------
